@@ -375,8 +375,10 @@ def _sector_lowest(mat, dense_cap, tol=1e-9):
     if dim <= dense_cap:
         vals = np.linalg.eigvalsh(np.asarray(mat.todense()))
         return float(vals[0]), {"solver": "dense", "dim": dim}
+    # fixed start vector: ARPACK's own default carries state across calls
+    v0 = np.random.default_rng(dim).standard_normal(dim).astype(mat.dtype)
     try:
-        vals, vecs = eigsh(mat.tocsc(), k=1, which="SA", tol=tol, maxiter=5000)
+        vals, vecs = eigsh(mat.tocsc(), k=1, which="SA", tol=tol, maxiter=5000, v0=v0)
     except Exception as exc:  # pragma: no cover - non-convergence path
         raise RuntimeError(f"iterative eigensolver failed on dim {dim}: {exc}")
     v = vecs[:, 0]
@@ -384,6 +386,17 @@ def _sector_lowest(mat, dense_cap, tol=1e-9):
     if resid > max(tol * 100 * max(abs(vals[0]), 1.0), 1e-6):
         raise RuntimeError(f"iterative eigensolver residual {resid:g} too large")
     return float(vals[0]), {"solver": "lanczos", "dim": dim, "residual": resid}
+
+
+def _lowest_sector(minima, method):
+    """Global minimum over sector minima (vacuum included), ties resolved
+    toward the smallest key."""
+    best_key = None
+    best = np.inf
+    for key in sorted(minima):
+        if minima[key] < best - 1e-12:
+            best, best_key = minima[key], key
+    return EnergyResult(best, minima, best_key, method)
 
 
 def ground_state_energy(op, dense_cap=2048):
@@ -394,19 +407,24 @@ def ground_state_energy(op, dense_cap=2048):
         val, info = _sector_lowest(op.sector_matrix(key), dense_cap)
         minima[key] = val
         method[key] = info
-    best_key = None
-    best = np.inf
-    for key in sorted(minima):
-        if minima[key] < best - 1e-12:
-            best, best_key = minima[key], key
-    return EnergyResult(best, minima, best_key, method)
+    return _lowest_sector(minima, method)
+
+
+def _dense_block(op, key, dense_cap):
+    block = op.sector_matrix(key)
+    if block.shape[0] > dense_cap:
+        raise ValueError(
+            f"sector {key} dimension {block.shape[0]} exceeds dense cap {dense_cap}"
+        )
+    return np.asarray(block.todense())
 
 
 def ground_state_vector(op, dense_cap=4096):
-    """(energy, sector key, full-space vector) of the minimizing sector."""
+    """(energy, sector key, full-space vector) of the minimizing sector; the
+    minimizing block is diagonalized densely, so it must fit dense_cap."""
     res = ground_state_energy(op, dense_cap=dense_cap)
     idx = op.sectors[res.n_star]
-    block = np.asarray(op.sector_matrix(res.n_star).todense())
+    block = _dense_block(op, res.n_star, dense_cap)
     vals, vecs = np.linalg.eigh(block)
     full = np.zeros(op.dim, dtype=block.dtype)
     full[idx] = vecs[:, 0]
@@ -432,6 +450,12 @@ class FreeEnergyResult:
         mu_vec = np.atleast_1d(np.asarray(self.mu, dtype=float))
         charge = np.atleast_1d(np.asarray(key, dtype=float))
         return float(mu_vec @ charge)
+
+    def ground_state(self):
+        """Ground energy of H (no mu shift) from the retained spectra, with the
+        tie rule of ground_state_energy."""
+        minima = {key: float(eigs[0]) for key, eigs in self.sector_eigs.items()}
+        return _lowest_sector(minima, {})
 
     def sector_weights(self):
         out = {}
@@ -471,12 +495,7 @@ def free_energy(op, beta, mu, dense_cap=4096):
         raise ValueError("beta must be positive")
     sector_eigs = {}
     for key in op.sectors:
-        block = op.sector_matrix(key)
-        if block.shape[0] > dense_cap:
-            raise ValueError(
-                f"sector {key} dimension {block.shape[0]} exceeds dense cap {dense_cap}"
-            )
-        sector_eigs[key] = np.linalg.eigvalsh(np.asarray(block.todense()))
+        sector_eigs[key] = np.linalg.eigvalsh(_dense_block(op, key, dense_cap))
     return FreeEnergyResult(op, beta, mu, sector_eigs)
 
 

@@ -31,18 +31,14 @@ __all__ = [
 _EIG_FLOOR = 1e-14  # eigenvalues below this are treated as exact zeros in x log x
 
 
-def _colex_key(occ):
-    return tuple(reversed(occ))
-
-
 class FockSpaceDesc:
     """Occupation-number basis over n one-body modes.
 
     statistics is "fermion" or "boson"; bosons carry a per-mode occupation cap.
     An optional total-particle cap n_max truncates the basis to sectors
     N <= n_max (the full space otherwise).  Basis order is colex on the
-    occupation tuple, so the particle-number sectors interleave
-    deterministically.
+    occupation tuple (highest mode most significant), so the particle-number
+    sectors interleave deterministically and the vacuum comes first.
     """
 
     def __init__(self, n, statistics, boson_cap, occupations, n_max=None):
@@ -50,10 +46,10 @@ class FockSpaceDesc:
         self.statistics = statistics
         self.boson_cap = boson_cap
         self.n_max = n_max
-        self.occupations = occupations  # (dim, n) int array
+        self.occupations = occupations  # (dim, n) int array, colex order
         self.dim = occupations.shape[0]
         self.totals = occupations.sum(axis=1)
-        self.index_of = {tuple(row): i for i, row in enumerate(occupations.tolist())}
+        self._keys = _row_keys(occupations)
         self.sectors = {}
         for N in sorted(set(self.totals.tolist())):
             self.sectors[int(N)] = np.nonzero(self.totals == N)[0]
@@ -63,15 +59,36 @@ class FockSpaceDesc:
     def is_fermionic(self):
         return self.statistics == "fermion"
 
+    @property
+    def per_mode(self):
+        return 1 if self.is_fermionic else self.boson_cap
+
+    def index(self, rows):
+        """Basis positions of occupation rows (shape (..., n)), -1 for rows
+        outside the basis; a single row gives an int."""
+        rows = np.asarray(rows)
+        keys = _row_keys(rows)
+        pos = np.minimum(np.searchsorted(self._keys, keys), self.dim - 1)
+        valid = ((rows >= 0) & (rows <= self.per_mode)).all(axis=-1)
+        out = np.where(valid & (self._keys[pos] == keys), pos, -1)
+        return int(out) if out.ndim == 0 else out
+
     def sector_indices(self, N):
         return self.sectors[int(N)]
 
     def vacuum_index(self):
-        return self.index_of[(0,) * self.n]
+        return 0  # the all-zero row leads the colex order
 
     def __repr__(self):
         cap = "" if self.n_max is None else f", n_max={self.n_max}"
         return f"FockSpaceDesc({self.statistics}, n={self.n}, dim={self.dim}{cap})"
+
+
+def _row_keys(rows):
+    """Byte keys of occupation rows: highest mode first, big-endian uint16, so
+    byte order of the keys is colex order of the rows."""
+    n = rows.shape[-1]
+    return np.ascontiguousarray(rows[..., ::-1], dtype=">u2").view(f"V{2 * n}")[..., 0]
 
 
 def _capped_dimension(n, statistics, boson_cap, n_max):
@@ -107,37 +124,22 @@ def build_space(n, statistics="fermion", boson_cap=4, n_max=None, dim_cap=16384)
             f"(n={n}, statistics={statistics}, n_max={n_max})"
         )
     per_mode = 1 if statistics == "fermion" else boson_cap
-    occs = []
     top = n * per_mode if n_max is None else min(n_max, n * per_mode)
-    for N in range(top + 1):
-        occs.extend(_occupations_with_total(n, N, per_mode))
-    occs.sort(key=_colex_key)
-    occupations = np.array(occs, dtype=np.int16).reshape(dim, n)
+    # colex order directly: each new mode is the most significant digit
+    occupations = np.zeros((1, 0), dtype=np.int16)
+    totals = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        blocks, sums = [], []
+        for v in range(per_mode + 1):
+            keep = totals + v <= top
+            block = np.empty((int(keep.sum()), occupations.shape[1] + 1), dtype=np.int16)
+            block[:, :-1] = occupations[keep]
+            block[:, -1] = v
+            blocks.append(block)
+            sums.append(totals[keep] + v)
+        occupations = np.concatenate(blocks)
+        totals = np.concatenate(sums)
     return FockSpaceDesc(n, statistics, boson_cap, occupations, n_max=n_max)
-
-
-def _occupations_with_total(n, N, per_mode):
-    if N == 0:
-        return [(0,) * n]
-    out = []
-    if per_mode == 1:
-        for modes in itertools.combinations(range(n), N):
-            occ = [0] * n
-            for m in modes:
-                occ[m] = 1
-            out.append(tuple(occ))
-        return out
-    for modes in itertools.combinations_with_replacement(range(n), N):
-        occ = [0] * n
-        ok = True
-        for m in modes:
-            occ[m] += 1
-            if occ[m] > per_mode:
-                ok = False
-                break
-        if ok:
-            out.append(tuple(occ))
-    return sorted(set(out))
 
 
 def ladder(space, mode, kind):
@@ -155,36 +157,21 @@ def ladder(space, mode, kind):
     cached = space._ladder_cache.get(key)
     if cached is not None:
         return cached
-    rows, cols, vals = [], [], []
     occ = space.occupations
-    per_mode = 1 if space.is_fermionic else space.boson_cap
-    for j in range(space.dim):
-        o = occ[j]
-        nm = int(o[mode])
-        if kind == "create":
-            if nm >= per_mode:
-                continue
-            target = list(o)
-            target[mode] = nm + 1
-            amp = np.sqrt(nm + 1.0)
-        else:
-            if nm == 0:
-                continue
-            target = list(o)
-            target[mode] = nm - 1
-            amp = np.sqrt(float(nm))
-        i = space.index_of.get(tuple(target))
-        if i is None:  # total-particle cap: matrix element leaves the basis
-            continue
-        if space.is_fermionic:
-            amp = 1.0 if int(o[:mode].sum()) % 2 == 0 else -1.0
-        rows.append(i)
-        cols.append(j)
-        vals.append(amp)
-    mat = sp.csr_matrix(
-        (np.array(vals), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
-        shape=(space.dim, space.dim),
-    )
+    step = 1 if kind == "create" else -1
+    nm = occ[:, mode]
+    cols = np.nonzero(nm < space.per_mode if step == 1 else nm > 0)[0]
+    target = occ[cols]
+    target[:, mode] += step
+    rows = space.index(target)
+    keep = rows >= 0  # total-particle cap: matrix element leaves the basis
+    rows, cols = rows[keep], cols[keep]
+    if space.is_fermionic:
+        vals = np.where(occ[cols, :mode].sum(axis=1) % 2 == 0, 1.0, -1.0)
+    else:
+        # sqrt(n + 1) to create, sqrt(n) to annihilate: the larger occupation
+        vals = np.sqrt(np.maximum(nm[cols], target[keep, mode]).astype(float))
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(space.dim, space.dim))
     space._ladder_cache[key] = mat
     return mat
 
@@ -366,17 +353,13 @@ def split_isomorphism(space, n1):
     )
     s1 = build_space(n1, **kw)
     s2 = build_space(n2, **kw)
-    rows, cols = [], []
-    for j, occ in enumerate(space.occupations.tolist()):
-        o1, o2 = tuple(occ[:n1]), tuple(occ[n1:])
-        i1 = s1.index_of.get(o1)
-        i2 = s2.index_of.get(o2)
-        if i1 is None or i2 is None:
-            raise ValueError("total-particle cap breaks the factor bases")
-        rows.append(i1 * s2.dim + i2)
-        cols.append(j)
+    occ = space.occupations
+    i1, i2 = s1.index(occ[:, :n1]), s2.index(occ[:, n1:])
+    if (i1 < 0).any() or (i2 < 0).any():
+        raise ValueError("total-particle cap breaks the factor bases")
     U = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(s1.dim * s2.dim, space.dim)
+        (np.ones(space.dim), (i1 * s2.dim + i2, np.arange(space.dim))),
+        shape=(s1.dim * s2.dim, space.dim),
     )
     return U, s1, s2
 

@@ -23,7 +23,6 @@ __all__ = [
     "regularity_profile",
     "unit_cube_tiling",
     "sample_group",
-    "smoothed_indicator",
     "tile_weight_table",
     "inner_approximation",
     "domain_to_json",
@@ -244,22 +243,29 @@ def sample_group(seed, n):
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    rng = np.random.default_rng(seed)
+    R, u = _sample_motions(np.random.default_rng(seed), n)
+    return [GroupElement(Ri, ui) for Ri, ui in zip(R, u)]
+
+
+def _sample_motions(rng, n, scale=1.0):
+    """Rotations (n, 3, 3) from normalized Gaussian quaternions, then
+    translations (n, 3) uniform in [0, scale)^3, drawn in that order."""
     q = rng.standard_normal((n, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    u = rng.random((n, 3))
-    return [GroupElement(_quat_to_matrix(qi), ui) for qi, ui in zip(q, u)]
+    return _quat_to_matrix(q), scale * rng.random((n, 3))
 
 
 def _quat_to_matrix(q):
-    w, x, y, z = q
-    return np.array(
+    """Rotation matrices (n, 3, 3) of unit quaternions (n, 4) = (w, x, y, z)."""
+    w, x, y, z = q.T
+    return np.stack(
         [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+            1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w),
+            2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w),
+            2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y),
+        ],
+        axis=-1,
+    ).reshape(-1, 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -383,16 +389,6 @@ class Tiling:
         u = np.asarray(cell, dtype=float)
         return GroupElement(R, u + v - R @ v)
 
-    def generators(self):
-        gens = [self.group_element(0, e) for e in np.eye(3)]
-        # two rotations generating the cube group, conjugated to the frame
-        z90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        x90 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-        for R in (z90, x90):
-            v = self.shift
-            gens.append(GroupElement(R, v - R @ v))
-        return gens
-
 
 def pack_keys(keys):
     """Encode (chamber, ux, uy, uz) rows as single int64 values."""
@@ -472,13 +468,6 @@ class SmoothedIndicator:
     def mass(self):
         """Exact integral of theta^2 for the quadrature-defined convolution."""
         return self.weights.sum() * self.tiling.tile_volume(self.scale)
-
-
-def smoothed_indicator(g, scale, tile, r_j, tiling=None, n_quad=16):
-    """Convenience constructor; tile is (chamber, cell)."""
-    tiling = tiling or unit_cube_tiling()
-    chamber, cell = tile
-    return SmoothedIndicator(tiling, chamber, cell, scale, g=g, r_j=r_j, n_quad=n_quad)
 
 
 def tile_weight_table(tiling, points, scale, g=None, r_j=0.1, n_quad=16):

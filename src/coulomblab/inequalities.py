@@ -7,16 +7,15 @@ empty nucleus set is +infinity (the term is dropped); a maximum over an empty
 index set is 0.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy import integrate
-from scipy.sparse.linalg import eigsh
 
 from . import coulomb as cb
-from .geometry import unit_cube_tiling, tile_weight_table
+from .fock import build_space, second_quantize_onebody
+from .geometry import _mollifier_nodes, _sample_motions, tile_weight_table, unit_cube_tiling
 
 __all__ = [
     "Report",
@@ -215,24 +214,6 @@ def lieb_yau_suite(n_configs, seed=0, n_max=8, k_max=8, z_max=3.0, baxter=False)
 # Graf-Schenker
 
 
-def _sample_motions(rng, samples, scale):
-    q = rng.standard_normal((samples, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    w, x, y, zq = q.T
-    R = np.empty((samples, 3, 3))
-    R[:, 0, 0] = 1 - 2 * (y * y + zq * zq)
-    R[:, 0, 1] = 2 * (x * y - zq * w)
-    R[:, 0, 2] = 2 * (x * zq + y * w)
-    R[:, 1, 0] = 2 * (x * y + zq * w)
-    R[:, 1, 1] = 1 - 2 * (x * x + zq * zq)
-    R[:, 1, 2] = 2 * (y * zq - x * w)
-    R[:, 2, 0] = 2 * (x * zq - y * w)
-    R[:, 2, 1] = 2 * (y * zq + x * w)
-    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    u = scale * rng.random((samples, 3))
-    return R, u
-
-
 def _same_tile_samples(tiling, points, scale, R, u):
     """Packed tile keys (samples, n_points) under the moved scaled tiling."""
     Y = np.einsum("snk,ski->sni", points[None, :, :] - u[:, None, :], R)
@@ -356,7 +337,7 @@ def smooth_gs_check(
     d = _pairwise_dist(pts)[iu] if n >= 2 else np.zeros(0)
     prods = (np.outer(charges, charges)[iu] / d) if n >= 2 else np.zeros(0)
     w_pairs = float((np.outer(charges, charges)[iu] * w_kernel(d)).sum()) if n >= 2 else 0.0
-    nodes, wts = _mollifier(r_j, n_quad)
+    nodes, wts = _mollifier_nodes(r_j, n_quad)
     ratios, sigmas = [], []
     per_ell_weight_stats = []
     for j, ell in enumerate(ell_list):
@@ -403,16 +384,6 @@ def smooth_gs_check(
             )
         )
     return reports
-
-
-def _mollifier(r_j, n_quad):
-    h = 2.0 * r_j / n_quad
-    grid = -r_j + h * (np.arange(n_quad) + 0.5)
-    pts = np.array(list(itertools.product(grid, grid, grid)))
-    r2 = (pts ** 2).sum(axis=1) / r_j ** 2
-    keep = r2 < 1.0
-    w = (1.0 - r2[keep]) ** 4
-    return pts[keep], w / w.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +528,7 @@ def _bounded_count(x, cap=2000):
 # repelling particles (bosonic, with nearest-neighbor repulsion)
 
 
-def _boson_sector_basis(n, N):
-    return list(itertools.combinations_with_replacement(range(n), N))
+_REPELLING_DIM_CAP = 65536
 
 
 def repelling_bound_check(domain, N_list, eps, dense_cap=2048):
@@ -580,41 +550,19 @@ def repelling_bound_check(domain, N_list, eps, dense_cap=2048):
     for N in N_list:
         if N > 4:
             raise ValueError("bosonic check limited to N <= 4")
-        basis = _boson_sector_basis(n, N)
-        index = {b: i for i, b in enumerate(basis)}
-        dim = len(basis)
-        rows, cols, vals = [], [], []
-        diag = np.zeros(dim)
-        for bi, occ_sites in enumerate(basis):
-            # diagonal: kinetic on-site + repulsion term
-            occ = np.bincount(occ_sites, minlength=n)
-            diag[bi] += float((occ * np.diag(T)).sum())
-            if N >= 2:
-                rep = 0.0
-                for i_part in range(N):
-                    others = [occ_sites[k] for k in range(N) if k != i_part]
-                    rep += max(inv[occ_sites[i_part], o] for o in others)
-                diag[bi] += eps * rep
-            # hopping: move one particle to a neighboring site
-            for pos in sorted(set(occ_sites)):
-                cnt = occ[pos]
-                for q in np.nonzero(T[pos])[0]:
-                    if q == pos:
-                        continue
-                    new = list(occ_sites)
-                    new.remove(pos)
-                    target = tuple(sorted(new + [int(q)]))
-                    amp = T[pos, q] * np.sqrt(cnt * (occ[q] + 1.0))
-                    rows.append(index[target])
-                    cols.append(bi)
-                    vals.append(amp)
-        H = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-        H = H + sp.diags(diag)
-        if dim <= dense_cap:
-            E = float(np.linalg.eigvalsh(H.toarray())[0])
-        else:
-            w = eigsh(H.tocsc(), k=1, which="SA", tol=1e-9)[0]
-            E = float(w[0])
+        space = build_space(n, "boson", boson_cap=N, n_max=N, dim_cap=_REPELLING_DIM_CAP)
+        idx = space.sector_indices(N)
+        occ = space.occupations[idx]
+        H = second_quantize_onebody(space, T)[idx][:, idx]
+        if N >= 2:
+            # sites of the N particles of each basis row, ascending
+            rows, sites = np.nonzero(occ)
+            parts = np.repeat(sites, occ[rows, sites]).reshape(-1, N)
+            pair = inv[parts[:, :, None], parts[:, None, :]]
+            pair[:, np.arange(N), np.arange(N)] = -np.inf  # k != i
+            H = H + sp.diags(eps * pair.max(axis=2).sum(axis=1))
+        E = cb._sector_lowest(H, dense_cap)[0]
+        dim = len(idx)
         scale = N * min(N / vol, N ** (1.0 / 3.0) / vol ** (1.0 / 3.0))
         c_obs = E / scale if scale > 0 else np.inf
         reports.append(

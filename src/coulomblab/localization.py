@@ -280,16 +280,6 @@ class CQState:
             total += self.cell_volume ** K / factorial(K) * float(tr.sum())
         return total
 
-    def mean_classical_number(self):
-        total = 0.0
-        for K in range(1, self.K_max + 1):
-            if K in self.blocks:
-                tr = np.trace(self.blocks[K], axis1=-2, axis2=-1).real
-                total += K * self.cell_volume ** K / factorial(K) * float(tr.sum())
-        return total
-
-
-
 
 def cq_entropy(rho):
     """-tr rho_0 log rho_0 - sum_K (h^K/K!) sum_tuples tr rho_K log rho_K."""
@@ -450,7 +440,7 @@ def quantize_cq(rho, dim_cap=65536):
             occ = [0] * m
             for c in combo:
                 occ[c] = 1
-            j = aux.index_of[tuple(occ)]
+            j = aux.index(occ)
             block = h ** K * B[combo] if K else h ** K * B
             rows = np.arange(D) * aux.dim + j
             M[np.ix_(rows, rows)] += block

@@ -8,11 +8,11 @@ perturbation_compare.
 
 import time
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
 from . import coulomb as cb
+from .fock import _capped_dimension
 from .geometry import build_domain
 
 __all__ = ["ScanSpec", "ScanRow", "ScanResult", "run_scan", "perturbation_compare"]
@@ -139,11 +139,10 @@ def _candidate_positions(domain, per_side):
 
 
 def _estimate_dim(model, n_sites, spec):
-    if model == "crystal" or model == "movable":
-        return sum(comb(n_sites, N) for N in range(min(spec.n_max, n_sites) + 1))
-    de = sum(comb(n_sites, N) for N in range(min(spec.n_max, n_sites) + 1))
-    dn = sum(comb(n_sites + K - 1, K) for K in range(spec.nuc_max + 1))
-    return de * dn
+    dim = _capped_dimension(n_sites, "fermion", 1, spec.n_max)
+    if model == "quantum-nuclei":
+        dim *= _capped_dimension(n_sites, "boson", max(1, spec.nuc_max), spec.nuc_max)
+    return dim
 
 
 def run_scan(spec):
@@ -167,9 +166,8 @@ def run_scan(spec):
             op = cb.coulomb_hamiltonian(
                 domain, nuclei, n_max=spec.n_max, dim_cap=spec.dim_cap
             )
-            e_res = cb.ground_state_energy(op, dense_cap=spec.dense_cap)
             f_res = cb.free_energy(op, spec.beta, spec.mu, dense_cap=spec.dense_cap)
-            energy, fval = e_res.value, f_res.value
+            energy, fval = f_res.ground_state().value, f_res.value
             mean_n = float(np.atleast_1d(f_res.mean_charge())[0])
             if _cap_weight(f_res, spec.n_max) > 1e-6:
                 flags.append("sector-cap-weight")
@@ -182,9 +180,8 @@ def run_scan(spec):
                 nuc_max=spec.nuc_max,
                 dim_cap=spec.dim_cap,
             )
-            e_res = cb.ground_state_energy(op, dense_cap=spec.dense_cap)
             f_res = cb.free_energy(op, spec.beta, spec.mu, dense_cap=spec.dense_cap)
-            energy, fval = e_res.value, f_res.value
+            energy, fval = f_res.ground_state().value, f_res.value
             mean_n = float(np.atleast_1d(f_res.mean_charge())[0])
         else:
             candidates = _candidate_positions(domain, spec.candidates_per_side)

@@ -222,7 +222,7 @@ def test_criterion_5_localization_algebra():
         red = F.partial_trace_second(big, s1.dim, s2.dim)
         emb = np.zeros((D, s1.dim))
         for i1, occ in enumerate(s1.occupations.tolist()):
-            emb[space.index_of[tuple(occ) + (0,) * (n - k)], i1] = 1.0
+            emb[space.index(tuple(occ) + (0,) * (n - k)), i1] = 1.0
         worst["restriction"] = max(
             worst["restriction"], np.abs(locp.matrix - emb @ red @ emb.T).max()
         )

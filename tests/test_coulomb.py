@@ -127,6 +127,22 @@ class TestHamiltonianAndGroundState:
         dense = np.linalg.eigvalsh(np.asarray(op.matrix.todense()))[0]
         assert sector == pytest.approx(dense, abs=1e-9)
 
+    def test_lanczos_repeatable_within_process(self):
+        # dense_cap below the two-particle sector (351) forces the Lanczos path
+        dom = cube(3)
+        for fld in (None, C.MagneticField.constant([0.0, 0.0, 0.8])):
+            op = C.coulomb_hamiltonian(dom, C.NucleiConfig.empty(), field=fld, n_max=2)
+            runs = [C.ground_state_energy(op, dense_cap=64) for _ in range(4)]
+            assert runs[0].method[2]["solver"] == "lanczos"
+            assert len({r.sector_minima[2].hex() for r in runs}) == 1
+
+    def test_ground_state_vector_respects_dense_cap(self):
+        dom = cube(2)
+        op = C.coulomb_hamiltonian(dom, TWO_NUCLEI, n_max=2)
+        assert C.ground_state_energy(op).n_star == 1  # sector dimension 8
+        with pytest.raises(ValueError, match="exceeds dense cap 4"):
+            C.ground_state_vector(op, dense_cap=4)
+
     def test_constant_shift(self):
         dom = cube(2)
         op = C.coulomb_hamiltonian(dom, TWO_NUCLEI, n_max=2)

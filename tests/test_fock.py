@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coulomblab import fock as F
 
@@ -41,6 +43,59 @@ class TestBuildSpace:
         sp = F.build_space(3, "fermion")
         values = [sum(n * 2 ** i for i, n in enumerate(occ)) for occ in sp.occupations]
         assert values == sorted(values)
+
+
+@st.composite
+def small_spaces(draw):
+    """(n, statistics, boson_cap, n_max) with at most 4^4 = 256 basis rows."""
+    statistics = draw(st.sampled_from(["fermion", "boson"]))
+    cap = 1 if statistics == "fermion" else draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6 if statistics == "fermion" else 4))
+    n_max = draw(st.none() | st.integers(0, n * cap))
+    return n, statistics, cap, n_max
+
+
+def brute_force_rows(n, cap, n_max):
+    rows = [r for r in itertools.product(range(cap + 1), repeat=n)
+            if n_max is None or sum(r) <= n_max]
+    return sorted(rows, key=lambda r: tuple(reversed(r)))
+
+
+def brute_force_ladder(rows, mode, kind, fermion):
+    """Matrix of adag_mode / a_mode from its action on each basis vector."""
+    pos = {r: i for i, r in enumerate(rows)}
+    M = np.zeros((len(rows), len(rows)))
+    for j, r in enumerate(rows):
+        t = list(r)
+        t[mode] += 1 if kind == "create" else -1
+        i = pos.get(tuple(t))
+        if i is None:
+            continue
+        if fermion:
+            M[i, j] = (-1.0) ** sum(r[:mode])
+        else:
+            M[i, j] = np.sqrt(max(r[mode], t[mode]))
+    return M
+
+
+class TestBasisIndex:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(small_spaces())
+    def test_against_brute_force(self, case):
+        n, statistics, cap, n_max = case
+        space = F.build_space(n, statistics, boson_cap=cap, n_max=n_max)
+        rows = brute_force_rows(n, cap, n_max)
+        assert space.occupations.tolist() == [list(r) for r in rows]
+        assert space.vacuum_index() == 0
+        assert np.array_equal(space.index(space.occupations), np.arange(space.dim))
+        assert all(space.index(r) == i for i, r in enumerate(rows))
+        basis = set(rows)
+        off = [r for r in itertools.product(range(-1, cap + 2), repeat=n) if r not in basis]
+        assert np.all(space.index(np.array(off).reshape(-1, n)) == -1)
+        for mode in range(n):
+            for kind in ("create", "annihilate"):
+                expect = brute_force_ladder(rows, mode, kind, statistics == "fermion")
+                assert np.array_equal(F.ladder(space, mode, kind).toarray(), expect)
 
 
 class TestLadder:
@@ -124,7 +179,7 @@ class TestSecondQuantization:
         w[0, 2] = w[2, 0] = 1.7
         W = F.second_quantize_twobody(sp, w)
         occ = (1, 0, 1)
-        i = sp.index_of[occ]
+        i = sp.index(occ)
         assert W.toarray()[i, i] == pytest.approx(1.7)
 
     def test_twobody_single_particle_zero(self):
@@ -132,7 +187,7 @@ class TestSecondQuantization:
         w = np.full((3, 3), 2.0)
         W = F.second_quantize_twobody(sp, w).toarray()
         for occ in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
-            i = sp.index_of[occ]
+            i = sp.index(occ)
             assert W[i, i] == pytest.approx(0.0)
 
     def test_twobody_bosonic_onsite(self):
@@ -140,7 +195,7 @@ class TestSecondQuantization:
         w = np.zeros((2, 2))
         w[0, 0] = 0.9
         W = F.second_quantize_twobody(sp, w).toarray()
-        i = sp.index_of[(3, 0)]
+        i = sp.index((3, 0))
         assert W[i, i] == pytest.approx(3 * 0.9)  # (1/2) * 3 * 2 * U
 
 
@@ -185,7 +240,7 @@ class TestReducedDensity:
     def test_slater_projector(self):
         sp = F.build_space(4, "fermion")
         vec = np.zeros(sp.dim)
-        vec[sp.index_of[(1, 1, 0, 0)]] = 1.0
+        vec[sp.index((1, 1, 0, 0))] = 1.0
         st = F.FockState.pure(sp, vec)
         g1 = F.reduced_density(st, 1).matrix
         assert np.abs(g1 - np.diag([1, 1, 0, 0])).max() < 1e-12
@@ -238,10 +293,10 @@ class TestSplitIsomorphism:
         U, s1, s2 = F.split_isomorphism(sp, 2)
         # adag(e_1 + 0) |0> maps to (adag e_1 |0>) (x) |0>
         vec = np.zeros(sp.dim)
-        vec[sp.index_of[(1, 0, 0, 0)]] = 1.0
+        vec[sp.index((1, 0, 0, 0))] = 1.0
         out = (U @ vec).reshape(s1.dim, s2.dim)
         expect = np.zeros((s1.dim, s2.dim))
-        expect[s1.index_of[(1, 0)], s2.vacuum_index()] = 1.0
+        expect[s1.index((1, 0)), s2.vacuum_index()] = 1.0
         assert np.abs(out - expect).max() == 0.0
 
     def test_unitarity(self):
@@ -256,7 +311,7 @@ class TestSplitIsomorphism:
         # embed: occupations on modes 0,1 only
         emb = np.zeros((sp.dim, s1.dim))
         for i1, occ in enumerate(s1.occupations.tolist()):
-            emb[sp.index_of[tuple(occ) + (0, 0)], i1] = 1.0
+            emb[sp.index(tuple(occ) + (0, 0)), i1] = 1.0
         M = emb @ small.matrix @ emb.T
         big = U @ M @ U.conj().T.toarray()
         red = F.partial_trace_second(big, s1.dim, s2.dim)

@@ -136,7 +136,7 @@ class TestLocalizeState:
         red = F.partial_trace_second(big, s1.dim, s2.dim)
         emb = np.zeros((space.dim, s1.dim))
         for i1, occ in enumerate(s1.occupations.tolist()):
-            emb[space.index_of[tuple(occ) + (0, 0, 0)], i1] = 1.0
+            emb[space.index(tuple(occ) + (0, 0, 0)), i1] = 1.0
         assert np.abs(loc.matrix - emb @ red @ emb.T).max() < 1e-12
 
     def test_quasi_free_preservation(self):

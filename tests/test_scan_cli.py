@@ -3,8 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from coulomblab import coulomb as cb
 from coulomblab.cli import cli_main
-from coulomblab.scan import ScanSpec, mu_sweep, perturbation_compare, run_scan
+from coulomblab.scan import (
+    ScanSpec,
+    _candidate_positions,
+    _cube,
+    _estimate_dim,
+    mu_sweep,
+    perturbation_compare,
+    run_scan,
+)
 
 
 class TestScanSpec:
@@ -47,6 +56,18 @@ class TestRunScan:
         res = run_scan(spec)
         assert all(np.isfinite(r.f_per_volume) for r in res.rows)
         assert res.floors["f_per_volume"] > -10.0
+
+    def test_estimated_dimension_matches_built(self):
+        dom = _cube(2, 1.0)
+        spec = ScanSpec(model="crystal", n_max=2)
+        op = cb.coulomb_hamiltonian(dom, cb.NucleiConfig.empty(), n_max=spec.n_max)
+        assert _estimate_dim("crystal", dom.n_sites, spec) == op.dim
+        spec = ScanSpec(model="quantum-nuclei", n_max=1, nuc_max=2, mu=(-1.0, -1.0))
+        op = cb.two_species_hamiltonian(dom, 1.0, 100.0, el_max=1, nuc_max=2)
+        assert _estimate_dim("quantum-nuclei", dom.n_sites, spec) == op.dim
+        spec = ScanSpec(model="movable", n_max=3, mu=(-1.0, -2.0))
+        fam = cb._ChargeFamily(dom, _candidate_positions(dom, 2), "fermion", 3, 4, 16384)
+        assert _estimate_dim("movable", dom.n_sites, spec) == fam.space.dim
 
     def test_budget_gate_flags_rows(self):
         spec = ScanSpec(model="crystal", sides=(2, 3), n_max=2, budget=10)
@@ -164,6 +185,13 @@ class TestCli:
         cfg.write_text(json.dumps({"n_configs": 10}))
         out = tmp_path / "yk.csv"
         assert cli_main(["verify", "yukawa", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def test_verify_repelling_size_guard_exits_2(self, tmp_path, capsys):
+        # 125 sites, N = 3: the bosonic space up to N has 341 376 states
+        cfg = tmp_path / "rep.json"
+        cfg.write_text(json.dumps({"side": 5.0, "N_list": [3]}))
+        assert cli_main(["verify", "repelling", "--config", str(cfg)]) == 2
+        assert "exceeds cap 65536" in capsys.readouterr().err
 
     def test_verify_lt(self, tmp_path, capsys):
         out = tmp_path / "lt.csv"
