@@ -8,9 +8,10 @@ from math import factorial
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import schur
 
 from . import fock
-from .fock import FockState, build_space, entropy_of_spectrum, ladder
+from .fock import FockState, build_space, entropy_of_spectrum, ladder, second_quantize_onebody
 from .inequalities import Report
 
 __all__ = [
@@ -38,6 +39,8 @@ class LocalizationWeight:
 
     def __init__(self, q, n=None):
         q = np.asarray(q, dtype=float)
+        if q.ndim == 2 and not np.any(q - np.diag(np.diag(q))):
+            q = np.diag(q)
         if q.ndim == 1:
             if np.any(q < -1e-12) or np.any(q > 1 + 1e-12):
                 raise ValueError("diagonal weight leaves [0, 1]")
@@ -50,6 +53,7 @@ class LocalizationWeight:
                 raise ValueError("weight eigenvalues leave [0, 1]")
             lam = np.clip(lam, 0.0, 1.0)
             self.diagonal = None
+            self.spectrum = (lam, V)
             self.q = (V * lam) @ V.conj().T
             self.r = (V * np.sqrt(1.0 - lam ** 2)) @ V.conj().T
 
@@ -75,6 +79,19 @@ def _coerce_weight(q, n):
     return LocalizationWeight(q)
 
 
+def _space_weight(space, q):
+    """q as a weight on the modes of space.  A capped boson space has no Fock
+    lift of a mode rotation (the cap breaks U(n) covariance), so it takes
+    diagonal weights only."""
+    w = _coerce_weight(q, space.n)
+    if w.diagonal is None and not space.is_fermionic:
+        raise ValueError(
+            "non-diagonal localization weights need a fermion space: "
+            "the boson occupation cap breaks U(n) covariance"
+        )
+    return w
+
+
 def localization_isometry(space, q):
     """The doubling isometry on Fock space for a weight q.
 
@@ -82,9 +99,10 @@ def localization_isometry(space, q):
     (cdag(q e_i) + ddag(r e_i)) acting on the doubled vacuum, where
     cdag(f) = adag(f) (x) 1 and ddag(f) = (-1)^(eps N) (x) adag(f) with eps = 1
     for fermions and 0 for bosons.  Returns a sparse (dim^2, dim) matrix with
-    Upsilon* Upsilon = 1.
+    Upsilon* Upsilon = 1.  Kept as the reference the per-mode channels of
+    localize_positive_operator are tested against.
     """
-    w = _coerce_weight(q, space.n)
+    w = _space_weight(space, q)
     D = space.dim
     sign = (
         sp.diags(np.where(space.totals % 2 == 0, 1.0, -1.0))
@@ -148,29 +166,69 @@ class LocalizedState:
         return FockState(space, self.matrix, validate=False)
 
 
-def localize_positive_operator(space, matrix, q, upsilon=None):
+def localize_positive_operator(space, matrix, q):
     """tr_2(Upsilon M Upsilon*) for a positive semidefinite M (not necessarily
-    normalized), via the spectral mixture of M."""
-    M = np.asarray(matrix)
-    D = space.dim
-    U = localization_isometry(space, q) if upsilon is None else upsilon
-    lam, vecs = np.linalg.eigh(M)
-    out = np.zeros((D, D), dtype=complex)
-    floor = max(lam.max(initial=0.0), 1.0) * 1e-15
-    for k in np.nonzero(lam > floor)[0]:
-        phi = U @ vecs[:, k]
-        Phi = phi.reshape(D, D)
-        out += lam[k] * (Phi @ Phi.conj().T)
-    return out
+    normalized), or for each matrix of a stack of shape (..., D, D).
+
+    Upsilon factorizes over the modes, so the localized operator is a
+    composition of one trace-preserving channel per mode (_localize_diagonal).
+    A non-diagonal q = V diag(lam) V* goes through covariance,
+    Upsilon_q = (Gamma(V) (x) Gamma(V)) Upsilon_lam Gamma(V)*, which gives
+    Gamma(V) localize_lam(Gamma(V)* M Gamma(V)) Gamma(V)*.
+    """
+    w = _space_weight(space, q)
+    M = np.asarray(matrix, dtype=complex)
+    if w.diagonal is not None:
+        return _localize_diagonal(space, M, w.diagonal)
+    lam, V = w.spectrum
+    lift = _fock_lift(space, V)
+    inner = _localize_diagonal(space, lift.conj().T @ M @ lift, lam)
+    return lift @ inner @ lift.conj().T
 
 
-def localize_state(state, q, upsilon=None):
+def _localize_diagonal(space, G, q):
+    """Apply the mode channels G -> sum_k K_k G K_k* of a diagonal weight q,
+    highest mode first.  Mode j has K_0 = q_j^(N_j) and, for k = 1 .. per_mode,
+    K_k = (r_j^k / sqrt(k!)) q_j^(N_j) a_j^k P.  For fermions P = (-1)^N:
+    with the Jordan-Wigner string of a_j it leaves, up to an overall sign, the
+    parity of the modes above j, which by then are the kept ones, as the
+    second factor's creators require.  For bosons P = 1 (pure loss).  Each
+    a_j^k is a weighted partial permutation, so a term is one gather and one
+    scatter of a block of G."""
+    parity = (-1.0) ** space.totals if space.is_fermionic else np.ones(space.dim)
+    for j in reversed(range(space.n)):
+        keep = q[j] ** space.occupations[:, j]
+        out = G * np.multiply.outer(keep, keep)
+        r_sq = 1.0 - q[j] ** 2
+        steps = space.per_mode if r_sq > 0.0 else 0  # q_j = 1 keeps mode j whole
+        lower = ladder(space, j, "annihilate")
+        powers = itertools.accumulate([lower] * steps, lambda p, a: a @ p)
+        for k, power in enumerate(powers, start=1):
+            rows = np.repeat(np.arange(space.dim), np.diff(power.indptr))
+            cols = power.indices
+            c = np.sqrt(r_sq ** k / factorial(k)) * power.data * keep[rows] * parity[cols]
+            out[..., rows[:, None], rows] += (
+                np.multiply.outer(c, c) * G[..., cols[:, None], cols]
+            )
+        G = out
+    return G
+
+
+def _fock_lift(space, V):
+    """Gamma(V) = exp(i dGamma(K)) for the one-body unitary V = exp(iK)."""
+    T, Z = schur(V, output="complex")  # V is normal, so T is diagonal
+    K = (Z * np.angle(np.diag(T))) @ Z.conj().T
+    e, X = np.linalg.eigh(second_quantize_onebody(space, (K + K.conj().T) / 2).toarray())
+    return (X * np.exp(1j * e)) @ X.conj().T
+
+
+def localize_state(state, q):
     """q-localized state: extend through the doubling isometry, trace out the
     second factor.  The one-body density transforms as gamma -> q gamma q."""
     space = state.space if isinstance(state, FockState) else None
     if space is None:
         raise ValueError("localize_state needs a FockState")
-    M = localize_positive_operator(space, state.matrix, q, upsilon=upsilon)
+    M = localize_positive_operator(space, state.matrix, q)
     return LocalizedState(M, state, _coerce_weight(q, space.n))
 
 
@@ -314,11 +372,9 @@ def cq_localize(rho, q, theta, k_max=None, warn_tol=1e-8):
     h = rho.cell_volume
     D = rho.space.dim
     m = rho.n_cells
-    upsilon = localization_isometry(rho.space, q)
     out = {}
     for K in range(0, K_top + 1):
-        shape = (m,) * K + (D, D)
-        acc = np.zeros(shape, dtype=complex)
+        acc = np.zeros((m,) * K + (D, D), dtype=complex)
         for M in range(0, rho.K_max - K + 1):
             if K + M not in rho.blocks:
                 continue
@@ -332,13 +388,11 @@ def cq_localize(rho, q, theta, k_max=None, warn_tol=1e-8):
             for _ in range(M):
                 summed = np.tensordot(summed, eta_sq, axes=([K], [0]))
             acc += w * summed
-        loc = np.zeros(shape, dtype=complex)
-        for idx in itertools.product(range(m), repeat=K):
-            weight = float(np.prod(th_sq[list(idx)])) if K else 1.0
-            loc[idx] = weight * localize_positive_operator(
-                rho.space, acc[idx], q, upsilon=upsilon
-            )
-        out[K] = loc
+        # kept tuples carry the product of their theta^2
+        weight = np.ones(())
+        for _ in range(K):
+            weight = np.multiply.outer(weight, th_sq)
+        out[K] = weight[..., None, None] * localize_positive_operator(rho.space, acc, q)
     result = CQState(rho.space, h, out, validate=False)
     result.truncation_warning = (
         K_top < rho.K_max and abs(result.mass() - rho.mass()) > warn_tol

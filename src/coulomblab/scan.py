@@ -10,6 +10,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import coulomb as cb
 from .fock import _capped_dimension
@@ -298,7 +299,17 @@ def perturbation_compare(spec, defects=(), deformation=None):
             margin=0.49,
         )
         op0 = cb.coulomb_hamiltonian(domain, base, n_max=spec.n_max, dim_cap=spec.dim_cap)
-        op1 = cb.coulomb_hamiltonian(domain, pert, n_max=spec.n_max, dim_cap=spec.dim_cap)
+        # moving nuclei changes only the one-body potential and the nuclear
+        # constant, both diagonal in the occupation basis
+        dv = cb.nuclear_potential(domain, pert) - cb.nuclear_potential(domain, base)
+        dc = cb.nuclear_constant(pert) - cb.nuclear_constant(base)
+        op1 = cb.ManyBodyOperator(
+            op0.matrix + sp.diags(op0.space.occupations @ dv + dc),
+            op0.sectors,
+            op0.charges,
+            space=op0.space,
+            label=op0.label,
+        )
         e0 = cb.ground_state_energy(op0, dense_cap=spec.dense_cap).value
         e1 = cb.ground_state_energy(op1, dense_cap=spec.dense_cap).value
         ratio = abs(e1 - e0) / domain.volume

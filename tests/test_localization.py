@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coulomblab import fock as F
 from coulomblab import localization as L
@@ -156,6 +158,72 @@ class TestLocalizeState:
                 assert abs(g2[r, c] - wick) < 1e-9
 
 
+@st.composite
+def localization_cases(draw, statistics):
+    """(space, weight kind, stack shape, seed): fermions up to 6 modes, bosons
+    up to 3 modes of cap up to 3; rotated (non-diagonal) weights on fermion
+    spaces only."""
+    fermions = statistics == "fermion"
+    cap = 1 if fermions else draw(st.integers(1, 3))
+    n = draw(st.sampled_from(range(1, 7 if fermions else 4)))
+    n_max = draw(st.none() | st.integers(0, n * cap))
+    kinds = ["diagonal", "projector"] + (["rotated"] if fermions else [])
+    kind = draw(st.sampled_from(kinds))
+    stack = draw(st.sampled_from([(), (2,)]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return F.build_space(n, statistics, boson_cap=cap, n_max=n_max), kind, stack, seed
+
+
+def check_channels_against_isometry(space, kind, stack, seed):
+    """localize_positive_operator against tr_2(U M U*) with the explicit
+    doubling isometry U, slice by slice for a stacked input."""
+    rng = np.random.default_rng(seed)
+    n, D = space.n, space.dim
+    if kind == "diagonal":
+        w = L.LocalizationWeight(rng.random(n))
+    elif kind == "projector":
+        w = L.LocalizationWeight(rng.integers(0, 2, n).astype(float))
+    else:
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        w = L.LocalizationWeight((V * rng.random(n)) @ V.T)
+    X = rng.standard_normal(stack + (D, D)) + 1j * rng.standard_normal(stack + (D, D))
+    M = X @ np.swapaxes(X, -1, -2).conj()
+    M /= np.trace(M, axis1=-2, axis2=-1).real[..., None, None]
+    got = L.localize_positive_operator(space, M, w)
+    assert got.shape == M.shape
+    U = L.localization_isometry(space, w).toarray()
+    for idx in np.ndindex(stack):
+        oracle = (U @ M[idx]).reshape(D, D * D) @ U.reshape(D, D * D).conj().T
+        assert np.abs(got[idx] - oracle).max() < 1e-12
+
+
+class TestChannels:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(localization_cases("fermion"))
+    def test_fermions_match_isometry(self, case):
+        check_channels_against_isometry(*case)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(localization_cases("boson"))
+    def test_bosons_match_isometry(self, case):
+        check_channels_against_isometry(*case)
+
+    def test_boson_rotation_rejected(self):
+        space = F.build_space(2, "boson", boson_cap=2)
+        rotated = L.LocalizationWeight(np.array([[0.5, 0.1], [0.1, 0.4]]))
+        st = random_state(space, 30)
+        for call in (
+            lambda: L.localization_isometry(space, rotated),
+            lambda: L.localize_positive_operator(space, st.matrix, rotated),
+            lambda: L.localize_state(st, rotated),
+        ):
+            with pytest.raises(ValueError, match="fermion space"):
+                call()
+        # a diagonal weight given as a matrix stays supported
+        U = L.localization_isometry(space, np.diag([0.3, 0.6]))
+        assert np.abs((U.conj().T @ U).toarray() - np.eye(space.dim)).max() < 1e-12
+
+
 class TestFamilyWeight:
     def test_full_family_is_identity(self):
         rng = np.random.default_rng(14)
@@ -295,9 +363,8 @@ class TestCqStates:
         rng = np.random.default_rng(22)
         w = L.LocalizationWeight(rng.random(2))
         loc = L.cq_localize(rho, w, np.ones(rho.n_cells))
-        U = L.localization_isometry(self.space, w)
         for i in range(rho.n_cells):
-            direct = L.localize_positive_operator(self.space, rho.blocks[1][i], w, upsilon=U)
+            direct = L.localize_positive_operator(self.space, rho.blocks[1][i], w)
             assert np.abs(loc.blocks[1][i] - direct).max() < 1e-12
 
     def test_mass_preserved_under_localization(self):

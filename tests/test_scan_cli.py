@@ -6,6 +6,7 @@ import pytest
 from coulomblab import coulomb as cb
 from coulomblab.cli import cli_main
 from coulomblab.scan import (
+    _NUCLEUS_OFFSET,
     ScanSpec,
     _candidate_positions,
     _cube,
@@ -103,6 +104,23 @@ class TestPerturbationCompare:
         ratios = [r["ratio"] for r in out["rows"]]
         assert ratios[0] > 0.0
         assert out["trend_nonincreasing"]
+
+    def test_perturbed_energy_matches_fresh_build(self):
+        spec = ScanSpec(model="crystal", sides=(2, 3), z=0.5, n_max=2)
+        defects = [((0.65, 0.65, 0.65), 0.5)]
+        out = perturbation_compare(spec, defects=defects)
+        for row in out["rows"]:
+            domain = _cube(row["side"], spec.spacing)
+            pert = cb.NucleiConfig.from_lattice(
+                domain.a,
+                [(_NUCLEUS_OFFSET, spec.z)],
+                domain,
+                defects=defects,
+                margin=0.49,
+            )
+            op = cb.coulomb_hamiltonian(domain, pert, n_max=spec.n_max, dim_cap=spec.dim_cap)
+            e = cb.ground_state_energy(op, dense_cap=spec.dense_cap).value
+            assert abs(row["e_perturbed"] - e) < 1e-12
 
     def test_colliding_deformation_rejected(self):
         spec = ScanSpec(model="crystal", sides=(2,), n_max=1)
