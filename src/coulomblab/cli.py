@@ -14,7 +14,7 @@ from . import coulomb as cb
 from . import inequalities as ineq
 from . import localization as loc
 from . import fock
-from .geometry import build_domain
+from .geometry import build_domain, unit_cube_tiling
 from .scan import ScanSpec, perturbation_compare, run_scan
 
 REPORT_COLUMNS = [
@@ -147,11 +147,12 @@ def _run_graf_schenker(cfg):
     ell_list = tuple(cfg.get("ell_list", (4.0, 8.0, 16.0)))
     samples = cfg.get("samples", 10000)
     if "configs" in cfg:
+        tiling = unit_cube_tiling()
         rows = []
         for i, c in enumerate(cfg["configs"]):
             charge_cfg = ineq.ChargeConfig(c["points"], c["charges"])
             reps = ineq.graf_schenker_deficit(
-                charge_cfg, ell_list, samples=samples, seed=cfg["seed"] + 7 * i
+                charge_cfg, ell_list, samples=samples, seed=cfg["seed"] + 7 * i, tiling=tiling
             )
             rows.extend(report_row(r, config=str(i), scale=r.extras["ell"]) for r in reps)
         return rows
@@ -476,6 +477,9 @@ def cli_main(argv=None):
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except cb.EigensolverError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 3
     if not ok:
         failing = [r for r in rows if not r.get("passed", True)]
         if failing:

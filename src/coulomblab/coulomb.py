@@ -19,6 +19,7 @@ __all__ = [
     "NucleiConfig",
     "ManyBodyOperator",
     "EnergyResult",
+    "EigensolverError",
     "FreeEnergyResult",
     "OnePdm",
     "HFResult",
@@ -370,6 +371,11 @@ class EnergyResult:
         return f"EnergyResult(E={self.value:.10g}, N*={self.n_star})"
 
 
+class EigensolverError(RuntimeError):
+    """The iterative sector eigensolver did not converge or missed its
+    residual bound."""
+
+
 def _sector_lowest(mat, dense_cap, tol=1e-9):
     dim = mat.shape[0]
     if dim <= dense_cap:
@@ -379,12 +385,12 @@ def _sector_lowest(mat, dense_cap, tol=1e-9):
     v0 = np.random.default_rng(dim).standard_normal(dim).astype(mat.dtype)
     try:
         vals, vecs = eigsh(mat.tocsc(), k=1, which="SA", tol=tol, maxiter=5000, v0=v0)
-    except Exception as exc:  # pragma: no cover - non-convergence path
-        raise RuntimeError(f"iterative eigensolver failed on dim {dim}: {exc}")
+    except Exception as exc:
+        raise EigensolverError(f"iterative eigensolver failed on dim {dim}: {exc}")
     v = vecs[:, 0]
     resid = float(np.linalg.norm(mat @ v - vals[0] * v))
     if resid > max(tol * 100 * max(abs(vals[0]), 1.0), 1e-6):
-        raise RuntimeError(f"iterative eigensolver residual {resid:g} too large")
+        raise EigensolverError(f"iterative eigensolver residual {resid:g} too large")
     return float(vals[0]), {"solver": "lanczos", "dim": dim, "residual": resid}
 
 
@@ -432,13 +438,15 @@ def ground_state_vector(op, dense_cap=4096):
 
 
 class FreeEnergyResult:
-    """F = -log(Z)/beta with the exact sector eigenvalue table retained."""
+    """F = -log(Z)/beta with the exact sector eigenvalue table retained;
+    dense_cap bounds the sector blocks gibbs_matrix densifies."""
 
-    def __init__(self, op, beta, mu, sector_eigs):
+    def __init__(self, op, beta, mu, sector_eigs, dense_cap=4096):
         self.op = op
         self.beta = float(beta)
         self.mu = mu
         self.sector_eigs = sector_eigs
+        self.dense_cap = dense_cap
         terms = []
         for key, eigs in sector_eigs.items():
             shift = self._mu_charge(key)
@@ -474,8 +482,7 @@ class FreeEnergyResult:
         """Dense Gibbs density matrix exp(-beta(H - mu.N))/Z."""
         M = np.zeros((self.op.dim, self.op.dim), dtype=complex)
         for key, idx in self.op.sectors.items():
-            block = np.asarray(self.op.sector_matrix(key).todense())
-            vals, vecs = np.linalg.eigh(block)
+            vals, vecs = np.linalg.eigh(_dense_block(self.op, key, self.dense_cap))
             w = np.exp(-self.beta * (vals - self._mu_charge(key)) - self.log_z)
             M[np.ix_(idx, idx)] = (vecs * w) @ vecs.conj().T
         return M
@@ -496,7 +503,7 @@ def free_energy(op, beta, mu, dense_cap=4096):
     sector_eigs = {}
     for key in op.sectors:
         sector_eigs[key] = np.linalg.eigvalsh(_dense_block(op, key, dense_cap))
-    return FreeEnergyResult(op, beta, mu, sector_eigs)
+    return FreeEnergyResult(op, beta, mu, sector_eigs, dense_cap)
 
 
 def variational_free_energy(op, beta, mu, state):

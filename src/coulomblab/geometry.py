@@ -285,6 +285,26 @@ _CANONICAL_TETRA = np.array(
 )
 
 
+# Cell points whose |p_x|, |p_y|, |p_z| come closer than this to a tie are
+# located by the face margins themselves (max margin, lowest chamber index).
+_TIE_GAP = 1e-9
+
+
+def _chamber_codes(p):
+    """Codes 0..63 of cell points p (P, 3) and the smallest gap between their
+    |p_i|.  The code bits are |p_x| >= |p_y|, |p_x| >= |p_z|, |p_y| >= |p_z|,
+    p_x < 0, p_y < 0, p_z < 0; away from ties the order of the |p_i| and the
+    signs fix the chamber (the sign of the smallest one does not matter)."""
+    ax, ay, az = np.abs(p).T
+    neg = p < 0
+    codes = (
+        32 * (ax >= ay) + 16 * (ax >= az) + 8 * (ay >= az)
+        + 4 * neg[:, 0] + 2 * neg[:, 1] + neg[:, 2]
+    )
+    gap = np.minimum(np.minimum(np.abs(ax - ay), np.abs(ax - az)), np.abs(ay - az))
+    return codes, gap
+
+
 def _tetra_halfspaces(verts):
     """Outward normals and offsets: inside <=> n . x <= c for all faces."""
     normals, offsets = [], []
@@ -326,6 +346,18 @@ class Tiling:
         nrm0, off0 = _tetra_halfspaces(_CANONICAL_TETRA)
         if (off0 - nrm0 @ (-self.shift)).min() <= 0:
             raise ValueError("invalid shift: origin not inside the base tile")
+        # chamber of each code, read off the margins at one interior point per
+        # realizable code: |p| = (0.4, 0.2, 0.1) in every order, every sign
+        mags = np.array(list(itertools.permutations((0.4, 0.2, 0.1))))
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+        interior = (mags[:, None, :] * signs[None, :, :]).reshape(-1, 3)
+        codes, _ = _chamber_codes(interior)
+        chambers = self.chamber_margins(interior).argmax(axis=1)
+        # 48 distinct codes, two per chamber (the sign of the smallest |p_i|)
+        assert len(np.unique(codes)) == len(codes)
+        assert (np.bincount(chambers, minlength=24) == 2).all()
+        self._chamber_of_code = np.full(64, -1, dtype=np.int64)
+        self._chamber_of_code[codes] = chambers
 
     # -- point location -----------------------------------------------------
 
@@ -338,15 +370,21 @@ class Tiling:
 
     def locate(self, points, scale=None, g=None):
         """Tile keys (chamber, ux, uy, uz) for each point, ties resolved to
-        the tile of maximal face margin (deterministic)."""
+        the tile of maximal face margin (deterministic).
+
+        The chamber is read from the order and the signs of the cell
+        coordinates; points within _TIE_GAP of a tie take the margin argmax.
+        """
         scale = self.scale if scale is None else float(scale)
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         y = pts if g is None else g.apply_inverse(pts)
         w = y / scale - self.shift
         u = np.rint(w)
         p = w - u
-        margins = self.chamber_margins(p)
-        chamber = margins.argmax(axis=1)
+        codes, gap = _chamber_codes(p)
+        chamber = self._chamber_of_code[codes]
+        near = np.nonzero(~(gap >= _TIE_GAP))[0]  # NaN gaps too
+        chamber[near] = self.chamber_margins(p[near]).argmax(axis=1)
         keys = np.empty((pts.shape[0], 4), dtype=np.int64)
         keys[:, 0] = chamber
         keys[:, 1:] = u.astype(np.int64)

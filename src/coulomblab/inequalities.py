@@ -286,6 +286,7 @@ def graf_schenker_suite(
     below and are reported without the envelope being meaningful at ell = 4.
     """
     rng = np.random.default_rng(seed)
+    tiling = unit_cube_tiling()
     out = []
     for c in range(n_configs):
         N = int(rng.integers(2, 9))
@@ -296,9 +297,10 @@ def graf_schenker_suite(
         else:
             charges = rng.uniform(0.3, 3.0, size=N)
         cfg = ChargeConfig(pts, charges)
-        out.append(
-            (cfg, graf_schenker_deficit(cfg, ell_list, samples=samples, seed=seed + 7 * c))
+        reports = graf_schenker_deficit(
+            cfg, ell_list, samples=samples, seed=seed + 7 * c, tiling=tiling
         )
+        out.append((cfg, reports))
     return out
 
 

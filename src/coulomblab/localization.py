@@ -235,21 +235,31 @@ def localize_state(state, q):
 def family_weight(weights, P, check_partition=True):
     """q_P = (sum_{i in P} q_i^2)^(1/2) for a commuting family with
     sum_i q_i^2 = 1; q of the empty set is 0."""
+    return _family_weight(_validated_family(weights, check_partition), P)
+
+
+def _validated_family(weights, check_partition=True):
+    """The family as LocalizationWeights, checked to commute and, unless
+    check_partition is off, to satisfy sum_i q_i^2 = 1."""
     ws = [_coerce_weight(w, None if isinstance(w, LocalizationWeight) else len(np.atleast_1d(w))) for w in weights]
-    n = ws[0].n
-    diag = all(w.diagonal is not None for w in ws)
-    if not diag:
+    if any(w.diagonal is None for w in ws):
         for wa, wb in itertools.combinations(ws, 2):
             if np.abs(wa.q @ wb.q - wb.q @ wa.q).max() > 1e-10:
                 raise ValueError("weight family must commute")
     if check_partition:
         total = sum(w.q @ w.q for w in ws)
-        if np.abs(total - np.eye(n)).max() > 1e-10:
+        if np.abs(total - np.eye(ws[0].n)).max() > 1e-10:
             raise ValueError("weight family is not a partition: sum q_i^2 != 1")
+    return ws
+
+
+def _family_weight(ws, P):
+    """q_P of a family already passed through _validated_family."""
+    n = ws[0].n
     P = list(P)
     if not P:
         return LocalizationWeight.zero(n)
-    if diag:
+    if all(w.diagonal is not None for w in ws):
         acc = np.zeros(n)
         for i in P:
             acc += ws[i].diagonal ** 2
@@ -267,6 +277,7 @@ def ssa_gap(state, weights, P1, P2, P3, tol=1e-9):
         if a & b:
             raise ValueError("index sets must be pairwise disjoint")
     P1, P2, P3 = [sorted(s) for s in sets]
+    ws = _validated_family(weights)
     ent = {}
     for name, P in (
         ("12", P1 + P2),
@@ -274,8 +285,7 @@ def ssa_gap(state, weights, P1, P2, P3, tol=1e-9):
         ("2", P2),
         ("123", P1 + P2 + P3),
     ):
-        qP = family_weight(weights, P)
-        ent[name] = localize_state(state, qP).entropy()
+        ent[name] = localize_state(state, _family_weight(ws, P)).entropy()
     gap = ent["12"] + ent["23"] - ent["2"] - ent["123"]
     return Report(
         "ssa_quantum",
@@ -416,6 +426,7 @@ def cq_ssa_gap(rho, q_weights, thetas, P1, P2, P3, tol=1e-9):
             return np.zeros(rho.n_cells)
         return np.sqrt(np.clip(sum(thetas[i] ** 2 for i in P), 0.0, 1.0))
 
+    ws = _validated_family(q_weights)
     ent = {}
     for name, P in (
         ("12", sets[0] | sets[1]),
@@ -424,8 +435,7 @@ def cq_ssa_gap(rho, q_weights, thetas, P1, P2, P3, tol=1e-9):
         ("123", sets[0] | sets[1] | sets[2]),
     ):
         P = sorted(P)
-        qP = family_weight(q_weights, P)
-        ent[name] = cq_entropy(cq_localize(rho, qP, theta_P(P)))
+        ent[name] = cq_entropy(cq_localize(rho, _family_weight(ws, P), theta_P(P)))
     return Report(
         "ssa_cq",
         lhs=ent["12"] + ent["23"],

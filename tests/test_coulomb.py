@@ -221,6 +221,17 @@ class TestFreeEnergy:
             st = F.FockState(op.space, M / np.trace(M), validate=False)
             assert fe.variational_value(st) >= fe.value - 1e-10
 
+    def test_gibbs_matrix_respects_dense_cap(self):
+        dom = cube(2)
+        op = C.coulomb_hamiltonian(dom, TWO_NUCLEI, n_max=2)  # sectors 1, 8, 28
+        fe = C.free_energy(op, 1.3, 0.4)
+        capped = C.FreeEnergyResult(op, 1.3, 0.4, fe.sector_eigs, dense_cap=8)
+        assert capped.value == fe.value
+        with pytest.raises(ValueError, match="sector 2 dimension 28 exceeds dense cap 8"):
+            capped.gibbs_matrix()
+        with pytest.raises(ValueError, match="exceeds dense cap 8"):
+            C.free_energy(op, 1.3, 0.4, dense_cap=8)
+
     def test_mean_charge(self):
         dom = cube(2)
         op = C.coulomb_hamiltonian(dom, C.NucleiConfig.empty(), n_max=2)

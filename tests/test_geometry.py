@@ -1,7 +1,10 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from coulomblab import geometry as G
@@ -16,6 +19,41 @@ def barycentric_inside(verts, p, tol=0.0):
     M = np.vstack([verts.T, np.ones(4)])
     lam = np.linalg.solve(M, np.append(p, 1.0))
     return np.all(lam > tol)
+
+
+def margin_keys(tiling, points, scale, g=None):
+    """Tile keys by the documented rule, computed densely: the cell of the
+    nearest lattice point, then the chamber of maximal min face margin (the
+    lowest index on ties)."""
+    y = points if g is None else g.apply_inverse(points)
+    w = y / scale - tiling.shift
+    u = np.rint(w)
+    chamber = tiling.chamber_margins(w - u).argmax(axis=1)
+    return np.column_stack([chamber, u.astype(np.int64)])
+
+
+def tie_cell_points(rng, n):
+    """Dyadic cell points placed exactly on the chamber faces |p_a| = |p_b|,
+    on the edges where they meet (the axes and the diagonals), at the cell
+    centre, and on the faces, edges and corners of the cube."""
+    base = rng.integers(-32, 33, size=(n, 3)) / 64.0
+    out = [np.zeros((1, 3))]
+    for a, b in itertools.permutations(range(3), 2):
+        c = 3 - a - b
+        for s, t in itertools.product((1.0, -1.0), repeat=2):
+            face = base.copy()
+            face[:, b] = s * face[:, a]
+            diagonal = face.copy()
+            diagonal[:, c] = t * face[:, a]
+            axis = base.copy()
+            axis[:, [b, c]] = 0.0
+            cube_face = base.copy()
+            cube_face[:, a] = s * 0.5
+            cube_edge = cube_face.copy()
+            cube_edge[:, b] = t * 0.5
+            out += [face, diagonal, axis, cube_face, cube_edge]
+    corners = np.array(list(itertools.product((-0.5, 0.5), repeat=3)))
+    return np.vstack(out + [corners])
 
 
 class TestBuildDomain:
@@ -174,6 +212,76 @@ class TestTiling:
     def test_invalid_shift_rejected(self):
         with pytest.raises(ValueError, match="invalid shift"):
             G.unit_cube_tiling(v=np.array([5.0, 5.0, 5.0]))
+
+
+class TestLocate:
+    def setup_method(self):
+        self.tiling = G.unit_cube_tiling()
+
+    def assert_margin_rule(self, points, scale, g=None):
+        keys = self.tiling.locate(points, scale=scale, g=g)
+        assert keys.dtype == np.int64
+        np.testing.assert_array_equal(keys, margin_keys(self.tiling, points, scale, g))
+
+    def test_random_points(self):
+        rng = np.random.default_rng(12)
+        moved = G.sample_group(4, 1)[0]
+        for scale in (0.5, 1.0, 4.0, 8.0):
+            for g in (None, moved):
+                self.assert_margin_rule(rng.uniform(-20, 20, size=(50000, 3)), scale, g)
+
+    def test_inner_approximation_lattices(self):
+        for shape, a, scales in (
+            ({"shape": "cube", "side": 12.0}, 1.0, (1.0, 2.0, 3.0, 10.0)),
+            ({"shape": "ball", "radius": 4.0}, 1.0, (2.0,)),
+            ({"shape": "cube", "side": 6.0}, 0.25, (1.0, 4.0, 8.0)),
+        ):
+            dom = G.build_domain(shape, a)
+            for scale in scales:
+                self.assert_margin_rule(dom.points, scale)
+
+    def test_exact_ties(self):
+        rng = np.random.default_rng(7)
+        p = tie_cell_points(rng, 200)
+        cells = rng.integers(-3, 4, size=p.shape)
+        for scale in (1.0, 2.0, 4.0):
+            pts = scale * (p + cells + self.tiling.shift)  # exact: dyadic values
+            self.assert_margin_rule(pts, scale)
+            # one point at a time gives the same keys as the batch
+            for x in pts[::97]:
+                self.assert_margin_rule(x[None, :], scale)
+
+    def test_near_ties(self):
+        rng = np.random.default_rng(8)
+        p = tie_cell_points(rng, 100)
+        for eps in (1e-12, 1e-9, 1e-7):
+            jitter = eps * rng.standard_normal(p.shape)
+            self.assert_margin_rule(p + jitter + self.tiling.shift, 1.0)
+
+    def test_nan_rows_take_the_margin_rule(self):
+        # (0.3, nan, 0.1) reads as |p_x| >= |p_z| with both other
+        # comparisons false, an order no real point has
+        pts = np.array([[0.3, np.nan, 0.1], [np.nan, 0.1, 0.2], [0.1, 0.2, 0.3]])
+        with np.errstate(invalid="ignore"):
+            keys = self.tiling.locate(pts - self.tiling.shift)
+            ref = margin_keys(self.tiling, pts - self.tiling.shift, 1.0)
+        np.testing.assert_array_equal(keys[:, 0], ref[:, 0])
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.integers(-64, 64)] * 3) | st.tuples(*[st.floats(-6.0, 6.0)] * 3),
+            min_size=1,
+            max_size=40,
+        ),
+        st.sampled_from((0.5, 1.0, 3.0, 4.0)),
+        st.none() | st.integers(0, 10 ** 6),
+    )
+    def test_margin_rule_property(self, rows, scale, seed):
+        # integer rows sit on the 1/16 grid, where ties are frequent
+        pts = np.array([[v / 16 if isinstance(v, int) else v for v in r] for r in rows])
+        g = None if seed is None else G.sample_group(seed, 1)[0]
+        self.assert_margin_rule(pts, scale, g)
 
 
 class TestGroupSampling:

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from coulomblab import coulomb as cb
 from coulomblab.cli import cli_main
@@ -160,6 +161,20 @@ class TestCli:
             out = tmp_path / f"{cmd}.csv"
             assert cli_main([cmd, "--config", str(cfg), "--out", str(out)]) == 0
             assert out.read_text().startswith("quantity,")
+
+    def test_eigensolver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), None)
+
+        monkeypatch.setattr(cb, "eigsh", no_convergence)
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({**MODEL_CONFIG, "dense_cap": 2}))  # Lanczos above dim 2
+        out = tmp_path / "energy.csv"
+        assert cli_main(["energy", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: iterative eigensolver failed on dim ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_energy_requires_config(self, capsys):
         assert cli_main(["energy"]) == 2
