@@ -289,9 +289,16 @@ def nuclear_constant(nuclei):
 
 class ManyBodyOperator:
     """Number-conserving operator stored as one sparse matrix plus the sector
-    index lists; charges holds the particle numbers entering mu.N."""
+    index lists; charges holds the particle numbers entering mu.N.
 
-    def __init__(self, matrix, sectors, charges, space=None, spaces=None, label=""):
+    reflections lists Fock lifts (perm, sign) of the domain's lattice
+    reflections (see fock.permutation_lift); they are candidate symmetries,
+    used on a sector only where they leave its block exactly invariant.
+    """
+
+    def __init__(
+        self, matrix, sectors, charges, space=None, spaces=None, label="", reflections=()
+    ):
         self.matrix = matrix.tocsr()
         self.sectors = dict(sorted(sectors.items()))
         self.charges = np.asarray(charges, dtype=float)
@@ -300,6 +307,7 @@ class ManyBodyOperator:
         self.space = space
         self.spaces = spaces
         self.label = label
+        self.reflections = list(reflections)
 
     @property
     def dim(self):
@@ -332,6 +340,7 @@ class ManyBodyOperator:
             space=self.space,
             spaces=self.spaces,
             label=self.label,
+            reflections=self.reflections,
         )
 
 
@@ -357,7 +366,16 @@ def coulomb_hamiltonian(
     H = second_quantize_onebody(space, h) + second_quantize_twobody(space, W)
     H = H + nuclear_constant(nuclei) * sp.identity(space.dim, dtype=H.dtype, format="csr")
     sectors = {int(N): idx for N, idx in space.sectors.items()}
-    return ManyBodyOperator(H, sectors, space.totals, space=space, label="coulomb")
+    # H restricted to one particle is h, so a reflection that moves h cannot
+    # commute with H: only the others are lifted
+    reflections = [
+        fock.permutation_lift(space, s)
+        for s in domain.reflections()
+        if np.array_equal(h[np.ix_(s, s)], h)
+    ]
+    return ManyBodyOperator(
+        H, sectors, space.totals, space=space, label="coulomb", reflections=reflections
+    )
 
 
 @dataclass
@@ -416,13 +434,94 @@ def ground_state_energy(op, dense_cap=2048):
     return _lowest_sector(minima, method)
 
 
-def _dense_block(op, key, dense_cap):
+def _symmetry_basis(reflections, idx, block):
+    """(Q, sizes): an orthogonal sparse Q whose consecutive column groups of
+    the given sizes span the symmetry blocks of one sector, one group per
+    character with a nonempty block; None when no reflection is kept.
+
+    A reflection is kept when its restriction to the sector is a non-identity
+    involution of the sector that commutes exactly with the block.  The kept
+    ones generate Z_2^k; the columns for a character chi are the normalized
+    orbit sums sum_g chi(g) g e_rep, zero sums dropped.
+    """
+    d = idx.size
+    ident = np.arange(d)
+    diag = block.diagonal()
+    kept = []
+    for perm, sign in reflections:
+        where = np.full(perm.size, -1)
+        where[idx] = ident
+        local, s = where[perm[idx]], sign[idx]
+        if (local < 0).any() or ((local == ident).all() and (s == 1).all()):
+            continue
+        if (local[local] != ident).any() or (s * s[local] != 1).any():
+            continue
+        if (diag[local] != diag).any():  # cheap part of the exact check below
+            continue
+        P = sp.csr_matrix((s, (local, ident)), shape=(d, d))
+        if (P @ block @ P.T != block).nnz:
+            continue
+        kept.append((local, s))
+    if not kept:
+        return None
+    # element j of the group is the product of the kept reflections whose bit
+    # is set in j; (g h) e_b = s_h[b] s_g[p_h[b]] e_(p_g[p_h[b]])
+    perms, signs = [ident], [np.ones(d)]
+    for local, s in kept:
+        signs += [sh * s[p] for p, sh in zip(perms, signs)]
+        perms += [local[p] for p in perms]
+    perms, signs = np.array(perms), np.array(signs)
+    n_el = len(perms)
+    bits = (np.arange(n_el)[:, None] >> np.arange(len(kept))) & 1
+    characters = 1.0 - 2.0 * ((bits @ bits.T) % 2)  # chi_c(g_j) at [j, c]
+    reps = np.nonzero(perms.min(axis=0) == ident)[0]
+    r = reps.size
+    # column c*r + o: the chi_c orbit sum of reps[o]
+    vals = characters.T[:, :, None] * signs[None, :, reps]
+    rows = np.broadcast_to(perms[:, reps], vals.shape)
+    cols = np.broadcast_to(np.arange(n_el)[:, None, None] * r + np.arange(r), vals.shape)
+    Q = sp.csc_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(d, n_el * r))
+    norms = np.sqrt(np.asarray(Q.multiply(Q).sum(axis=0)).ravel())
+    live = norms > 0
+    if live.sum() != d:
+        raise RuntimeError(f"symmetry blocks do not sum to the sector dimension {d}")
+    sizes = [int(n) for n in live.reshape(n_el, r).sum(axis=1) if n]
+    return Q[:, live] @ sp.diags(1.0 / norms[live]), sizes
+
+
+def _sector_spectrum(op, key, dense_cap, vectors=False):
+    """Ascending eigenvalues of one sector block, and with vectors=True the
+    eigenvectors as columns in the sector basis.
+
+    The block is split by the operator's reflections that leave it exactly
+    invariant (_symmetry_basis) and each symmetry block is diagonalized
+    densely; with none kept the whole block is.  The sector dimension must
+    fit dense_cap."""
+    idx = op.sectors[key]
+    if idx.size > dense_cap:
+        raise ValueError(f"sector {key} dimension {idx.size} exceeds dense cap {dense_cap}")
     block = op.sector_matrix(key)
-    if block.shape[0] > dense_cap:
-        raise ValueError(
-            f"sector {key} dimension {block.shape[0]} exceeds dense cap {dense_cap}"
-        )
-    return np.asarray(block.todense())
+    split = _symmetry_basis(op.reflections, idx, block)
+    if split is None:
+        dense = np.asarray(block.todense())
+        return np.linalg.eigh(dense) if vectors else np.linalg.eigvalsh(dense)
+    Q, sizes = split
+    rotated = (Q.T @ block @ Q).tocsr()
+    bounds = np.cumsum([0] + sizes)
+    vals, vecs = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        sub = rotated[lo:hi, lo:hi].toarray()
+        if vectors:
+            w, v = np.linalg.eigh(sub)
+            vecs.append(Q[:, lo:hi] @ v)
+        else:
+            w = np.linalg.eigvalsh(sub)
+        vals.append(w)
+    vals = np.concatenate(vals)
+    order = np.argsort(vals, kind="stable")
+    if not vectors:
+        return vals[order]
+    return vals[order], np.hstack(vecs)[:, order]
 
 
 def ground_state_vector(op, dense_cap=4096):
@@ -430,9 +529,8 @@ def ground_state_vector(op, dense_cap=4096):
     minimizing block is diagonalized densely, so it must fit dense_cap."""
     res = ground_state_energy(op, dense_cap=dense_cap)
     idx = op.sectors[res.n_star]
-    block = _dense_block(op, res.n_star, dense_cap)
-    vals, vecs = np.linalg.eigh(block)
-    full = np.zeros(op.dim, dtype=block.dtype)
+    _vals, vecs = _sector_spectrum(op, res.n_star, dense_cap, vectors=True)
+    full = np.zeros(op.dim, dtype=vecs.dtype)
     full[idx] = vecs[:, 0]
     return res.value, res.n_star, full
 
@@ -482,7 +580,7 @@ class FreeEnergyResult:
         """Dense Gibbs density matrix exp(-beta(H - mu.N))/Z."""
         M = np.zeros((self.op.dim, self.op.dim), dtype=complex)
         for key, idx in self.op.sectors.items():
-            vals, vecs = np.linalg.eigh(_dense_block(self.op, key, self.dense_cap))
+            vals, vecs = _sector_spectrum(self.op, key, self.dense_cap, vectors=True)
             w = np.exp(-self.beta * (vals - self._mu_charge(key)) - self.log_z)
             M[np.ix_(idx, idx)] = (vecs * w) @ vecs.conj().T
         return M
@@ -500,9 +598,7 @@ def free_energy(op, beta, mu, dense_cap=4096):
     """Exact grand-canonical free energy by full per-sector diagonalization."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    sector_eigs = {}
-    for key in op.sectors:
-        sector_eigs[key] = np.linalg.eigvalsh(_dense_block(op, key, dense_cap))
+    sector_eigs = {key: _sector_spectrum(op, key, dense_cap) for key in op.sectors}
     return FreeEnergyResult(op, beta, mu, sector_eigs, dense_cap)
 
 
@@ -640,6 +736,7 @@ class _ChargeFamily:
         self.space = build_space(
             domain.n_sites, statistics=statistics, boson_cap=boson_cap, n_max=n_max, dim_cap=dim_cap
         )
+        self.reflections = [fock.permutation_lift(self.space, s) for s in domain.reflections()]
         T = kinetic_operator(domain, field)
         W = coulomb_kernel(domain)
         self.base = (
@@ -667,7 +764,9 @@ class _ChargeFamily:
                 const += zi * zj / np.linalg.norm(self.positions[i] - self.positions[j])
         H = H + const * sp.identity(self.space.dim, format="csr")
         sectors = {int(N): idx for N, idx in self.space.sectors.items()}
-        return ManyBodyOperator(H, sectors, self.space.totals, space=self.space)
+        return ManyBodyOperator(
+            H, sectors, self.space.totals, space=self.space, reflections=self.reflections
+        )
 
     def ground(self, charges, dense_cap=2048):
         return ground_state_energy(self.operator(charges), dense_cap=dense_cap).value
@@ -883,6 +982,13 @@ def two_species_hamiltonian(
     charges = np.zeros((el.dim * nuc.dim, 2))
     charges[:, 0] = np.repeat(el.totals, nuc.dim)
     charges[:, 1] = np.tile(nuc.totals, el.dim)
+    # Gamma_el(sigma) (x) Gamma_nuc(sigma) on the product basis e_i (x) e_j
+    reflections = []
+    for s in domain.reflections():
+        (pe, se), (pn, sn) = fock.permutation_lift(el, s), fock.permutation_lift(nuc, s)
+        perm = (pe[:, None] * nuc.dim + pn[None, :]).ravel()
+        reflections.append((perm, np.outer(se, sn).ravel()))
     return ManyBodyOperator(
-        H.tocsr(), sectors, charges, spaces=(el, nuc), label="two_species"
+        H.tocsr(), sectors, charges, spaces=(el, nuc), label="two_species",
+        reflections=reflections,
     )

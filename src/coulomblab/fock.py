@@ -18,6 +18,7 @@ __all__ = [
     "ladder",
     "second_quantize_onebody",
     "second_quantize_twobody",
+    "permutation_lift",
     "number_operator",
     "entropy",
     "entropy_of_spectrum",
@@ -216,9 +217,30 @@ def second_quantize_twobody(space, w):
     if np.abs(w - w.T).max() > 1e-12:
         raise ValueError("pair kernel must be symmetric")
     occ = space.occupations.astype(float)
-    quad = np.einsum("bp,pq,bq->b", occ, w, occ)
+    quad = ((occ @ w) * occ).sum(axis=1)
     diag = 0.5 * (quad - occ @ np.diag(w))
     return sp.diags(diag).tocsr()
+
+
+def permutation_lift(space, sigma):
+    """Fock lift Gamma(sigma) of the mode permutation i -> sigma[i] as a signed
+    basis permutation (perm, sign): Gamma(sigma) e_b = sign[b] e_perm[b].
+
+    Gamma(sigma) adag_i Gamma(sigma)* = adag_sigma(i).  A fermion basis state is
+    the ascending creation product, so its sign is the parity of the occupied
+    pairs p < q that sigma puts in descending order; bosons take sign 1.
+    """
+    sigma = np.asarray(sigma)
+    occ = space.occupations
+    perm = space.index(occ[:, np.argsort(sigma)])
+    if space.is_fermionic:
+        # float products are exact for these integer counts and run on BLAS
+        inverted = np.triu(sigma[:, None] > sigma[None, :], k=1).astype(float)
+        occ = occ.astype(float)
+        sign = np.where(((occ @ inverted) * occ).sum(axis=1) % 2 == 0, 1.0, -1.0)
+    else:
+        sign = np.ones(space.dim)
+    return perm, sign
 
 
 class FockState:

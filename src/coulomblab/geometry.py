@@ -120,6 +120,21 @@ class Domain:
                     pairs.append((i, j, axis))
         return pairs
 
+    def reflections(self):
+        """Site permutations of the axis reflections through the bounding-box
+        centre that map the site set onto itself (identity ones omitted):
+        sigma[i] is the site number of the mirror image of site i."""
+        lo, hi = self.idx.min(axis=0), self.idx.max(axis=0)
+        out = []
+        for axis in range(3):
+            mirrored = self.idx.copy()
+            mirrored[:, axis] = lo[axis] + hi[axis] - mirrored[:, axis]
+            sigma = [self._index_of.get(t, -1) for t in map(tuple, mirrored.tolist())]
+            sigma = np.array(sigma, dtype=np.int64)
+            if (sigma >= 0).all() and (sigma != np.arange(self.n_sites)).any():
+                out.append(sigma)
+        return out
+
     def diameter(self):
         pts = self.points
         if self.n_sites <= 1:

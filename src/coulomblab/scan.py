@@ -264,9 +264,11 @@ def mu_sweep(spec, mu_values):
         raise ValueError("the chemical-potential sweep runs on the crystal model")
     nuclei = _crystal_nuclei(domain, spec.z)
     op = cb.coulomb_hamiltonian(domain, nuclei, n_max=spec.n_max, dim_cap=spec.dim_cap)
+    # the sector spectra do not depend on mu: diagonalize once
+    spectra = cb.free_energy(op, spec.beta, 0.0, dense_cap=spec.dense_cap).sector_eigs
     rows = []
     for mu in mu_values:
-        fe = cb.free_energy(op, spec.beta, float(mu), dense_cap=spec.dense_cap)
+        fe = cb.FreeEnergyResult(op, spec.beta, float(mu), spectra, spec.dense_cap)
         rows.append(
             {
                 "mu": float(mu),

@@ -239,6 +239,68 @@ class TestFreeEnergy:
         assert fe.mean_charge() == pytest.approx(0.0, abs=1e-12)
 
 
+def plain_eigvalsh(op, key):
+    return np.linalg.eigvalsh(op.sector_matrix(key).toarray())
+
+
+class TestSectorSpectrum:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: C.two_species_hamiltonian(cube(2), 1.0, 100.0),
+            lambda: C.two_species_hamiltonian(cube(3), 1.0, 100.0),
+            lambda: C.coulomb_hamiltonian(cube(2), C.NucleiConfig.empty(), n_max=2),
+            # side 3 puts sites on the mirror planes
+            lambda: C.coulomb_hamiltonian(cube(3), C.NucleiConfig.empty(), n_max=2),
+            lambda: C.coulomb_hamiltonian(
+                cube(2), C.NucleiConfig.empty(), statistics="boson", boson_cap=2, n_max=3
+            ),
+        ],
+        ids=["two-species-2", "two-species-3", "fermion-2", "fermion-3", "boson-2"],
+    )
+    def test_split_matches_dense(self, build):
+        op = build()
+        assert len(op.reflections) == 3
+        for key, idx in op.sectors.items():
+            if idx.size < 8:
+                continue
+            Q, sizes = C._symmetry_basis(op.reflections, idx, op.sector_matrix(key))
+            assert len(sizes) > 1 and sum(sizes) == idx.size
+            assert np.abs((Q.T @ Q).toarray() - np.eye(idx.size)).max() < 1e-12
+            split = C._sector_spectrum(op, key, 4096)
+            dense = plain_eigvalsh(op, key)
+            assert np.abs(split - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_crystal_keeps_plain_path(self):
+        for side in (2, 3):
+            dom = cube(side)
+            nuc = C.NucleiConfig.from_lattice(1.0, [((0.25, 0.25, 0.25), 0.5)], dom, margin=0.49)
+            op = C.coulomb_hamiltonian(dom, nuc, n_max=2)
+            assert op.reflections == []
+            # offered the lattice reflections anyway, the exact check rejects them
+            lifted = C.ManyBodyOperator(
+                op.matrix, op.sectors, op.charges, space=op.space,
+                reflections=[F.permutation_lift(op.space, s) for s in dom.reflections()],
+            )
+            fe = C.free_energy(lifted, 1.0, -4.0)
+            for key, idx in op.sectors.items():
+                assert C._symmetry_basis(lifted.reflections, idx, op.sector_matrix(key)) is None
+                assert np.array_equal(fe.sector_eigs[key], plain_eigvalsh(op, key))
+
+    def test_gibbs_matrix_and_ground_vector_split(self):
+        op = C.two_species_hamiltonian(cube(2), 1.0, 100.0, el_max=2)
+        fe = C.free_energy(op, 1.3, (0.4, -0.2))
+        ref = np.zeros((op.dim, op.dim))
+        for key, idx in op.sectors.items():
+            vals, vecs = np.linalg.eigh(op.sector_matrix(key).toarray())
+            w = np.exp(-1.3 * (vals - fe._mu_charge(key)) - fe.log_z)
+            ref[np.ix_(idx, idx)] = (vecs * w) @ vecs.T
+        assert np.abs(fe.gibbs_matrix() - ref).max() < 1e-12
+        energy, _key, vec = C.ground_state_vector(op)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(op.matrix @ vec - energy * vec) < 1e-10
+
+
 class TestHartreeFock:
     def test_zero_density_gives_constant(self):
         dom = cube(2)

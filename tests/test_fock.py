@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coulomblab import fock as F
+from coulomblab import geometry as G
 
 
 def random_state(space, seed, real=False):
@@ -197,6 +199,64 @@ class TestSecondQuantization:
         W = F.second_quantize_twobody(sp, w).toarray()
         i = sp.index((3, 0))
         assert W[i, i] == pytest.approx(3 * 0.9)  # (1/2) * 3 * 2 * U
+
+
+@st.composite
+def quantization_cases(draw):
+    """(space, random Hermitian h, random symmetric w) on fermion spaces with
+    n <= 5 and boson spaces with n <= 3, cap <= 2."""
+    statistics = draw(st.sampled_from(["fermion", "boson"]))
+    cap = 1 if statistics == "fermion" else draw(st.integers(1, 2))
+    n = draw(st.integers(1, 5 if statistics == "fermion" else 3))
+    n_max = draw(st.none() | st.integers(0, n * cap))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h = rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        h = h + 1j * rng.standard_normal((n, n))
+    w = rng.standard_normal((n, n))
+    space = F.build_space(n, statistics, boson_cap=cap, n_max=n_max)
+    return space, h + h.conj().T, w + w.T
+
+
+class TestSecondQuantizationOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(quantization_cases())
+    def test_against_ladder_products(self, case):
+        space, h, w = case
+        cr = [F.ladder(space, i, "create").toarray() for i in range(space.n)]
+        an = [F.ladder(space, i, "annihilate").toarray() for i in range(space.n)]
+        one = sum(h[i, j] * cr[i] @ an[j] for i in range(space.n) for j in range(space.n))
+        # (1/2) sum_pq w_pq adag_p adag_q a_q a_p; lowering first never leaves the basis
+        two = 0.5 * sum(
+            w[p, q] * cr[p] @ cr[q] @ an[q] @ an[p]
+            for p in range(space.n)
+            for q in range(space.n)
+        )
+        assert np.abs(F.second_quantize_onebody(space, h).toarray() - one).max() < 1e-12
+        assert np.abs(F.second_quantize_twobody(space, w).toarray() - two).max() < 1e-12
+
+
+class TestPermutationLift:
+    @staticmethod
+    def lift_matrix(space, sigma):
+        perm, sign = F.permutation_lift(space, sigma)
+        assert np.array_equal(np.sort(perm), np.arange(space.dim))
+        return sps.csr_matrix((sign, (perm, np.arange(space.dim))), shape=(space.dim,) * 2)
+
+    @pytest.mark.parametrize("statistics", ["fermion", "boson"])
+    @pytest.mark.parametrize("side, n_max", [(2, 3), (3, 2)])
+    def test_intertwines_ladders(self, statistics, side, n_max):
+        dom = G.build_domain({"shape": "cube", "side": side}, 1.0)
+        space = F.build_space(dom.n_sites, statistics, boson_cap=2, n_max=n_max)
+        sigmas = dom.reflections()
+        assert len(sigmas) == 3
+        sigmas.append(np.random.default_rng(side).permutation(dom.n_sites))
+        for sigma in sigmas:
+            P = self.lift_matrix(space, sigma)
+            for i in range(space.n):
+                for kind in ("create", "annihilate"):
+                    moved = P @ F.ladder(space, i, kind) @ P.T
+                    assert (moved != F.ladder(space, sigma[i], kind)).nnz == 0
 
 
 class TestEntropy:

@@ -91,6 +91,23 @@ class TestMuSweep:
         n = [r["mean_n_per_volume"] for r in rows]
         assert all(b >= a - 1e-12 for a, b in zip(n, n[1:]))
 
+    def test_rows_equal_per_mu_free_energy(self):
+        spec = ScanSpec(model="crystal", sides=(2,), z=0.5, beta=1.3, n_max=2)
+        mus = [-5.0, -1.5, 0.5]
+        rows = mu_sweep(spec, mus)
+        domain = _cube(2, spec.spacing)
+        nuclei = cb.NucleiConfig.from_lattice(
+            1.0, [(_NUCLEUS_OFFSET, spec.z)], domain, margin=0.49
+        )
+        op = cb.coulomb_hamiltonian(domain, nuclei, n_max=spec.n_max)
+        for mu, row in zip(mus, rows):
+            fe = cb.free_energy(op, spec.beta, mu)
+            assert row == {
+                "mu": mu,
+                "f_per_volume": fe.value / domain.volume,
+                "mean_n_per_volume": fe.mean_charge() / domain.volume,
+            }
+
 
 class TestPerturbationCompare:
     def test_empty_perturbation_zero_difference(self):
