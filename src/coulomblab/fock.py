@@ -19,7 +19,6 @@ __all__ = [
     "second_quantize_onebody",
     "second_quantize_twobody",
     "permutation_lift",
-    "number_operator",
     "entropy",
     "entropy_of_spectrum",
     "reduced_density",
@@ -177,31 +176,47 @@ def ladder(space, mode, kind):
     return mat
 
 
-def number_operator(space):
-    return sp.diags(space.totals.astype(float)).tocsr()
-
-
 def second_quantize_onebody(space, h):
-    """dGamma(h) = sum_ij h_ij adag_i a_j as a sparse matrix."""
+    """dGamma(h) = sum_ij h_ij adag_i a_j as a sparse matrix, assembled from the
+    occupation table: the diagonal sum_i h_ii n_i, then one pass over the basis
+    per nonzero hop h_ij (i != j), moving a particle from mode j to mode i.  A
+    fermion hop carries the sign (-1)^(below_j + below_i - [j < i]), below_m
+    the occupied modes under m; a boson hop the factor sqrt(n_i + 1) sqrt(n_j)."""
     h = np.asarray(h)
     if h.shape != (space.n, space.n):
         raise ValueError("one-body matrix has wrong shape")
     if np.abs(h - h.conj().T).max() > 1e-12:
         raise ValueError("one-body matrix must be Hermitian")
-    dtype = complex if np.iscomplexobj(h) else float
-    out = sp.csr_matrix((space.dim, space.dim), dtype=dtype)
-    creators = [ladder(space, i, "create") for i in range(space.n)]
-    annihil = [ladder(space, j, "annihilate") for j in range(space.n)]
+    h = h.astype(complex if np.iscomplexobj(h) else float)
+    occ = space.occupations
+    diag = np.zeros(space.dim, dtype=h.dtype)
     for i in range(space.n):
-        row = h[i]
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
+        diag += h[i, i] * occ[:, i]
+    (nz,) = np.nonzero(diag)  # zero entries, such as the vacuum's, stay unstored
+    rows, cols, vals = [nz], [nz], [diag[nz]]
+    if space.is_fermionic:
+        below = np.cumsum(occ, axis=1, dtype=np.int32) - occ
+    for i, j in zip(*np.nonzero(h)):
+        if i == j:
             continue
-        acc = sp.csr_matrix((space.dim, space.dim))
-        for j in nz:
-            acc = acc + row[j].real * annihil[j] if dtype is float else acc + row[j] * annihil[j]
-        out = out + creators[i] @ acc
-    return out.tocsr()
+        src = np.nonzero((occ[:, j] > 0) & (occ[:, i] < space.per_mode))[0]
+        target = occ[src]
+        target[:, j] -= 1
+        target[:, i] += 1
+        dst = space.index(target)  # a hop keeps N, so every target is in the basis
+        if space.is_fermionic:
+            odd = (below[src, j] + below[src, i] - (j < i)) % 2
+            vals.append(np.where(odd == 1, -h[i, j], h[i, j]))
+        else:
+            n_i, n_j = occ[src, i].astype(float), occ[src, j].astype(float)
+            # the ladder product's order, so hops match adag_i a_j bit for bit
+            vals.append(np.sqrt(n_i + 1.0) * (h[i, j] * np.sqrt(n_j)))
+        rows.append(dst)
+        cols.append(src)
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(space.dim, space.dim),
+    )
 
 
 def second_quantize_twobody(space, w):

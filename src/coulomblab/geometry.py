@@ -95,9 +95,6 @@ class Domain:
     def contains_idx(self, triple):
         return tuple(int(v) for v in triple) in self._site_set
 
-    def site_number(self, triple):
-        return self._index_of[tuple(int(v) for v in triple)]
-
     def ghost_sites(self):
         """Grid sites outside the domain adjacent to a domain site."""
         ghosts = set()
@@ -218,13 +215,6 @@ class GroupElement:
 
     def inverse(self):
         return GroupElement(self.rotation.T, -self.rotation.T @ self.translation)
-
-    def compose(self, other):
-        """self after other: x -> self(other(x))."""
-        return GroupElement(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
 
     @classmethod
     def identity(cls):
@@ -730,10 +720,6 @@ def points_tetra_distance(P, verts):
         tri = np.delete(verts, f, axis=0)
         dist = np.minimum(dist, _points_triangle_dist(P, tri))
     return np.where(inside, 0.0, dist)
-
-
-def point_tetra_distance(p, verts):
-    return float(points_tetra_distance(np.asarray(p, dtype=float)[None, :], verts)[0])
 
 
 def inner_approximation(domain, scale, delta, tiling=None):

@@ -232,6 +232,13 @@ class TestFreeEnergy:
         with pytest.raises(ValueError, match="exceeds dense cap 8"):
             C.free_energy(op, 1.3, 0.4, dense_cap=8)
 
+    def test_gibbs_matrix_bounds_the_full_space(self):
+        dom = cube(2)
+        op = C.coulomb_hamiltonian(dom, TWO_NUCLEI, n_max=2)  # sectors 1, 8, 28
+        fe = C.free_energy(op, 1.3, 0.4, dense_cap=28)
+        with pytest.raises(ValueError, match="Fock space dimension 37 exceeds dense cap 28"):
+            fe.gibbs_matrix()
+
     def test_mean_charge(self):
         dom = cube(2)
         op = C.coulomb_hamiltonian(dom, C.NucleiConfig.empty(), n_max=2)
@@ -373,6 +380,23 @@ class TestChargeConcavity:
             C.charge_concavity_scan(dom, [[0.5] * 3] * 4, z_max=1.0, grid_steps=3)
 
 
+class TestChargeFamily:
+    @pytest.mark.parametrize("side", [2, 3])
+    def test_single_nucleus_matches_hamiltonian(self, side):
+        dom = cube(side)
+        positions = [[0.4, 0.4, 0.4], [1.6, 0.6, 1.3]]
+        fam = C._ChargeFamily(dom, positions, "fermion", 2, 4, 16384)
+        for k, (R, z) in enumerate(zip(positions, [1.7, 0.6])):
+            charges = np.zeros(len(positions))
+            charges[k] = z
+            ref = C.coulomb_hamiltonian(dom, C.NucleiConfig([(R, z)]), n_max=2)
+            assert abs(fam.operator(charges).matrix - ref.matrix).max() < 1e-12
+
+    def test_site_regularization_guard(self):
+        with pytest.raises(ValueError, match="regularization violated"):
+            C._ChargeFamily(cube(2), [[0.0, 0.0, 0.05]], "fermion", 2, 4, 16384)
+
+
 class TestTwoSpecies:
     def test_decoupled_at_zero_charge(self):
         dom = cube(2)
@@ -510,3 +534,8 @@ class TestOnsiteAlpha:
         assert a1 == a2
         # cell-averaged Coulomb constant of the unit cube
         assert 1.85 < a1 < 1.92
+
+    def test_default_key_literal_recomputes(self, monkeypatch):
+        stored = C._ALPHA_CACHE[(2024, 10 ** 6)]
+        monkeypatch.setattr(C, "_ALPHA_CACHE", {})
+        assert C.onsite_alpha() == stored

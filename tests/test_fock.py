@@ -236,6 +236,50 @@ class TestSecondQuantizationOracle:
         assert np.abs(F.second_quantize_twobody(space, w).toarray() - two).max() < 1e-12
 
 
+def ladder_product_sum(space, h):
+    """dGamma(h) as sparse ladder products, sum_i adag_i (sum_j h_ij a_j)
+    added mode by mode: the reference for the occupation-table assembly."""
+    dtype = complex if np.iscomplexobj(h) else float
+    out = sps.csr_matrix((space.dim, space.dim), dtype=dtype)
+    creators = [F.ladder(space, i, "create") for i in range(space.n)]
+    annihil = [F.ladder(space, j, "annihilate") for j in range(space.n)]
+    for i in range(space.n):
+        acc = sps.csr_matrix((space.dim, space.dim), dtype=dtype)
+        for j in np.nonzero(h[i])[0]:
+            acc = acc + h[i, j] * annihil[j]
+        out = out + creators[i] @ acc
+    return out.tocsr()
+
+
+@st.composite
+def fermion_hops(draw):
+    """(space, Hermitian h) on fermion spaces with n <= 6 and n_max None or 2;
+    entries come from a small set, so some hops vanish and some diagonal sums
+    cancel to zero."""
+    n = draw(st.integers(1, 6))
+    n_max = draw(st.sampled_from([None, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h = rng.choice([0.0, 0.0, 1.0, -1.0, 0.5, rng.standard_normal()], size=(n, n))
+    if draw(st.booleans()):
+        h = h + 1j * rng.choice([0.0, 1.0, -2.0, rng.standard_normal()], size=(n, n))
+    return F.build_space(n, "fermion", n_max=n_max), h + h.conj().T
+
+
+class TestOneBodyAssembly:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(fermion_hops())
+    def test_fermions_equal_ladder_products(self, case):
+        space, h = case
+        got = F.second_quantize_onebody(space, h)
+        ref = ladder_product_sum(space, h)
+        ref.sort_indices()
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
+        assert (got.data != 0).all()
+
+
 class TestPermutationLift:
     @staticmethod
     def lift_matrix(space, sigma):
