@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from coulomblab import coulomb as C
 from coulomblab import fock as F
 from coulomblab import geometry as G
+from coulomblab import inequalities as I
 
 
 def cube(side, a=1.0):
@@ -12,6 +16,12 @@ def cube(side, a=1.0):
 
 def chain(n, a=1.0):
     return G.build_domain({"shape": "custom", "sites": [[0, 0, k] for k in range(n)]}, a)
+
+
+def crystal(side):
+    dom = cube(side)
+    nuc = C.NucleiConfig.from_lattice(1.0, [((0.25, 0.25, 0.25), 0.5)], dom, margin=0.49)
+    return C.coulomb_hamiltonian(dom, nuc, n_max=2)
 
 
 TWO_NUCLEI = C.NucleiConfig([([0.4, 0.4, 0.4], 2.0), ([1.6, 1.6, 1.6], 2.0)])
@@ -90,6 +100,86 @@ class TestNuclei:
             )
 
 
+def loop_from_lattice(cell, basis, domain, deformation=None, defects=(), margin=0.5):
+    """Entries of NucleiConfig.from_lattice by the per-point loop it replaced."""
+    pts = domain.points
+    n_lo = np.floor((pts.min(axis=0) - domain.a) / cell).astype(int) - 1
+    n_hi = np.ceil((pts.max(axis=0) + domain.a) / cell).astype(int) + 1
+
+    def inside(R):
+        return np.abs(pts - R).max(axis=1).min() <= margin * domain.a + 1e-12
+
+    entries = []
+    for shift in itertools.product(*(range(l, h + 1) for l, h in zip(n_lo, n_hi))):
+        origin = cell * np.array(shift, dtype=float)
+        for frac, z in basis:
+            R = origin + cell * np.asarray(frac, dtype=float)
+            if deformation is not None:
+                disp, dch = deformation(R, z)
+                R = R + np.asarray(disp, dtype=float)
+                z = z + float(dch)
+            if inside(R):
+                entries.append((R, max(z, 0.0)))
+    for R, z in defects:
+        if inside(np.asarray(R, dtype=float)):
+            entries.append((np.asarray(R, dtype=float), float(z)))
+    return entries
+
+
+def loop_pairs(entries):
+    """(nuclear constant, min separation) by the per-pair loop over entries."""
+    c, dmin = 0.0, np.inf
+    for (Ra, za), (Rb, zb) in itertools.combinations(entries, 2):
+        d = float(np.linalg.norm(Ra - Rb))
+        dmin = min(dmin, d)
+        if za * zb != 0.0:
+            c += za * zb / d
+    return c, dmin
+
+
+def wobble(R, z):
+    return 0.04 * np.sin(3.0 * R + 0.3), 0.3 * np.cos(R[0] + 2.0 * R[2])
+
+
+class TestNucleiTables:
+    @pytest.mark.parametrize("side", [2, 3, 4])
+    @pytest.mark.parametrize("deformation", [None, wobble], ids=["lattice", "deformed"])
+    def test_from_lattice_matches_loop(self, side, deformation):
+        dom = cube(side)
+        basis = [((0.25, 0.25, 0.25), 0.5), ((0.75, 0.6, 0.1), 0.2)]
+        defects = [((0.65, 0.65, 0.65), 0.5), ((9.0, 9.0, 9.0), 1.0), ([0.1, 1.3, 0.4], 0.0)]
+        kw = dict(deformation=deformation, defects=defects, margin=0.49)
+        cfg = C.NucleiConfig.from_lattice(1.0, basis, dom, **kw)
+        ref = loop_from_lattice(1.0, basis, dom, **kw)
+        assert len(cfg) == len(ref) > 2 * side ** 3
+        assert np.array_equal(cfg.positions, np.array([R for R, _ in ref]))
+        assert np.array_equal(cfg.charges, np.array([z for _, z in ref]))
+        c, dmin = loop_pairs(cfg.entries)
+        assert C.nuclear_constant(cfg) == pytest.approx(c, rel=1e-14)
+        assert cfg.min_separation == pytest.approx(dmin, rel=1e-15)
+
+    @pytest.mark.parametrize("side", [2, 3, 4, 5])
+    def test_crystal_constant_bitwise(self, side):
+        dom = cube(side)
+        for z in (0.5, 0.45, 0.55, 0.475):
+            cfg = C.NucleiConfig.from_lattice(1.0, [((0.25, 0.25, 0.25), z)], dom, margin=0.49)
+            assert C.nuclear_constant(cfg) == loop_pairs(cfg.entries)[0]
+
+    def test_zero_charges_and_empty(self):
+        cfg = C.NucleiConfig([([0, 0, 0], 0.0), ([0, 0, 0], 2.0), ([1, 0, 0], 3.0)])
+        assert C.nuclear_constant(cfg) == 6.0 and cfg.min_separation == 0.0
+        for entries in ([], [([0, 0, 0], 1.0)]):
+            cfg = C.NucleiConfig(entries)
+            assert C.nuclear_constant(cfg) == 0.0 and cfg.min_separation == np.inf
+
+    def test_defect_on_lattice_nucleus_rejected(self):
+        with pytest.raises(ValueError, match="hyp_D3 violated: coincident"):
+            C.NucleiConfig.from_lattice(
+                1.0, [((0.25, 0.25, 0.25), 1.0)], cube(2), defects=[((1.25, 0.25, 0.25), 1.0)],
+                margin=0.49,
+            )
+
+
 class TestHamiltonianAndGroundState:
     def test_vacuum_sector_is_nuclear_constant(self):
         dom = cube(2)
@@ -128,13 +218,67 @@ class TestHamiltonianAndGroundState:
         assert sector == pytest.approx(dense, abs=1e-9)
 
     def test_lanczos_repeatable_within_process(self):
-        # dense_cap below the two-particle sector (351) forces the Lanczos path
+        # the two-particle sector (351) lies above both _LANCZOS_FROM and
+        # dense_cap, so it takes the Lanczos path
         dom = cube(3)
         for fld in (None, C.MagneticField.constant([0.0, 0.0, 0.8])):
             op = C.coulomb_hamiltonian(dom, C.NucleiConfig.empty(), field=fld, n_max=2)
             runs = [C.ground_state_energy(op, dense_cap=64) for _ in range(4)]
             assert runs[0].method[2]["solver"] == "lanczos"
             assert len({r.sector_minima[2].hex() for r in runs}) == 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: crystal(3),
+            lambda: crystal(4),
+            lambda: C.coulomb_hamiltonian(
+                cube(3), TWO_NUCLEI, field=C.MagneticField.constant([0.0, 0.3, 0.8]), n_max=2
+            ),
+            lambda: C.two_species_hamiltonian(cube(2), 1.0, 100.0, el_max=2, nuc_max=2),
+        ],
+        ids=["crystal-3", "crystal-4", "field-3", "two-species"],
+    )
+    def test_sector_minima_match_eigvalsh(self, build):
+        op = build()
+        res = C.ground_state_energy(op, dense_cap=4096)
+        solvers = set()
+        for key, idx in op.sectors.items():
+            dense = np.linalg.eigvalsh(op.sector_matrix(key).toarray())[0]
+            assert abs(res.sector_minima[key] - dense) <= 1e-12 * max(abs(dense), 1.0)
+            solver = res.method[key]["solver"]
+            assert solver == ("dense" if idx.size <= C._LANCZOS_FROM else "lanczos")
+            solvers.add(solver)
+        assert solvers == {"dense", "lanczos"}
+
+    def test_lanczos_threshold(self):
+        rng = np.random.default_rng(3)
+        for dim, solver in ((C._LANCZOS_FROM, "dense"), (C._LANCZOS_FROM + 1, "lanczos")):
+            M = sp.random(dim, dim, density=0.05, random_state=rng)
+            M = (M + M.T + sp.diags(rng.normal(size=dim))).tocsr()
+            val, info = C._sector_lowest(M, 4096)
+            assert (info["solver"], info["dim"]) == (solver, dim)
+            dense = np.linalg.eigvalsh(M.toarray())[0]
+            assert abs(val - dense) <= 1e-12 * abs(dense)
+        # dense_cap still bounds densification from below the threshold
+        assert C._sector_lowest(M[:64, :64], 32)[1]["solver"] == "lanczos"
+
+    def test_repelling_boson_sector_matches_eigvalsh(self, monkeypatch):
+        seen = []
+        lowest = C._sector_lowest
+
+        def spy(mat, dense_cap):
+            val, info = lowest(mat, dense_cap)
+            seen.append((mat, val, info))
+            return val, info
+
+        monkeypatch.setattr(C, "_sector_lowest", spy)
+        rep = I.repelling_bound_check(cube(3), [2], eps=0.5)[0]
+        [(mat, val, info)] = seen
+        assert info["solver"] == "lanczos" and info["dim"] == 27 * 28 // 2
+        dense = np.linalg.eigvalsh(mat.toarray())[0]
+        assert abs(val - dense) <= 1e-12 * abs(dense)
+        assert rep.lhs == val
 
     def test_ground_state_vector_respects_dense_cap(self):
         dom = cube(2)
@@ -391,6 +535,19 @@ class TestChargeFamily:
             charges[k] = z
             ref = C.coulomb_hamiltonian(dom, C.NucleiConfig([(R, z)]), n_max=2)
             assert abs(fam.operator(charges).matrix - ref.matrix).max() < 1e-12
+
+    def test_pair_constant_matches_loop(self):
+        dom = cube(2)
+        positions = [[0.4, 0.4, 0.4], [1.6, 0.6, 1.3], [0.5, 1.5, 0.7]]
+        fam = C._ChargeFamily(dom, positions, "fermion", 2, 4, 16384)
+        for charges in ([1.7, 0.6, 0.0], [1.7, 0.6, 1.1], [0.0, 0.6, 1.1]):
+            nuclei = C.NucleiConfig([(R, z) for R, z in zip(positions, charges) if z])
+            ref = C.coulomb_hamiltonian(dom, nuclei, n_max=2)
+            H = fam.operator(charges).matrix
+            assert abs(H - ref.matrix).max() < 1e-12
+            # the vacuum entry is the nuclear repulsion alone
+            const = loop_pairs(list(zip(np.array(positions, dtype=float), charges)))[0]
+            assert H[0, 0] == pytest.approx(const, rel=1e-14)
 
     def test_site_regularization_guard(self):
         with pytest.raises(ValueError, match="regularization violated"):
