@@ -209,17 +209,6 @@ def _pair_table(positions):
     return i, j, np.sqrt((diff * diff).sum(axis=1))
 
 
-def _pair_repulsion(pairs, charges):
-    """sum_{i < j} z_i z_j / |R_i - R_j| over a pair table, accumulated in
-    pair order; pairs with a zero charge are left out, so coincident
-    uncharged positions contribute nothing."""
-    i, j, d = pairs
-    zz = charges[i] * charges[j]
-    live = zz != 0.0
-    terms = zz[live] / d[live]
-    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
-
-
 # ---------------------------------------------------------------------------
 # one-body pieces
 
@@ -265,17 +254,16 @@ def onsite_alpha(seed=2024, samples=10 ** 6):
     return _ALPHA_CACHE[key]
 
 
-def coulomb_kernel(domain, alpha=None):
-    """Site kernel w(x, y) = 1/|x - y|, with the cell-averaged value alpha/a
-    on the diagonal (only bosonic double occupation ever samples it)."""
-    if alpha is None:
-        alpha = onsite_alpha()
+def coulomb_kernel(domain):
+    """Site kernel w(x, y) = 1/|x - y|, with the cell-averaged value
+    onsite_alpha()/a on the diagonal (only bosonic double occupation ever
+    samples it)."""
     pts = domain.points
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff ** 2).sum(-1))
     np.fill_diagonal(dist, 1.0)
     W = 1.0 / dist
-    np.fill_diagonal(W, alpha / domain.a)
+    np.fill_diagonal(W, onsite_alpha() / domain.a)
     return W
 
 
@@ -298,8 +286,15 @@ def nuclear_potential(domain, nuclei):
 
 
 def nuclear_constant(nuclei):
-    """sum_{k < k'} z_k z_k' / |R_k - R_k'|."""
-    return _pair_repulsion(nuclei._pairs, nuclei.charges)
+    """sum_{k < k'} z_k z_k' / |R_k - R_k'|, accumulated in pair order; pairs
+    with a zero charge are left out, so coincident uncharged positions
+    contribute nothing."""
+    i, j, d = nuclei._pairs
+    z = nuclei.charges
+    zz = z[i] * z[j]
+    live = zz != 0.0
+    terms = zz[live] / d[live]
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -315,17 +310,13 @@ class ManyBodyOperator:
     used on a sector only where they leave its block exactly invariant.
     """
 
-    def __init__(
-        self, matrix, sectors, charges, space=None, spaces=None, label="", reflections=()
-    ):
+    def __init__(self, matrix, sectors, charges, space=None, reflections=()):
         self.matrix = matrix.tocsr()
         self.sectors = dict(sorted(sectors.items()))
         self.charges = np.asarray(charges, dtype=float)
         if self.charges.ndim == 1:
             self.charges = self.charges[:, None]
         self.space = space
-        self.spaces = spaces
-        self.label = label
         self.reflections = list(reflections)
 
     @property
@@ -357,9 +348,51 @@ class ManyBodyOperator:
             self.sectors,
             self.charges,
             space=self.space,
-            spaces=self.spaces,
-            label=self.label,
             reflections=self.reflections,
+        )
+
+
+class _Electrons:
+    """The electronic part of every Coulomb Hamiltonian on one domain.
+
+    The Fock space and base = dGamma(T(A)) + dGamma_2(W) are built once;
+    nuclei reach the electrons only through -sum_k z_k/|x - R_k| and the
+    nuclear repulsion, so operator(nuclei) adds one diagonal to base.
+    """
+
+    def __init__(
+        self, domain, field=None, statistics="fermion", n_max=None, boson_cap=4, dim_cap=16384
+    ):
+        self.domain = domain
+        self.space = build_space(
+            domain.n_sites, statistics=statistics, boson_cap=boson_cap, n_max=n_max, dim_cap=dim_cap
+        )
+        T = kinetic_operator(domain, field)
+        self.base = (
+            second_quantize_onebody(self.space, T)
+            + second_quantize_twobody(self.space, coulomb_kernel(domain))
+        ).tocsr()
+        self.sectors = {int(N): idx for N, idx in self.space.sectors.items()}
+        # H restricted to one particle is T + diag(v), so a reflection that
+        # moves T or v cannot commute with H: operator offers only the others
+        self._symmetries = [s for s in domain.reflections() if np.array_equal(T[np.ix_(s, s)], T)]
+        self._lifts = {}
+
+    def _lift(self, k):
+        if k not in self._lifts:
+            self._lifts[k] = fock.permutation_lift(self.space, self._symmetries[k])
+        return self._lifts[k]
+
+    def operator(self, nuclei):
+        """H = base + sum_i v(x_i) + nuclear constant, v the site samples of
+        nuclear_potential; a diagonal in the occupation basis."""
+        v = nuclear_potential(self.domain, nuclei)
+        H = self.base + sp.diags(self.space.occupations @ v + nuclear_constant(nuclei))
+        reflections = [
+            self._lift(k) for k, s in enumerate(self._symmetries) if np.array_equal(v[s], v)
+        ]
+        return ManyBodyOperator(
+            H, self.sectors, self.space.totals, space=self.space, reflections=reflections
         )
 
 
@@ -371,30 +404,10 @@ def coulomb_hamiltonian(
     n_max=None,
     boson_cap=4,
     dim_cap=16384,
-    alpha=None,
 ):
     """H = dGamma(T(A) - sum_k z_k/|x - R_k|) + (1/2) sum_{i != j} 1/|x_i - x_j|
     + nuclear constant, block diagonal over particle-number sectors."""
-    space = build_space(
-        domain.n_sites, statistics=statistics, boson_cap=boson_cap, n_max=n_max, dim_cap=dim_cap
-    )
-    T = kinetic_operator(domain, field)
-    v = nuclear_potential(domain, nuclei)
-    h = T + np.diag(v).astype(T.dtype)
-    W = coulomb_kernel(domain, alpha=alpha)
-    H = second_quantize_onebody(space, h) + second_quantize_twobody(space, W)
-    H = H + nuclear_constant(nuclei) * sp.identity(space.dim, dtype=H.dtype, format="csr")
-    sectors = {int(N): idx for N, idx in space.sectors.items()}
-    # H restricted to one particle is h, so a reflection that moves h cannot
-    # commute with H: only the others are lifted
-    reflections = [
-        fock.permutation_lift(space, s)
-        for s in domain.reflections()
-        if np.array_equal(h[np.ix_(s, s)], h)
-    ]
-    return ManyBodyOperator(
-        H, sectors, space.totals, space=space, label="coulomb", reflections=reflections
-    )
+    return _Electrons(domain, field, statistics, n_max, boson_cap, dim_cap).operator(nuclei)
 
 
 @dataclass
@@ -684,15 +697,14 @@ class HFResult:
     iterations: int
 
 
-def _hf_pieces(domain, nuclei, field, alpha=None):
+def _hf_pieces(domain, nuclei, field):
     T = kinetic_operator(domain, field)
     v = nuclear_potential(domain, nuclei)
     h = T + np.diag(v).astype(T.dtype)
-    W = coulomb_kernel(domain, alpha=alpha)
-    return h, W, nuclear_constant(nuclei)
+    return h, coulomb_kernel(domain), nuclear_constant(nuclei)
 
 
-def hf_energy(domain, nuclei, gamma, field=None, alpha=None):
+def hf_energy(domain, nuclei, gamma, field=None):
     """Direct-minus-exchange mean-field energy of a one-body density.
 
     The on-site kernel value cancels between direct and exchange, so fermionic
@@ -700,7 +712,7 @@ def hf_energy(domain, nuclei, gamma, field=None, alpha=None):
     energy plus the nuclear constant.
     """
     G = gamma.matrix if isinstance(gamma, OnePdm) else np.asarray(gamma)
-    h, W, const = _hf_pieces(domain, nuclei, field, alpha=alpha)
+    h, W, const = _hf_pieces(domain, nuclei, field)
     rho = np.real(np.diag(G))
     direct = 0.5 * float(rho @ W @ rho)
     exch = 0.5 * float((W * np.abs(G) ** 2).sum())
@@ -717,7 +729,6 @@ def hf_minimize(
     tol=1e-8,
     maxiter=500,
     gamma0=None,
-    alpha=None,
 ):
     """Damped self-consistent field iteration over number-conserving
     quasi-free states (no pairing channel).
@@ -726,7 +737,7 @@ def hf_minimize(
     below mu; at finite beta it is the Fermi-Dirac map.  Returns the best
     iterate flagged unconverged when the fixed tolerance is not met.
     """
-    h, W, const = _hf_pieces(domain, nuclei, field, alpha=alpha)
+    h, W, const = _hf_pieces(domain, nuclei, field)
     n = domain.n_sites
     G = np.zeros_like(h) if gamma0 is None else np.asarray(gamma0, dtype=h.dtype).copy()
     converged = False
@@ -747,7 +758,7 @@ def hf_minimize(
             break
     G = 0.5 * (G + G.conj().T)
     gamma = OnePdm(_clip_pdm(G))
-    energy = hf_energy(domain, nuclei, gamma, field=field, alpha=alpha)
+    energy = hf_energy(domain, nuclei, gamma, field=field)
     grand = energy - mu * gamma.trace
     if beta is not None:
         lam = np.clip(np.linalg.eigvalsh(gamma.matrix), 1e-15, 1 - 1e-15)
@@ -764,42 +775,6 @@ def _clip_pdm(G):
 
 # ---------------------------------------------------------------------------
 # charge scans and movable nuclei
-
-
-class _ChargeFamily:
-    """Hamiltonians H(z_1..z_K) over a fixed Fock setup, affine in each charge
-    apart from the explicit nuclear-repulsion constant."""
-
-    def __init__(self, domain, positions, statistics, n_max, boson_cap, dim_cap, field=None):
-        self.domain = domain
-        self.positions = [np.asarray(R, dtype=float).reshape(3) for R in positions]
-        self.pairs = _pair_table(np.array(self.positions).reshape(-1, 3))
-        self.space = build_space(
-            domain.n_sites, statistics=statistics, boson_cap=boson_cap, n_max=n_max, dim_cap=dim_cap
-        )
-        self.reflections = [fock.permutation_lift(self.space, s) for s in domain.reflections()]
-        T = kinetic_operator(domain, field)
-        W = coulomb_kernel(domain)
-        self.base = (
-            second_quantize_onebody(self.space, T)
-            + second_quantize_twobody(self.space, W)
-        ).tocsr()
-        self.unit_pots = np.array(
-            [nuclear_potential(domain, NucleiConfig([(R, 1.0)])) for R in self.positions]
-        ).reshape(len(self.positions), domain.n_sites)
-
-    def operator(self, charges):
-        charges = np.asarray(charges, dtype=float)
-        H = self.base + sp.diags(self.space.occupations @ (charges @ self.unit_pots))
-        const = _pair_repulsion(self.pairs, charges)
-        H = H + const * sp.identity(self.space.dim, format="csr")
-        sectors = {int(N): idx for N, idx in self.space.sectors.items()}
-        return ManyBodyOperator(
-            H, sectors, self.space.totals, space=self.space, reflections=self.reflections
-        )
-
-    def ground(self, charges, dense_cap=2048):
-        return ground_state_energy(self.operator(charges), dense_cap=dense_cap).value
 
 
 @dataclass
@@ -830,11 +805,12 @@ def charge_concavity_scan(
     K = len(positions)
     if K > 3 or grid_steps > 9:
         raise ValueError("scan limited to K <= 3 nuclei and <= 9 grid steps")
-    fam = _ChargeFamily(domain, positions, statistics, n_max, boson_cap, dim_cap)
+    electrons = _Electrons(domain, None, statistics, n_max, boson_cap, dim_cap)
     zs = np.linspace(0.0, z_max, grid_steps)
     table = np.empty((grid_steps,) * K)
     for idx in itertools.product(range(grid_steps), repeat=K):
-        table[idx] = fam.ground(zs[list(idx)], dense_cap=dense_cap)
+        nuclei = NucleiConfig(list(zip(positions, zs[list(idx)])))
+        table[idx] = ground_state_energy(electrons.operator(nuclei), dense_cap=dense_cap).value
     worst = -np.inf
     for axis in range(K):
         t = np.moveaxis(table, axis, 0)
@@ -862,12 +838,13 @@ def movable_nuclei_energy(
     dense_cap=2048,
 ):
     """Exhaustive grand-canonical minimum over at most K_max nuclei of charge z
-    placed on the candidate positions.
+    placed on the candidate positions: (result, chosen sites, relaxed).
 
-    Also evaluates the charge-relaxed value by corner reduction (charges in
-    {0, z} on the full candidate set) and checks the two agree.
+    relaxed is the charge-relaxed value by corner reduction (charges in
+    {0, z} on the full candidate set), returned for the caller to compare;
+    ties between subsets go to the first within 1e-12.
     """
-    fam = _ChargeFamily(domain, candidate_sites, statistics, n_max, 4, dim_cap)
+    electrons = _Electrons(domain, None, statistics, n_max, 4, dim_cap)
     best = np.inf
     best_cfg = ()
     minima = {}
@@ -875,9 +852,8 @@ def movable_nuclei_energy(
     subset_values = {}
     for K in range(0, min(K_max, len(candidate_sites)) + 1):
         for subset in itertools.combinations(range(len(candidate_sites)), K):
-            charges = np.zeros(len(candidate_sites))
-            charges[list(subset)] = z
-            res = ground_state_energy(fam.operator(charges), dense_cap=dense_cap)
+            nuclei = NucleiConfig([(candidate_sites[i], z) for i in subset])
+            res = ground_state_energy(electrons.operator(nuclei), dense_cap=dense_cap)
             subset_values[subset] = res.value
             if res.value < best - 1e-12:
                 best, best_cfg, minima, n_star = res.value, subset, res.sector_minima, res.n_star
@@ -913,16 +889,19 @@ def classical_nuclei_free_energy(
     distinct grid points.  The charge-relaxed variant adds a right-endpoint
     charge quadrature on [0, z] (nodes i z/m, weight z/m; the top node is z,
     so with weight >= 1 the relaxed value cannot exceed F).
+
+    "energy" is the lowest ground energy over the same fixed-charge subsets,
+    read from their spectra, with the tie rule of movable_nuclei_energy.
     """
     mu_el, mu_nuc = float(mu[0]), float(mu[1])
-    fam = _ChargeFamily(domain, nucleus_grid, statistics, n_max, 4, dim_cap)
+    electrons = _Electrons(domain, None, statistics, n_max, 4, dim_cap)
     G = len(nucleus_grid)
 
-    def log_trace(charges):
-        op = fam.operator(charges)
-        fe = free_energy(op, beta, mu_el, dense_cap=dense_cap)
-        return fe.log_z
+    def gibbs(subset, charges):
+        nuclei = NucleiConfig([(nucleus_grid[i], q) for i, q in zip(subset, charges)])
+        return free_energy(electrons.operator(nuclei), beta, mu_el, dense_cap=dense_cap)
 
+    energy = np.inf
     log_terms = []
     log_terms_relaxed = []
     top_k_terms = []
@@ -930,19 +909,19 @@ def classical_nuclei_free_energy(
     log_w = np.log(z / charge_nodes)
     for K in range(0, min(K_max, G) + 1):
         for subset in itertools.combinations(range(G), K):
-            charges = np.zeros(G)
-            charges[list(subset)] = z
+            fe = gibbs(subset, [z] * K)
+            ground = fe.ground_state().value
+            if ground < energy - 1e-12:
+                energy = ground
             # ordered distinct tuples / K! = unordered subsets
-            lt = log_trace(charges) + K * np.log(cell_volume) + beta * mu_nuc * K
+            lt = fe.log_z + K * np.log(cell_volume) + beta * mu_nuc * K
             log_terms.append(lt)
             if K == K_max:
                 top_k_terms.append(lt)
             if with_relaxed:
                 for assign in itertools.product(range(charge_nodes), repeat=K):
-                    ch = np.zeros(G)
-                    ch[list(subset)] = [nodes[i] for i in assign]
                     ltr = (
-                        log_trace(ch)
+                        gibbs(subset, [nodes[i] for i in assign]).log_z
                         + K * (np.log(cell_volume) + log_w)
                         + beta * mu_nuc * K
                     )
@@ -958,6 +937,7 @@ def classical_nuclei_free_energy(
         relaxed = -float(logsumexp(np.array(log_terms_relaxed))) / beta
     return {
         "value": value,
+        "energy": energy,
         "log_z": log_z,
         "relaxed": relaxed,
         "beta": beta,
@@ -1018,7 +998,4 @@ def two_species_hamiltonian(
         (pe, se), (pn, sn) = fock.permutation_lift(el, s), fock.permutation_lift(nuc, s)
         perm = (pe[:, None] * nuc.dim + pn[None, :]).ravel()
         reflections.append((perm, np.outer(se, sn).ravel()))
-    return ManyBodyOperator(
-        H.tocsr(), sectors, charges, spaces=(el, nuc), label="two_species",
-        reflections=reflections,
-    )
+    return ManyBodyOperator(H.tocsr(), sectors, charges, reflections=reflections)

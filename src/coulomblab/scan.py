@@ -6,11 +6,9 @@ boundedness (finite running floors) and the single monotonicity trend in
 perturbation_compare.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import coulomb as cb
 from .fock import _capped_dimension
@@ -71,7 +69,6 @@ class ScanRow:
     f_per_volume: float
     mean_n_per_volume: float
     delta_e: float
-    seconds: float = 0.0
     flags: str = ""
 
     def output_fields(self):
@@ -152,13 +149,12 @@ def run_scan(spec):
     rows = []
     prev_e = None
     for side in spec.sides:
-        t0 = time.perf_counter()
         domain = _cube(side, spec.spacing)
         est = _estimate_dim(spec.model, domain.n_sites, spec)
         if est > spec.budget:
             rows.append(
                 ScanRow(side, domain.volume, np.nan, np.nan, np.nan, np.nan, np.nan, np.nan,
-                        0.0, "skipped:budget")
+                        "skipped:budget")
             )
             continue
         flags = []
@@ -186,18 +182,6 @@ def run_scan(spec):
             mean_n = float(np.atleast_1d(f_res.mean_charge())[0])
         else:
             candidates = _candidate_positions(domain, spec.candidates_per_side)
-            e_res, _cfg, relaxed = cb.movable_nuclei_energy(
-                domain,
-                spec.z,
-                candidates,
-                K_max=spec.movable_k_max,
-                n_max=spec.n_max,
-                dim_cap=spec.dim_cap,
-                dense_cap=spec.dense_cap,
-            )
-            energy = e_res.value
-            if abs(energy - relaxed) > 1e-9:
-                flags.append("relaxed-mismatch")
             fe = cb.classical_nuclei_free_energy(
                 domain,
                 spec.z,
@@ -211,7 +195,7 @@ def run_scan(spec):
                 dense_cap=spec.dense_cap,
                 with_relaxed=False,
             )
-            fval = fe["value"]
+            energy, fval = fe["energy"], fe["value"]
             mean_n = np.nan
             if fe["truncation_flagged"]:
                 flags.append("k-truncation")
@@ -229,7 +213,6 @@ def run_scan(spec):
                 fval / vol,
                 mean_n / vol if np.isfinite(mean_n) else np.nan,
                 delta,
-                time.perf_counter() - t0,
                 ";".join(flags),
             )
         )
@@ -300,18 +283,8 @@ def perturbation_compare(spec, defects=(), deformation=None):
             defects=defects,
             margin=0.49,
         )
-        op0 = cb.coulomb_hamiltonian(domain, base, n_max=spec.n_max, dim_cap=spec.dim_cap)
-        # moving nuclei changes only the one-body potential and the nuclear
-        # constant, both diagonal in the occupation basis
-        dv = cb.nuclear_potential(domain, pert) - cb.nuclear_potential(domain, base)
-        dc = cb.nuclear_constant(pert) - cb.nuclear_constant(base)
-        op1 = cb.ManyBodyOperator(
-            op0.matrix + sp.diags(op0.space.occupations @ dv + dc),
-            op0.sectors,
-            op0.charges,
-            space=op0.space,
-            label=op0.label,
-        )
+        electrons = cb._Electrons(domain, n_max=spec.n_max, dim_cap=spec.dim_cap)
+        op0, op1 = electrons.operator(base), electrons.operator(pert)
         e0 = cb.ground_state_energy(op0, dense_cap=spec.dense_cap).value
         e1 = cb.ground_state_energy(op1, dense_cap=spec.dense_cap).value
         ratio = abs(e1 - e0) / domain.volume

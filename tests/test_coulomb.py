@@ -524,34 +524,108 @@ class TestChargeConcavity:
             C.charge_concavity_scan(dom, [[0.5] * 3] * 4, z_max=1.0, grid_steps=3)
 
 
+def one_shot(domain, nuclei, field=None, statistics="fermion", n_max=2, boson_cap=4):
+    """Reference Coulomb Hamiltonian assembled in one pass, dGamma(T + diag v)
+    + dGamma_2(W) + c, with the lifts of the reflections that leave T + diag v
+    invariant."""
+    space = F.build_space(domain.n_sites, statistics=statistics, boson_cap=boson_cap, n_max=n_max)
+    T = C.kinetic_operator(domain, field)
+    h = T + np.diag(C.nuclear_potential(domain, nuclei)).astype(T.dtype)
+    W = C.coulomb_kernel(domain)
+    H = F.second_quantize_onebody(space, h) + F.second_quantize_twobody(space, W)
+    H = H + C.nuclear_constant(nuclei) * sp.identity(space.dim, format="csr")
+    lifts = [
+        F.permutation_lift(space, s)
+        for s in domain.reflections()
+        if np.array_equal(h[np.ix_(s, s)], h)
+    ]
+    return H, lifts
+
+
+def builder_configs(side):
+    """No nuclei; one nucleus on two mirror planes; three nuclei, one of them
+    uncharged."""
+    c = (side - 1) / 2.0
+    return [
+        C.NucleiConfig.empty(),
+        C.NucleiConfig([([c, c, 0.3], 1.7)]),
+        C.NucleiConfig([([0.4, 0.4, 0.4], 1.7), ([1.6, 0.6, 1.3], 0.6), ([0.5, 1.5, 0.7], 0.0)]),
+    ]
+
+
+BUILDER_CASES = [
+    pytest.param(side, stats, fld, id=f"side{side}-{stats[0]}-{'field' if fld else 'nofield'}")
+    for side in (2, 3)
+    for stats in (("fermion", 2, 4), ("boson", 2, 2))
+    for fld in (None, C.MagneticField.constant([0.1, -0.2, 0.3]))
+]
+
+
 class TestChargeFamily:
+    """Hamiltonians over one _Electrons, the nuclei entering as one diagonal."""
+
     @pytest.mark.parametrize("side", [2, 3])
     def test_single_nucleus_matches_hamiltonian(self, side):
         dom = cube(side)
         positions = [[0.4, 0.4, 0.4], [1.6, 0.6, 1.3]]
-        fam = C._ChargeFamily(dom, positions, "fermion", 2, 4, 16384)
-        for k, (R, z) in enumerate(zip(positions, [1.7, 0.6])):
-            charges = np.zeros(len(positions))
-            charges[k] = z
-            ref = C.coulomb_hamiltonian(dom, C.NucleiConfig([(R, z)]), n_max=2)
-            assert abs(fam.operator(charges).matrix - ref.matrix).max() < 1e-12
+        electrons = C._Electrons(dom, n_max=2)
+        for R, z in zip(positions, [1.7, 0.6]):
+            nuclei = C.NucleiConfig([(R, z)])
+            ref, _lifts = one_shot(dom, nuclei)
+            assert abs(electrons.operator(nuclei).matrix - ref).max() < 1e-12
 
     def test_pair_constant_matches_loop(self):
         dom = cube(2)
         positions = [[0.4, 0.4, 0.4], [1.6, 0.6, 1.3], [0.5, 1.5, 0.7]]
-        fam = C._ChargeFamily(dom, positions, "fermion", 2, 4, 16384)
+        electrons = C._Electrons(dom, n_max=2)
         for charges in ([1.7, 0.6, 0.0], [1.7, 0.6, 1.1], [0.0, 0.6, 1.1]):
-            nuclei = C.NucleiConfig([(R, z) for R, z in zip(positions, charges) if z])
-            ref = C.coulomb_hamiltonian(dom, nuclei, n_max=2)
-            H = fam.operator(charges).matrix
-            assert abs(H - ref.matrix).max() < 1e-12
+            nuclei = C.NucleiConfig(list(zip(positions, charges)))
+            ref, _lifts = one_shot(dom, nuclei)
+            H = electrons.operator(nuclei).matrix
+            assert abs(H - ref).max() < 1e-12
             # the vacuum entry is the nuclear repulsion alone
             const = loop_pairs(list(zip(np.array(positions, dtype=float), charges)))[0]
             assert H[0, 0] == pytest.approx(const, rel=1e-14)
 
     def test_site_regularization_guard(self):
+        electrons = C._Electrons(cube(2), n_max=2)
         with pytest.raises(ValueError, match="regularization violated"):
-            C._ChargeFamily(cube(2), [[0.0, 0.0, 0.05]], "fermion", 2, 4, 16384)
+            electrons.operator(C.NucleiConfig([([0.0, 0.0, 0.05], 1.0)]))
+        with pytest.raises(ValueError, match="regularization violated"):
+            C.charge_concavity_scan(cube(2), [[0.0, 0.0, 0.05]], z_max=1.0, grid_steps=3)
+
+    @pytest.mark.parametrize("side, stats, fld", BUILDER_CASES)
+    def test_matches_one_shot_assembly(self, side, stats, fld):
+        dom = cube(side)
+        statistics, n_max, cap = stats
+        electrons = C._Electrons(dom, fld, statistics, n_max, cap)
+        kept = 0
+        for nuclei in builder_configs(side):
+            op = electrons.operator(nuclei)
+            ref, lifts = one_shot(dom, nuclei, fld, statistics, n_max, cap)
+            assert abs(op.matrix - ref).max() < 1e-12
+            assert len(op.reflections) == len(lifts)
+            for (perm, sign), (ref_perm, ref_sign) in zip(op.reflections, lifts):
+                assert np.array_equal(perm, ref_perm) and np.array_equal(sign, ref_sign)
+            kept += len(lifts)
+        if fld is None:  # the empty and the one-nucleus configurations keep some
+            assert kept > 0
+
+    @pytest.mark.parametrize("side, stats, fld", BUILDER_CASES)
+    def test_reuse_matches_fresh_builder(self, side, stats, fld):
+        dom = cube(side)
+        args = (dom, fld) + stats
+        configs = builder_configs(side)
+        order = [2, 0, 1, 0, 2, 1]
+        reused = C._Electrons(*args)
+        for k in order:
+            got = reused.operator(configs[k])
+            want = C._Electrons(*args).operator(configs[k])
+            assert got.matrix.dtype == want.matrix.dtype
+            assert (got.matrix != want.matrix).nnz == 0
+            assert len(got.reflections) == len(want.reflections)
+            for (perm, sign), (ref_perm, ref_sign) in zip(got.reflections, want.reflections):
+                assert np.array_equal(perm, ref_perm) and np.array_equal(sign, ref_sign)
 
 
 class TestTwoSpecies:

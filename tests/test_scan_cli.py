@@ -50,6 +50,19 @@ class TestRunScan:
         res = run_scan(spec)
         assert all(r.energy == 0.0 for r in res.rows)
 
+    @pytest.mark.parametrize("n_max", [1, 2])
+    def test_movable_energy_matches_zero_temperature_search(self, n_max):
+        spec = ScanSpec(model="movable", sides=(2, 3), z=2.0, mu=(-1.0, -2.0), n_max=n_max)
+        res = run_scan(spec)
+        for row in res.rows:
+            dom = _cube(row.side, spec.spacing)
+            ref = cb.movable_nuclei_energy(
+                dom, spec.z, _candidate_positions(dom, spec.candidates_per_side),
+                K_max=spec.movable_k_max, n_max=n_max, dim_cap=spec.dim_cap,
+                dense_cap=spec.dense_cap,
+            )[0].value
+            assert row.energy == pytest.approx(ref, rel=0, abs=1e-12)
+
     def test_quantum_nuclei_bounded(self):
         spec = ScanSpec(
             model="quantum-nuclei", sides=(2, 3), z=1.0, beta=1.0, mu=(-1.0, -1.0),
@@ -68,8 +81,8 @@ class TestRunScan:
         op = cb.two_species_hamiltonian(dom, 1.0, 100.0, el_max=1, nuc_max=2)
         assert _estimate_dim("quantum-nuclei", dom.n_sites, spec) == op.dim
         spec = ScanSpec(model="movable", n_max=3, mu=(-1.0, -2.0))
-        fam = cb._ChargeFamily(dom, _candidate_positions(dom, 2), "fermion", 3, 4, 16384)
-        assert _estimate_dim("movable", dom.n_sites, spec) == fam.space.dim
+        electrons = cb._Electrons(dom, None, "fermion", 3, 4, 16384)
+        assert _estimate_dim("movable", dom.n_sites, spec) == electrons.space.dim
 
     def test_budget_gate_flags_rows(self):
         spec = ScanSpec(model="crystal", sides=(2, 3), n_max=2, budget=10)
