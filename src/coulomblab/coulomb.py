@@ -3,6 +3,7 @@ Gibbs free energies, Hartree-Fock energies, the two-species model with
 bosonic nuclei in a magnetic field, and movable-nuclei optimization.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -269,19 +270,25 @@ def coulomb_kernel(domain):
 
 def nuclear_potential(domain, nuclei):
     """Site samples of -sum_k z_k / |x - R_k|; nuclei closer than a/10 to a
-    site are rejected (the sample would be unbounded)."""
+    site are rejected (the sample would be unbounded).
+
+    Each distance sums its sorted squared components and each site its sorted
+    per-nucleus terms, so v is bitwise invariant under every lattice symmetry
+    that maps the nuclei onto themselves (Domain.reflections)."""
+    sq = domain.points[:, None, :] - nuclei.positions[None, :, :]
+    sq *= sq
+    sq.sort(axis=2)
+    dist = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+    close = dist.min(axis=0) < domain.a / 10.0 - 1e-15
+    if close.any():
+        R = nuclei.positions[np.argmax(close)]
+        raise ValueError(
+            f"regularization violated: nucleus at {R.tolist()} is within a/10 of a site"
+        )
+    z = nuclei.charges
+    live = z != 0.0
     v = np.zeros(domain.n_sites)
-    if len(nuclei) == 0:
-        return v
-    pts = domain.points
-    for R, z in nuclei.entries:
-        dist = np.linalg.norm(pts - R, axis=1)
-        if dist.min() < domain.a / 10.0 - 1e-15:
-            raise ValueError(
-                f"regularization violated: nucleus at {R.tolist()} is within a/10 of a site"
-            )
-        if z != 0.0:
-            v -= z / dist
+    v -= np.sort(z[live] / dist[:, live], axis=1).sum(axis=1)
     return v
 
 
@@ -305,9 +312,11 @@ class ManyBodyOperator:
     """Number-conserving operator stored as one sparse matrix plus the sector
     index lists; charges holds the particle numbers entering mu.N.
 
-    reflections lists Fock lifts (perm, sign) of the domain's lattice
-    reflections (see fock.permutation_lift); they are candidate symmetries,
-    used on a sector only where they leave its block exactly invariant.
+    reflections lists candidate symmetries: zero-argument callables giving
+    the Fock lift (perm, sign) of one of the domain's lattice reflections
+    (see fock.permutation_lift), computed on first call and cached by the
+    builder.  A sector spectrum lifts and uses them only where it is split
+    (_sector_spectrum) and they leave its block exactly invariant.
     """
 
     def __init__(self, matrix, sectors, charges, space=None, reflections=()):
@@ -376,12 +385,10 @@ class _Electrons:
         # H restricted to one particle is T + diag(v), so a reflection that
         # moves T or v cannot commute with H: operator offers only the others
         self._symmetries = [s for s in domain.reflections() if np.array_equal(T[np.ix_(s, s)], T)]
-        self._lifts = {}
-
-    def _lift(self, k):
-        if k not in self._lifts:
-            self._lifts[k] = fock.permutation_lift(self.space, self._symmetries[k])
-        return self._lifts[k]
+        self._lifts = [
+            functools.cache(functools.partial(fock.permutation_lift, self.space, s))
+            for s in self._symmetries
+        ]
 
     def operator(self, nuclei):
         """H = base + sum_i v(x_i) + nuclear constant, v the site samples of
@@ -389,7 +396,7 @@ class _Electrons:
         v = nuclear_potential(self.domain, nuclei)
         H = self.base + sp.diags(self.space.occupations @ v + nuclear_constant(nuclei))
         reflections = [
-            self._lift(k) for k, s in enumerate(self._symmetries) if np.array_equal(v[s], v)
+            lift for lift, s in zip(self._lifts, self._symmetries) if np.array_equal(v[s], v)
         ]
         return ManyBodyOperator(
             H, self.sectors, self.space.totals, space=self.space, reflections=reflections
@@ -422,8 +429,10 @@ class EnergyResult:
 
 
 class EigensolverError(RuntimeError):
-    """The iterative sector eigensolver did not converge or missed its
-    residual bound."""
+    """A sector eigensolve failed: the iterative eigensolver did not converge
+    or missed its residual bound, or a symmetry split did not hold (a lift
+    that is not a signed involution of the sector, or blocks that do not add
+    up to it)."""
 
 
 # Largest sector densified for its lowest eigenvalue.  Measured on crystal
@@ -431,6 +440,18 @@ class EigensolverError(RuntimeError):
 # the same near dim 190; at dim 351 eigvalsh takes 7 ms against 1.5 ms, at 2016
 # 0.5 s against 5 ms, and the two agree to 1e-14 relative.
 _LANCZOS_FROM = 256
+# Smallest sector whose full spectrum is split by its symmetries.  Measured the
+# same way (best of 40, lifts cached; dense eigvalsh whole / split ms): crystal
+# N = 2 blocks split in two by one swap, 190 2.0/4.2, 276 5.5/5.0, 351 9.2/6.6,
+# 496 19/11; two-species (1, 1) blocks split in eight, 144 1.4/4.8, 256 3.3/5.0,
+# 400 9.6/6.4.  Computing the lifts on first use adds 1.5-2.5 ms.
+_SPLIT_FROM = 300
+
+
+def _dense_eig(block, vectors=False):
+    """eigh (vectors=True) or eigvalsh of a sparse block, densified."""
+    dense = block.toarray()
+    return np.linalg.eigh(dense) if vectors else np.linalg.eigvalsh(dense)
 
 
 def _sector_lowest(mat, dense_cap, tol=1e-9):
@@ -438,8 +459,7 @@ def _sector_lowest(mat, dense_cap, tol=1e-9):
     min(dense_cap, _LANCZOS_FROM), seeded Lanczos above."""
     dim = mat.shape[0]
     if dim <= min(dense_cap, _LANCZOS_FROM):
-        vals = np.linalg.eigvalsh(np.asarray(mat.todense()))
-        return float(vals[0]), {"solver": "dense", "dim": dim}
+        return float(_dense_eig(mat)[0]), {"solver": "dense", "dim": dim}
     # fixed start vector: ARPACK's own default carries state across calls
     v0 = np.random.default_rng(dim).standard_normal(dim).astype(mat.dtype)
     try:
@@ -484,22 +504,33 @@ def _symmetry_basis(reflections, idx, block):
     the given sizes span the symmetry blocks of one sector, one group per
     character with a nonempty block; None when no reflection is kept.
 
-    A reflection is kept when its restriction to the sector is a non-identity
-    involution of the sector that commutes exactly with the block.  The kept
-    ones generate Z_2^k; the columns for a character chi are the normalized
-    orbit sums sum_g chi(g) g e_rep, zero sums dropped.
+    A reflection is kept when its restriction to the sector is not the
+    identity and commutes with the reflections kept before it and exactly
+    with the block.  The kept ones generate Z_2^k; the columns for a
+    character chi are the normalized orbit sums sum_g chi(g) g e_rep, zero
+    sums dropped.  A lift that is not a signed involution of the sector is
+    defective and raises EigensolverError, as do blocks that do not add up
+    to the sector.
     """
     d = idx.size
     ident = np.arange(d)
     diag = block.diagonal()
     kept = []
-    for perm, sign in reflections:
+    for lift in reflections:
+        perm, sign = lift()
         where = np.full(perm.size, -1)
         where[idx] = ident
         local, s = where[perm[idx]], sign[idx]
-        if (local < 0).any() or ((local == ident).all() and (s == 1).all()):
+        if (local < 0).any() or (local[local] != ident).any() or (s * s[local] != 1).any():
+            raise EigensolverError(f"reflection lift is not a signed involution of sector dim {d}")
+        if (local == ident).all() and (s == 1).all():
             continue
-        if (local[local] != ident).any() or (s * s[local] != 1).any():
+        # g h = h g for signed permutations: p_g[p_h] = p_h[p_g] and
+        # s_h s_g[p_h] = s_g s_h[p_g]
+        if any(
+            (local[lk] != lk[local]).any() or (sk * s[lk] != s * sk[local]).any()
+            for lk, sk in kept
+        ):
             continue
         if (diag[local] != diag).any():  # cheap part of the exact check below
             continue
@@ -529,7 +560,7 @@ def _symmetry_basis(reflections, idx, block):
     norms = np.sqrt(np.asarray(Q.multiply(Q).sum(axis=0)).ravel())
     live = norms > 0
     if live.sum() != d:
-        raise RuntimeError(f"symmetry blocks do not sum to the sector dimension {d}")
+        raise EigensolverError(f"symmetry blocks do not sum to the sector dimension {d}")
     sizes = [int(n) for n in live.reshape(n_el, r).sum(axis=1) if n]
     return Q[:, live] @ sp.diags(1.0 / norms[live]), sizes
 
@@ -543,28 +574,27 @@ def _sector_spectrum(op, key, dense_cap, vectors=False):
     """Ascending eigenvalues of one sector block, and with vectors=True the
     eigenvectors as columns in the sector basis.
 
-    The block is split by the operator's reflections that leave it exactly
-    invariant (_symmetry_basis) and each symmetry block is diagonalized
-    densely; with none kept the whole block is.  The sector dimension must
-    fit dense_cap."""
+    A sector of dimension at least _SPLIT_FROM is split by the operator's
+    reflections that leave it exactly invariant (_symmetry_basis) and each
+    symmetry block is diagonalized densely; a smaller sector, or one with no
+    reflection kept, is diagonalized whole.  The sector dimension must fit
+    dense_cap."""
     idx = op.sectors[key]
     _fit_dense(f"sector {key}", idx.size, dense_cap)
     block = op.sector_matrix(key)
-    split = _symmetry_basis(op.reflections, idx, block)
+    split = _symmetry_basis(op.reflections, idx, block) if idx.size >= _SPLIT_FROM else None
     if split is None:
-        dense = np.asarray(block.todense())
-        return np.linalg.eigh(dense) if vectors else np.linalg.eigvalsh(dense)
+        return _dense_eig(block, vectors)
     Q, sizes = split
     rotated = (Q.T @ block @ Q).tocsr()
     bounds = np.cumsum([0] + sizes)
     vals, vecs = [], []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        sub = rotated[lo:hi, lo:hi].toarray()
         if vectors:
-            w, v = np.linalg.eigh(sub)
+            w, v = _dense_eig(rotated[lo:hi, lo:hi], vectors=True)
             vecs.append(Q[:, lo:hi] @ v)
         else:
-            w = np.linalg.eigvalsh(sub)
+            w = _dense_eig(rotated[lo:hi, lo:hi])
         vals.append(w)
     vals = np.concatenate(vals)
     order = np.argsort(vals, kind="stable")
@@ -840,26 +870,25 @@ def movable_nuclei_energy(
     """Exhaustive grand-canonical minimum over at most K_max nuclei of charge z
     placed on the candidate positions: (result, chosen sites, relaxed).
 
-    relaxed is the charge-relaxed value by corner reduction (charges in
-    {0, z} on the full candidate set), returned for the caller to compare;
-    ties between subsets go to the first within 1e-12.
+    relaxed is the charge-relaxed minimum, over charges in {0, z/2, z} on the
+    candidates with at most K_max of them nonzero, returned for the caller to
+    compare: concavity in the charges puts it at a corner, i.e. at the
+    result.  Ties between subsets go to the first within 1e-12.
     """
     electrons = _Electrons(domain, None, statistics, n_max, 4, dim_cap)
-    best = np.inf
+    best = relaxed = np.inf
     best_cfg = ()
     minima = {}
     n_star = None
-    subset_values = {}
     for K in range(0, min(K_max, len(candidate_sites)) + 1):
         for subset in itertools.combinations(range(len(candidate_sites)), K):
-            nuclei = NucleiConfig([(candidate_sites[i], z) for i in subset])
-            res = ground_state_energy(electrons.operator(nuclei), dense_cap=dense_cap)
-            subset_values[subset] = res.value
+            # the all-z assignment comes last, the fixed-charge configuration
+            for charges in itertools.product((0.5 * z, z), repeat=K):
+                nuclei = NucleiConfig([(candidate_sites[i], q) for i, q in zip(subset, charges)])
+                res = ground_state_energy(electrons.operator(nuclei), dense_cap=dense_cap)
+                relaxed = min(relaxed, res.value)
             if res.value < best - 1e-12:
                 best, best_cfg, minima, n_star = res.value, subset, res.sector_minima, res.n_star
-    # corner reduction: a corner of [0, z]^K with m active charges is the
-    # m-nucleus configuration, so scanning corners re-derives the same minimum
-    relaxed = min(subset_values.values())
     result = EnergyResult(best, minima, n_star, {"config": best_cfg})
     return result, [candidate_sites[i] for i in best_cfg], float(relaxed)
 
@@ -992,10 +1021,13 @@ def two_species_hamiltonian(
     charges = np.zeros((el.dim * nuc.dim, 2))
     charges[:, 0] = np.repeat(el.totals, nuc.dim)
     charges[:, 1] = np.tile(nuc.totals, el.dim)
-    # Gamma_el(sigma) (x) Gamma_nuc(sigma) on the product basis e_i (x) e_j
-    reflections = []
-    for s in domain.reflections():
-        (pe, se), (pn, sn) = fock.permutation_lift(el, s), fock.permutation_lift(nuc, s)
-        perm = (pe[:, None] * nuc.dim + pn[None, :]).ravel()
-        reflections.append((perm, np.outer(se, sn).ravel()))
+    reflections = [
+        functools.cache(functools.partial(_product_lift, el, nuc, s)) for s in domain.reflections()
+    ]
     return ManyBodyOperator(H.tocsr(), sectors, charges, reflections=reflections)
+
+
+def _product_lift(el, nuc, sigma):
+    """Gamma_el(sigma) (x) Gamma_nuc(sigma) on the product basis e_i (x) e_j."""
+    (pe, se), (pn, sn) = fock.permutation_lift(el, sigma), fock.permutation_lift(nuc, sigma)
+    return (pe[:, None] * nuc.dim + pn[None, :]).ravel(), np.outer(se, sn).ravel()

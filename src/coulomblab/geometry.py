@@ -119,13 +119,22 @@ class Domain:
 
     def reflections(self):
         """Site permutations of the axis reflections through the bounding-box
-        centre that map the site set onto itself (identity ones omitted):
-        sigma[i] is the site number of the mirror image of site i."""
+        centre, then of the coordinate swaps x<->y, y<->z and x<->z about its
+        lowest corner, that map the site set onto itself (identity ones
+        omitted): sigma[i] is the site number of the mirror image of site i."""
         lo, hi = self.idx.min(axis=0), self.idx.max(axis=0)
-        out = []
+        images = []
         for axis in range(3):
             mirrored = self.idx.copy()
             mirrored[:, axis] = lo[axis] + hi[axis] - mirrored[:, axis]
+            images.append(mirrored)
+        for p, q in ((0, 1), (1, 2), (0, 2)):
+            swapped = self.idx.copy()
+            swapped[:, p] = lo[p] + self.idx[:, q] - lo[q]
+            swapped[:, q] = lo[q] + self.idx[:, p] - lo[p]
+            images.append(swapped)
+        out = []
+        for mirrored in images:
             sigma = [self._index_of.get(t, -1) for t in map(tuple, mirrored.tolist())]
             sigma = np.array(sigma, dtype=np.int64)
             if (sigma >= 0).all() and (sigma != np.arange(self.n_sites)).any():

@@ -8,6 +8,7 @@ from coulomblab import coulomb as C
 from coulomblab import fock as F
 from coulomblab import geometry as G
 from coulomblab import inequalities as I
+from coulomblab.scan import ScanSpec, perturbation_compare
 
 
 def cube(side, a=1.0):
@@ -18,10 +19,13 @@ def chain(n, a=1.0):
     return G.build_domain({"shape": "custom", "sites": [[0, 0, k] for k in range(n)]}, a)
 
 
+def crystal_nuclei(dom, z=0.5):
+    return C.NucleiConfig.from_lattice(1.0, [((0.25, 0.25, 0.25), z)], dom, margin=0.49)
+
+
 def crystal(side):
     dom = cube(side)
-    nuc = C.NucleiConfig.from_lattice(1.0, [((0.25, 0.25, 0.25), 0.5)], dom, margin=0.49)
-    return C.coulomb_hamiltonian(dom, nuc, n_max=2)
+    return C.coulomb_hamiltonian(dom, crystal_nuclei(dom), n_max=2)
 
 
 TWO_NUCLEI = C.NucleiConfig([([0.4, 0.4, 0.4], 2.0), ([1.6, 1.6, 1.6], 2.0)])
@@ -178,6 +182,53 @@ class TestNucleiTables:
                 1.0, [((0.25, 0.25, 0.25), 1.0)], cube(2), defects=[((1.25, 0.25, 0.25), 1.0)],
                 margin=0.49,
             )
+
+
+def loop_potential(domain, nuclei):
+    """nuclear_potential by the per-nucleus loop it replaced."""
+    v = np.zeros(domain.n_sites)
+    for R, z in nuclei.entries:
+        dist = np.linalg.norm(domain.points - R, axis=1)
+        if dist.min() < domain.a / 10.0 - 1e-15:
+            raise ValueError("regularization violated")
+        if z != 0.0:
+            v -= z / dist
+    return v
+
+
+class TestNuclearPotential:
+    @pytest.mark.parametrize("side", [2, 3, 4, 5])
+    def test_crystal_swap_invariant_bitwise(self, side):
+        dom = cube(side)
+        swaps = dom.reflections()[3:]
+        assert len(swaps) == 3
+        for z in (0.5, 0.45, 0.55, 0.475):
+            v = C.nuclear_potential(dom, crystal_nuclei(dom, z))
+            for s in swaps:
+                assert np.array_equal(v[s], v)
+
+    @pytest.mark.parametrize("side", [2, 3, 4, 5])
+    def test_matches_loop(self, side):
+        dom = cube(side)
+        for z in (0.5, 0.45, 0.55, 0.475):
+            for defects in ((), [((0.65, 0.6, 0.7), z), ([0.3, 1.2, 0.4], 0.0)]):
+                nuclei = C.NucleiConfig.from_lattice(
+                    1.0, [((0.25, 0.25, 0.25), z)], dom, defects=defects, margin=0.49
+                )
+                v, ref = C.nuclear_potential(dom, nuclei), loop_potential(dom, nuclei)
+                assert np.abs(v - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    def test_no_charge_and_guard(self):
+        dom = cube(2)
+        for nuclei in (C.NucleiConfig.empty(), C.NucleiConfig([([0.5, 0.5, 0.5], 0.0)])):
+            v = C.nuclear_potential(dom, nuclei)
+            assert np.array_equal(v, np.zeros(8)) and not np.signbit(v).any()
+        # the a/10 guard names the first offending nucleus, charged or not
+        close = C.NucleiConfig(
+            [([0.5, 0.5, 0.5], 1.0), ([1.0, 0.0, 0.05], 0.0), ([0.0, 0.0, 0.05], 1.0)]
+        )
+        with pytest.raises(ValueError, match=r"nucleus at \[1.0, 0.0, 0.05\] is within a/10"):
+            C.nuclear_potential(dom, close)
 
 
 class TestHamiltonianAndGroundState:
@@ -409,36 +460,112 @@ class TestSectorSpectrum:
         ],
         ids=["two-species-2", "two-species-3", "fermion-2", "fermion-3", "boson-2"],
     )
-    def test_split_matches_dense(self, build):
+    def test_split_matches_dense(self, build, monkeypatch):
+        monkeypatch.setattr(C, "_SPLIT_FROM", 8)  # these sectors are below the measured size
         op = build()
-        assert len(op.reflections) == 3
+        assert len(op.reflections) == 6
         for key, idx in op.sectors.items():
             if idx.size < 8:
                 continue
             Q, sizes = C._symmetry_basis(op.reflections, idx, op.sector_matrix(key))
             assert len(sizes) > 1 and sum(sizes) == idx.size
             assert np.abs((Q.T @ Q).toarray() - np.eye(idx.size)).max() < 1e-12
+            # the axis reflections come first; no coordinate swap commutes with them
+            Q3, sizes3 = C._symmetry_basis(op.reflections[:3], idx, op.sector_matrix(key))
+            assert sizes == sizes3 and (Q != Q3).nnz == 0
             split = C._sector_spectrum(op, key, 4096)
             dense = plain_eigvalsh(op, key)
             assert np.abs(split - dense).max() <= 1e-12 * np.abs(dense).max()
 
-    def test_crystal_keeps_plain_path(self):
-        for side in (2, 3):
-            dom = cube(side)
-            nuc = C.NucleiConfig.from_lattice(1.0, [((0.25, 0.25, 0.25), 0.5)], dom, margin=0.49)
-            op = C.coulomb_hamiltonian(dom, nuc, n_max=2)
-            assert op.reflections == []
-            # offered the lattice reflections anyway, the exact check rejects them
-            lifted = C.ManyBodyOperator(
-                op.matrix, op.sectors, op.charges, space=op.space,
-                reflections=[F.permutation_lift(op.space, s) for s in dom.reflections()],
-            )
-            fe = C.free_energy(lifted, 1.0, -4.0)
-            for key, idx in op.sectors.items():
-                assert C._symmetry_basis(lifted.reflections, idx, op.sector_matrix(key)) is None
-                assert np.array_equal(fe.sector_eigs[key], plain_eigvalsh(op, key))
+    @pytest.mark.parametrize("side", [2, 3, 4])
+    def test_crystal_split_by_swap(self, side, monkeypatch):
+        # nuclei at +a/4 in every cell break each axis reflection, not the swaps
+        dom = cube(side)
+        op = C.coulomb_hamiltonian(dom, crystal_nuclei(dom), n_max=2)
+        lifts = [F.permutation_lift(op.space, s) for s in dom.reflections()]
+        assert len(lifts) == 6 and len(op.reflections) == 3
+        for lift, (perm, sign) in zip(op.reflections, lifts[3:]):
+            assert np.array_equal(lift()[0], perm) and np.array_equal(lift()[1], sign)
+        # offered every lattice reflection, a sector keeps the x<->y swap alone
+        offered = C.ManyBodyOperator(
+            op.matrix, op.sectors, op.charges, space=op.space,
+            reflections=[lambda lift=lift: lift for lift in lifts],
+        )
+        monkeypatch.setattr(C, "_SPLIT_FROM", 2)  # at side 2 every sector is small
+        fe = C.free_energy(offered, 1.0, -4.0)
+        for key, idx in op.sectors.items():
+            if idx.size < 2:
+                continue
+            block = op.sector_matrix(key)
+            where = np.full(op.dim, -1)
+            where[idx] = np.arange(idx.size)
+            commutes = []
+            for perm, sign in lifts:
+                P = sp.csr_matrix((sign[idx], (where[perm[idx]], np.arange(idx.size))))
+                commutes.append((P @ block @ P.T != block).nnz == 0)
+            assert commutes == [False] * 3 + [True] * 3
+            Q, sizes = C._symmetry_basis(offered.reflections, idx, block)
+            Q_xy, sizes_xy = C._symmetry_basis(offered.reflections[3:4], idx, block)
+            assert len(sizes) == 2 and sizes == sizes_xy and (Q != Q_xy).nnz == 0
+            dense = plain_eigvalsh(op, key)
+            assert np.abs(fe.sector_eigs[key] - dense).max() <= 1e-12 * np.abs(dense).max()
+        if side == 4:  # the scan's one large sector, at the measured split size
+            monkeypatch.setattr(C, "_SPLIT_FROM", 300)
+            assert C._symmetry_basis(op.reflections, op.sectors[2], op.sector_matrix(2))[1] == [
+                1056, 960
+            ]
+            split = C._sector_spectrum(op, 2, 4096)
+            assert np.abs(split - fe.sector_eigs[2]).max() <= 1e-12 * np.abs(split).max()
 
-    def test_gibbs_matrix_and_ground_vector_split(self):
+    def test_quantum_nuclei_keeps_reflection_split(self):
+        op = C.two_species_hamiltonian(cube(4), 1.0, 100.0)
+        assert len(op.reflections) == 6
+        idx = op.sectors[(1, 1)]
+        _Q, sizes = C._symmetry_basis(op.reflections, idx, op.sector_matrix((1, 1)))
+        assert sizes == [512] * 8
+
+    def test_dense_cap_bounds_split_sector(self):
+        op = crystal(3)
+        assert C._symmetry_basis(op.reflections, op.sectors[2], op.sector_matrix(2))[1] == [
+            189, 162
+        ]
+        with pytest.raises(ValueError, match="sector 2 dimension 351 exceeds dense cap 300"):
+            C.free_energy(op, 1.0, -4.0, dense_cap=300)
+
+    def test_lowest_energies_lift_nothing(self, monkeypatch):
+        calls = []
+
+        def spy(space, sigma, real=F.permutation_lift):
+            calls.append(space.dim)
+            return real(space, sigma)
+
+        monkeypatch.setattr(F, "permutation_lift", spy)
+        op = crystal(3)
+        C.ground_state_energy(op, dense_cap=4096)
+        C.ground_state_vector(C.coulomb_hamiltonian(cube(2), TWO_NUCLEI, n_max=2))
+        spec = ScanSpec(model="crystal", sides=(2, 3), z=0.5, n_max=2)
+        perturbation_compare(spec, defects=[((0.65, 0.65, 0.65), 0.5)])
+        assert calls == []
+        # the full spectrum splits the 351 sector: each offered swap is lifted once
+        C.free_energy(op, 1.0, -4.0)
+        C.free_energy(op, 1.0, -3.0)
+        assert calls == [op.dim] * 3
+
+    def test_defective_lift_raises(self):
+        dom = cube(3)
+        op = C.coulomb_hamiltonian(dom, crystal_nuclei(dom), n_max=2)
+        xy, yz = dom.reflections()[3:5]
+        perm, sign = F.permutation_lift(op.space, xy)
+        # the lift of a cyclic coordinate permutation, and a halved sign
+        for lift in (F.permutation_lift(op.space, xy[yz]), (perm, 0.5 * sign)):
+            broken = C.ManyBodyOperator(
+                op.matrix, op.sectors, op.charges, reflections=[lambda lift=lift: lift]
+            )
+            with pytest.raises(C.EigensolverError, match="not a signed involution"):
+                C.free_energy(broken, 1.0, -4.0)
+
+    def test_gibbs_matrix_and_ground_vector_split(self, monkeypatch):
+        monkeypatch.setattr(C, "_SPLIT_FROM", 8)  # these sectors are below the measured size
         op = C.two_species_hamiltonian(cube(2), 1.0, 100.0, el_max=2)
         fe = C.free_energy(op, 1.3, (0.4, -0.2))
         ref = np.zeros((op.dim, op.dim))
@@ -605,7 +732,8 @@ class TestChargeFamily:
             ref, lifts = one_shot(dom, nuclei, fld, statistics, n_max, cap)
             assert abs(op.matrix - ref).max() < 1e-12
             assert len(op.reflections) == len(lifts)
-            for (perm, sign), (ref_perm, ref_sign) in zip(op.reflections, lifts):
+            for lift, (ref_perm, ref_sign) in zip(op.reflections, lifts):
+                perm, sign = lift()
                 assert np.array_equal(perm, ref_perm) and np.array_equal(sign, ref_sign)
             kept += len(lifts)
         if fld is None:  # the empty and the one-nucleus configurations keep some
@@ -624,8 +752,39 @@ class TestChargeFamily:
             assert got.matrix.dtype == want.matrix.dtype
             assert (got.matrix != want.matrix).nnz == 0
             assert len(got.reflections) == len(want.reflections)
-            for (perm, sign), (ref_perm, ref_sign) in zip(got.reflections, want.reflections):
+            for lift, ref_lift in zip(got.reflections, want.reflections):
+                (perm, sign), (ref_perm, ref_sign) = lift(), ref_lift()
                 assert np.array_equal(perm, ref_perm) and np.array_equal(sign, ref_sign)
+
+
+    def test_reused_builder_spectra_bitwise(self, monkeypatch):
+        calls = []
+
+        def spy(space, sigma, real=F.permutation_lift):
+            calls.append(space)
+            return real(space, sigma)
+
+        monkeypatch.setattr(F, "permutation_lift", spy)
+        dom = cube(3)
+        configs = [
+            crystal_nuclei(dom),
+            C.NucleiConfig.empty(),
+            crystal_nuclei(dom, 0.45),
+            C.NucleiConfig.from_lattice(
+                1.0, [((0.25, 0.25, 0.25), 0.5)], dom, defects=[((0.65, 0.65, 0.65), 0.5)],
+                margin=0.49,
+            ),
+        ]
+        reused = C._Electrons(dom, n_max=2)
+        for k in [0, 1, 2, 3, 0, 1]:
+            got = C.free_energy(reused.operator(configs[k]), 1.0, -4.0).sector_eigs
+            fresh = C._Electrons(dom, n_max=2).operator(configs[k])
+            want = C.free_energy(fresh, 1.0, -4.0).sector_eigs
+            assert got.keys() == want.keys()
+            for key in got:
+                assert np.array_equal(got[key], want[key])
+        # each of the six lattice symmetries is lifted at most once on the reused builder
+        assert 3 <= sum(space is reused.space for space in calls) <= 6
 
 
 class TestTwoSpecies:

@@ -293,7 +293,7 @@ class TestPermutationLift:
         dom = G.build_domain({"shape": "cube", "side": side}, 1.0)
         space = F.build_space(dom.n_sites, statistics, boson_cap=2, n_max=n_max)
         sigmas = dom.reflections()
-        assert len(sigmas) == 3
+        assert len(sigmas) == 6  # three axis reflections, three coordinate swaps
         sigmas.append(np.random.default_rng(side).permutation(dom.n_sites))
         for sigma in sigmas:
             P = self.lift_matrix(space, sigma)

@@ -5,6 +5,7 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from coulomblab import coulomb as cb
+from coulomblab import fock
 from coulomblab.cli import cli_main
 from coulomblab.scan import (
     _NUCLEUS_OFFSET,
@@ -203,6 +204,26 @@ class TestCli:
         assert cli_main(["energy", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: iterative eigensolver failed on dim ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_defective_lift_exits_3(self, tmp_path, capsys, monkeypatch):
+        real = fock.permutation_lift
+
+        def halved_sign(space, sigma):
+            perm, sign = real(space, sigma)
+            return perm, 0.5 * sign
+
+        monkeypatch.setattr(fock, "permutation_lift", halved_sign)
+        cfg = tmp_path / "scan.json"
+        # the side-3 N = 2 sector (351) is split by the x<->y swap
+        cfg.write_text(json.dumps({"model": "crystal", "sides": [3], "z": 0.5, "n_max": 2}))
+        out = tmp_path / "scan.csv"
+        assert cli_main(["scan", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: reflection lift is not a signed involution of sector dim 351"
+        )
         assert "Traceback" not in err
         assert not out.exists()
 
