@@ -258,10 +258,15 @@ def onsite_alpha(seed=2024, samples=10 ** 6):
 def coulomb_kernel(domain):
     """Site kernel w(x, y) = 1/|x - y|, with the cell-averaged value
     onsite_alpha()/a on the diagonal (only bosonic double occupation ever
-    samples it)."""
+    samples it).
+
+    Each distance sums its sorted squared components, as nuclear_potential
+    does, so W is bitwise invariant under every Domain.reflections()."""
     pts = domain.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(-1))
+    sq = pts[:, None, :] - pts[None, :, :]
+    sq *= sq
+    sq.sort(axis=2)
+    dist = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
     np.fill_diagonal(dist, 1.0)
     W = 1.0 / dist
     np.fill_diagonal(W, onsite_alpha() / domain.a)

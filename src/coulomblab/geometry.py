@@ -9,7 +9,6 @@ import itertools
 import json
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "Domain",
@@ -304,18 +303,27 @@ _CANONICAL_TETRA = np.array(
 _TIE_GAP = 1e-9
 
 
-def _chamber_codes(p):
-    """Codes 0..63 of cell points p (P, 3) and the smallest gap between their
-    |p_i|.  The code bits are |p_x| >= |p_y|, |p_x| >= |p_z|, |p_y| >= |p_z|,
-    p_x < 0, p_y < 0, p_z < 0; away from ties the order of the |p_i| and the
-    signs fix the chamber (the sign of the smallest one does not matter)."""
-    ax, ay, az = np.abs(p).T
-    neg = p < 0
-    codes = (
-        32 * (ax >= ay) + 16 * (ax >= az) + 8 * (ay >= az)
-        + 4 * neg[:, 0] + 2 * neg[:, 1] + neg[:, 2]
-    )
-    gap = np.minimum(np.minimum(np.abs(ax - ay), np.abs(ax - az)), np.abs(ay - az))
+def _chamber_codes(px, py, pz):
+    """Codes 0..63 (uint8) of cell points given as coordinate columns, and the
+    smallest gap between their |p_i|.  The code bits are |p_x| >= |p_y|,
+    |p_x| >= |p_z|, |p_y| >= |p_z|, p_x < 0, p_y < 0, p_z < 0; away from ties
+    the order of the |p_i| and the signs fix the chamber (the sign of the
+    smallest one does not matter).  The comparisons and the gap are read from
+    the same three differences, formed in place: on the Graf-Schenker
+    suite's point clouds fresh temporaries cost more than the arithmetic."""
+    ax, ay, az = np.abs(px), np.abs(py), np.abs(pz)
+    dxy = ax - ay
+    dxz = np.subtract(ax, az, out=ax)
+    dyz = np.subtract(ay, az, out=ay)
+    codes = (dxy >= 0).view(np.uint8) << 5
+    codes |= (dxz >= 0).view(np.uint8) << 4
+    codes |= (dyz >= 0).view(np.uint8) << 3
+    codes |= (px < 0).view(np.uint8) << 2
+    codes |= (py < 0).view(np.uint8) << 1
+    codes |= (pz < 0).view(np.uint8)
+    gap = np.abs(dxy, out=dxy)
+    np.minimum(gap, np.abs(dxz, out=dxz), out=gap)
+    np.minimum(gap, np.abs(dyz, out=dyz), out=gap)
     return codes, gap
 
 
@@ -365,7 +373,7 @@ class Tiling:
         mags = np.array(list(itertools.permutations((0.4, 0.2, 0.1))))
         signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
         interior = (mags[:, None, :] * signs[None, :, :]).reshape(-1, 3)
-        codes, _ = _chamber_codes(interior)
+        codes, _ = _chamber_codes(*interior.T)
         chambers = self.chamber_margins(interior).argmax(axis=1)
         # 48 distinct codes, two per chamber (the sign of the smallest |p_i|)
         assert len(np.unique(codes)) == len(codes)
@@ -384,28 +392,39 @@ class Tiling:
 
     def locate(self, points, scale=None, g=None):
         """Tile keys (chamber, ux, uy, uz) for each point, ties resolved to
-        the tile of maximal face margin (deterministic).
-
-        The chamber is read from the order and the signs of the cell
-        coordinates; points within _TIE_GAP of a tie take the margin argmax.
-        """
-        scale = self.scale if scale is None else float(scale)
-        pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        y = pts if g is None else g.apply_inverse(pts)
-        w = y / scale - self.shift
-        u = np.rint(w)
-        p = w - u
-        codes, gap = _chamber_codes(p)
-        chamber = self._chamber_of_code[codes]
-        near = np.nonzero(~(gap >= _TIE_GAP))[0]  # NaN gaps too
-        chamber[near] = self.chamber_margins(p[near]).argmax(axis=1)
-        keys = np.empty((pts.shape[0], 4), dtype=np.int64)
-        keys[:, 0] = chamber
-        keys[:, 1:] = u.astype(np.int64)
-        return keys
+        the tile of maximal face margin (deterministic)."""
+        chamber, *cell = self._cells(*_columns(points, g), scale)
+        return np.stack([chamber, *(u.astype(np.int64) for u in cell)], axis=1)
 
     def locate_packed(self, points, scale=None, g=None):
-        return pack_keys(self.locate(points, scale=scale, g=g))
+        """Packed tile keys (pack_keys of locate) of each point."""
+        return self.packed_keys(*_columns(points, g), scale=scale)
+
+    def packed_keys(self, x, y, z, scale=None):
+        """Packed tile keys of points given as three coordinate columns."""
+        return _pack(*self._cells(x, y, z, scale))
+
+    def _cells(self, x, y, z, scale):
+        """Chamber (int64) and rounded cell columns of the points (x, y, z).
+
+        The chamber is read from the order and the signs of the cell
+        coordinates; points within _TIE_GAP of a tie (or NaN) take the margin
+        argmax."""
+        scale = self.scale if scale is None else float(scale)
+        cells, local = [], []
+        for col, v in zip((x, y, z), self.shift):
+            p = col / scale
+            p -= v
+            u = np.rint(p)
+            p -= u
+            cells.append(u)
+            local.append(p)
+        codes, gap = _chamber_codes(*local)
+        chamber = self._chamber_of_code[codes]
+        near = np.nonzero(~(gap >= _TIE_GAP))[0]
+        p = np.stack([c[near] for c in local], axis=1)
+        chamber[near] = self.chamber_margins(p).argmax(axis=1)
+        return (chamber, *cells)
 
     def multiplicity(self, points, scale=None, g=None, tol=1e-9):
         """Number of open tiles strictly containing each point (cube-interior
@@ -442,14 +461,26 @@ class Tiling:
         return GroupElement(R, u + v - R @ v)
 
 
+def _columns(points, g=None):
+    """The x, y, z columns of points (P, 3), pulled back by g when given."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    y = pts if g is None else g.apply_inverse(pts)
+    return y[:, 0], y[:, 1], y[:, 2]
+
+
+def _pack(chamber, ux, uy, uz):
+    """One int64 per tile from its chamber and cell columns."""
+    B = np.int64(1) << 20
+    out = ux.astype(np.int64) + B
+    out = out * (2 * B) + (uy.astype(np.int64) + B)
+    out = out * (2 * B) + (uz.astype(np.int64) + B)
+    return out * 24 + chamber
+
+
 def pack_keys(keys):
     """Encode (chamber, ux, uy, uz) rows as single int64 values."""
-    B = np.int64(1) << 20
     k = np.asarray(keys, dtype=np.int64)
-    out = k[:, 1] + B
-    out = out * (2 * B) + (k[:, 2] + B)
-    out = out * (2 * B) + (k[:, 3] + B)
-    return out * 24 + k[:, 0]
+    return _pack(k[:, 0], k[:, 1], k[:, 2], k[:, 3])
 
 
 def unit_cube_tiling(v=None):
@@ -659,6 +690,8 @@ class RegularityProfile:
 
 
 def regularity_profile(domain, t_grid, cone_samples=24, seed=0):
+    from scipy.spatial import cKDTree
+
     t_grid = list(t_grid)
     if any(t < 0 for t in t_grid) or sorted(t_grid) != t_grid:
         raise ValueError("t_grid must be sorted ascending and nonnegative")

@@ -7,11 +7,11 @@ empty nucleus set is +infinity (the term is dropped); a maximum over an empty
 index set is 0.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy import integrate
 
 from . import coulomb as cb
 from .fock import build_space, second_quantize_onebody
@@ -138,15 +138,14 @@ def pair_coulomb(points, charges):
     return float(terms.sum())
 
 
-def nearest_nucleus_distance(x, nuclei):
-    """delta_R(x): distance to the closest nucleus other than x itself;
-    +inf over an empty set."""
-    nuclei = np.asarray(nuclei, dtype=float).reshape(-1, 3)
-    if nuclei.shape[0] == 0:
-        return np.inf
-    d = np.linalg.norm(nuclei - np.asarray(x, dtype=float), axis=1)
-    d = d[d > 1e-14]
-    return float(d.min()) if d.size else np.inf
+@functools.lru_cache(maxsize=16)
+def _upper_pairs(n):
+    """np.triu_indices(n, 1), cached (read-only): the suites ask for the same
+    few n."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -173,26 +172,25 @@ def lieb_yau_gap(electrons, nuclei=None, z=1.0, baxter=False):
     N, K = len(electrons), len(nuclei)
     if N < 1 or K < 1:
         raise ValueError("need at least one electron and one nucleus")
-    d_en = _pairwise_dist(electrons, nuclei)
+    d = _pairwise_dist(np.vstack([electrons, nuclei]))
+    d_en = d[:N, N:]
     if d_en.min() < 1e-14:
         return Report("lieb_yau", np.inf, 0.0, extras={"coincident": True})
     lhs = 0.0
     if N > 1:
-        d_ee = _pairwise_dist(electrons)
-        iu = np.triu_indices(N, 1)
-        lhs += float((1.0 / d_ee[iu]).sum())
+        lhs += float((1.0 / d[:N, :N][_upper_pairs(N)]).sum())
     lhs -= float((z / d_en).sum())
+    d_nn = d[N:, N:]
     if K > 1:
-        d_nn = _pairwise_dist(nuclei)
-        iu = np.triu_indices(K, 1)
-        lhs += float((z * z / d_nn[iu]).sum())
+        lhs += float((z * z / d_nn[_upper_pairs(K)]).sum())
     delta_e = d_en.min(axis=1)
     if baxter:
         rhs = -float(((1.0 + 2.0 * z) / delta_e).sum())
     else:
         rhs = -float(((z + np.sqrt(2.0 * z) + 0.5) / delta_e).sum())
-        delta_n = [nearest_nucleus_distance(R, nuclei) for R in nuclei]
-        rhs += (z * z / 4.0) * sum(1.0 / d for d in delta_n if np.isfinite(d))
+        # delta_R(R_k): the nearest other nucleus, +inf when there is none
+        delta_n = np.where(d_nn > 1e-14, d_nn, np.inf).min(axis=1)
+        rhs += (z * z / 4.0) * sum(1.0 / d for d in delta_n[np.isfinite(delta_n)].tolist())
     name = "baxter" if baxter else "lieb_yau"
     return Report(name, lhs, rhs)
 
@@ -215,11 +213,18 @@ def lieb_yau_suite(n_configs, seed=0, n_max=8, k_max=8, z_max=3.0, baxter=False)
 
 
 def _same_tile_samples(tiling, points, scale, R, u):
-    """Packed tile keys (samples, n_points) under the moved scaled tiling."""
-    Y = np.einsum("snk,ski->sni", points[None, :, :] - u[:, None, :], R)
-    flat = Y.reshape(-1, 3)
-    keys = tiling.locate_packed(flat, scale=scale)
-    return keys.reshape(len(R), len(points))
+    """Packed tile keys (samples, n_points) under the moved scaled tiling.
+
+    Coordinate i of (x - u) R is summed over k = x, y, z in that order, as
+    one contiguous column (samples, n_points) per coordinate."""
+    D = [points[None, :, k] - u[:, k, None] for k in range(3)]
+    cols = []
+    for i in range(3):
+        col = D[0] * R[:, 0, i, None]
+        col += D[1] * R[:, 1, i, None]
+        col += D[2] * R[:, 2, i, None]
+        cols.append(col.ravel())
+    return tiling.packed_keys(*cols, scale=scale).reshape(len(R), len(points))
 
 
 def graf_schenker_deficit(cfg, ell_list, samples=10000, seed=0, tiling=None, fit_index=0):
@@ -313,6 +318,8 @@ def w_kernel(r):
 def w_kernel_quadrature_error(radii):
     """Max relative error of W(r) = int_0^inf e^(-nu) Y_nu(r) dnu by adaptive
     quadrature against the closed form."""
+    from scipy import integrate
+
     worst = 0.0
     for r in radii:
         val, _ = integrate.quad(lambda nu: np.exp(-nu) * np.exp(-nu * r) / r, 0, np.inf)
@@ -501,6 +508,8 @@ def li_yau_gap(lengths, f, eig_floor=1e-16, tol=1e-9):
 
 def _phase_space_integral(f, power):
     """int_0^inf f(p^2) p^power dp, rejecting slowly decaying integrands."""
+    from scipy import integrate
+
     integrand = lambda p: f(p ** 2) * p ** power
     partials = [integrate.quad(integrand, 0, P, limit=200)[0] for P in (20.0, 200.0, 2000.0)]
     if not np.isfinite(partials[-1]) or abs(partials[-1] - partials[-2]) > 1e-9 * max(

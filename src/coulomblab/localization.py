@@ -194,21 +194,25 @@ def _localize_diagonal(space, G, q):
     parity of the modes above j, which by then are the kept ones, as the
     second factor's creators require.  For bosons P = 1 (pure loss).  Each
     a_j^k is a weighted partial permutation, so a term is one gather and one
-    scatter of a block of G."""
+    scatter of a block of G.
+
+    q may be a stack (..., n) of weights; its leading axes broadcast against
+    those of G (..., D, D), so one call localizes one operator under several
+    weights, or each matrix of a stack under its own weight."""
     parity = (-1.0) ** space.totals if space.is_fermionic else np.ones(space.dim)
     for j in reversed(range(space.n)):
-        keep = q[j] ** space.occupations[:, j]
-        out = G * np.multiply.outer(keep, keep)
-        r_sq = 1.0 - q[j] ** 2
-        steps = space.per_mode if r_sq > 0.0 else 0  # q_j = 1 keeps mode j whole
+        keep = q[..., j, None] ** space.occupations[:, j]
+        out = G * (keep[..., :, None] * keep[..., None, :])
+        r_sq = 1.0 - q[..., j, None] ** 2
+        steps = space.per_mode if (r_sq > 0.0).any() else 0  # q_j = 1 keeps mode j whole
         lower = ladder(space, j, "annihilate")
         powers = itertools.accumulate([lower] * steps, lambda p, a: a @ p)
         for k, power in enumerate(powers, start=1):
             rows = np.repeat(np.arange(space.dim), np.diff(power.indptr))
             cols = power.indices
-            c = np.sqrt(r_sq ** k / factorial(k)) * power.data * keep[rows] * parity[cols]
+            c = np.sqrt(r_sq ** k / factorial(k)) * power.data * keep[..., rows] * parity[cols]
             out[..., rows[:, None], rows] += (
-                np.multiply.outer(c, c) * G[..., cols[:, None], cols]
+                c[..., :, None] * c[..., None, :] * G[..., cols[:, None], cols]
             )
         G = out
     return G
@@ -278,15 +282,18 @@ def ssa_gap(state, weights, P1, P2, P3, tol=1e-9):
             raise ValueError("index sets must be pairwise disjoint")
     P1, P2, P3 = [sorted(s) for s in sets]
     ws = _validated_family(weights)
-    ent = {}
-    for name, P in (
-        ("12", P1 + P2),
-        ("23", P2 + P3),
-        ("2", P2),
-        ("123", P1 + P2 + P3),
-    ):
-        ent[name] = localize_state(state, _family_weight(ws, P)).entropy()
-    gap = ent["12"] + ent["23"] - ent["2"] - ent["123"]
+    if not isinstance(state, FockState):
+        raise ValueError("localize_state needs a FockState")
+    space = state.space
+    names = ("12", "23", "2", "123")
+    qs = [_family_weight(ws, P) for P in (P1 + P2, P2 + P3, P2, P1 + P2 + P3)]
+    M = np.asarray(state.matrix, dtype=complex)
+    if all(q.diagonal is not None for q in qs):
+        localized = _localize_diagonal(space, M, np.array([q.diagonal for q in qs]))
+    else:
+        localized = np.array([localize_positive_operator(space, M, q) for q in qs])
+    spectra = np.linalg.eigvalsh(localized)
+    ent = {name: entropy_of_spectrum(lam) for name, lam in zip(names, spectra)}
     return Report(
         "ssa_quantum",
         lhs=ent["12"] + ent["23"],
@@ -325,16 +332,23 @@ class CQState:
             self._validate(norm_tol)
 
     def _validate(self, norm_tol):
+        D = self.space.dim
         for K, B in self.blocks.items():
-            for idx in itertools.product(range(self.n_cells), repeat=K):
-                M = B[idx]
-                if np.abs(M - M.conj().T).max() > 1e-10:
+            # one row per tuple, in itertools.product order
+            M = B.reshape(-1, D, D)
+            skew = np.abs(M - M.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > 1e-10
+            negative = np.linalg.eigvalsh(M).min(axis=-1) < -1e-10
+            unsymmetric = np.zeros(len(M), dtype=bool)
+            for perm in itertools.permutations(range(K)):
+                moved = B.transpose(*perm, K, K + 1).reshape(-1, D, D)
+                unsymmetric |= np.abs(moved - M).max(axis=(-2, -1)) > 1e-12
+            for h, p, s in zip(skew, negative, unsymmetric):
+                if h:
                     raise ValueError("cq block is not Hermitian")
-                if np.linalg.eigvalsh(M).min() < -1e-10:
+                if p:
                     raise ValueError("cq block is not positive semidefinite")
-                for perm in itertools.permutations(idx):
-                    if np.abs(B[perm] - M).max() > 1e-12:
-                        raise ValueError("cq blocks must be permutation symmetric")
+                if s:
+                    raise ValueError("cq blocks must be permutation symmetric")
         if norm_tol is not None and abs(self.mass() - 1.0) > norm_tol:
             raise ValueError(f"cq state mass {self.mass():.3e} differs from one")
 
@@ -352,13 +366,14 @@ class CQState:
 def cq_entropy(rho):
     """-tr rho_0 log rho_0 - sum_K (h^K/K!) sum_tuples tr rho_K log rho_K."""
     total = entropy_of_spectrum(np.linalg.eigvalsh(rho.blocks[0]))
+    D = rho.space.dim
     for K in range(1, rho.K_max + 1):
         if K not in rho.blocks:
             continue
-        B = rho.blocks[K]
         weight = rho.cell_volume ** K / factorial(K)
-        for idx in itertools.product(range(rho.n_cells), repeat=K):
-            total += weight * entropy_of_spectrum(np.linalg.eigvalsh(B[idx]))
+        # one spectrum per tuple, in itertools.product order
+        for lam in np.linalg.eigvalsh(rho.blocks[K].reshape(-1, D, D)):
+            total += weight * entropy_of_spectrum(lam)
     return total
 
 
@@ -382,7 +397,7 @@ def cq_localize(rho, q, theta, k_max=None, warn_tol=1e-8):
     h = rho.cell_volume
     D = rho.space.dim
     m = rho.n_cells
-    out = {}
+    accs, weights = [], []
     for K in range(0, K_top + 1):
         acc = np.zeros((m,) * K + (D, D), dtype=complex)
         for M in range(0, rho.K_max - K + 1):
@@ -402,7 +417,16 @@ def cq_localize(rho, q, theta, k_max=None, warn_tol=1e-8):
         weight = np.ones(())
         for _ in range(K):
             weight = np.multiply.outer(weight, th_sq)
-        out[K] = weight[..., None, None] * localize_positive_operator(rho.space, acc, q)
+        accs.append(acc)
+        weights.append(weight)
+    # every block of every sector in one stack, localized in one call
+    stack = np.concatenate([acc.reshape(-1, D, D) for acc in accs])
+    ends = np.cumsum([w.size for w in weights])
+    localized = np.split(localize_positive_operator(rho.space, stack, q), ends[:-1])
+    out = {
+        K: w[..., None, None] * block.reshape(acc.shape)
+        for K, (acc, w, block) in enumerate(zip(accs, weights, localized))
+    }
     result = CQState(rho.space, h, out, validate=False)
     result.truncation_warning = (
         K_top < rho.K_max and abs(result.mass() - rho.mass()) > warn_tol

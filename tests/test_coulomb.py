@@ -231,6 +231,44 @@ class TestNuclearPotential:
             C.nuclear_potential(dom, close)
 
 
+def component_order_kernel(domain):
+    """coulomb_kernel with each distance summed in x, y, z order, as it was
+    before the sorted sum; kept as its oracle."""
+    pts = domain.points
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((diff ** 2).sum(-1))
+    np.fill_diagonal(dist, 1.0)
+    W = 1.0 / dist
+    np.fill_diagonal(W, C.onsite_alpha() / domain.a)
+    return W
+
+
+class TestCoulombKernel:
+    @pytest.mark.parametrize("a", [0.3, 0.5, 0.7, 1.0, 1.1])
+    def test_reflection_invariant_bitwise(self, a):
+        dom = cube(3, a)
+        W = C.coulomb_kernel(dom)
+        sigmas = dom.reflections()
+        assert len(sigmas) == 6
+        for s in sigmas:
+            assert np.array_equal(W[np.ix_(s, s)], W)
+
+    @pytest.mark.parametrize("a", [0.3, 0.5, 0.7, 1.0, 1.1])
+    def test_matches_component_order_sum(self, a):
+        dom = cube(3, a)
+        W, ref = C.coulomb_kernel(dom), component_order_kernel(dom)
+        assert (np.abs(W - ref) <= 1e-15 * np.abs(ref)).all()
+        if a == 1.0:  # integer squares: every order sums exactly
+            assert np.array_equal(W, ref)
+
+    def test_component_order_breaks_the_swaps(self):
+        # the reason for the sorted sum: at a = 0.3 the x, y, z order is not
+        # invariant under y<->z or x<->z
+        dom = cube(3, 0.3)
+        ref = component_order_kernel(dom)
+        assert not all(np.array_equal(ref[np.ix_(s, s)], ref) for s in dom.reflections())
+
+
 class TestHamiltonianAndGroundState:
     def test_vacuum_sector_is_nuclear_constant(self):
         dom = cube(2)

@@ -284,6 +284,77 @@ class TestLocate:
         self.assert_margin_rule(pts, scale, g)
 
 
+def strided_keys(tiling, points, scale, g=None):
+    """The (P, 3) locator the column core replaced, kept as its oracle: chamber
+    codes from a (P, 3) array of cell points, the margin argmax within
+    _TIE_GAP of a tie, keys as one (P, 4) array."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    y = pts if g is None else g.apply_inverse(pts)
+    w = y / scale - tiling.shift
+    u = np.rint(w)
+    p = w - u
+    ax, ay, az = np.abs(p).T
+    neg = p < 0
+    codes = (
+        32 * (ax >= ay) + 16 * (ax >= az) + 8 * (ay >= az)
+        + 4 * neg[:, 0] + 2 * neg[:, 1] + neg[:, 2]
+    )
+    gap = np.minimum(np.minimum(np.abs(ax - ay), np.abs(ax - az)), np.abs(ay - az))
+    chamber = tiling._chamber_of_code[codes]
+    near = np.nonzero(~(gap >= G._TIE_GAP))[0]
+    chamber[near] = tiling.chamber_margins(p[near]).argmax(axis=1)
+    keys = np.empty((pts.shape[0], 4), dtype=np.int64)
+    keys[:, 0] = chamber
+    keys[:, 1:] = u.astype(np.int64)
+    return keys
+
+
+def strided_pack(keys):
+    B = np.int64(1) << 20
+    out = keys[:, 1] + B
+    out = out * (2 * B) + (keys[:, 2] + B)
+    out = out * (2 * B) + (keys[:, 3] + B)
+    return out * 24 + keys[:, 0]
+
+
+class TestColumnLocator:
+    """Tiling.locate, locate_packed and packed_keys against the strided
+    (P, 3) locator, bit for bit."""
+
+    def points(self, tiling, scale, rng):
+        # random points, cell points within 1e-12 of a chamber tie, exact
+        # half-integer cell boundaries and a NaN row, in the scaled frame
+        ties = tie_cell_points(rng, 60)
+        near = ties + 1e-12 * rng.choice([-1.0, 1.0], size=ties.shape)
+        cells = rng.integers(-4, 5, size=(len(ties), 3))
+        half = rng.integers(-6, 7, size=(200, 3)) + 0.5 * rng.integers(0, 2, size=(200, 3))
+        rows = [
+            rng.uniform(-40, 40, size=(20000, 3)),
+            scale * (ties + cells + tiling.shift),
+            scale * (near + cells + tiling.shift),
+            scale * (half + tiling.shift),
+            [[0.3, np.nan, 0.1]],
+        ]
+        return np.vstack(rows)
+
+    @pytest.mark.parametrize("scale", [1.0, 4.0, 8.0, 16.0])
+    def test_keys_match_strided_locator(self, scale):
+        tiling = G.unit_cube_tiling()
+        rng = np.random.default_rng(int(scale))
+        pts = self.points(tiling, scale, rng)
+        for g in (None, G.sample_group(int(scale), 1)[0]):
+            with np.errstate(invalid="ignore"):
+                ref = strided_keys(tiling, pts, scale, g)
+                keys = tiling.locate(pts, scale=scale, g=g)
+                packed = tiling.locate_packed(pts, scale=scale, g=g)
+                y = pts if g is None else g.apply_inverse(pts)
+                columns = tiling.packed_keys(*np.ascontiguousarray(y.T), scale=scale)
+            assert keys.dtype == np.int64 and np.array_equal(keys, ref)
+            assert np.array_equal(packed, strided_pack(ref))
+            assert np.array_equal(columns, packed)
+            assert np.array_equal(G.pack_keys(keys), packed)
+
+
 class TestGroupSampling:
     def test_orthogonality_and_determinism(self):
         gs = G.sample_group(9, 50)

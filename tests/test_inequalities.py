@@ -53,6 +53,60 @@ class TestLiebYau:
         assert r.gap == pytest.approx((np.sqrt(3.0) + 0.5) / 2.0)
 
 
+def per_nucleus_gap(electrons, nuclei, z, baxter=False):
+    """The Lieb-Yau gap as computed before one distance table per
+    configuration, kept as its oracle: three tables and a nearest-nucleus
+    search per nucleus."""
+    electrons = np.asarray(electrons, dtype=float).reshape(-1, 3)
+    nuclei = np.asarray(nuclei, dtype=float).reshape(-1, 3)
+    N, K = len(electrons), len(nuclei)
+    d_en = I._pairwise_dist(electrons, nuclei)
+    if d_en.min() < 1e-14:
+        return np.inf, 0.0
+    lhs = 0.0
+    if N > 1:
+        lhs += float((1.0 / I._pairwise_dist(electrons)[np.triu_indices(N, 1)]).sum())
+    lhs -= float((z / d_en).sum())
+    if K > 1:
+        lhs += float((z * z / I._pairwise_dist(nuclei)[np.triu_indices(K, 1)]).sum())
+    delta_e = d_en.min(axis=1)
+    if baxter:
+        return lhs, -float(((1.0 + 2.0 * z) / delta_e).sum())
+    rhs = -float(((z + np.sqrt(2.0 * z) + 0.5) / delta_e).sum())
+    delta_n = []
+    for R in nuclei:
+        d = np.linalg.norm(nuclei - R, axis=1)
+        d = d[d > 1e-14]
+        delta_n.append(float(d.min()) if d.size else np.inf)
+    rhs += (z * z / 4.0) * sum(1.0 / d for d in delta_n if np.isfinite(d))
+    return lhs, rhs
+
+
+class TestLiebYauOracle:
+    def test_matches_per_nucleus_code_bitwise(self):
+        rng = np.random.default_rng(31)
+        cases = 0
+        for trial in range(300):
+            N, K = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            if trial < 40:
+                N, K = (1, K) if trial % 2 else (N, 1)
+            z = float(rng.uniform(0.05, 3.0))
+            electrons = rng.uniform(-2, 2, size=(N, 3))
+            nuclei = rng.uniform(-2, 2, size=(K, 3))
+            if trial % 7 == 3 and K > 1:
+                nuclei[-1] = nuclei[0]  # coincident nuclei
+            if trial % 11 == 5:
+                electrons[0] = nuclei[-1]  # coincident electron-nucleus pair
+            for baxter in (False, True):
+                with np.errstate(divide="ignore"):  # coincident nuclei: lhs = inf
+                    rep = I.lieb_yau_gap(electrons, nuclei, z, baxter=baxter)
+                    lhs, rhs = per_nucleus_gap(electrons, nuclei, z, baxter=baxter)
+                assert (rep.lhs, rep.rhs) == (lhs, rhs)
+                assert type(rep.lhs) is float and type(rep.rhs) is float
+                cases += 1
+        assert cases >= 500
+
+
 class TestGrafSchenker:
     def test_single_charge_zero_deficit(self):
         cfg = I.ChargeConfig([[0.3, 0.1, -0.2]], [2.0])
@@ -113,6 +167,31 @@ class TestGrafSchenker:
         keys2 = _same_tile_samples(tiling, pts, ell, R2, u2)
         same_big = (keys2[:, 0] == keys2[:, 1]).mean()
         assert same_small == pytest.approx(same_big, abs=0.01)
+
+
+class KeepColumns:
+    """Stands in for the tiling: records the moved coordinate columns."""
+
+    def packed_keys(self, x, y, z, scale=None):
+        self.columns = (x, y, z)
+        return np.zeros(x.shape, dtype=np.int64)
+
+
+class TestSameTileMotion:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_motion_matches_einsum_bitwise(self, n):
+        rng = np.random.default_rng(40 + n)
+        pts = rng.uniform(-1.0, 1.0, size=(n, 3))
+        for ell in (4.0, 8.0, 16.0):
+            R, u = G._sample_motions(rng, 2000, ell)
+            Y = np.einsum("snk,ski->sni", pts[None, :, :] - u[:, None, :], R)
+            rec = KeepColumns()
+            I._same_tile_samples(rec, pts, ell, R, u)
+            assert np.array_equal(np.stack(rec.columns, axis=-1), Y.reshape(-1, 3))
+            tiling = G.unit_cube_tiling()
+            keys = I._same_tile_samples(tiling, pts, ell, R, u)
+            ref = tiling.locate_packed(Y.reshape(-1, 3), scale=ell).reshape(len(R), n)
+            assert np.array_equal(keys, ref)
 
 
 class TestSmoothGrafSchenker:

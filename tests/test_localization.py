@@ -322,6 +322,50 @@ class TestSsaQuantum:
             L.ssa_gap(st, list(raw), [0], [0], [1])
 
 
+def looped_entropies(state, weights, P1, P2, P3):
+    """The entropies of ssa_gap with one localization and one eigvalsh per
+    family weight, the loop the stacked call replaced."""
+    ws = L._validated_family(weights)
+    return {
+        name: L.localize_state(state, L._family_weight(ws, P)).entropy()
+        for name, P in (("12", P1 + P2), ("23", P2 + P3), ("2", P2), ("123", P1 + P2 + P3))
+    }
+
+
+class TestStackedSsa:
+    def families(self):
+        rng = np.random.default_rng(33)
+        for trial in range(4):
+            raw = rng.random((4, 5)) + 0.1
+            raw /= np.sqrt((raw ** 2).sum(axis=0))
+            yield F.build_space(5, "fermion"), list(raw)
+            raw = rng.random((3, 3)) + 0.1
+            raw /= np.sqrt((raw ** 2).sum(axis=0))
+            yield F.build_space(3, "boson", boson_cap=2), list(raw)
+            # a commuting non-diagonal family: one rotation of diagonal weights
+            V = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+            raw = rng.random((3, 4)) + 0.1
+            raw /= np.sqrt((raw ** 2).sum(axis=0))
+            yield F.build_space(4, "fermion"), [(V * d) @ V.T for d in raw]
+
+    def test_ssa_gap_matches_per_weight_loop(self):
+        for k, (space, weights) in enumerate(self.families()):
+            st = random_state(space, 300 + k)
+            rep = L.ssa_gap(st, weights, [0], [1], [2])
+            ref = looped_entropies(st, weights, [0], [1], [2])
+            ent = rep.extras["entropies"]
+            assert ent.keys() == ref.keys()
+            for name, val in ref.items():
+                assert abs(ent[name] - val) <= 1e-13 * max(1.0, abs(val))
+            gap = ref["12"] + ref["23"] - ref["2"] - ref["123"]
+            assert rep.passed == (gap >= -rep.tol)
+
+    def test_non_state_rejected(self):
+        raw = np.full((2, 3), np.sqrt(0.5))
+        with pytest.raises(ValueError, match="FockState"):
+            L.ssa_gap(np.eye(8), list(raw), [0], [1], [])
+
+
 def random_cq(space, seed, m=3, h=0.5, k_max=2, scale0=0.5):
     rng = np.random.default_rng(seed)
     D = space.dim
@@ -398,6 +442,83 @@ class TestCqStates:
                 {0: np.eye(D) / D, 1: np.zeros((2, D, D), complex), 2: b2},
                 norm_tol=None,
             )
+
+
+def looped_cq_entropy(rho):
+    """cq_entropy with one eigvalsh per tuple, the loop the stacked call
+    replaced."""
+    total = F.entropy_of_spectrum(np.linalg.eigvalsh(rho.blocks[0]))
+    for K in range(1, rho.K_max + 1):
+        weight = rho.cell_volume ** K / np.prod(np.arange(1, K + 1))
+        for idx in itertools.product(range(rho.n_cells), repeat=K):
+            total += weight * F.entropy_of_spectrum(np.linalg.eigvalsh(rho.blocks[K][idx]))
+    return total
+
+
+def looped_validation_error(blocks):
+    """The message of the first failing per-tuple check of CQState._validate
+    as it was written before the stacked checks, or None."""
+    for K, B in blocks.items():
+        m = B.shape[0] if K else 1
+        for idx in itertools.product(range(m), repeat=K):
+            M = B[idx]
+            if np.abs(M - M.conj().T).max() > 1e-10:
+                return "cq block is not Hermitian"
+            if np.linalg.eigvalsh(M).min() < -1e-10:
+                return "cq block is not positive semidefinite"
+            for perm in itertools.permutations(idx):
+                if np.abs(B[perm] - M).max() > 1e-12:
+                    return "cq blocks must be permutation symmetric"
+    return None
+
+
+class TestStackedCq:
+    def setup_method(self):
+        self.space = F.build_space(2, "fermion")
+
+    def test_entropy_matches_per_tuple_loop(self):
+        rng = np.random.default_rng(34)
+        for seed in range(6):
+            rho = random_cq(self.space, 400 + seed)
+            w = L.LocalizationWeight(rng.random(2))
+            for r in (rho, L.cq_localize(rho, w, rng.random(rho.n_cells))):
+                ref = looped_cq_entropy(r)
+                assert abs(L.cq_entropy(r) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    def test_validation_raises_the_first_failing_check(self):
+        base = random_cq(self.space, 35).blocks
+        D = self.space.dim
+        off = np.zeros((D, D), complex)
+        off[0, 1] = 1e-6  # breaks Hermiticity only
+
+        def corrupt(*edits):
+            blocks = {K: B.copy() for K, B in base.items()}
+            for K, idx, delta in edits:
+                blocks[K][idx] += delta
+            return blocks
+
+        cases = [
+            corrupt(),
+            corrupt((1, 1, off)),
+            corrupt((1, 1, off - np.eye(D))),
+            corrupt((1, 2, -np.eye(D))),
+            corrupt((2, (0, 1), 1e-9 * np.eye(D))),
+            corrupt((1, 0, -np.eye(D)), (1, 2, off)),
+            corrupt((1, 2, -np.eye(D)), (1, 0, off)),
+            corrupt((2, (0, 1), 1e-9 * np.eye(D)), (2, (2, 0), off)),
+            corrupt((2, (2, 0), off), (2, (0, 1), 1e-9 * np.eye(D))),
+            corrupt((0, (), -np.eye(D)), (2, (0, 1), off)),
+        ]
+        messages = [looped_validation_error(blocks) for blocks in cases]
+        assert messages[0] is None and all(messages[1:])
+        assert len(set(messages)) == 4
+        for blocks, message in zip(cases, messages):
+            if message is None:
+                L.CQState(self.space, 0.5, blocks, norm_tol=None)
+                continue
+            with pytest.raises(ValueError) as err:
+                L.CQState(self.space, 0.5, blocks, norm_tol=None)
+            assert str(err.value) == message
 
 
 class TestCqSsa:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -330,3 +333,21 @@ class TestCli:
             == 0
         )
         assert out1.read_bytes() != out2.read_bytes()
+
+
+def test_cli_import_leaves_quadrature_and_kd_trees_out():
+    # scipy.integrate and scipy.spatial are imported only where they are used
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, coulomblab.cli; "
+        "print([m for m in ('scipy.integrate', 'scipy.spatial') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
