@@ -9,8 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
-from scipy.special import logsumexp
 
 from . import fock
 from .fock import FockState, build_space, second_quantize_onebody, second_quantize_twobody
@@ -441,10 +439,20 @@ class EigensolverError(RuntimeError):
 
 
 # Largest sector densified for its lowest eigenvalue.  Measured on crystal
-# N = 2 blocks (2 vCPU, OpenBLAS): eigvalsh and the seeded eigsh below cost
-# the same near dim 190; at dim 351 eigvalsh takes 7 ms against 1.5 ms, at 2016
-# 0.5 s against 5 ms, and the two agree to 1e-14 relative.
+# N = 2 blocks (2 vCPU, OpenBLAS, best of 15): eigvalsh and the seeded Lanczos
+# below cost the same near dim 200 (190: 2.1 / 3.1 ms, 210: 3.6 / 3.2 ms); at
+# 351 eigvalsh takes 10.6 ms against 4.1 ms, at 2016 0.69 s against 6 ms, and
+# the two agree to 3e-15 relative.
 _LANCZOS_FROM = 256
+# Lanczos basis size before a restart, and the matrix-vector products allowed
+# in one solve.  On the six Lanczos sectors of the side-2..5 perturbation
+# comparison (dims 351-7750, at most 64 steps, so no restart) 100 vectors give
+# the lowest eigenvalue to 4e-15 relative of eigsh at tol=0.  20 vectors (eigsh's
+# default for one eigenvalue) solve them in 70 ms against 98 ms in a fresh
+# process, but their restarts leave the near-degenerate side-5 periodic sector
+# (gap 7e-4) 1.7e-13 off.
+_LANCZOS_BASIS = 100
+_LANCZOS_MATVECS = 5000
 # Smallest sector whose full spectrum is split by its symmetries.  Measured the
 # same way (best of 40, lifts cached; dense eigvalsh whole / split ms): crystal
 # N = 2 blocks split in two by one swap, 190 2.0/4.2, 276 5.5/5.0, 351 9.2/6.6,
@@ -459,23 +467,68 @@ def _dense_eig(block, vectors=False):
     return np.linalg.eigh(dense) if vectors else np.linalg.eigvalsh(dense)
 
 
+def _lanczos(mat, v, tol):
+    """Lowest Ritz pair (theta, x) of the Hermitian sparse mat from start v.
+
+    After the three-term step, each new vector is orthogonalized against the
+    whole basis by classical Gram-Schmidt, repeated once when its norm falls
+    below 1/sqrt(2) of its value (the DGKS test).  Stops on the Ritz estimate
+    |beta_j s_j| <= tol max(|theta|, 1), as eigsh does; a full basis restarts
+    from the Ritz vector.  EigensolverError after _LANCZOS_MATVECS products."""
+    dim = mat.shape[0]
+    m = min(dim, _LANCZOS_BASIS)
+    V = np.empty((m, dim), dtype=np.result_type(mat.dtype, v.dtype))
+    alpha, beta = np.zeros(m), np.zeros(m)
+    V[0] = v / np.linalg.norm(v)
+    j = 0
+    for _ in range(_LANCZOS_MATVECS):
+        w = mat @ V[j]
+        if j:
+            w -= beta[j - 1] * V[j - 1]
+        alpha[j] = np.vdot(V[j], w).real
+        w -= alpha[j] * V[j]
+        before = np.linalg.norm(w)
+        for _ in range(2):
+            h = (V[: j + 1] @ w.conj()).conj()  # V^H w without copying V
+            w -= h @ V[: j + 1]
+            beta[j] = np.linalg.norm(w)
+            if beta[j] >= before / np.sqrt(2.0):
+                break
+            before = beta[j]
+        # the estimate is at most beta_j: test every 4th step, on a full
+        # basis, and wherever beta_j alone passes
+        if (j + 1) % 4 == 0 or j + 1 == m or beta[j] <= tol:
+            theta, S = np.linalg.eigh(
+                np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+            )
+            converged = beta[j] * abs(S[j, 0]) <= tol * max(abs(theta[0]), 1.0)
+            if converged or j + 1 == m:
+                x = S[:, 0] @ V[: j + 1]
+                if converged:
+                    return float(theta[0]), x
+                V[0], j = x / np.linalg.norm(x), 0
+                continue
+        V[j + 1] = w / beta[j]
+        j += 1
+    raise EigensolverError(
+        f"iterative eigensolver failed on dim {dim}: "
+        f"no convergence in {_LANCZOS_MATVECS} matrix-vector products"
+    )
+
+
 def _sector_lowest(mat, dense_cap, tol=1e-9):
     """Lowest eigenvalue of one sector block: eigvalsh up to
     min(dense_cap, _LANCZOS_FROM), seeded Lanczos above."""
     dim = mat.shape[0]
     if dim <= min(dense_cap, _LANCZOS_FROM):
         return float(_dense_eig(mat)[0]), {"solver": "dense", "dim": dim}
-    # fixed start vector: ARPACK's own default carries state across calls
+    # fixed start vector, so the result does not depend on earlier solves
     v0 = np.random.default_rng(dim).standard_normal(dim).astype(mat.dtype)
-    try:
-        vals, vecs = eigsh(mat.tocsc(), k=1, which="SA", tol=tol, maxiter=5000, v0=v0)
-    except Exception as exc:
-        raise EigensolverError(f"iterative eigensolver failed on dim {dim}: {exc}")
-    v = vecs[:, 0]
-    resid = float(np.linalg.norm(mat @ v - vals[0] * v))
-    if resid > max(tol * 100 * max(abs(vals[0]), 1.0), 1e-6):
+    val, v = _lanczos(mat, v0, tol)
+    resid = float(np.linalg.norm(mat @ v - val * v))
+    if resid > max(tol * 100 * max(abs(val), 1.0), 1e-6):
         raise EigensolverError(f"iterative eigensolver residual {resid:g} too large")
-    return float(vals[0]), {"solver": "lanczos", "dim": dim, "residual": resid}
+    return val, {"solver": "lanczos", "dim": dim, "residual": resid}
 
 
 def _lowest_sector(minima, method):
@@ -619,6 +672,24 @@ def ground_state_vector(op, dense_cap=4096):
     return res.value, res.n_star, full
 
 
+def _logsumexp(a):
+    """log(sum(exp(a))) of a 1-d float array, bitwise as
+    scipy.special.logsumexp: with m entries equal to the maximum, the shifted
+    sum s of the others gives log1p(s/m) + log(m) + max; a result that is not
+    finite falls back to log(sum(exp(a)))."""
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = a.max()
+        at_top = a == top
+        m = np.float64(at_top.sum())
+        e = np.exp(a - top)
+        e[at_top] = 0.0  # kept in place: the pairwise sum rounds by position
+        out = np.log1p(e.sum() / m) + np.log(m) + top
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return out
+
+
 class FreeEnergyResult:
     """F = -log(Z)/beta with the exact sector eigenvalue table retained;
     dense_cap bounds the sector blocks gibbs_matrix densifies."""
@@ -633,7 +704,7 @@ class FreeEnergyResult:
         for key, eigs in sector_eigs.items():
             shift = self._mu_charge(key)
             terms.append(-beta * (eigs - shift))
-        self.log_z = float(logsumexp(np.concatenate(terms)))
+        self.log_z = float(_logsumexp(np.concatenate(terms)))
         self.value = -self.log_z / beta
 
     def _mu_charge(self, key):
@@ -960,15 +1031,15 @@ def classical_nuclei_free_energy(
                         + beta * mu_nuc * K
                     )
                     log_terms_relaxed.append(ltr)
-    log_z = float(logsumexp(np.array(log_terms)))
+    log_z = float(_logsumexp(np.array(log_terms)))
     value = -log_z / beta
     truncated = False
     if top_k_terms and K_max >= 1:
-        frac = np.exp(float(logsumexp(np.array(top_k_terms))) - log_z)
+        frac = np.exp(float(_logsumexp(np.array(top_k_terms))) - log_z)
         truncated = frac > truncation_tol
     relaxed = None
     if with_relaxed:
-        relaxed = -float(logsumexp(np.array(log_terms_relaxed))) / beta
+        relaxed = -float(_logsumexp(np.array(log_terms_relaxed))) / beta
     return {
         "value": value,
         "energy": energy,

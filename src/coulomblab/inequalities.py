@@ -655,7 +655,7 @@ def ims_residual(domain, ell_list, tiling=None, r_j_factor=0.5, n_quad=8, field=
             for k, w in tab.items():
                 theta[pos[k], col] = np.sqrt(w)
         defect, _ = ims_defect(T, theta)
-        resid = float(np.linalg.norm(defect, 2))
+        resid = float(np.abs(np.linalg.eigvalsh(defect)).max())  # defect is Hermitian
         reports.append(
             Report(
                 "ims",

@@ -8,7 +8,6 @@ from math import factorial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import schur
 
 from . import fock
 from .fock import FockState, build_space, entropy_of_spectrum, ladder, second_quantize_onebody
@@ -220,6 +219,8 @@ def _localize_diagonal(space, G, q):
 
 def _fock_lift(space, V):
     """Gamma(V) = exp(i dGamma(K)) for the one-body unitary V = exp(iK)."""
+    from scipy.linalg import schur  # only non-diagonal weights get here
+
     T, Z = schur(V, output="complex")  # V is normal, so T is diagonal
     K = (Z * np.angle(np.diag(T))) @ Z.conj().T
     e, X = np.linalg.eigh(second_quantize_onebody(space, (K + K.conj().T) / 2).toarray())

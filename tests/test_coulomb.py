@@ -1,8 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import eigsh
+from scipy.special import logsumexp
 
 from coulomblab import coulomb as C
 from coulomblab import fock as F
@@ -29,6 +36,17 @@ def crystal(side):
 
 
 TWO_NUCLEI = C.NucleiConfig([([0.4, 0.4, 0.4], 2.0), ([1.6, 1.6, 1.6], 2.0)])
+
+# N = 2 sector blocks (dim 351) of side-3 cubes, all above _LANCZOS_FROM: real,
+# complex Hermitian (a magnetic field) and with a degenerate ground state
+LANCZOS_BLOCKS = {
+    "crystal-3": lambda: crystal(3).sector_matrix(2),
+    "field-3": lambda: C.coulomb_hamiltonian(
+        cube(3), TWO_NUCLEI, field=C.MagneticField.constant([0.0, 0.3, 0.8]), n_max=2
+    ).sector_matrix(2),
+    "empty-3": lambda: C.coulomb_hamiltonian(cube(3), C.NucleiConfig.empty(), n_max=2)
+    .sector_matrix(2),
+}
 
 
 class TestKinetic:
@@ -382,6 +400,106 @@ class TestHamiltonianAndGroundState:
         res = C.ground_state_energy(op)
         res_shift = C.ground_state_energy(op.shifted(2.5))
         assert res_shift.value == pytest.approx(res.value + 2.5, abs=1e-12)
+
+
+
+class _CountingMatrix:
+    """A sparse block that counts its matrix-vector products."""
+
+    def __init__(self, mat):
+        self.mat, self.shape, self.dtype, self.products = mat, mat.shape, mat.dtype, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.mat @ x
+
+
+class TestLanczosKernel:
+    """The in-repo Lanczos against eigsh and eigvalsh, kept here as oracles."""
+
+    @pytest.mark.parametrize("name", sorted(LANCZOS_BLOCKS))
+    def test_matches_eigsh_and_eigvalsh(self, name):
+        B = LANCZOS_BLOCKS[name]()
+        assert B.shape[0] > C._LANCZOS_FROM
+        assert (B.dtype == complex) == (name == "field-3")
+        val, info = C._sector_lowest(B, 4096)
+        dense = np.linalg.eigvalsh(B.toarray())
+        arpack = eigsh(B, k=1, which="SA", tol=0)[0][0]
+        for ref in (dense[0], arpack):
+            assert abs(val - ref) <= 1e-12 * max(abs(ref), 1.0)
+        assert info["solver"] == "lanczos"
+        assert info["residual"] <= 1e-7 * max(abs(val), 1.0)
+        if name == "empty-3":
+            assert dense[1] - dense[0] <= 1e-12 * abs(dense[0])
+
+    def test_restart_from_ritz_vector(self, monkeypatch):
+        B = LANCZOS_BLOCKS["crystal-3"]()
+        monkeypatch.setattr(C, "_LANCZOS_BASIS", 12)
+        counted = _CountingMatrix(B)
+        val, info = C._sector_lowest(counted, 4096)
+        assert counted.products > 12 + 1  # the Lanczos steps and one residual product
+        dense = np.linalg.eigvalsh(B.toarray())[0]
+        assert abs(val - dense) <= 1e-12 * abs(dense)
+        assert info["residual"] <= 1e-7 * abs(val)
+
+    def test_exhausted_cap_raises(self, monkeypatch):
+        B = LANCZOS_BLOCKS["crystal-3"]()
+        monkeypatch.setattr(C, "_LANCZOS_MATVECS", 20)
+        counted = _CountingMatrix(B)
+        with pytest.raises(C.EigensolverError, match="^iterative eigensolver failed on dim 351"):
+            C._sector_lowest(counted, 4096)
+        assert counted.products == 20
+
+    def test_minima_independent_of_call_history(self):
+        # the same bits after other solves in this process and in a fresh one
+        names = ("crystal-3", "field-3", "empty-3")
+        blocks = {name: LANCZOS_BLOCKS[name]() for name in names}
+        seen = {name: set() for name in names}
+        for name in names + names[::-1]:
+            seen[name].add(C._sector_lowest(blocks[name], 4096)[0].hex())
+        assert all(len(bits) == 1 for bits in seen.values())
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(here, os.pardir, "src")
+        path = os.pathsep.join(p for p in (here, src, os.environ.get("PYTHONPATH")) if p)
+        code = (
+            "from test_coulomb import C, LANCZOS_BLOCKS\n"
+            f"for name in {names!r}:\n"
+            "    print(C._sector_lowest(LANCZOS_BLOCKS[name](), 4096)[0].hex())\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.split() == [seen[name].pop() for name in names]
+
+
+@st.composite
+def log_terms(draw):
+    """Log-weights as FreeEnergyResult sums them: ties at the maximum and
+    -inf entries among values at scales 1e-2 to 1e4."""
+    n = draw(st.integers(1, 700))
+    scale = draw(st.sampled_from((1e-2, 1e-1, 1.0, 1e2, 1e3, 1e4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.uniform(-1.0, 1.0, n) * scale - draw(st.floats(0.0, 1e3))
+    a[rng.integers(0, n, draw(st.integers(0, 3)))] = a.max()
+    a[rng.integers(0, n, draw(st.integers(0, 3)))] = -np.inf
+    return a
+
+
+class TestLogSumExp:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(log_terms())
+    @example(np.array([0.7]))
+    @example(np.array([-np.inf]))
+    @example(np.array([-np.inf, -np.inf, -np.inf]))
+    @example(np.array([-3.0, -3.0, -3.0]))
+    @example(np.array([2.0, -np.inf, 2.0, 1.0]))
+    @example(np.array([710.0, 709.0, -5.0]))
+    def test_bitwise_equal_to_scipy(self, a):
+        assert float(C._logsumexp(a)).hex() == float(logsumexp(a)).hex()
 
 
 class TestFreeEnergy:

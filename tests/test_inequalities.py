@@ -365,6 +365,25 @@ class TestIms:
         assert max(vals) <= 2.0 * min(vals)
         assert all(r.passed for r in reps)
 
+    @pytest.mark.parametrize("field", [None, C.MagneticField.constant([0.0, 0.3, 0.8])])
+    def test_residual_is_spectral_norm(self, monkeypatch, field):
+        # the defect is Hermitian, so its largest |eigenvalue| is the SVD 2-norm
+        defects = []
+        real = I.ims_defect
+
+        def spy(T, theta):
+            defect, K = real(T, theta)
+            defects.append(defect)
+            return defect, K
+
+        monkeypatch.setattr(I, "ims_defect", spy)
+        reps = I.ims_residual(cube(4), [4.0, 8.0], field=field)
+        assert len(defects) == len(reps) == 2
+        for rep, defect in zip(reps, defects):
+            assert np.abs(defect - defect.conj().T).max() == 0.0
+            ref = np.linalg.norm(defect, 2)
+            assert abs(rep.extras["residual"] - ref) <= 1e-12 * ref
+
 
 class TestTraceInequalities:
     def test_peierls_random_bases(self):

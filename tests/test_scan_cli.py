@@ -5,7 +5,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from coulomblab import coulomb as cb
 from coulomblab import fock
@@ -197,10 +196,8 @@ class TestCli:
             assert out.read_text().startswith("quantity,")
 
     def test_eigensolver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), None)
-
-        monkeypatch.setattr(cb, "eigsh", no_convergence)
+        # two matrix-vector products cannot converge on the dim-8 and dim-28 sectors
+        monkeypatch.setattr(cb, "_LANCZOS_MATVECS", 2)
         cfg = tmp_path / "model.json"
         cfg.write_text(json.dumps({**MODEL_CONFIG, "dense_cap": 2}))  # Lanczos above dim 2
         out = tmp_path / "energy.csv"
@@ -335,14 +332,11 @@ class TestCli:
         assert out1.read_bytes() != out2.read_bytes()
 
 
-def test_cli_import_leaves_quadrature_and_kd_trees_out():
-    # scipy.integrate and scipy.spatial are imported only where they are used
+def _loaded_after_cli_import(modules):
+    """Which of modules a fresh `import coulomblab.cli` has loaded."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = (
-        "import sys, coulomblab.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.spatial') if m in sys.modules])"
-    )
+    code = f"import sys, coulomblab.cli; print([m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
@@ -350,4 +344,15 @@ def test_cli_import_leaves_quadrature_and_kd_trees_out():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_quadrature_and_kd_trees_out():
+    # scipy.integrate and scipy.spatial are imported only where they are used
+    assert _loaded_after_cli_import(("scipy.integrate", "scipy.spatial")) == "[]"
+
+
+def test_cli_import_leaves_dense_linalg_and_special_functions_out():
+    # the Lanczos kernel and logsumexp are numpy; schur is imported where used
+    modules = ("scipy.sparse.linalg", "scipy.linalg", "scipy.special")
+    assert _loaded_after_cli_import(modules) == "[]"
