@@ -3,9 +3,9 @@ quantization, entropy, reduced density matrices, and the tensor-factor
 isomorphism F(H1 + H2) ~ F(H1) (x) F(H2).
 """
 
+import functools
 import itertools
 import json
-from math import comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,24 +32,32 @@ _EIG_FLOOR = 1e-14  # eigenvalues below this are treated as exact zeros in x log
 
 
 class FockSpaceDesc:
-    """Occupation-number basis over n one-body modes.
+    """Fock basis over n one-body modes, stored as orbital lists.
 
     statistics is "fermion" or "boson"; bosons carry a per-mode occupation cap.
     An optional total-particle cap n_max truncates the basis to sectors
-    N <= n_max (the full space otherwise).  Basis order is colex on the
-    occupation tuple (highest mode most significant), so the particle-number
-    sectors interleave deterministically and the vacuum comes first.
+    N <= n_max (the full space otherwise); top = min(n_max, n * per_mode) is
+    the largest particle number.  A basis state is stored as its orbital
+    list: the occupied modes in descending order, mode m repeated n_m times,
+    padded with -1 to width top.  Basis order is colex on the occupation
+    tuple (highest mode most significant), which is lex order on the lists,
+    so the particle-number sectors interleave deterministically and the
+    vacuum comes first.  A list's position has the closed form
+    rank = sum_s counts[p_s, top - s] (the combinatorial number system), with
+    counts[m, t] the occupation rows on m modes with entries <= per_mode and
+    total <= t; index, dGamma(h) and the permutation lifts all rank through
+    it.  The (dim, n) occupation table is derived from the lists on first use.
     """
 
-    def __init__(self, n, statistics, boson_cap, occupations, n_max=None):
+    def __init__(self, n, statistics, boson_cap, lists, counts, n_max=None):
         self.n = n
         self.statistics = statistics
         self.boson_cap = boson_cap
         self.n_max = n_max
-        self.occupations = occupations  # (dim, n) int array, colex order
-        self.dim = occupations.shape[0]
-        self.totals = occupations.sum(axis=1)
-        self._keys = _row_keys(occupations)
+        self.lists = lists  # (dim, top) int16, descending, -1 padded, colex order
+        self.counts = counts  # (n + 2, top + 1) int64, see _count_table
+        self.dim, self.top = lists.shape
+        self.totals = (lists >= 0).sum(axis=1)
         self.sectors = {}
         for N in sorted(set(self.totals.tolist())):
             self.sectors[int(N)] = np.nonzero(self.totals == N)[0]
@@ -63,83 +71,84 @@ class FockSpaceDesc:
     def per_mode(self):
         return 1 if self.is_fermionic else self.boson_cap
 
+    @functools.cached_property
+    def occupations(self):
+        """(dim, n) int16 occupation table, one scatter of the lists."""
+        occ = np.zeros((self.dim, self.n), dtype=np.int16)
+        state, s = np.nonzero(self.lists >= 0)
+        np.add.at(occ, (state, self.lists[state, s]), 1)
+        return occ
+
+    def rank(self, lists):
+        """Basis positions of orbital lists (shape (..., top)) in the basis
+        order: sum_s counts[p_s, top - s]."""
+        return self.counts[lists, np.arange(self.top, 0, -1)].sum(axis=-1)
+
     def index(self, rows):
         """Basis positions of occupation rows (shape (..., n)), -1 for rows
         outside the basis; a single row gives an int."""
         rows = np.asarray(rows)
-        keys = _row_keys(rows)
-        pos = np.minimum(np.searchsorted(self._keys, keys), self.dim - 1)
-        valid = ((rows >= 0) & (rows <= self.per_mode)).all(axis=-1)
-        out = np.where(valid & (self._keys[pos] == keys), pos, -1)
+        above = np.cumsum(rows[..., ::-1], axis=-1)  # particles on modes >= m
+        # p_s is the highest mode with more than s particles on or above it
+        lists = (above[..., None] > np.arange(self.top)).sum(axis=-2) - 1
+        valid = ((rows >= 0) & (rows <= self.per_mode)).all(axis=-1) & (above[..., -1] <= self.top)
+        out = np.where(valid, self.rank(lists), -1)
         return int(out) if out.ndim == 0 else out
 
     def sector_indices(self, N):
         return self.sectors[int(N)]
 
     def vacuum_index(self):
-        return 0  # the all-zero row leads the colex order
+        return 0  # the all-pad list leads the colex order
 
     def __repr__(self):
         cap = "" if self.n_max is None else f", n_max={self.n_max}"
         return f"FockSpaceDesc({self.statistics}, n={self.n}, dim={self.dim}{cap})"
 
 
-def _row_keys(rows):
-    """Byte keys of occupation rows: highest mode first, big-endian uint16, so
-    byte order of the keys is colex order of the rows."""
-    n = rows.shape[-1]
-    return np.ascontiguousarray(rows[..., ::-1], dtype=">u2").view(f"V{2 * n}")[..., 0]
-
-
-def _capped_dimension(n, statistics, boson_cap, n_max):
-    if statistics == "fermion":
-        if n_max is None:
-            return 2 ** n
-        return sum(comb(n, N) for N in range(min(n, n_max) + 1))
-    if n_max is None:
-        return (boson_cap + 1) ** n
-    # compositions of N into n parts each <= boson_cap, summed over N <= n_max
-    counts = [1] + [0] * n_max
-    for _ in range(n):
-        new = [0] * (n_max + 1)
-        for tot in range(n_max + 1):
-            if counts[tot]:
-                for k in range(min(boson_cap, n_max - tot) + 1):
-                    new[tot + k] += counts[tot]
-        counts = new
-    return sum(counts)
+def _count_table(n, per_mode, n_max):
+    """counts[m, t] for m <= n and t <= top = min(n_max, n * per_mode): the
+    occupation rows on m modes with entries <= per_mode and total <= t, as
+    exact integers, so counts[n, top] is the basis dimension.  Row n + 1 is
+    zero, so the list pad -1 adds nothing to a rank."""
+    top = n * per_mode if n_max is None else min(n_max, n * per_mode)
+    counts = np.zeros((n + 2, top + 1), dtype=object)
+    counts[0] = 1
+    for m in range(1, n + 1):
+        for v in range(min(per_mode, top) + 1):
+            counts[m, v:] += counts[m - 1, : top + 1 - v]
+    return counts
 
 
 def build_space(n, statistics="fermion", boson_cap=4, n_max=None, dim_cap=16384):
-    """Enumerate the occupation basis; errors out when the dimension would
+    """Enumerate the orbital-list basis; errors out when the dimension would
     exceed dim_cap."""
     if n < 1:
         raise ValueError("need at least one mode")
     if statistics not in ("fermion", "boson"):
         raise ValueError(f"unknown statistics {statistics!r}")
-    dim = _capped_dimension(n, statistics, boson_cap, n_max)
+    per_mode = 1 if statistics == "fermion" else boson_cap
+    counts = _count_table(n, per_mode, n_max)
+    top = counts.shape[1] - 1
+    dim = counts[n, top]
     if dim > dim_cap:
         raise ValueError(
             f"Fock dimension {dim} exceeds cap {dim_cap} "
             f"(n={n}, statistics={statistics}, n_max={n_max})"
         )
-    per_mode = 1 if statistics == "fermion" else boson_cap
-    top = n * per_mode if n_max is None else min(n_max, n * per_mode)
-    # colex order directly: each new mode is the most significant digit
-    occupations = np.zeros((1, 0), dtype=np.int16)
-    totals = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        blocks, sums = [], []
-        for v in range(per_mode + 1):
-            keep = totals + v <= top
-            block = np.empty((int(keep.sum()), occupations.shape[1] + 1), dtype=np.int16)
-            block[:, :-1] = occupations[keep]
-            block[:, -1] = v
-            blocks.append(block)
-            sums.append(totals[keep] + v)
-        occupations = np.concatenate(blocks)
-        totals = np.concatenate(sums)
-    return FockSpaceDesc(n, statistics, boson_cap, occupations, n_max=n_max)
+    # grow the lists one position at a time: entry s is the pad or a mode
+    # m <= p_(s-1) with m < p_(s-per_mode), at most per_mode repeats; each
+    # list's children come in ascending order, so the lists stay in lex order
+    lists = np.zeros((1, 0), dtype=np.int16)
+    for s in range(top):
+        hi = lists[:, s - 1] if s else np.full(1, n - 1)
+        if s >= per_mode:
+            hi = np.minimum(hi, lists[:, s - per_mode] - 1)
+        width = np.maximum(hi, -1) + 2  # children -1 .. hi
+        parent = np.repeat(np.arange(len(lists)), width)
+        child = np.arange(len(parent)) - np.repeat(np.cumsum(width) - width, width) - 1
+        lists = np.column_stack([lists[parent], child]).astype(np.int16)
+    return FockSpaceDesc(n, statistics, boson_cap, lists, counts.astype(np.int64), n_max=n_max)
 
 
 def ladder(space, mode, kind):
@@ -178,10 +187,13 @@ def ladder(space, mode, kind):
 
 def second_quantize_onebody(space, h):
     """dGamma(h) = sum_ij h_ij adag_i a_j as a sparse matrix, assembled from the
-    occupation table: the diagonal sum_i h_ii n_i, then one pass over the basis
-    per nonzero hop h_ij (i != j), moving a particle from mode j to mode i.  A
-    fermion hop carries the sign (-1)^(below_j + below_i - [j < i]), below_m
-    the occupied modes under m; a boson hop the factor sqrt(n_i + 1) sqrt(n_j)."""
+    basis with no ladder matrices: the diagonal sum_i h_ii n_i from the
+    occupation table, then one vectorized pass over the hops (state b,
+    distinct occupied mode j of b, mode i != j with h_ij != 0 and room for one
+    more particle), each moving a particle from j to i; its target is the rank
+    of b's list with that j replaced by i.  A fermion hop carries the sign
+    (-1)^(below_j + below_i - [j < i]), below_m the occupied modes under m; a
+    boson hop the factor sqrt(n_i + 1) sqrt(n_j)."""
     h = np.asarray(h)
     if h.shape != (space.n, space.n):
         raise ValueError("one-body matrix has wrong shape")
@@ -193,28 +205,39 @@ def second_quantize_onebody(space, h):
     for i in range(space.n):
         diag += h[i, i] * occ[:, i]
     (nz,) = np.nonzero(diag)  # zero entries, such as the vacuum's, stay unstored
-    rows, cols, vals = [nz], [nz], [diag[nz]]
+    lists = space.lists
+    # (b, s): list position s of state b that starts a run of mode j
+    first = lists >= 0
+    first[:, 1:] &= lists[:, 1:] != lists[:, :-1]
+    b, s = np.nonzero(first)
+    j = lists[b, s]
+    # the modes i != j with h_ij != 0, grouped by j in ascending i
+    coupled = h != 0
+    np.fill_diagonal(coupled, False)
+    degree = coupled.sum(axis=0)
+    neighbours = np.nonzero(coupled.T)[1]
+    reps = degree[j]
+    b, s, j = np.repeat(b, reps), np.repeat(s, reps), np.repeat(j, reps)
+    k = np.arange(len(b)) - np.repeat(np.cumsum(reps) - reps, reps)
+    i = neighbours[(np.cumsum(degree) - degree)[j] + k]
+    room = occ[b, i] < space.per_mode
+    b, s, j, i = b[room], s[room], j[room], i[room]
+    src = lists[b]
+    target = src.copy()
+    target[np.arange(len(b)), s] = i
+    dst = space.rank(np.sort(target, axis=1)[:, ::-1])
+    hij = h[i, j]
     if space.is_fermionic:
-        below = np.cumsum(occ, axis=1, dtype=np.int32) - occ
-    for i, j in zip(*np.nonzero(h)):
-        if i == j:
-            continue
-        src = np.nonzero((occ[:, j] > 0) & (occ[:, i] < space.per_mode))[0]
-        target = occ[src]
-        target[:, j] -= 1
-        target[:, i] += 1
-        dst = space.index(target)  # a hop keeps N, so every target is in the basis
-        if space.is_fermionic:
-            odd = (below[src, j] + below[src, i] - (j < i)) % 2
-            vals.append(np.where(odd == 1, -h[i, j], h[i, j]))
-        else:
-            n_i, n_j = occ[src, i].astype(float), occ[src, j].astype(float)
-            # the ladder product's order, so hops match adag_i a_j bit for bit
-            vals.append(np.sqrt(n_i + 1.0) * (h[i, j] * np.sqrt(n_j)))
-        rows.append(dst)
-        cols.append(src)
+        below_j = ((src >= 0) & (src < j[:, None])).sum(axis=1)
+        below_i = ((src >= 0) & (src < i[:, None])).sum(axis=1)
+        odd = (below_j + below_i - (j < i)) % 2
+        vals = np.where(odd == 1, -hij, hij)
+    else:
+        n_i, n_j = occ[b, i].astype(float), occ[b, j].astype(float)
+        # the ladder product's order, so hops match adag_i a_j bit for bit
+        vals = np.sqrt(n_i + 1.0) * (hij * np.sqrt(n_j))
     return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (np.concatenate([diag[nz], vals]), (np.concatenate([nz, dst]), np.concatenate([nz, b]))),
         shape=(space.dim, space.dim),
     )
 
@@ -246,16 +269,19 @@ def permutation_lift(space, sigma):
     pairs p < q that sigma puts in descending order; bosons take sign 1.
     """
     sigma = np.asarray(sigma)
-    occ = space.occupations
-    perm = space.index(occ[:, np.argsort(sigma)])
+    lists = space.lists
+    moved = np.where(lists >= 0, sigma[lists], -1)  # the pad stays -1
+    perm = space.rank(np.sort(moved, axis=1)[:, ::-1])
     if space.is_fermionic:
-        # float products are exact for these integer counts and run on BLAS
-        inverted = np.triu(sigma[:, None] > sigma[None, :], k=1).astype(float)
-        occ = occ.astype(float)
-        sign = np.where(((occ @ inverted) * occ).sum(axis=1) % 2 == 0, 1.0, -1.0)
+        # list positions s < t hold modes p_s > p_t; a pad never counts, as
+        # no moved entry is below -1
+        later = np.triu(np.ones((space.top, space.top), dtype=bool), k=1)
+        inverted = ((moved[:, :, None] < moved[:, None, :]) & later).sum(axis=(1, 2))
+        sign = np.where(inverted % 2 == 0, 1.0, -1.0)
     else:
         sign = np.ones(space.dim)
     return perm, sign
+
 
 
 class FockState:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coulomb as cb
-from .fock import _capped_dimension
+from .fock import _count_table
 from .geometry import build_domain
 
 __all__ = ["ScanSpec", "ScanRow", "ScanResult", "run_scan", "perturbation_compare"]
@@ -137,9 +137,10 @@ def _candidate_positions(domain, per_side):
 
 
 def _estimate_dim(model, n_sites, spec):
-    dim = _capped_dimension(n_sites, "fermion", 1, spec.n_max)
+    # a basis dimension is the count-table entry of all n_sites modes at the cap
+    dim = _count_table(n_sites, 1, spec.n_max)[n_sites, -1]
     if model == "quantum-nuclei":
-        dim *= _capped_dimension(n_sites, "boson", max(1, spec.nuc_max), spec.nuc_max)
+        dim *= _count_table(n_sites, max(1, spec.nuc_max), spec.nuc_max)[n_sites, -1]
     return dim
 
 

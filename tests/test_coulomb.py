@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -941,6 +942,22 @@ class TestChargeFamily:
                 assert np.array_equal(got[key], want[key])
         # each of the six lattice symmetries is lifted at most once on the reused builder
         assert 3 <= sum(space is reused.space for space in calls) <= 6
+
+
+class TestElectronsMemory:
+    def test_side5_assembly_peak(self):
+        """The side-5 cube with n_max = 2 has dim 7876 on 125 modes.  The peak,
+        about 18 MiB, sits in dGamma_2's two (dim, n) float64 arrays; a
+        (dim, n) int64 table kept alive through the assembly, such as ranked
+        occupation rows, adds 7.5 MiB to it."""
+        dom = cube(5)
+        tracemalloc.start()
+        try:
+            C._Electrons(dom, n_max=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * 2 ** 20
 
 
 class TestTwoSpecies:

@@ -100,6 +100,20 @@ class TestBasisIndex:
                 assert np.array_equal(F.ladder(space, mode, kind).toarray(), expect)
 
 
+class TestRank:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(small_spaces())
+    def test_every_list_ranks_to_its_position(self, case):
+        n, statistics, cap, n_max = case
+        space = F.build_space(n, statistics, boson_cap=cap, n_max=n_max)
+        assert space.counts[n, space.top] == space.dim
+        assert np.array_equal(space.rank(space.lists), np.arange(space.dim))
+        # each list is its row's occupied modes, descending, repeated n_m times
+        for occ, lst in zip(space.occupations.tolist(), space.lists.tolist()):
+            modes = [m for m in reversed(range(n)) for _ in range(occ[m])]
+            assert lst == modes + [-1] * (space.top - len(modes))
+
+
 class TestLadder:
     def test_car_relations(self):
         sp = F.build_space(4, "fermion")
@@ -278,6 +292,108 @@ class TestOneBodyAssembly:
         assert np.array_equal(got.indices, ref.indices)
         assert np.array_equal(got.data, ref.data)
         assert (got.data != 0).all()
+
+
+def _byte_keys(rows):
+    """Byte keys of occupation rows: highest mode first, big-endian uint16, so
+    byte order of the keys is colex order of the rows."""
+    n = rows.shape[-1]
+    return np.ascontiguousarray(rows[..., ::-1], dtype=">u2").view(f"V{2 * n}")[..., 0]
+
+
+def byte_key_index(space, rows):
+    """The byte-key basis lookup: one searchsorted over the sorted keys of the
+    occupation table, -1 for rows outside the basis."""
+    keys, row_keys = _byte_keys(space.occupations), _byte_keys(rows)
+    pos = np.minimum(np.searchsorted(keys, row_keys), space.dim - 1)
+    valid = ((rows >= 0) & (rows <= space.per_mode)).all(axis=-1)
+    return np.where(valid & (keys[pos] == row_keys), pos, -1)
+
+
+def per_hop_onebody(space, h):
+    """dGamma(h) as one pass over the occupation table per nonzero hop h_ij,
+    each target found by byte_key_index: the reference for the one-pass
+    assembly, entry for entry."""
+    h = h.astype(complex if np.iscomplexobj(h) else float)
+    occ = space.occupations
+    diag = np.zeros(space.dim, dtype=h.dtype)
+    for i in range(space.n):
+        diag += h[i, i] * occ[:, i]
+    (nz,) = np.nonzero(diag)
+    rows, cols, vals = [nz], [nz], [diag[nz]]
+    below = np.cumsum(occ, axis=1, dtype=np.int32) - occ
+    for i, j in zip(*np.nonzero(h)):
+        if i == j:
+            continue
+        src = np.nonzero((occ[:, j] > 0) & (occ[:, i] < space.per_mode))[0]
+        target = occ[src]
+        target[:, j] -= 1
+        target[:, i] += 1
+        if space.is_fermionic:
+            odd = (below[src, j] + below[src, i] - (j < i)) % 2
+            vals.append(np.where(odd == 1, -h[i, j], h[i, j]))
+        else:
+            n_i, n_j = occ[src, i].astype(float), occ[src, j].astype(float)
+            vals.append(np.sqrt(n_i + 1.0) * (h[i, j] * np.sqrt(n_j)))
+        rows.append(byte_key_index(space, target))
+        cols.append(src)
+    return sps.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(space.dim, space.dim),
+    )
+
+
+def permuted_table_lift(space, sigma):
+    """(perm, sign) of Gamma(sigma) from the permuted occupation table and
+    byte_key_index, the fermion sign from an inversion matrix."""
+    occ = space.occupations
+    perm = byte_key_index(space, occ[:, np.argsort(sigma)])
+    if not space.is_fermionic:
+        return perm, np.ones(space.dim)
+    inverted = np.triu(sigma[:, None] > sigma[None, :], k=1).astype(float)
+    occ = occ.astype(float)
+    return perm, np.where(((occ @ inverted) * occ).sum(axis=1) % 2 == 0, 1.0, -1.0)
+
+
+def oracle_spaces(statistics, cap, n_top):
+    """Every space on 1 .. n_top modes with every n_max from 0 to n * cap and
+    None."""
+    for n in range(1, n_top + 1):
+        for n_max in [None, *range(n * cap + 1)]:
+            yield F.build_space(n, statistics, boson_cap=cap, n_max=n_max)
+
+
+ORACLE_CASES = [("fermion", 1, 6), ("boson", 1, 4), ("boson", 2, 4), ("boson", 3, 4)]
+
+
+class TestAssemblyOracle:
+    @pytest.mark.parametrize("statistics, cap, n_top", ORACLE_CASES)
+    @pytest.mark.parametrize("complex_h", [False, True])
+    def test_onebody_bitwise_equals_per_hop(self, statistics, cap, n_top, complex_h):
+        rng = np.random.default_rng(10 * cap + complex_h)
+        for space in oracle_spaces(statistics, cap, n_top):
+            n = space.n
+            # entries from a small set, so some hops vanish and some diagonal
+            # sums cancel to zero
+            h = rng.choice([0.0, 0.0, 1.0, -1.0, 0.5, rng.standard_normal()], size=(n, n))
+            if complex_h:
+                h = h + 1j * rng.choice([0.0, 1.0, -2.0, rng.standard_normal()], size=(n, n))
+            h = h + h.conj().T
+            got, ref = F.second_quantize_onebody(space, h), per_hop_onebody(space, h)
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert got.data.tobytes() == ref.data.tobytes()
+
+    @pytest.mark.parametrize("statistics, cap, n_top", ORACLE_CASES)
+    def test_lift_equals_permuted_table(self, statistics, cap, n_top):
+        rng = np.random.default_rng(cap)
+        for space in oracle_spaces(statistics, cap, n_top):
+            for sigma in (np.arange(space.n)[::-1], rng.permutation(space.n)):
+                perm, sign = F.permutation_lift(space, sigma)
+                ref_perm, ref_sign = permuted_table_lift(space, sigma)
+                assert np.array_equal(perm, ref_perm)
+                assert np.array_equal(sign, ref_sign)
 
 
 class TestPermutationLift:
