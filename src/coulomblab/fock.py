@@ -283,7 +283,6 @@ def permutation_lift(space, sigma):
     return perm, sign
 
 
-
 class FockState:
     """Density matrix on a Fock space (Hermitian, PSD, unit trace)."""
 
