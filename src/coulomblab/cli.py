@@ -127,19 +127,17 @@ def _run_lieb_yau(cfg):
             )
             rows.append(report_row(rep, config=str(i)))
         return rows
-    reps = ineq.lieb_yau_suite(
-        cfg["n_configs"],
+    suite = dict(
         seed=cfg["seed"],
         n_max=cfg.get("n_max", 8),
         k_max=cfg.get("k_max", 8),
         z_max=cfg.get("z_max", 3.0),
     )
+    reps = ineq.lieb_yau_suite(cfg["n_configs"], **suite)
     rows = [report_row(r, config=str(i)) for i, r in enumerate(reps)]
     if cfg.get("baxter", True):
-        for i, r in enumerate(
-            ineq.lieb_yau_suite(cfg["n_configs"], seed=cfg["seed"], baxter=True)
-        ):
-            rows.append(report_row(r, config=str(i)))
+        reps = ineq.lieb_yau_suite(cfg["n_configs"], baxter=True, **suite)
+        rows += [report_row(r, config=str(i)) for i, r in enumerate(reps)]
     return rows
 
 

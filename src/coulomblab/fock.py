@@ -247,16 +247,22 @@ def second_quantize_twobody(space, w):
 
     Returns the diagonal operator (1/2) sum_{p != q} w_pq n_p n_q
     + (1/2) sum_p w_pp n_p (n_p - 1); the on-site term vanishes identically
-    for fermions.
+    for fermions.  A state's entry is the sum over its particle pairs, list
+    positions s < t, of w[p_s, p_t] (a boson mode's repeats give its on-site
+    terms), added in ascending order: a symmetry of w permutes the terms, so
+    it leaves the entries bitwise unchanged.
     """
     w = np.asarray(w, dtype=float)
     if w.shape != (space.n, space.n):
         raise ValueError("pair kernel has wrong shape")
     if np.abs(w - w.T).max() > 1e-12:
         raise ValueError("pair kernel must be symmetric")
-    occ = space.occupations.astype(float)
-    quad = ((occ @ w) * occ).sum(axis=1)
-    diag = 0.5 * (quad - occ @ np.diag(w))
+    diag = np.zeros(space.dim)
+    for N, rows in space.sectors.items():
+        if N >= 2:
+            s, t = np.triu_indices(N, 1)
+            lists = space.lists[rows, :N]
+            diag[rows] = np.sort(w[lists[:, s], lists[:, t]], axis=1).sum(axis=1)
     return sp.diags(diag).tocsr()
 
 

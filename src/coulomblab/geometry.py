@@ -302,6 +302,11 @@ _CANONICAL_TETRA = np.array(
 # located by the face margins themselves (max margin, lowest chamber index).
 _TIE_GAP = 1e-9
 
+# Near-tie points are settled this many at a time: each chunk's projections
+# take (chunk, 96) doubles, so a lattice-aligned point cloud, where a fifth
+# of the points can sit on a tie, keeps a working set of a few MiB.
+_TIE_CHUNK = 4096
+
 
 def _chamber_codes(px, py, pz):
     """Codes 0..63 (uint8) of cell points given as coordinate columns, and the
@@ -362,8 +367,9 @@ class Tiling:
             nrm, off = _tetra_halfspaces(verts)
             normals.append(nrm)
             offsets.append(off)
-        self._normals = np.array(normals)  # (24, 4, 3)
-        self._offsets = np.array(offsets)  # (24, 4)
+        # face-major: entry f * 24 + m holds face f of chamber m
+        self._normals = np.array(normals).transpose(1, 0, 2).reshape(-1, 3)  # (96, 3)
+        self._offsets = np.array(offsets).T.reshape(1, -1)  # (1, 96)
         # the shifted canonical tile must contain the origin
         nrm0, off0 = _tetra_halfspaces(_CANONICAL_TETRA)
         if (off0 - nrm0 @ (-self.shift)).min() <= 0:
@@ -384,11 +390,12 @@ class Tiling:
     # -- point location -----------------------------------------------------
 
     def chamber_margins(self, p):
-        """Min face margin of each chamber for cube-frame points p (P, 3)."""
-        flat_n = self._normals.reshape(-1, 3)  # (96, 3)
-        proj = p @ flat_n.T
-        margins = self._offsets.reshape(1, -1) - proj
-        return margins.reshape(p.shape[0], 24, 4).min(axis=2)
+        """Min face margin of each chamber for cube-frame points p (P, 3),
+        the minimum of four contiguous (P, 24) face blocks."""
+        margins = self._offsets - p @ self._normals.T  # (P, 96)
+        out = np.minimum(margins[:, :24], margins[:, 24:48])
+        np.minimum(out, margins[:, 48:72], out=out)
+        return np.minimum(out, margins[:, 72:], out=out)
 
     def locate(self, points, scale=None, g=None):
         """Tile keys (chamber, ux, uy, uz) for each point, ties resolved to
@@ -409,7 +416,7 @@ class Tiling:
 
         The chamber is read from the order and the signs of the cell
         coordinates; points within _TIE_GAP of a tie (or NaN) take the margin
-        argmax."""
+        argmax, _TIE_CHUNK of them at a time."""
         scale = self.scale if scale is None else float(scale)
         cells, local = [], []
         for col, v in zip((x, y, z), self.shift):
@@ -422,8 +429,10 @@ class Tiling:
         codes, gap = _chamber_codes(*local)
         chamber = self._chamber_of_code[codes]
         near = np.nonzero(~(gap >= _TIE_GAP))[0]
-        p = np.stack([c[near] for c in local], axis=1)
-        chamber[near] = self.chamber_margins(p).argmax(axis=1)
+        for start in range(0, len(near), _TIE_CHUNK):
+            rows = near[start : start + _TIE_CHUNK]
+            p = np.stack([c[rows] for c in local], axis=1)
+            chamber[rows] = self.chamber_margins(p).argmax(axis=1)
         return (chamber, *cells)
 
     def multiplicity(self, points, scale=None, g=None, tol=1e-9):
@@ -564,7 +573,7 @@ def tile_weight_table(tiling, points, scale, g=None, r_j=0.1, n_quad=16):
     nodes, w = _mollifier_nodes(r_j, n_quad)
     P, K = pts.shape[0], nodes.shape[0]
     tables = [dict() for _ in range(P)]
-    chunk = max(1, 250_000 // K)
+    chunk = max(1, 32_768 // K)  # offsets per chunk: a few MiB of keys and sort orders
     for start in range(0, P, chunk):
         block = pts[start : start + chunk]
         offs = (block[:, None, :] - nodes[None, :, :]).reshape(-1, 3)

@@ -169,42 +169,73 @@ def lieb_yau_gap(electrons, nuclei=None, z=1.0, baxter=False):
         electrons, nuclei = cfg.electrons, cfg.nuclei
     electrons = np.asarray(electrons, dtype=float).reshape(-1, 3)
     nuclei = np.asarray(nuclei, dtype=float).reshape(-1, 3)
-    N, K = len(electrons), len(nuclei)
-    if N < 1 or K < 1:
+    if len(electrons) < 1 or len(nuclei) < 1:
         raise ValueError("need at least one electron and one nucleus")
-    d = _pairwise_dist(np.vstack([electrons, nuclei]))
-    d_en = d[:N, N:]
-    if d_en.min() < 1e-14:
-        return Report("lieb_yau", np.inf, 0.0, extras={"coincident": True})
-    lhs = 0.0
-    if N > 1:
-        lhs += float((1.0 / d[:N, :N][_upper_pairs(N)]).sum())
-    lhs -= float((z / d_en).sum())
-    d_nn = d[N:, N:]
-    if K > 1:
-        lhs += float((z * z / d_nn[_upper_pairs(K)]).sum())
-    delta_e = d_en.min(axis=1)
-    if baxter:
-        rhs = -float(((1.0 + 2.0 * z) / delta_e).sum())
-    else:
-        rhs = -float(((z + np.sqrt(2.0 * z) + 0.5) / delta_e).sum())
-        # delta_R(R_k): the nearest other nucleus, +inf when there is none
-        delta_n = np.where(d_nn > 1e-14, d_nn, np.inf).min(axis=1)
-        rhs += (z * z / 4.0) * sum(1.0 / d for d in delta_n[np.isfinite(delta_n)].tolist())
+    z = np.array([z], dtype=float)
+    return _lieb_yau_reports(electrons[None], nuclei[None], z, baxter)[0]
+
+
+def _lieb_yau_reports(electrons, nuclei, z, baxter):
+    """lieb_yau_gap of G configurations with the same N and K, given as
+    electrons (G, N, 3), nuclei (G, K, 3) and charges z (G,).
+
+    Each report has the bits of the configuration evaluated alone: every
+    pair sum reduces one C-contiguous row (hence the ascontiguousarray after
+    each fancy gather), and the nuclear sum of 1/delta_R adds one column at a
+    time, left to right, the way the sequential sum over nuclei does."""
+    G, N, K = electrons.shape[0], electrons.shape[1], nuclei.shape[1]
+    d_en = np.linalg.norm(electrons[:, :, None, :] - nuclei[:, None, :, :], axis=-1)
+    d_nn = np.linalg.norm(nuclei[:, :, None, :] - nuclei[:, None, :, :], axis=-1)
+    lhs = np.zeros(G)
+    # a coincident pair gives inf, or nan in a sum the coincident report replaces
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if N > 1:
+            i, j = _upper_pairs(N)
+            diff = np.ascontiguousarray(electrons[:, i]) - np.ascontiguousarray(electrons[:, j])
+            lhs += (1.0 / np.linalg.norm(diff, axis=-1)).sum(axis=1)
+        lhs -= (z[:, None, None] / d_en).reshape(G, -1).sum(axis=1)
+        if K > 1:
+            i, j = _upper_pairs(K)
+            lhs += ((z * z)[:, None] / np.ascontiguousarray(d_nn[:, i, j])).sum(axis=1)
+        delta_e = d_en.min(axis=2)
+        if baxter:
+            rhs = -((1.0 + 2.0 * z)[:, None] / delta_e).sum(axis=1)
+        else:
+            rhs = -((z + np.sqrt(2.0 * z) + 0.5)[:, None] / delta_e).sum(axis=1)
+            # delta_R(R_k): the nearest other nucleus; +inf when there is none
+            # adds 1/inf = 0, which leaves the running sum exact
+            delta_n = np.where(d_nn > 1e-14, d_nn, np.inf).min(axis=2)
+            inv = np.zeros(G)
+            for k in range(K):
+                inv += 1.0 / delta_n[:, k]
+            rhs += (z * z / 4.0) * inv
+    coincident = d_en.min(axis=(1, 2)) < 1e-14
     name = "baxter" if baxter else "lieb_yau"
-    return Report(name, lhs, rhs)
+    return [
+        Report("lieb_yau", np.inf, 0.0, extras={"coincident": True})
+        if c
+        else Report(name, left, right)
+        for c, left, right in zip(coincident.tolist(), lhs.tolist(), rhs.tolist())
+    ]
 
 
 def lieb_yau_suite(n_configs, seed=0, n_max=8, k_max=8, z_max=3.0, baxter=False):
+    """lieb_yau_gap of n_configs seeded random configurations.  Every draw is
+    made first, in the per-configuration order N, K, z, electrons, nuclei;
+    the configurations are then evaluated grouped by (N, K)."""
     rng = np.random.default_rng(seed)
-    reports = []
-    for _ in range(n_configs):
+    draws, groups = [], {}
+    for c in range(n_configs):
         N = int(rng.integers(1, n_max + 1))
         K = int(rng.integers(1, k_max + 1))
         z = float(rng.uniform(0.05, z_max))
-        electrons = rng.uniform(-2, 2, size=(N, 3))
-        nuclei = rng.uniform(-2, 2, size=(K, 3))
-        reports.append(lieb_yau_gap(electrons, nuclei, z, baxter=baxter))
+        draws.append((z, rng.uniform(-2, 2, size=(N, 3)), rng.uniform(-2, 2, size=(K, 3))))
+        groups.setdefault((N, K), []).append(c)
+    reports = [None] * n_configs
+    for members in groups.values():
+        z, electrons, nuclei = (np.array(col) for col in zip(*(draws[c] for c in members)))
+        for c, rep in zip(members, _lieb_yau_reports(electrons, nuclei, z, baxter)):
+            reports[c] = rep
     return reports
 
 
@@ -347,32 +378,21 @@ def smooth_gs_check(
     prods = (np.outer(charges, charges)[iu] / d) if n >= 2 else np.zeros(0)
     w_pairs = float((np.outer(charges, charges)[iu] * w_kernel(d)).sum()) if n >= 2 else 0.0
     nodes, wts = _mollifier_nodes(r_j, n_quad)
+    offs = (pts[:, None, :] - nodes[None, :, :]).reshape(-1, 3)
+    chunk = max(1, 32_768 // len(offs))  # samples per chunk: a few MiB of keys
     ratios, sigmas = [], []
     per_ell_weight_stats = []
     for j, ell in enumerate(ell_list):
         rng = np.random.default_rng([seed, 13, j])
         R, u = _sample_motions(rng, samples, ell)
-        offs = (pts[:, None, :] - nodes[None, :, :]).reshape(-1, 3)
         vals = np.empty(samples)
         max_weight = 0.0
-        for s in range(samples):
-            Y = (offs - u[s]) @ R[s]
-            keys = tiling.locate_packed(Y, scale=ell).reshape(n, -1)
-            tabs = []
-            for p in range(n):
-                tab = {}
-                for k, wt in zip(keys[p].tolist(), wts):
-                    tab[k] = tab.get(k, 0.0) + wt
-                tabs.append(tab)
-            tot = 0.0
-            for (i, jx), pr in zip(zip(*iu), prods):
-                ta, tb = tabs[i], tabs[jx]
-                if len(tb) < len(ta):
-                    ta, tb = tb, ta
-                wgt = sum(v * tb.get(k, 0.0) for k, v in ta.items())
-                max_weight = max(max_weight, wgt)
-                tot += pr * wgt
-            vals[s] = tot
+        for start in range(0, samples, chunk):
+            Y = (offs[None] - u[start : start + chunk, None, :]) @ R[start : start + chunk]
+            keys = tiling.locate_packed(Y.reshape(-1, 3), scale=ell)
+            pair = _smooth_pair_weights(keys, n, wts, iu)
+            vals[start : start + chunk] = pair @ prods
+            max_weight = max(max_weight, float(pair.max(initial=0.0)))
         D_s = vals - full
         D = float(D_s.mean())
         sig = float(D_s.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
@@ -393,6 +413,28 @@ def smooth_gs_check(
             )
         )
     return reports
+
+
+def _smooth_pair_weights(keys, n, wts, iu):
+    """Smoothed same-tile weights sum_mu theta_mu^2(x_i) theta_mu^2(x_j) of the
+    pairs iu, one row per sample, from the packed tile keys of every
+    (sample, point, node) offset in that order.  The offsets sharing a sample
+    and a tile form one group; a point's weight in a group sums its nodes'
+    quadrature weights there, and a pair's weight sums over the groups of
+    its sample the product of the two points' weights."""
+    per_sample = n * len(wts)
+    sample = np.arange(len(keys)) // per_sample
+    order = np.lexsort((keys, sample))
+    keys, sample = keys[order], sample[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]) | (sample[1:] != sample[:-1])
+    group = np.cumsum(new) - 1
+    point = order % per_sample // len(wts)
+    weights = np.bincount(
+        group * n + point, weights=wts[order % len(wts)], minlength=(group[-1] + 1) * n
+    ).reshape(-1, n)
+    first = np.searchsorted(sample[new], np.arange(len(keys) // per_sample))
+    return np.add.reduceat(weights[:, iu[0]] * weights[:, iu[1]], first, axis=0)
 
 
 # ---------------------------------------------------------------------------

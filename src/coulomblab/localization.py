@@ -392,9 +392,30 @@ def cq_localize(rho, q, theta, k_max=None, warn_tol=1e-8):
         raise ValueError("theta must give one value per classical cell")
     if np.any(theta < -1e-12) or np.any(theta > 1 + 1e-12):
         raise ValueError("theta must take values in [0, 1]")
+    K_top = rho.K_max if k_max is None else min(k_max, rho.K_max)
+    stack, weights = _cq_absorbed(rho, theta, K_top)
+    # every block of every sector in one stack, localized in one call
+    localized = weights[:, None, None] * localize_positive_operator(rho.space, stack, q)
+    m, D = rho.n_cells, rho.space.dim
+    ends = np.cumsum([m ** K for K in range(K_top + 1)])
+    out = {
+        K: block.reshape((m,) * K + (D, D))
+        for K, block in enumerate(np.split(localized, ends[:-1]))
+    }
+    result = CQState(rho.space, rho.cell_volume, out, validate=False)
+    result.truncation_warning = (
+        K_top < rho.K_max and abs(result.mass() - rho.mass()) > warn_tol
+    )
+    return result
+
+
+def _cq_absorbed(rho, theta, K_top):
+    """The blocks of sectors K = 0 .. K_top with their absorbed coordinates
+    summed out against eta^2 = 1 - theta^2, as one (sum_K m^K, D, D) stack in
+    sector then itertools.product order, and the theta^2 product weight of
+    each kept tuple in the same order."""
     eta_sq = np.clip(1.0 - theta ** 2, 0.0, 1.0)
     th_sq = np.clip(theta, 0.0, 1.0) ** 2
-    K_top = rho.K_max if k_max is None else min(k_max, rho.K_max)
     h = rho.cell_volume
     D = rho.space.dim
     m = rho.n_cells
@@ -418,25 +439,18 @@ def cq_localize(rho, q, theta, k_max=None, warn_tol=1e-8):
         weight = np.ones(())
         for _ in range(K):
             weight = np.multiply.outer(weight, th_sq)
-        accs.append(acc)
-        weights.append(weight)
-    # every block of every sector in one stack, localized in one call
-    stack = np.concatenate([acc.reshape(-1, D, D) for acc in accs])
-    ends = np.cumsum([w.size for w in weights])
-    localized = np.split(localize_positive_operator(rho.space, stack, q), ends[:-1])
-    out = {
-        K: w[..., None, None] * block.reshape(acc.shape)
-        for K, (acc, w, block) in enumerate(zip(accs, weights, localized))
-    }
-    result = CQState(rho.space, h, out, validate=False)
-    result.truncation_warning = (
-        K_top < rho.K_max and abs(result.mass() - rho.mass()) > warn_tol
-    )
-    return result
+        accs.append(acc.reshape(-1, D, D))
+        weights.append(weight.reshape(-1))
+    return np.concatenate(accs), np.concatenate(weights)
 
 
 def cq_ssa_gap(rho, q_weights, thetas, P1, P2, P3, tol=1e-9):
-    """Strong subadditivity gap for classical-quantum localized states."""
+    """Strong subadditivity gap for classical-quantum localized states.
+
+    The absorbed, theta-weighted block stacks of the four index sets are
+    localized together (in one channel call for diagonal weights) and their
+    spectra taken in one eigvalsh; each entropy has the bits of
+    cq_entropy(cq_localize(...)) of its set alone."""
     thetas = [np.asarray(t, dtype=float) for t in thetas]
     total = sum(t ** 2 for t in thetas)
     if np.abs(total - 1.0).max() > 1e-10:
@@ -452,15 +466,22 @@ def cq_ssa_gap(rho, q_weights, thetas, P1, P2, P3, tol=1e-9):
         return np.sqrt(np.clip(sum(thetas[i] ** 2 for i in P), 0.0, 1.0))
 
     ws = _validated_family(q_weights)
-    ent = {}
-    for name, P in (
-        ("12", sets[0] | sets[1]),
-        ("23", sets[1] | sets[2]),
-        ("2", sets[1]),
-        ("123", sets[0] | sets[1] | sets[2]),
-    ):
-        P = sorted(P)
-        ent[name] = cq_entropy(cq_localize(rho, _family_weight(ws, P), theta_P(P)))
+    names = ("12", "23", "2", "123")
+    index_sets = [
+        sorted(P)
+        for P in (sets[0] | sets[1], sets[1] | sets[2], sets[1], sets[0] | sets[1] | sets[2])
+    ]
+    qs = [_family_weight(ws, P) for P in index_sets]
+    stacks, weights = zip(*(_cq_absorbed(rho, theta_P(P), rho.K_max) for P in index_sets))
+    if all(q.diagonal is not None for q in qs):
+        diag = np.array([q.diagonal for q in qs])[:, None, :]
+        localized = _localize_diagonal(rho.space, np.array(stacks), diag)
+    else:
+        localized = np.array(
+            [localize_positive_operator(rho.space, M, q) for M, q in zip(stacks, qs)]
+        )
+    spectra = np.linalg.eigvalsh(np.array(weights)[:, :, None, None] * localized)
+    ent = {name: _cq_stack_entropy(rho, lams) for name, lams in zip(names, spectra)}
     return Report(
         "ssa_cq",
         lhs=ent["12"] + ent["23"],
@@ -468,6 +489,20 @@ def cq_ssa_gap(rho, q_weights, thetas, P1, P2, P3, tol=1e-9):
         tol=tol,
         extras={"entropies": ent},
     )
+
+
+def _cq_stack_entropy(rho, spectra):
+    """cq_entropy of a localized state given the spectra of its blocks in
+    _cq_absorbed order, summed in cq_entropy's order."""
+    total = entropy_of_spectrum(spectra[0])
+    start = 1
+    for K in range(1, rho.K_max + 1):
+        weight = rho.cell_volume ** K / factorial(K)
+        end = start + rho.n_cells ** K
+        for lam in spectra[start:end]:
+            total += weight * entropy_of_spectrum(lam)
+        start = end
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -946,9 +946,10 @@ class TestChargeFamily:
 
 class TestElectronsMemory:
     def test_side5_assembly_peak(self):
-        """The side-5 cube with n_max = 2 has dim 7876 on 125 modes.  The peak,
-        about 18 MiB, sits in dGamma_2's two (dim, n) float64 arrays; a
-        (dim, n) int64 table kept alive through the assembly, such as ranked
+        """The side-5 cube with n_max = 2 has dim 7876 on 125 modes.  The peak
+        is about 12.5 MiB since dGamma_2 sums its pair terms from the orbital
+        lists (it was 18.3 MiB with two (dim, n) float64 arrays); a (dim, n)
+        int64 table kept alive through the assembly, such as ranked
         occupation rows, adds 7.5 MiB to it."""
         dom = cube(5)
         tracemalloc.start()

@@ -6,6 +6,7 @@ import scipy.sparse as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coulomblab import coulomb as C
 from coulomblab import fock as F
 from coulomblab import geometry as G
 
@@ -394,6 +395,54 @@ class TestAssemblyOracle:
                 ref_perm, ref_sign = permuted_table_lift(space, sigma)
                 assert np.array_equal(perm, ref_perm)
                 assert np.array_equal(sign, ref_sign)
+
+
+def occupation_pair_diagonal(space, w):
+    """The dGamma_2 diagonal from the float (dim, n) occupation table and
+    occ @ w, as assembled before the orbital-list sums; kept as their
+    oracle."""
+    occ = space.occupations.astype(float)
+    quad = ((occ @ w) * occ).sum(axis=1)
+    return 0.5 * (quad - occ @ np.diag(w))
+
+
+def cube_symmetries(dom):
+    """Site permutations of the 48 symmetries of a cube domain about its
+    centre."""
+    centred = 2 * dom.idx - (dom.idx.min(axis=0) + dom.idx.max(axis=0))
+    index = {tuple(r): i for i, r in enumerate(centred.tolist())}
+    out = []
+    for axes in itertools.permutations(range(3)):
+        for signs in itertools.product((1, -1), repeat=3):
+            image = centred[:, list(axes)] * np.array(signs)
+            out.append(np.array([index[tuple(r)] for r in image.tolist()]))
+    return out
+
+
+class TestPairDiagonal:
+    @pytest.mark.parametrize("statistics, cap, n_top", ORACLE_CASES)
+    def test_matches_occupation_table(self, statistics, cap, n_top):
+        rng = np.random.default_rng(20 + cap)
+        for space in oracle_spaces(statistics, cap, n_top):
+            w = rng.standard_normal((space.n, space.n))
+            w = w + w.T
+            got = F.second_quantize_twobody(space, w)
+            ref = occupation_pair_diagonal(space, w)
+            assert got.shape == (space.dim, space.dim) and got.nnz <= space.dim
+            assert np.abs(got.diagonal() - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("statistics", ["fermion", "boson"])
+    def test_bitwise_invariant_under_kernel_symmetries(self, statistics):
+        dom = G.build_domain({"shape": "cube", "side": 3.0}, 1.0)
+        W = C.coulomb_kernel(dom)
+        space = F.build_space(dom.n_sites, statistics, boson_cap=3, n_max=3)
+        diag = F.second_quantize_twobody(space, W).diagonal()
+        sigmas = cube_symmetries(dom)
+        assert len(sigmas) == 48
+        for sigma in sigmas:
+            assert np.array_equal(W[np.ix_(sigma, sigma)], W)
+            perm, _ = F.permutation_lift(space, sigma)
+            assert diag[perm].tobytes() == diag.tobytes()
 
 
 class TestPermutationLift:

@@ -302,11 +302,21 @@ def strided_keys(tiling, points, scale, g=None):
     gap = np.minimum(np.minimum(np.abs(ax - ay), np.abs(ax - az)), np.abs(ay - az))
     chamber = tiling._chamber_of_code[codes]
     near = np.nonzero(~(gap >= G._TIE_GAP))[0]
-    chamber[near] = tiling.chamber_margins(p[near]).argmax(axis=1)
+    chamber[near] = strided_margins(tiling, p[near]).argmax(axis=1)
     keys = np.empty((pts.shape[0], 4), dtype=np.int64)
     keys[:, 0] = chamber
     keys[:, 1:] = u.astype(np.int64)
     return keys
+
+
+def strided_margins(tiling, p):
+    """Min face margins from one (P, 96) chamber-major margin matrix and a
+    strided min over its faces, all points at once: the form the face-major
+    blocks replaced, kept as their oracle."""
+    normals = tiling._normals.reshape(4, 24, 3).transpose(1, 0, 2).reshape(-1, 3)
+    offsets = tiling._offsets.reshape(4, 24).T.reshape(1, -1)
+    margins = offsets - p @ normals.T
+    return margins.reshape(p.shape[0], 24, 4).min(axis=2)
 
 
 def strided_pack(keys):
@@ -353,6 +363,45 @@ class TestColumnLocator:
             assert np.array_equal(packed, strided_pack(ref))
             assert np.array_equal(columns, packed)
             assert np.array_equal(G.pack_keys(keys), packed)
+
+
+class TestTieChunks:
+    """Near-tie points are settled _TIE_CHUNK at a time by face-major margin
+    blocks; keys and margins stay bitwise those of the one-shot strided
+    margins."""
+
+    def test_margins_match_strided(self):
+        tiling = G.unit_cube_tiling()
+        rng = np.random.default_rng(5)
+        ties = tie_cell_points(rng, 400)
+        p = np.vstack([ties, ties + 1e-12 * rng.choice([-1.0, 1.0], size=ties.shape)])
+        p = np.vstack([p, rng.uniform(-0.5, 0.5, size=(20000, 3))])
+        assert tiling.chamber_margins(p).tobytes() == strided_margins(tiling, p).tobytes()
+
+    def test_more_than_three_chunks_of_ties(self):
+        tiling = G.unit_cube_tiling()
+        rng = np.random.default_rng(6)
+        ties = tie_cell_points(rng, 300)
+        ties = ties + 1e-12 * rng.choice([-1.0, 0.0, 1.0], size=ties.shape)
+        cells = rng.integers(-3, 4, size=ties.shape)
+        pts = np.vstack([4.0 * (ties + cells + tiling.shift), rng.uniform(-20, 20, size=(5000, 3))])
+        pts = pts[rng.permutation(len(pts))]
+        w = pts / 4.0 - tiling.shift
+        _, gap = G._chamber_codes(*(w - np.rint(w)).T)
+        assert (gap < G._TIE_GAP).sum() > 3 * G._TIE_CHUNK
+        for g in (None, G.sample_group(6, 1)[0]):
+            ref = strided_keys(tiling, pts, 4.0, g)
+            assert np.array_equal(tiling.locate_packed(pts, scale=4.0, g=g), strided_pack(ref))
+
+    @pytest.mark.parametrize("ell", [4.0, 8.0, 16.0])
+    def test_ims_grid(self, ell):
+        # the mollifier offsets ims_residual locates on the side-6 cube
+        dom = G.build_domain({"shape": "cube", "side": 6.0}, 1.0)
+        nodes, _ = G._mollifier_nodes(0.5 * np.sqrt(ell), 8)
+        pts = (dom.points[:, None, :] - nodes[None, :, :]).reshape(-1, 3)
+        tiling = G.unit_cube_tiling()
+        ref = strided_keys(tiling, pts, ell)
+        assert np.array_equal(tiling.locate_packed(pts, scale=ell), strided_pack(ref))
 
 
 class TestGroupSampling:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,25 @@ class TestLiebYauOracle:
                 cases += 1
         assert cases >= 500
 
+    def test_suite_matches_per_config_bitwise(self):
+        # the suite evaluates (N, K) groups; replay its draws one by one
+        for baxter in (False, True):
+            reps = I.lieb_yau_suite(300, seed=13, baxter=baxter)
+            rng = np.random.default_rng(13)
+            shapes = set()
+            for rep in reps:
+                N, K = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+                z = float(rng.uniform(0.05, 3.0))
+                electrons = rng.uniform(-2, 2, size=(N, 3))
+                nuclei = rng.uniform(-2, 2, size=(K, 3))
+                ref = I.lieb_yau_gap(electrons, nuclei, z, baxter=baxter)
+                assert (rep.name, rep.lhs, rep.rhs) == (ref.name, ref.lhs, ref.rhs)
+                assert (rep.lhs, rep.rhs) == per_nucleus_gap(electrons, nuclei, z, baxter)
+                assert type(rep.lhs) is float and type(rep.rhs) is float
+                shapes.add((N, K))
+            assert len(shapes) > 50
+            assert {1, 8} <= {K for _, K in shapes} and 1 in {N for N, _ in shapes}
+
 
 class TestGrafSchenker:
     def test_single_charge_zero_deficit(self):
@@ -194,7 +215,57 @@ class TestSameTileMotion:
             assert np.array_equal(keys, ref)
 
 
+def dict_smooth_gs(cfg, ell_list, r_j, samples, seed, n_quad=8):
+    """Ratios, sigmas and max pair weights of smooth_gs_check as computed
+    with one tile-weight dict per point and sample, kept as the oracle of the
+    sorted-key pass."""
+    tiling = G.unit_cube_tiling()
+    pts, charges = cfg.points, cfg.charges
+    n = len(charges)
+    zsq = cfg.sum_sq_charge()
+    full = I.pair_coulomb(pts, charges)
+    iu = np.triu_indices(n, 1)
+    prods = np.outer(charges, charges)[iu] / I._pairwise_dist(pts)[iu]
+    nodes, wts = G._mollifier_nodes(r_j, n_quad)
+    out = []
+    for j, ell in enumerate(ell_list):
+        R, u = G._sample_motions(np.random.default_rng([seed, 13, j]), samples, ell)
+        offs = (pts[:, None, :] - nodes[None, :, :]).reshape(-1, 3)
+        vals = np.empty(samples)
+        max_weight = 0.0
+        for s in range(samples):
+            keys = tiling.locate_packed((offs - u[s]) @ R[s], scale=ell).reshape(n, -1)
+            tabs = []
+            for p in range(n):
+                tab = {}
+                for k, wt in zip(keys[p].tolist(), wts):
+                    tab[k] = tab.get(k, 0.0) + wt
+                tabs.append(tab)
+            tot = 0.0
+            for (a, b), pr in zip(zip(*iu), prods):
+                wgt = sum(v * tabs[b].get(k, 0.0) for k, v in tabs[a].items())
+                max_weight = max(max_weight, wgt)
+                tot += pr * wgt
+            vals[s] = tot
+        D_s = vals - full
+        sig = D_s.std(ddof=1) / np.sqrt(samples)
+        out.append((ell * D_s.mean() / zsq, ell * sig / zsq, max_weight))
+    return np.array(out)
+
+
 class TestSmoothGrafSchenker:
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_matches_dict_tables(self, n):
+        rng = np.random.default_rng(40 + n)
+        cfg = I.ChargeConfig(rng.uniform(-0.8, 0.8, (n, 3)), rng.uniform(0.3, 2.0, n))
+        reps = I.smooth_gs_check(cfg, [4.0, 8.0], r_j=0.3, samples=60, seed=n)
+        ref = dict_smooth_gs(cfg, [4.0, 8.0], r_j=0.3, samples=60, seed=n)
+        got = np.array([(r.rhs, r.mc_error, r.extras["max_pair_weight"]) for r in reps])
+        # the envelope is fitted at the first scale, whose sigma enters every row
+        want = np.column_stack([ref[:, 0], np.hypot(ref[:, 1], ref[0, 1]), ref[:, 2]])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert all(r.lhs == reps[0].rhs for r in reps)
+
     def test_weights_bounded_and_envelope(self):
         rng = np.random.default_rng(11)
         cfg = I.ChargeConfig(rng.uniform(-0.8, 0.8, (4, 3)), rng.uniform(0.3, 2.0, 4))
@@ -364,6 +435,20 @@ class TestIms:
         vals = [r.extras["ell_residual"] for r in reps]
         assert max(vals) <= 2.0 * min(vals)
         assert all(r.passed for r in reps)
+
+    def test_side6_peak_memory(self):
+        """On the side-6 cube a fifth of the mollifier offsets at ell = 4 sit
+        within _TIE_GAP of a chamber tie.  Located all at once, their margin
+        matrices took the traced peak to about 40 MiB; in chunks of
+        _TIE_CHUNK rows it stays near 11 MiB."""
+        dom = cube(6)
+        tracemalloc.start()
+        try:
+            I.ims_residual(dom, [4.0, 8.0, 16.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
 
     @pytest.mark.parametrize("field", [None, C.MagneticField.constant([0.0, 0.3, 0.8])])
     def test_residual_is_spectral_norm(self, monkeypatch, field):

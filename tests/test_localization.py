@@ -570,6 +570,29 @@ class TestCqSsa:
         )
         assert rep.gap == pytest.approx(expect, abs=1e-9)
 
+    def test_one_pass_matches_per_set_bitwise(self):
+        # the four index sets share one localization call and one eigvalsh;
+        # each entropy keeps the bits of localizing its set alone
+        space = F.build_space(4, "fermion")
+        rng = np.random.default_rng(30)
+        for trial in range(8):
+            rho = random_cq(space, 300 + trial, k_max=trial % 3)
+            thetas = rng.random((3, rho.n_cells)) + 0.2
+            thetas /= np.sqrt((thetas ** 2).sum(axis=0))
+            qs = rng.random((3, 4)) + 0.2
+            if trial % 2:
+                qs[:, 0] = (1.0, 0.0, 0.0)  # q = 1 in sets 12 and 123 only
+            qs /= np.sqrt((qs ** 2).sum(axis=0))
+            if trial % 4 == 2:
+                # a commuting non-diagonal family: one rotation of diagonal weights
+                V = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+                qs = [(V * q) @ V.T for q in qs]
+            rep = L.cq_ssa_gap(rho, list(qs), list(thetas), [0], [1], [2])
+            for name, P in (("12", [0, 1]), ("23", [1, 2]), ("2", [1]), ("123", [0, 1, 2])):
+                theta = np.sqrt(np.clip(sum(thetas[i] ** 2 for i in P), 0.0, 1.0))
+                local = L.cq_localize(rho, L.family_weight(list(qs), P), theta)
+                assert rep.extras["entropies"][name] == L.cq_entropy(local)
+
     def test_random_suite(self):
         space = F.build_space(4, "fermion")
         rng = np.random.default_rng(29)

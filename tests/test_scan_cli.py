@@ -252,6 +252,15 @@ class TestCli:
         assert lines[0].startswith("check,")
         assert len(lines) == 3
 
+    def test_verify_lieb_yau_baxter_rows_take_suite_bounds(self):
+        from coulomblab import inequalities as ineq
+        from coulomblab.cli import _run_lieb_yau, report_row
+
+        rows = _run_lieb_yau({"n_configs": 30, "seed": 4, "n_max": 1, "k_max": 1})
+        baxter = ineq.lieb_yau_suite(30, seed=4, n_max=1, k_max=1, baxter=True)
+        assert rows[30:] == [report_row(r, config=str(i)) for i, r in enumerate(baxter)]
+        assert all(row["check"] == "baxter" for row in rows[30:])
+
     def test_verify_dipole_and_determinism(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli_main(["verify", "dipole", "--out", str(out1)]) == 0
