@@ -398,52 +398,42 @@ class Tiling:
         return np.minimum(out, margins[:, 72:], out=out)
 
     def locate(self, points, scale=None, g=None):
-        """Tile keys (chamber, ux, uy, uz) for each point, ties resolved to
+        """Packed tile key (int64, see _pack) of each point, ties resolved to
         the tile of maximal face margin (deterministic)."""
-        chamber, *cell = self._cells(*_columns(points, g), scale)
-        return np.stack([chamber, *(u.astype(np.int64) for u in cell)], axis=1)
-
-    def locate_packed(self, points, scale=None, g=None):
-        """Packed tile keys (pack_keys of locate) of each point."""
-        return self.packed_keys(*_columns(points, g), scale=scale)
-
-    def packed_keys(self, x, y, z, scale=None):
-        """Packed tile keys of points given as three coordinate columns."""
-        return _pack(*self._cells(x, y, z, scale))
-
-    def _cells(self, x, y, z, scale):
-        """Chamber (int64) and rounded cell columns of the points (x, y, z).
-
-        The chamber is read from the order and the signs of the cell
-        coordinates; points within _TIE_GAP of a tie (or NaN) take the margin
-        argmax, _TIE_CHUNK of them at a time."""
-        scale = self.scale if scale is None else float(scale)
-        cells, local = [], []
-        for col, v in zip((x, y, z), self.shift):
-            p = col / scale
-            p -= v
-            u = np.rint(p)
-            p -= u
-            cells.append(u)
-            local.append(p)
+        cells, local = self._frame(points, scale, g)
         codes, gap = _chamber_codes(*local)
         chamber = self._chamber_of_code[codes]
+        # points within _TIE_GAP of a tie (or NaN) take the margin argmax,
+        # _TIE_CHUNK of them at a time
         near = np.nonzero(~(gap >= _TIE_GAP))[0]
         for start in range(0, len(near), _TIE_CHUNK):
             rows = near[start : start + _TIE_CHUNK]
             p = np.stack([c[rows] for c in local], axis=1)
             chamber[rows] = self.chamber_margins(p).argmax(axis=1)
-        return (chamber, *cells)
+        return _pack(chamber, *cells)
+
+    def _frame(self, points, scale, g):
+        """Rounded cells and cell-frame coordinates of the points (P, 3)
+        pulled back by g, each as three columns: w = y / scale - shift,
+        u = rint(w), p = w - u."""
+        scale = self.scale if scale is None else float(scale)
+        pts = np.asarray(points, dtype=float).reshape(-1, 3)
+        y = pts if g is None else g.apply_inverse(pts)
+        cells, local = [], []
+        for k, v in enumerate(self.shift):
+            p = y[:, k] / scale
+            p -= v
+            u = np.rint(p)
+            p -= u
+            cells.append(u)
+            local.append(p)
+        return cells, local
 
     def multiplicity(self, points, scale=None, g=None, tol=1e-9):
         """Number of open tiles strictly containing each point (cube-interior
         points only count chambers of their own cell)."""
-        scale = self.scale if scale is None else float(scale)
-        pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        y = pts if g is None else g.apply_inverse(pts)
-        w = y / scale - self.shift
-        u = np.rint(w)
-        p = w - u
+        _, local = self._frame(points, scale, g)
+        p = np.stack(local, axis=1)
         inside_cell = (np.abs(p) < 0.5 - tol).all(axis=1)
         margins = self.chamber_margins(p)
         count = (margins > tol).sum(axis=1)
@@ -470,26 +460,40 @@ class Tiling:
         return GroupElement(R, u + v - R @ v)
 
 
-def _columns(points, g=None):
-    """The x, y, z columns of points (P, 3), pulled back by g when given."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    y = pts if g is None else g.apply_inverse(pts)
-    return y[:, 0], y[:, 1], y[:, 2]
+# Cell coordinates in [-2^18, 2^18) fill 19 bits each, so a packed key stays
+# below 2^57 * 24 < 2^62 and no step of _pack wraps.
+_CELL_BITS = 19
+_CELL_OFFSET = 1 << 18
 
 
 def _pack(chamber, ux, uy, uz):
-    """One int64 per tile from its chamber and cell columns."""
-    B = np.int64(1) << 20
-    out = ux.astype(np.int64) + B
-    out = out * (2 * B) + (uy.astype(np.int64) + B)
-    out = out * (2 * B) + (uz.astype(np.int64) + B)
-    return out * 24 + chamber
+    """One int64 per tile, ((ux' * 2^19 + uy') * 2^19 + uz') * 24 + chamber
+    with u' = u + 2^18, so keys sort as (ux, uy, uz, chamber) rows.  A cell
+    coordinate outside [-2^18, 2^18) raises ValueError; a NaN one (a point
+    with a NaN coordinate) is not checked and packs to an unspecified key."""
+    key = np.zeros(len(chamber), dtype=np.int64)
+    for u in (ux, uy, uz):
+        if (
+            np.fmin.reduce(u, initial=0) < -_CELL_OFFSET
+            or np.fmax.reduce(u, initial=0) >= _CELL_OFFSET
+        ):
+            raise ValueError("tile cell coordinate outside [-2^18, 2^18)")
+        key *= 1 << _CELL_BITS
+        key += u.astype(np.int64)
+        key += _CELL_OFFSET
+    key *= 24
+    key += chamber
+    return key
 
 
-def pack_keys(keys):
-    """Encode (chamber, ux, uy, uz) rows as single int64 values."""
-    k = np.asarray(keys, dtype=np.int64)
-    return _pack(k[:, 0], k[:, 1], k[:, 2], k[:, 3])
+def _unpack(keys):
+    """Chamber and cell columns (int64) of packed tile keys, inverting _pack."""
+    cells, chamber = np.divmod(np.asarray(keys, dtype=np.int64), 24)
+    mask = (1 << _CELL_BITS) - 1
+    ux = (cells >> 2 * _CELL_BITS) - _CELL_OFFSET
+    uy = ((cells >> _CELL_BITS) & mask) - _CELL_OFFSET
+    uz = (cells & mask) - _CELL_OFFSET
+    return chamber, ux, uy, uz
 
 
 def unit_cube_tiling(v=None):
@@ -534,24 +538,26 @@ class SmoothedIndicator:
         self.scale = float(scale)
         self.g = g
         self.r_j = float(r_j)
+        self.n_quad = n_quad
         self.nodes, self.weights = _mollifier_nodes(r_j, n_quad)
-        self._key = pack_keys(
-            np.array([[self.chamber, *self.cell]], dtype=np.int64)
-        )[0]
+        self._key = _pack(np.array([self.chamber]), *np.array(self.cell).reshape(3, 1))[0]
 
     def theta_sq(self, points):
+        """This tile's row of tile_weight_table at the points.  Points beyond
+        2 r_j of the tile's bounding box, whose nodes cannot reach the tile,
+        are left out of the table (weight 0), so its dense matrix spans only
+        the tiles near this one."""
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        chunk = max(1, 250_000 // len(self.nodes))
-        out = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], chunk):
-            block = pts[start : start + chunk]
-            offs = block[:, None, :] - self.nodes[None, :, :]
-            keys = self.tiling.locate_packed(
-                offs.reshape(-1, 3), scale=self.scale, g=self.g
-            ).reshape(block.shape[0], -1)
-            out[start : start + chunk] = (
-                (keys == self._key) * self.weights[None, :]
-            ).sum(axis=1)
+        verts = self.tiling.tile_vertices(self.chamber, self.cell, self.scale, self.g)
+        pad = 2.0 * self.r_j
+        near = ((pts > verts.min(axis=0) - pad) & (pts < verts.max(axis=0) + pad)).all(axis=1)
+        keys, theta_sq = tile_weight_table(
+            self.tiling, pts[near], self.scale, self.g, self.r_j, self.n_quad
+        )
+        out = np.zeros(len(pts))
+        row = np.searchsorted(keys, self._key)
+        if row < len(keys) and keys[row] == self._key:
+            out[near] = theta_sq[row]
         return out
 
     def theta(self, points):
@@ -563,33 +569,37 @@ class SmoothedIndicator:
 
 
 def tile_weight_table(tiling, points, scale, g=None, r_j=0.1, n_quad=16):
-    """Per-point mollified tile weights theta_mu^2(x) as {packed key: weight}.
+    """Mollified tile weights theta_mu^2(x) as (keys, theta_sq): the sorted
+    distinct packed keys of the tiles the points' quadrature nodes land in,
+    and the dense (len(keys), P) matrix of each tile's weight at each point.
 
-    For every point the weights sum to one (quadrature nodes land in exactly
-    one tile each), which realizes the partition of unity over the moved
-    tiling.
+    Each column sums to one (quadrature nodes land in exactly one tile
+    each), which realizes the partition of unity over the moved tiling.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     nodes, w = _mollifier_nodes(r_j, n_quad)
     P, K = pts.shape[0], nodes.shape[0]
-    tables = [dict() for _ in range(P)]
+    # one entry per (point, tile): its key, its point and its summed weight
+    runs = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
     chunk = max(1, 32_768 // K)  # offsets per chunk: a few MiB of keys and sort orders
     for start in range(0, P, chunk):
         block = pts[start : start + chunk]
         offs = (block[:, None, :] - nodes[None, :, :]).reshape(-1, 3)
-        keys = tiling.locate_packed(offs, scale=scale, g=g)
-        pid = np.repeat(np.arange(block.shape[0]), K)
-        wts = np.tile(w, block.shape[0])
+        keys = tiling.locate(offs, scale=scale, g=g)
+        pid = np.repeat(np.arange(start, start + block.shape[0]), K)
         order = np.lexsort((keys, pid))
-        keys, pid, wts = keys[order], pid[order], wts[order]
+        keys, pid = keys[order], pid[order]
         new = np.empty(keys.shape[0], dtype=bool)
         new[0] = True
         new[1:] = (keys[1:] != keys[:-1]) | (pid[1:] != pid[:-1])
         starts = np.nonzero(new)[0]
-        sums = np.add.reduceat(wts, starts)
-        for s, tot in zip(starts, sums):
-            tables[start + pid[s]][int(keys[s])] = float(tot)
-    return tables
+        sums = np.add.reduceat(np.tile(w, block.shape[0])[order], starts)
+        runs.append((keys[starts], pid[starts], sums))
+    keys, pid, sums = (np.concatenate(col) for col in zip(*runs))
+    uniq, rows = np.unique(keys, return_inverse=True)
+    theta_sq = np.zeros((len(uniq), P))
+    theta_sq[rows, pid] = sums
+    return uniq, theta_sq
 
 
 # ---------------------------------------------------------------------------
@@ -784,11 +794,7 @@ def inner_approximation(domain, scale, delta, tiling=None):
         raise ValueError("scale must be positive and delta nonnegative")
     tiling = tiling or unit_cube_tiling()
     keys = tiling.locate(domain.points, scale=scale)
-    packed = pack_keys(keys)
-    uniq = np.unique(packed)
-    key_rows = {}
-    for row, pk in zip(keys, packed):
-        key_rows.setdefault(int(pk), row)
+    tiles = np.unique(keys)
     a = domain.a
     # occupancy bitmap over the padded bounding box for O(1) membership slices
     pad = int(np.ceil(delta / a)) + int(np.ceil(1.4 * scale / a)) + 2
@@ -798,22 +804,21 @@ def inner_approximation(domain, scale, delta, tiling=None):
     occupancy = np.zeros(shape, dtype=bool)
     rel = domain.idx - lo_all
     occupancy[rel[:, 0], rel[:, 1], rel[:, 2]] = True
-    accepted = set()
-    for pk in uniq.tolist():
-        row = key_rows[pk]
-        verts = tiling.tile_vertices(row[0], row[1:], scale=scale)
+    chambers, *cells = _unpack(tiles)
+    accepted = np.zeros(len(tiles), dtype=bool)
+    for t, (chamber, cell) in enumerate(zip(chambers, np.stack(cells, axis=1))):
+        verts = tiling.tile_vertices(chamber, cell, scale=scale)
         lo = np.floor((verts.min(axis=0) - delta) / a).astype(int)
         hi = np.ceil((verts.max(axis=0) + delta) / a).astype(int)
         s = tuple(slice(l - o, h - o + 1) for l, h, o in zip(lo, hi, lo_all))
         block = occupancy[s]
         if block.all():
-            accepted.add(pk)
+            accepted[t] = True
             continue
         missing = np.argwhere(~block) + lo
         dist = points_tetra_distance(a * missing.astype(float), verts)
-        if dist.min(initial=np.inf) > delta:
-            accepted.add(pk)
-    mask = np.array([int(pk) in accepted for pk in packed])
+        accepted[t] = dist.min(initial=np.inf) > delta
+    mask = np.isin(keys, tiles[accepted])
     idx = domain.idx[mask]
     warning = None if idx.shape[0] else "inner approximation is empty"
     return Domain(

@@ -152,21 +152,14 @@ def _upper_pairs(n):
 # Lieb-Yau
 
 
-def lieb_yau_gap(electrons, nuclei=None, z=1.0, baxter=False):
+def lieb_yau_gap(electrons, nuclei, z=1.0, baxter=False):
     """Gap of the nearest-nucleus lower bound on the Coulomb potential.
 
     LHS is the full potential of N unit-negative charges and K nuclei of
     charge z; RHS is -(z + sqrt(2z) + 1/2) sum 1/delta_R(x_i)
     + (z^2/4) sum 1/delta_R(R_k).  With baxter=True the weaker classical
     variant is used instead: coefficient (1 + 2z) and no nuclear term.
-    Accepts either (electrons, nuclei, z) or a ChargeConfig with a marked
-    nucleus subset.
     """
-    if isinstance(electrons, ChargeConfig):
-        cfg = electrons
-        if nuclei is not None:
-            z = nuclei  # second positional slot carries the charge
-        electrons, nuclei = cfg.electrons, cfg.nuclei
     electrons = np.asarray(electrons, dtype=float).reshape(-1, 3)
     nuclei = np.asarray(nuclei, dtype=float).reshape(-1, 3)
     if len(electrons) < 1 or len(nuclei) < 1:
@@ -246,16 +239,16 @@ def lieb_yau_suite(n_configs, seed=0, n_max=8, k_max=8, z_max=3.0, baxter=False)
 def _same_tile_samples(tiling, points, scale, R, u):
     """Packed tile keys (samples, n_points) under the moved scaled tiling.
 
-    Coordinate i of (x - u) R is summed over k = x, y, z in that order, as
-    one contiguous column (samples, n_points) per coordinate."""
+    Coordinate i of (x - u) R is summed over k = x, y, z in that order, into
+    row i of one (3, samples * n_points) buffer, whose transpose is located."""
     D = [points[None, :, k] - u[:, k, None] for k in range(3)]
-    cols = []
+    Y = np.empty((3, len(R) * len(points)))
     for i in range(3):
-        col = D[0] * R[:, 0, i, None]
+        col = Y[i].reshape(len(R), len(points))
+        np.multiply(D[0], R[:, 0, i, None], out=col)
         col += D[1] * R[:, 1, i, None]
         col += D[2] * R[:, 2, i, None]
-        cols.append(col.ravel())
-    return tiling.packed_keys(*cols, scale=scale).reshape(len(R), len(points))
+    return tiling.locate(Y.T, scale=scale).reshape(len(R), len(points))
 
 
 def graf_schenker_deficit(cfg, ell_list, samples=10000, seed=0, tiling=None, fit_index=0):
@@ -389,7 +382,7 @@ def smooth_gs_check(
         max_weight = 0.0
         for start in range(0, samples, chunk):
             Y = (offs[None] - u[start : start + chunk, None, :]) @ R[start : start + chunk]
-            keys = tiling.locate_packed(Y.reshape(-1, 3), scale=ell)
+            keys = tiling.locate(Y.reshape(-1, 3), scale=ell)
             pair = _smooth_pair_weights(keys, n, wts, iu)
             vals[start : start + chunk] = pair @ prods
             max_weight = max(max_weight, float(pair.max(initial=0.0)))
@@ -689,14 +682,8 @@ def ims_residual(domain, ell_list, tiling=None, r_j_factor=0.5, n_quad=8, field=
     reports = []
     for ell in ell_list:
         r_j = r_j_factor * np.sqrt(ell)
-        tabs = tile_weight_table(tiling, domain.points, scale=ell, r_j=r_j, n_quad=n_quad)
-        keys = sorted({k for tab in tabs for k in tab})
-        theta = np.zeros((len(keys), domain.n_sites))
-        pos = {k: i for i, k in enumerate(keys)}
-        for col, tab in enumerate(tabs):
-            for k, w in tab.items():
-                theta[pos[k], col] = np.sqrt(w)
-        defect, _ = ims_defect(T, theta)
+        _, theta_sq = tile_weight_table(tiling, domain.points, scale=ell, r_j=r_j, n_quad=n_quad)
+        defect, _ = ims_defect(T, np.sqrt(theta_sq))
         resid = float(np.abs(np.linalg.eigvalsh(defect)).max())  # defect is Hermitian
         reports.append(
             Report(

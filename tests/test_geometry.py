@@ -22,14 +22,14 @@ def barycentric_inside(verts, p, tol=0.0):
 
 
 def margin_keys(tiling, points, scale, g=None):
-    """Tile keys by the documented rule, computed densely: the cell of the
-    nearest lattice point, then the chamber of maximal min face margin (the
-    lowest index on ties)."""
+    """Packed tile keys by the documented rule, computed densely: the cell of
+    the nearest lattice point, then the chamber of maximal min face margin
+    (the lowest index on ties)."""
     y = points if g is None else g.apply_inverse(points)
     w = y / scale - tiling.shift
     u = np.rint(w)
     chamber = tiling.chamber_margins(w - u).argmax(axis=1)
-    return np.column_stack([chamber, u.astype(np.int64)])
+    return strided_pack(np.column_stack([chamber, u.astype(np.int64)]))
 
 
 def tie_cell_points(rng, n):
@@ -220,7 +220,7 @@ class TestLocate:
 
     def assert_margin_rule(self, points, scale, g=None):
         keys = self.tiling.locate(points, scale=scale, g=g)
-        assert keys.dtype == np.int64
+        assert keys.dtype == np.int64 and keys.shape == (len(points),)
         np.testing.assert_array_equal(keys, margin_keys(self.tiling, points, scale, g))
 
     def test_random_points(self):
@@ -260,12 +260,42 @@ class TestLocate:
 
     def test_nan_rows_take_the_margin_rule(self):
         # (0.3, nan, 0.1) reads as |p_x| >= |p_z| with both other
-        # comparisons false, an order no real point has
+        # comparisons false, an order no real point has; NaN cells are not
+        # range-checked, and the chamber still enters the key
         pts = np.array([[0.3, np.nan, 0.1], [np.nan, 0.1, 0.2], [0.1, 0.2, 0.3]])
         with np.errstate(invalid="ignore"):
             keys = self.tiling.locate(pts - self.tiling.shift)
             ref = margin_keys(self.tiling, pts - self.tiling.shift, 1.0)
-        np.testing.assert_array_equal(keys[:, 0], ref[:, 0])
+        np.testing.assert_array_equal(keys, ref)
+
+    def test_extreme_cells_keep_lexicographic_order(self):
+        # cells +-(2^18 - 1) and -2^18 on every axis, four chambers each:
+        # distinct keys, sorted as (ux, uy, uz, chamber) rows, and _unpack
+        # gives the rows back
+        edge = (-(2 ** 18), -(2 ** 18) + 1, -1, 0, 1, 2 ** 18 - 1)
+        cells = np.array(list(itertools.product(edge, repeat=3)), dtype=np.int64)
+        interior = np.array([[0.4, 0.2, 0.1], [-0.1, 0.4, 0.2], [0.2, -0.1, -0.4], [0.1, 0.2, 0.4]])
+        pts = (cells[:, None, :] + interior[None, :, :] + self.tiling.shift).reshape(-1, 3)
+        keys = self.tiling.locate(pts)
+        rows = np.column_stack([*G._unpack(keys)])
+        np.testing.assert_array_equal(rows[:, 1:], np.repeat(cells, 4, axis=0))
+        np.testing.assert_array_equal(keys, strided_pack(rows))
+        np.testing.assert_array_equal(keys, margin_keys(self.tiling, pts, 1.0))
+        assert len(np.unique(keys)) == len(keys)
+        lex = np.lexsort((rows[:, 0], rows[:, 3], rows[:, 2], rows[:, 1]))
+        np.testing.assert_array_equal(np.argsort(keys), lex)
+
+    def test_out_of_range_cells_raise(self):
+        # cells 2^19 apart along x once shared one key
+        zero = np.zeros(3)
+        with pytest.raises(ValueError, match="outside"):
+            G._pack(np.zeros(3, dtype=np.int64), np.array([0.0, 2.0 ** 19, -(2.0 ** 19)]), zero, zero)
+        for x in (2.0 ** 19, -(2.0 ** 19), 2.0 ** 18, -(2.0 ** 18) - 1, np.inf):
+            for axis in range(3):
+                pts = np.full((2, 3), 0.1) + self.tiling.shift
+                pts[1, axis] += x
+                with pytest.raises(ValueError, match="outside"), np.errstate(invalid="ignore"):
+                    self.tiling.locate(pts)
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
@@ -320,7 +350,9 @@ def strided_margins(tiling, p):
 
 
 def strided_pack(keys):
-    B = np.int64(1) << 20
+    """(chamber, ux, uy, uz) rows packed by the documented layout: each cell
+    coordinate offset by 2^18 in 19 bits, then the chamber."""
+    B = np.int64(1) << 18
     out = keys[:, 1] + B
     out = out * (2 * B) + (keys[:, 2] + B)
     out = out * (2 * B) + (keys[:, 3] + B)
@@ -328,8 +360,7 @@ def strided_pack(keys):
 
 
 class TestColumnLocator:
-    """Tiling.locate, locate_packed and packed_keys against the strided
-    (P, 3) locator, bit for bit."""
+    """Tiling.locate against the strided (P, 3) locator, bit for bit."""
 
     def points(self, tiling, scale, rng):
         # random points, cell points within 1e-12 of a chamber tie, exact
@@ -354,15 +385,9 @@ class TestColumnLocator:
         pts = self.points(tiling, scale, rng)
         for g in (None, G.sample_group(int(scale), 1)[0]):
             with np.errstate(invalid="ignore"):
-                ref = strided_keys(tiling, pts, scale, g)
+                ref = strided_pack(strided_keys(tiling, pts, scale, g))
                 keys = tiling.locate(pts, scale=scale, g=g)
-                packed = tiling.locate_packed(pts, scale=scale, g=g)
-                y = pts if g is None else g.apply_inverse(pts)
-                columns = tiling.packed_keys(*np.ascontiguousarray(y.T), scale=scale)
             assert keys.dtype == np.int64 and np.array_equal(keys, ref)
-            assert np.array_equal(packed, strided_pack(ref))
-            assert np.array_equal(columns, packed)
-            assert np.array_equal(G.pack_keys(keys), packed)
 
 
 class TestTieChunks:
@@ -391,7 +416,7 @@ class TestTieChunks:
         assert (gap < G._TIE_GAP).sum() > 3 * G._TIE_CHUNK
         for g in (None, G.sample_group(6, 1)[0]):
             ref = strided_keys(tiling, pts, 4.0, g)
-            assert np.array_equal(tiling.locate_packed(pts, scale=4.0, g=g), strided_pack(ref))
+            assert np.array_equal(tiling.locate(pts, scale=4.0, g=g), strided_pack(ref))
 
     @pytest.mark.parametrize("ell", [4.0, 8.0, 16.0])
     def test_ims_grid(self, ell):
@@ -401,7 +426,7 @@ class TestTieChunks:
         pts = (dom.points[:, None, :] - nodes[None, :, :]).reshape(-1, 3)
         tiling = G.unit_cube_tiling()
         ref = strided_keys(tiling, pts, ell)
-        assert np.array_equal(tiling.locate_packed(pts, scale=ell), strided_pack(ref))
+        assert np.array_equal(tiling.locate(pts, scale=ell), strided_pack(ref))
 
 
 class TestGroupSampling:
@@ -466,9 +491,26 @@ class TestSmoothedIndicator:
         rng = np.random.default_rng(4)
         pts = rng.uniform(-8, 8, size=(1000, 3))
         g = G.sample_group(11, 1)[0]
-        tabs = G.tile_weight_table(self.tiling, pts, scale=4.0, g=g, r_j=0.25)
-        sums = np.array([sum(t.values()) for t in tabs])
-        assert np.abs(sums - 1.0).max() < 1e-9
+        keys, theta_sq = G.tile_weight_table(self.tiling, pts, scale=4.0, g=g, r_j=0.25)
+        assert theta_sq.shape == (len(keys), len(pts))
+        assert (np.diff(keys) > 0).all()
+        assert np.abs(theta_sq.sum(axis=0) - 1.0).max() < 1e-9
+
+    def test_theta_sq_is_the_tile_row(self):
+        # points far from the tile are left out of its table: bitwise the
+        # row of the table over every point, zero far away
+        rng = np.random.default_rng(9)
+        g = G.sample_group(2, 1)[0]
+        si = G.SmoothedIndicator(self.tiling, 4, (0, 1, -1), 2.0, g=g, r_j=0.3, n_quad=8)
+        verts = self.tiling.tile_vertices(4, (0, 1, -1), scale=2.0, g=g)
+        pts = np.vstack([
+            rng.uniform(verts.min(axis=0) - 0.7, verts.max(axis=0) + 0.7, size=(2000, 3)),
+            rng.uniform(-10, 10, size=(200, 3)),
+        ])
+        keys, theta_sq = G.tile_weight_table(self.tiling, pts, 2.0, g=g, r_j=0.3, n_quad=8)
+        row = theta_sq[np.searchsorted(keys, si._key)]
+        assert row.max() > 0.9 and (row == 0).sum() > 200
+        assert si.theta_sq(pts).tobytes() == row.tobytes()
 
     def test_mass_equals_tile_volume(self):
         for ell in (2.0, 5.0):

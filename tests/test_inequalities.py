@@ -51,7 +51,7 @@ class TestLiebYau:
 
     def test_charge_config_input(self):
         cfg = I.ChargeConfig.electron_nucleus([[0, 0, 0]], [[0, 0, 2.0]])
-        r = I.lieb_yau_gap(cfg, 1.5)
+        r = I.lieb_yau_gap(cfg.electrons, cfg.nuclei, 1.5)
         assert r.gap == pytest.approx((np.sqrt(3.0) + 0.5) / 2.0)
 
 
@@ -191,11 +191,11 @@ class TestGrafSchenker:
 
 
 class KeepColumns:
-    """Stands in for the tiling: records the moved coordinate columns."""
+    """Stands in for the tiling: records the moved (P, 3) points."""
 
-    def packed_keys(self, x, y, z, scale=None):
-        self.columns = (x, y, z)
-        return np.zeros(x.shape, dtype=np.int64)
+    def locate(self, points, scale=None, g=None):
+        self.points = points
+        return np.zeros(len(points), dtype=np.int64)
 
 
 class TestSameTileMotion:
@@ -208,10 +208,10 @@ class TestSameTileMotion:
             Y = np.einsum("snk,ski->sni", pts[None, :, :] - u[:, None, :], R)
             rec = KeepColumns()
             I._same_tile_samples(rec, pts, ell, R, u)
-            assert np.array_equal(np.stack(rec.columns, axis=-1), Y.reshape(-1, 3))
+            assert np.array_equal(rec.points, Y.reshape(-1, 3))
             tiling = G.unit_cube_tiling()
             keys = I._same_tile_samples(tiling, pts, ell, R, u)
-            ref = tiling.locate_packed(Y.reshape(-1, 3), scale=ell).reshape(len(R), n)
+            ref = tiling.locate(Y.reshape(-1, 3), scale=ell).reshape(len(R), n)
             assert np.array_equal(keys, ref)
 
 
@@ -234,7 +234,7 @@ def dict_smooth_gs(cfg, ell_list, r_j, samples, seed, n_quad=8):
         vals = np.empty(samples)
         max_weight = 0.0
         for s in range(samples):
-            keys = tiling.locate_packed((offs - u[s]) @ R[s], scale=ell).reshape(n, -1)
+            keys = tiling.locate((offs - u[s]) @ R[s], scale=ell).reshape(n, -1)
             tabs = []
             for p in range(n):
                 tab = {}
