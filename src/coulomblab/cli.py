@@ -14,7 +14,7 @@ from . import coulomb as cb
 from . import inequalities as ineq
 from . import localization as loc
 from . import fock
-from .geometry import build_domain, unit_cube_tiling
+from .geometry import build_domain
 from .scan import ScanSpec, perturbation_compare, run_scan
 
 REPORT_COLUMNS = [
@@ -145,23 +145,20 @@ def _run_graf_schenker(cfg):
     ell_list = tuple(cfg.get("ell_list", (4.0, 8.0, 16.0)))
     samples = cfg.get("samples", 10000)
     if "configs" in cfg:
-        tiling = unit_cube_tiling()
-        rows = []
-        for i, c in enumerate(cfg["configs"]):
-            charge_cfg = ineq.ChargeConfig(c["points"], c["charges"])
-            reps = ineq.graf_schenker_deficit(
-                charge_cfg, ell_list, samples=samples, seed=cfg["seed"] + 7 * i, tiling=tiling
+        batches = [
+            ineq.graf_schenker_deficit(
+                ineq.ChargeConfig(c["points"], c["charges"]), ell_list, samples, cfg["seed"] + 7 * i
             )
-            rows.extend(report_row(r, config=str(i), scale=r.extras["ell"]) for r in reps)
-        return rows
-    suite = ineq.graf_schenker_suite(
-        cfg["n_configs"], ell_list=ell_list, samples=samples, seed=cfg["seed"]
-    )
-    rows = []
-    for i, (_cfg, reps) in enumerate(suite):
-        for r in reps:
-            rows.append(report_row(r, config=str(i), scale=r.extras["ell"]))
-    return rows
+            for i, c in enumerate(cfg["configs"])
+        ]
+    else:
+        suite = ineq.graf_schenker_suite(cfg["n_configs"], ell_list, samples, cfg["seed"])
+        batches = [reps for _cfg, reps in suite]
+    return [
+        report_row(r, config=str(i), scale=r.extras["ell"])
+        for i, reps in enumerate(batches)
+        for r in reps
+    ]
 
 
 def _run_lt(cfg):

@@ -469,15 +469,16 @@ _CELL_OFFSET = 1 << 18
 def _pack(chamber, ux, uy, uz):
     """One int64 per tile, ((ux' * 2^19 + uy') * 2^19 + uz') * 24 + chamber
     with u' = u + 2^18, so keys sort as (ux, uy, uz, chamber) rows.  A cell
-    coordinate outside [-2^18, 2^18) raises ValueError; a NaN one (a point
-    with a NaN coordinate) is not checked and packs to an unspecified key."""
+    coordinate outside [-2^18, 2^18) raises ValueError, and so does a NaN
+    one (a point with a NaN coordinate): the reductions propagate NaN, and
+    no comparison with NaN holds."""
     key = np.zeros(len(chamber), dtype=np.int64)
     for u in (ux, uy, uz):
-        if (
-            np.fmin.reduce(u, initial=0) < -_CELL_OFFSET
-            or np.fmax.reduce(u, initial=0) >= _CELL_OFFSET
+        if not (
+            np.minimum.reduce(u, initial=0) >= -_CELL_OFFSET
+            and np.maximum.reduce(u, initial=0) < _CELL_OFFSET
         ):
-            raise ValueError("tile cell coordinate outside [-2^18, 2^18)")
+            raise ValueError("tile cell coordinate NaN or outside [-2^18, 2^18)")
         key *= 1 << _CELL_BITS
         key += u.astype(np.int64)
         key += _CELL_OFFSET

@@ -124,18 +124,7 @@ def _pairwise_dist(pts_a, pts_b=None):
 def pair_coulomb(points, charges):
     """sum_{i<j} z_i z_j / |x_i - x_j|; +inf on coincident points with nonzero
     charge product."""
-    n = len(charges)
-    if n < 2:
-        return 0.0
-    d = _pairwise_dist(np.asarray(points, dtype=float))
-    iu = np.triu_indices(n, 1)
-    dv = d[iu]
-    prod = (np.outer(charges, charges))[iu]
-    if np.any((dv < 1e-14) & (np.abs(prod) > 0)):
-        return np.inf
-    with np.errstate(divide="ignore"):
-        terms = np.where(np.abs(prod) > 0, prod / np.where(dv > 0, dv, 1.0), 0.0)
-    return float(terms.sum())
+    return _pair_table(points, charges)[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -146,6 +135,25 @@ def _upper_pairs(n):
     for a in pairs:
         a.flags.writeable = False
     return pairs
+
+
+def _pair_table(points, charges):
+    """(full, zsq, iu, d, prods) of a charge configuration: its pair energy
+    (pair_coulomb), sum z_i^2, the pairs i < j as index arrays iu, their
+    distances d and z_i z_j / d.  Fewer than two charges give no pairs, and
+    every pair sum over them is an exact zero."""
+    charges = np.asarray(charges, dtype=float).reshape(-1)
+    iu = _upper_pairs(len(charges))
+    d = _pairwise_dist(np.asarray(points, dtype=float).reshape(-1, 3))[iu]
+    zz = charges[iu[0]] * charges[iu[1]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prods = zz / d
+    charged = np.abs(zz) > 0
+    if np.any((d < 1e-14) & charged):
+        full = np.inf
+    else:
+        full = float(np.where(charged, prods, 0.0).sum())
+    return full, float((charges ** 2).sum()), iu, d, prods
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +244,24 @@ def lieb_yau_suite(n_configs, seed=0, n_max=8, k_max=8, z_max=3.0, baxter=False)
 # Graf-Schenker
 
 
+# Midpoint nodes per axis of the mollifier quadrature (smooth_gs_check and
+# ims_residual).
+_N_QUAD = 8
+
+
+@functools.cache
+def _tiling():
+    """The unit-cube tiling of every tile check, built on first use."""
+    return unit_cube_tiling()
+
+
+def _require_scales(ell_list, samples=1):
+    if len(ell_list) == 0:
+        raise ValueError("ell_list is empty")
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
+
+
 def _same_tile_samples(tiling, points, scale, R, u):
     """Packed tile keys (samples, n_points) under the moved scaled tiling.
 
@@ -251,85 +277,65 @@ def _same_tile_samples(tiling, points, scale, R, u):
     return tiling.locate(Y.T, scale=scale).reshape(len(R), len(points))
 
 
-def graf_schenker_deficit(cfg, ell_list, samples=10000, seed=0, tiling=None, fit_index=0):
+def _envelope_reports(name, ell_list, deficits, zsq, extras):
+    """One report per scale ell from its deficit samples D_s: the rate
+    ell mean(D_s) / zsq against the constant fitted at the first scale,
+    within the combined 3-sigma Monte Carlo error of the two.  extras holds
+    one dict per scale for the report's extras."""
+    rows = []
+    for ell, D_s in zip(ell_list, deficits):
+        n = len(D_s)
+        D = float(D_s.mean())
+        sig = float(D_s.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        stats = {"ell": ell, "deficit": D, "deficit_sigma": sig, "samples": n}
+        rows.append((ell * D / zsq, ell * sig / zsq, stats))
+    c_fit, s_fit, _ = rows[0]
+    return [
+        Report(
+            name,
+            lhs=c_fit,
+            rhs=ratio,
+            mc_error=float(np.hypot(ratio_sig, s_fit)),
+            fitted_constant=c_fit,
+            extras={**stats, **more},
+        )
+        for (ratio, ratio_sig, stats), more in zip(rows, extras)
+    ]
+
+
+def graf_schenker_deficit(cfg, ell_list, samples=10000, seed=0):
     """Monte Carlo deficit of the simplex-average lower bound.
 
     For each scale ell, D(ell) is the group average of the same-tile pair
     energy minus the full pair energy; the inequality asserts
     ell D(ell) <= C sum z_i^2 uniformly in ell for a tiling-dependent C.  The
-    constant is fitted at ell_list[fit_index] and each scale must stay below
-    it within the combined 3-sigma Monte Carlo error.
+    constant is fitted at the first scale and each scale must stay below it
+    within the combined 3-sigma Monte Carlo error.
     """
-    tiling = tiling or unit_cube_tiling()
-    pts, charges = cfg.points, cfg.charges
-    n = len(charges)
-    full = pair_coulomb(pts, charges)
-    zsq = cfg.sum_sq_charge()
-    iu = np.triu_indices(n, 1)
-    if n >= 2:
-        d = _pairwise_dist(pts)[iu]
-        prods = np.outer(charges, charges)[iu] / d
-    else:
-        prods = np.zeros(0)
-    ratios, sigmas, deficits = [], [], []
+    _require_scales(ell_list, samples)
+    full, zsq, iu, _, prods = _pair_table(cfg.points, cfg.charges)
+    deficits = []
     for j, ell in enumerate(ell_list):
-        rng = np.random.default_rng([seed, j])
-        R, u = _sample_motions(rng, samples, ell)
-        keys = _same_tile_samples(tiling, pts, ell, R, u)
-        if n >= 2:
-            same = keys[:, iu[0]] == keys[:, iu[1]]
-            inside = same @ prods
-        else:
-            inside = np.zeros(samples)
-        D_s = inside - full
-        D = float(D_s.mean())
-        sig = float(D_s.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-        deficits.append((D, sig))
-        ratios.append(ell * D / zsq)
-        sigmas.append(ell * sig / zsq)
-    c_fit = ratios[fit_index]
-    s_fit = sigmas[fit_index]
-    reports = []
-    for ell, ratio, sig, (D, Dsig) in zip(ell_list, ratios, sigmas, deficits):
-        reports.append(
-            Report(
-                "graf_schenker",
-                lhs=c_fit,
-                rhs=ratio,
-                mc_error=float(np.hypot(sig, s_fit)),
-                fitted_constant=c_fit,
-                extras={"ell": ell, "deficit": D, "deficit_sigma": Dsig, "samples": samples},
-            )
-        )
-    return reports
+        R, u = _sample_motions(np.random.default_rng([seed, j]), samples, ell)
+        keys = _same_tile_samples(_tiling(), cfg.points, ell, R, u)
+        deficits.append((keys[:, iu[0]] == keys[:, iu[1]]) @ prods - full)
+    return _envelope_reports("graf_schenker", ell_list, deficits, zsq, [{}] * len(ell_list))
 
 
-def graf_schenker_suite(
-    n_configs, ell_list=(4.0, 8.0, 16.0), samples=10000, seed=0, signed=False
-):
-    """Random-configuration sweep of the deficit envelope.
+def graf_schenker_suite(n_configs, ell_list=(4.0, 8.0, 16.0), samples=10000, seed=0):
+    """Random-configuration sweep of the deficit envelope: 2 to 8 points
+    uniform in [-1, 1]^3, configuration c sampled with seed + 7c.
 
-    Charges default to positive: the finite-size correction to the deficit
-    rate then decays from above, so the smallest-scale fit is a true envelope.
-    Mixed-sign clouds (signed=True) can approach the limiting constant from
-    below and are reported without the envelope being meaningful at ell = 4.
+    Charges are positive: the finite-size correction to the deficit rate
+    then decays from above, so the smallest-scale fit is a true envelope.
     """
     rng = np.random.default_rng(seed)
-    tiling = unit_cube_tiling()
     out = []
     for c in range(n_configs):
         N = int(rng.integers(2, 9))
         pts = rng.uniform(-1.0, 1.0, size=(N, 3))
-        if signed:
-            charges = rng.uniform(-3.0, 3.0, size=N)
-            charges[np.abs(charges) < 0.2] = 0.3
-        else:
-            charges = rng.uniform(0.3, 3.0, size=N)
-        cfg = ChargeConfig(pts, charges)
-        reports = graf_schenker_deficit(
-            cfg, ell_list, samples=samples, seed=seed + 7 * c, tiling=tiling
-        )
-        out.append((cfg, reports))
+        cfg = ChargeConfig(pts, rng.uniform(0.3, 3.0, size=N))
+        out.append((cfg, graf_schenker_deficit(cfg, ell_list, samples=samples, seed=seed + 7 * c)))
     return out
 
 
@@ -351,61 +357,35 @@ def w_kernel_quadrature_error(radii):
     return worst
 
 
-def smooth_gs_check(
-    cfg, ell_list, r_j=0.3, samples=2000, seed=0, tiling=None, n_quad=8, fit_index=0
-):
+def smooth_gs_check(cfg, ell_list, r_j=0.3, samples=2000, seed=0):
     """Mollified variant of the simplex-average deficit.
 
     Pair weights are sum_mu theta_mu^2(x_i) theta_mu^2(x_j) with theta the
-    mollified tile indicators; the deficit rate is enveloped by a constant
-    fitted at the first scale, as in the sharp check.  The screened-kernel
-    pair sum is reported alongside.
+    mollified tile indicators (8 midpoint nodes per axis); the deficit rate
+    is enveloped by a constant fitted at the first scale, as in the sharp
+    check.  The screened-kernel pair sum is reported alongside.
     """
-    tiling = tiling or unit_cube_tiling()
-    pts, charges = cfg.points, cfg.charges
-    n = len(charges)
-    full = pair_coulomb(pts, charges)
-    zsq = cfg.sum_sq_charge()
-    iu = np.triu_indices(n, 1)
-    d = _pairwise_dist(pts)[iu] if n >= 2 else np.zeros(0)
-    prods = (np.outer(charges, charges)[iu] / d) if n >= 2 else np.zeros(0)
-    w_pairs = float((np.outer(charges, charges)[iu] * w_kernel(d)).sum()) if n >= 2 else 0.0
-    nodes, wts = _mollifier_nodes(r_j, n_quad)
-    offs = (pts[:, None, :] - nodes[None, :, :]).reshape(-1, 3)
+    _require_scales(ell_list, samples)
+    full, zsq, iu, d, prods = _pair_table(cfg.points, cfg.charges)
+    q = cfg.charges
+    w_pairs = float((q[iu[0]] * q[iu[1]] * w_kernel(d)).sum())
+    nodes, wts = _mollifier_nodes(r_j, _N_QUAD)
+    offs = (cfg.points[:, None, :] - nodes[None, :, :]).reshape(-1, 3)
     chunk = max(1, 32_768 // len(offs))  # samples per chunk: a few MiB of keys
-    ratios, sigmas = [], []
-    per_ell_weight_stats = []
+    deficits, extras = [], []
     for j, ell in enumerate(ell_list):
-        rng = np.random.default_rng([seed, 13, j])
-        R, u = _sample_motions(rng, samples, ell)
+        R, u = _sample_motions(np.random.default_rng([seed, 13, j]), samples, ell)
         vals = np.empty(samples)
         max_weight = 0.0
         for start in range(0, samples, chunk):
-            Y = (offs[None] - u[start : start + chunk, None, :]) @ R[start : start + chunk]
-            keys = tiling.locate(Y.reshape(-1, 3), scale=ell)
-            pair = _smooth_pair_weights(keys, n, wts, iu)
-            vals[start : start + chunk] = pair @ prods
+            part = slice(start, start + chunk)
+            keys = _same_tile_samples(_tiling(), offs, ell, R[part], u[part])
+            pair = _smooth_pair_weights(keys.ravel(), len(q), wts, iu)
+            vals[part] = pair @ prods
             max_weight = max(max_weight, float(pair.max(initial=0.0)))
-        D_s = vals - full
-        D = float(D_s.mean())
-        sig = float(D_s.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-        ratios.append(ell * D / zsq)
-        sigmas.append(ell * sig / zsq)
-        per_ell_weight_stats.append(max_weight)
-    c_fit, s_fit = ratios[fit_index], sigmas[fit_index]
-    reports = []
-    for ell, ratio, sig, mw in zip(ell_list, ratios, sigmas, per_ell_weight_stats):
-        reports.append(
-            Report(
-                "graf_schenker_smooth",
-                lhs=c_fit,
-                rhs=ratio,
-                mc_error=float(np.hypot(sig, s_fit)),
-                fitted_constant=c_fit,
-                extras={"ell": ell, "w_pairs": w_pairs, "max_pair_weight": mw, "r_j": r_j},
-            )
-        )
-    return reports
+        deficits.append(vals - full)
+        extras.append({"w_pairs": w_pairs, "max_pair_weight": max_weight, "r_j": r_j})
+    return _envelope_reports("graf_schenker_smooth", ell_list, deficits, zsq, extras)
 
 
 def _smooth_pair_weights(keys, n, wts, iu):
@@ -440,16 +420,9 @@ def yukawa(r, nu):
 
 def coulomb_yukawa_bound(cfg, nu):
     """sum q_i q_j / r >= sum q_i q_j Y_nu(r) - (nu/2) sum q_i^2."""
-    pts, q = cfg.points, cfg.charges
-    n = len(q)
-    lhs = pair_coulomb(pts, q)
-    if n >= 2:
-        iu = np.triu_indices(n, 1)
-        d = _pairwise_dist(pts)[iu]
-        rhs = float((np.outer(q, q)[iu] * yukawa(d, nu)).sum())
-    else:
-        rhs = 0.0
-    rhs -= 0.5 * nu * float((q ** 2).sum())
+    q = cfg.charges
+    lhs, qsq, iu, d, _ = _pair_table(cfg.points, q)
+    rhs = float((q[iu[0]] * q[iu[1]] * yukawa(d, nu)).sum()) - 0.5 * nu * qsq
     return Report("coulomb_yukawa", lhs, rhs, extras={"nu": nu})
 
 
@@ -670,19 +643,22 @@ def ims_defect(T, theta_rows, tol=1e-9):
     return defect, K
 
 
-def ims_residual(domain, ell_list, tiling=None, r_j_factor=0.5, n_quad=8, field=None):
+def ims_residual(domain, ell_list, field=None):
     """Spectral-norm IMS residual ||sum Theta T Theta - T|| over tile scales.
 
-    The mollifier radius grows like sqrt(ell) (r_j = r_j_factor sqrt(ell)), the
-    scaling under which ell * residual stays bounded; the partition of unity
-    is validated to 1e-9 before the defect is formed.
+    The mollifier radius grows like sqrt(ell), r_j = 0.5 sqrt(ell) with 8
+    midpoint nodes per axis (both fixed): the scaling under which
+    ell * residual stays bounded.  The partition of unity is validated to
+    1e-9 before the defect is formed.
     """
-    tiling = tiling or unit_cube_tiling()
+    _require_scales(ell_list)
     T = cb.kinetic_operator(domain, field)
     reports = []
     for ell in ell_list:
-        r_j = r_j_factor * np.sqrt(ell)
-        _, theta_sq = tile_weight_table(tiling, domain.points, scale=ell, r_j=r_j, n_quad=n_quad)
+        r_j = 0.5 * np.sqrt(ell)
+        _, theta_sq = tile_weight_table(
+            _tiling(), domain.points, scale=ell, r_j=r_j, n_quad=_N_QUAD
+        )
         defect, _ = ims_defect(T, np.sqrt(theta_sq))
         resid = float(np.abs(np.linalg.eigvalsh(defect)).max())  # defect is Hermitian
         reports.append(

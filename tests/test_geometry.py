@@ -258,15 +258,16 @@ class TestLocate:
             jitter = eps * rng.standard_normal(p.shape)
             self.assert_margin_rule(p + jitter + self.tiling.shift, 1.0)
 
-    def test_nan_rows_take_the_margin_rule(self):
-        # (0.3, nan, 0.1) reads as |p_x| >= |p_z| with both other
-        # comparisons false, an order no real point has; NaN cells are not
-        # range-checked, and the chamber still enters the key
-        pts = np.array([[0.3, np.nan, 0.1], [np.nan, 0.1, 0.2], [0.1, 0.2, 0.3]])
-        with np.errstate(invalid="ignore"):
-            keys = self.tiling.locate(pts - self.tiling.shift)
-            ref = margin_keys(self.tiling, pts - self.tiling.shift, 1.0)
-        np.testing.assert_array_equal(keys, ref)
+    def test_nan_rows_raise(self):
+        # a NaN coordinate has no cell: cast to int64 it would pack to a real
+        # tile's key (chamber 0 of cell (0, 0, 0) for (0.1, nan, 0.1)), so it
+        # raises like an infinite cell, on every axis and next to finite rows
+        for axis in range(3):
+            pts = np.full((3, 3), 0.1)
+            pts[1, axis] = np.nan
+            for rows in (pts, pts[1:2]):
+                with pytest.raises(ValueError, match="NaN"), np.errstate(invalid="ignore"):
+                    self.tiling.locate(rows + self.tiling.shift, scale=2.0)
 
     def test_extreme_cells_keep_lexicographic_order(self):
         # cells +-(2^18 - 1) and -2^18 on every axis, four chambers each:
@@ -363,8 +364,8 @@ class TestColumnLocator:
     """Tiling.locate against the strided (P, 3) locator, bit for bit."""
 
     def points(self, tiling, scale, rng):
-        # random points, cell points within 1e-12 of a chamber tie, exact
-        # half-integer cell boundaries and a NaN row, in the scaled frame
+        # random points, cell points within 1e-12 of a chamber tie and exact
+        # half-integer cell boundaries, in the scaled frame
         ties = tie_cell_points(rng, 60)
         near = ties + 1e-12 * rng.choice([-1.0, 1.0], size=ties.shape)
         cells = rng.integers(-4, 5, size=(len(ties), 3))
@@ -374,7 +375,6 @@ class TestColumnLocator:
             scale * (ties + cells + tiling.shift),
             scale * (near + cells + tiling.shift),
             scale * (half + tiling.shift),
-            [[0.3, np.nan, 0.1]],
         ]
         return np.vstack(rows)
 
@@ -384,10 +384,12 @@ class TestColumnLocator:
         rng = np.random.default_rng(int(scale))
         pts = self.points(tiling, scale, rng)
         for g in (None, G.sample_group(int(scale), 1)[0]):
-            with np.errstate(invalid="ignore"):
-                ref = strided_pack(strided_keys(tiling, pts, scale, g))
-                keys = tiling.locate(pts, scale=scale, g=g)
+            ref = strided_pack(strided_keys(tiling, pts, scale, g))
+            keys = tiling.locate(pts, scale=scale, g=g)
             assert keys.dtype == np.int64 and np.array_equal(keys, ref)
+            # a NaN row has no tile: the batch raises
+            with pytest.raises(ValueError, match="NaN"), np.errstate(invalid="ignore"):
+                tiling.locate(np.vstack([pts, [[0.3, np.nan, 0.1]]]), scale=scale, g=g)
 
 
 class TestTieChunks:

@@ -190,6 +190,65 @@ class TestGrafSchenker:
         assert same_small == pytest.approx(same_big, abs=0.01)
 
 
+def loop_gs_deficit(cfg, ell_list, samples, seed):
+    """(lhs, rhs, mc_error, extras) of graf_schenker_deficit as its own
+    per-scale loop computed them: same @ prods, a zero branch for fewer than
+    two points and the constant fitted at index 0.  Kept as the bitwise
+    oracle of the shared pair table and envelope."""
+    tiling = G.unit_cube_tiling()
+    pts, charges = cfg.points, cfg.charges
+    n = len(charges)
+    iu = np.triu_indices(n, 1)
+    d = I._pairwise_dist(pts)[iu]
+    prod = np.outer(charges, charges)[iu]
+    full = float(np.where(np.abs(prod) > 0, prod / np.where(d > 0, d, 1.0), 0.0).sum())
+    prods = prod / d if n >= 2 else np.zeros(0)
+    zsq = cfg.sum_sq_charge()
+    ratios, sigmas, deficits = [], [], []
+    for j, ell in enumerate(ell_list):
+        R, u = G._sample_motions(np.random.default_rng([seed, j]), samples, ell)
+        keys = I._same_tile_samples(tiling, pts, ell, R, u)
+        if n >= 2:
+            inside = (keys[:, iu[0]] == keys[:, iu[1]]) @ prods
+        else:
+            inside = np.zeros(samples)
+        D_s = inside - full
+        D = float(D_s.mean())
+        sig = float(D_s.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
+        deficits.append((D, sig))
+        ratios.append(ell * D / zsq)
+        sigmas.append(ell * sig / zsq)
+    c_fit, s_fit = ratios[0], sigmas[0]
+    return [
+        (c_fit, ratio, float(np.hypot(sig, s_fit)),
+         {"ell": ell, "deficit": D, "deficit_sigma": Dsig, "samples": samples})
+        for ell, ratio, sig, (D, Dsig) in zip(ell_list, ratios, sigmas, deficits)
+    ]
+
+
+class TestGrafSchenkerOracle:
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("samples", [1, 700])
+    def test_matches_per_scale_loop_bitwise(self, n, samples):
+        rng = np.random.default_rng(60 + n)
+        charges = rng.uniform(-3.0, 3.0, n)
+        cfg = I.ChargeConfig(rng.uniform(-1.0, 1.0, (n, 3)), charges)
+        ells = [4.0, 8.0, 16.0]
+        reps = I.graf_schenker_deficit(cfg, ells, samples=samples, seed=n)
+        got = [(r.lhs, r.rhs, r.mc_error, r.extras) for r in reps]
+        assert got == loop_gs_deficit(cfg, ells, samples, seed=n)
+        assert all(r.fitted_constant == r.lhs for r in reps)
+
+    @pytest.mark.parametrize("check", [I.graf_schenker_deficit, I.smooth_gs_check])
+    def test_empty_scales_and_samples_raise(self, check):
+        cfg = I.ChargeConfig([[0, 0, 0], [1.0, 0, 0]], [1.0, 1.0])
+        with pytest.raises(ValueError, match="ell_list is empty"):
+            check(cfg, [], samples=10)
+        for samples in (0, -3):
+            with pytest.raises(ValueError, match="samples >= 1"):
+                check(cfg, [4.0], samples=samples)
+
+
 class KeepColumns:
     """Stands in for the tiling: records the moved (P, 3) points."""
 
@@ -435,6 +494,14 @@ class TestIms:
         vals = [r.extras["ell_residual"] for r in reps]
         assert max(vals) <= 2.0 * min(vals)
         assert all(r.passed for r in reps)
+
+    def test_empty_scales_raise(self):
+        with pytest.raises(ValueError, match="ell_list is empty"):
+            I.ims_residual(cube(3), [])
+
+    def test_mollifier_radius_is_half_root_scale(self):
+        reps = I.ims_residual(cube(3), [4.0, 9.0])
+        assert [r.extras["r_j"] for r in reps] == [1.0, 1.5]
 
     def test_side6_peak_memory(self):
         """On the side-6 cube a fifth of the mollifier offsets at ell = 4 sit

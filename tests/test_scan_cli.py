@@ -252,6 +252,57 @@ class TestCli:
         assert lines[0].startswith("check,")
         assert len(lines) == 3
 
+    def test_verify_graf_schenker_explicit_configs(self, tmp_path, capsys):
+        from coulomblab import inequalities as ineq
+        from coulomblab.cli import REPORT_COLUMNS, report_row, rows_to_csv
+
+        configs = [
+            {"points": [[0, 0, 0], [1.0, 0, 0]], "charges": [1.0, 1.0]},
+            {"points": [[0.3, 0.1, -0.2]], "charges": [2.0]},
+            {"points": [[0, 0, 0], [0.5, 0.2, 0], [-0.3, 0.4, 0.6]], "charges": [1.0, 2.0, 1.5]},
+        ]
+        cfg = tmp_path / "gs.json"
+        cfg.write_text(json.dumps({"configs": configs, "ell_list": [4.0, 8.0], "samples": 300}))
+        out = tmp_path / "gs.csv"
+        code = cli_main(["verify", "graf-schenker", "--config", str(cfg), "--out", str(out)])
+        # config i is sampled at the default seed 11 plus 7 i
+        rows = []
+        for i, c in enumerate(configs):
+            charge_cfg = ineq.ChargeConfig(c["points"], c["charges"])
+            reps = ineq.graf_schenker_deficit(charge_cfg, [4.0, 8.0], samples=300, seed=11 + 7 * i)
+            rows += [report_row(r, config=str(i), scale=r.extras["ell"]) for r in reps]
+        assert out.read_text() == rows_to_csv(rows, REPORT_COLUMNS)
+        assert len(rows) == 6 and code == 0
+
+    def test_verify_graf_schenker_nan_point_exits_2(self, tmp_path, capsys):
+        # Python's json writes and reads NaN; a NaN point has no tile
+        cfg = tmp_path / "gs.json"
+        nan_point = [[0, 0, 0], [0.5, float("nan"), 0.1]]
+        cfg.write_text(json.dumps({"configs": [{"points": nan_point, "charges": [1.0, 1.0]}]}))
+        out = tmp_path / "gs.csv"
+        assert cli_main(["verify", "graf-schenker", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tile cell coordinate NaN") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "which, bad",
+        [
+            ("graf-schenker", {"ell_list": []}),
+            ("graf-schenker", {"samples": 0}),
+            ("graf-schenker", {"configs": [{"points": [[0, 0, 0]], "charges": [1.0]}], "ell_list": []}),
+            ("ims", {"ell_list": []}),
+        ],
+    )
+    def test_verify_empty_scales_or_samples_exit_2(self, tmp_path, capsys, which, bad):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        out = tmp_path / "bad.csv"
+        assert cli_main(["verify", which, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_verify_lieb_yau_baxter_rows_take_suite_bounds(self):
         from coulomblab import inequalities as ineq
         from coulomblab.cli import _run_lieb_yau, report_row
