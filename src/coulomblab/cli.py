@@ -1,7 +1,8 @@
 """Command-line front end: inequality suites, SSA suites, energies, scans.
 
 Every run is deterministic under --seed; output files carry no timestamps or
-timings, so identical invocations are byte-identical.
+timings, so identical invocations are byte-identical.  Each subcommand
+declares its config keys once, in the tables at the end of this module.
 """
 
 import argparse
@@ -74,18 +75,73 @@ def report_row(rep, config="", scale=""):
     return row
 
 
-def _load_config(args, default):
-    if not args.config:
-        cfg = dict(default)
-    else:
+def _load_config(args):
+    """The --config file's JSON value ({} without one), its seed set by --seed."""
+    cfg = {}
+    if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
-        merged = dict(default)
-        merged.update(cfg)
-        cfg = merged
-    if args.seed is not None:
+    # a value that is not an object is rejected by _read_config
+    if getattr(args, "seed", None) is not None and isinstance(cfg, dict):
         cfg["seed"] = args.seed
     return cfg
+
+
+# A key table maps each config key to (kind, default).  A kind is a type (a
+# bool is not an int; an int is a float), list[kind], a union a | b, or a
+# nested key table for a JSON object.  _REQUIRED marks a key without a
+# default; a key whose default is None also takes null.
+_REQUIRED = object()
+
+
+def _read_config(keys, cfg, where="config"):
+    """cfg completed with the defaults of the key table keys.
+
+    Raises ValueError on an unknown key, a missing required key or a value
+    not of its kind.  Values are checked, never converted."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{where} must be a JSON object, got {cfg!r}")
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {unknown}; accepted {sorted(keys)}")
+    out = {}
+    for name, (kind, default) in keys.items():
+        if name not in cfg and default is _REQUIRED:
+            raise ValueError(f"{where}: missing key {name!r}")
+        value = cfg.get(name, default)
+        if value is not None or default is not None:
+            value = _read_value(kind, value, f"{where}.{name}")
+        out[name] = value
+    return out
+
+
+def _read_value(kind, value, where):
+    if isinstance(kind, dict):
+        return _read_config(kind, value, where)
+    if getattr(kind, "__origin__", None) is list:
+        if isinstance(value, (list, tuple)):
+            return [_read_value(kind.__args__[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    elif hasattr(kind, "__args__"):  # a union
+        for alt in kind.__args__:
+            try:
+                return _read_value(alt, value, where)
+            except ValueError:
+                pass
+    elif isinstance(value, bool) == (kind is bool) and isinstance(
+        value, (int, float) if kind is float else kind
+    ):
+        return value
+    raise ValueError(f"{where} must be {_kind_name(kind)}, got {value!r}")
+
+
+def _kind_name(kind):
+    if isinstance(kind, dict):
+        return "an object"
+    if getattr(kind, "__origin__", None) is list:
+        return f"a list of {_kind_name(kind.__args__[0])}"
+    if hasattr(kind, "__args__"):
+        return " or ".join(_kind_name(alt) for alt in kind.__args__)
+    return kind.__name__
 
 
 def _domain_from(cfg):
@@ -95,12 +151,12 @@ def _domain_from(cfg):
 
 
 def _nuclei_from(cfg):
-    entries = [(e["position"], e["z"]) for e in cfg.get("nuclei", [])]
+    entries = [(e["position"], e["z"]) for e in cfg["nuclei"]]
     return cb.NucleiConfig(entries)
 
 
 def _field_from(cfg):
-    f = cfg.get("field")
+    f = cfg["field"]
     if not f:
         return None
     kind = f.get("kind")
@@ -118,33 +174,24 @@ def _field_from(cfg):
 
 
 def _run_lieb_yau(cfg):
-    if "configs" in cfg:
-        # explicit batch: [{"electrons": [...], "nuclei": [...], "z": ...}]
+    if cfg["configs"] is not None:
         rows = []
         for i, c in enumerate(cfg["configs"]):
-            rep = ineq.lieb_yau_gap(
-                c["electrons"], c["nuclei"], c["z"], baxter=c.get("baxter", False)
-            )
+            rep = ineq.lieb_yau_gap(c["electrons"], c["nuclei"], c["z"], baxter=c["baxter"])
             rows.append(report_row(rep, config=str(i)))
         return rows
-    suite = dict(
-        seed=cfg["seed"],
-        n_max=cfg.get("n_max", 8),
-        k_max=cfg.get("k_max", 8),
-        z_max=cfg.get("z_max", 3.0),
-    )
+    suite = dict(seed=cfg["seed"], n_max=cfg["n_max"], k_max=cfg["k_max"], z_max=cfg["z_max"])
     reps = ineq.lieb_yau_suite(cfg["n_configs"], **suite)
     rows = [report_row(r, config=str(i)) for i, r in enumerate(reps)]
-    if cfg.get("baxter", True):
+    if cfg["baxter"]:
         reps = ineq.lieb_yau_suite(cfg["n_configs"], baxter=True, **suite)
         rows += [report_row(r, config=str(i)) for i, r in enumerate(reps)]
     return rows
 
 
 def _run_graf_schenker(cfg):
-    ell_list = tuple(cfg.get("ell_list", (4.0, 8.0, 16.0)))
-    samples = cfg.get("samples", 10000)
-    if "configs" in cfg:
+    ell_list, samples = cfg["ell_list"], cfg["samples"]
+    if cfg["configs"] is not None:
         batches = [
             ineq.graf_schenker_deficit(
                 ineq.ChargeConfig(c["points"], c["charges"]), ell_list, samples, cfg["seed"] + 7 * i
@@ -162,15 +209,14 @@ def _run_graf_schenker(cfg):
 
 
 def _run_lt(cfg):
-    dom = build_domain({"shape": "cube", "side": cfg.get("side", 4.0)}, cfg.get("spacing", 1.0))
+    dom = build_domain({"shape": "cube", "side": cfg["side"]}, cfg["spacing"])
     n = dom.n_sites
-    site = cfg.get("site", n // 2)
-    wells = [
-        np.where(np.arange(n) == site, -lam / dom.a ** 2, 0.0)
-        for lam in cfg.get("depths", (5.0, 10.0, 20.0))
-    ]
+    site = n // 2 if cfg["site"] is None else cfg["site"]
+    if not 0 <= site < n:
+        raise ValueError(f"site {site} outside [0, {n}), the {n} sites of the cube")
+    wells = [np.where(np.arange(n) == site, -lam / dom.a ** 2, 0.0) for lam in cfg["depths"]]
     rows = [report_row(r, config=f"well{i}") for i, r in enumerate(ineq.lieb_thirring_ratio(dom, wells))]
-    for k, ratio in ineq.lt_state_ratio(dom, cfg.get("k_list", (1, 2, 4, 8))):
+    for k, ratio in ineq.lt_state_ratio(dom, cfg["k_list"]):
         rows.append(
             {
                 "check": "lieb_thirring_state",
@@ -187,70 +233,45 @@ def _run_lt(cfg):
     return rows
 
 
-_LI_YAU_PRESETS = {
-    "exp": lambda rate: (lambda t: np.exp(-rate * t)),
-}
-
-
 def _run_li_yau(cfg):
     rows = []
     for i, case in enumerate(cfg["cases"]):
-        fdesc = case.get("f", {"kind": "exp", "rate": 1.0})
-        f = _LI_YAU_PRESETS[fdesc["kind"]](fdesc.get("rate", 1.0))
-        rep = ineq.li_yau_gap(case["lengths"], f)
+        kind, rate = case["f"]["kind"], case["f"]["rate"]
+        if kind != "exp":
+            raise ValueError(f"unknown li-yau f kind {kind!r}; the only kind is 'exp'")
+        rep = ineq.li_yau_gap(case["lengths"], lambda t: np.exp(-rate * t))
         rows.append(report_row(rep, config=str(i)))
     return rows
 
 
 def _run_repelling(cfg):
-    dom = build_domain({"shape": "cube", "side": cfg.get("side", 4.0)}, cfg.get("spacing", 1.0))
-    reps = ineq.repelling_bound_check(dom, cfg.get("N_list", (1, 2, 3)), cfg.get("eps", 0.5))
+    dom = build_domain({"shape": "cube", "side": cfg["side"]}, cfg["spacing"])
+    reps = ineq.repelling_bound_check(dom, cfg["N_list"], cfg["eps"])
     return [report_row(r, config=f"N{r.extras['N']}") for r in reps]
 
 
 def _run_ims(cfg):
-    dom = build_domain({"shape": "cube", "side": cfg.get("side", 6.0)}, cfg.get("spacing", 1.0))
-    reps = ineq.ims_residual(dom, cfg.get("ell_list", (4.0, 8.0, 16.0)))
+    dom = build_domain({"shape": "cube", "side": cfg["side"]}, cfg["spacing"])
+    reps = ineq.ims_residual(dom, cfg["ell_list"])
     return [report_row(r, scale=r.extras["ell"]) for r in reps]
 
 
 def _run_dipole(cfg):
     rng = np.random.default_rng(cfg["seed"])
-    xs = rng.uniform(-3.0, 3.0, size=(cfg.get("n_samples", 10000), 3))
-    rep = ineq.dipole_bound_check(cfg.get("R", (0.1, 0.0, 0.0)), cfg.get("D", (0.3, 0.2, -0.1)), xs)
+    xs = rng.uniform(-3.0, 3.0, size=(cfg["n_samples"], 3))
+    rep = ineq.dipole_bound_check(cfg["R"], cfg["D"], xs)
     return [report_row(rep)]
 
 
 def _run_yukawa(cfg):
     rng = np.random.default_rng(cfg["seed"])
     rows = []
-    for i in range(cfg.get("n_configs", 100)):
+    for i in range(cfg["n_configs"]):
         N = int(rng.integers(1, 9))
         c = ineq.ChargeConfig(rng.uniform(-2, 2, (N, 3)), rng.uniform(-3, 3, N))
-        for nu in cfg.get("nus", (0.5, 1.0, 2.0)):
+        for nu in cfg["nus"]:
             rows.append(report_row(ineq.coulomb_yukawa_bound(c, nu), config=str(i), scale=nu))
     return rows
-
-
-_VERIFY = {
-    "lieb-yau": (_run_lieb_yau, {"n_configs": 1000, "seed": 7}),
-    "graf-schenker": (_run_graf_schenker, {"n_configs": 20, "seed": 11, "samples": 10000}),
-    "lt": (_run_lt, {"seed": 0}),
-    "li-yau": (
-        _run_li_yau,
-        {
-            "seed": 0,
-            "cases": [
-                {"lengths": [np.pi], "f": {"kind": "exp", "rate": 1.0}},
-                {"lengths": [1.0, 1.3, 0.8], "f": {"kind": "exp", "rate": 0.25}},
-            ],
-        },
-    ),
-    "repelling": (_run_repelling, {"seed": 0, "N_list": [1, 2, 3], "eps": 0.5}),
-    "ims": (_run_ims, {"seed": 0}),
-    "dipole": (_run_dipole, {"seed": 5}),
-    "yukawa": (_run_yukawa, {"seed": 3, "n_configs": 100}),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +290,14 @@ SSA_COLUMNS = REPORT_COLUMNS + ["s12", "s23", "s2", "s123"]
 
 def _run_ssa_quantum(cfg):
     rng = np.random.default_rng(cfg["seed"])
-    n = cfg.get("modes", 6)
+    n = cfg["modes"]
     space = fock.build_space(n, "fermion")
     states = []
-    for path in cfg.get("state_files", []):
+    for path in cfg["state_files"]:
         with open(path) as fh:
             M = fock.array_from_json(fh.read())
         states.append(("file:" + path, fock.FockState(space, M)))
-    for trial in range(cfg.get("n_states", 100)):
+    for trial in range(cfg["n_states"]):
         X = rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal(
             (space.dim, space.dim)
         )
@@ -285,7 +306,7 @@ def _run_ssa_quantum(cfg):
         states.append((f"random{trial}", fock.FockState(space, M, validate=False)))
     rows = []
     for label, state in states:
-        raw = rng.random((cfg.get("n_weights", 4), n)) + 0.1
+        raw = rng.random((cfg["n_weights"], n)) + 0.1
         raw /= np.sqrt((raw ** 2).sum(axis=0))
         rep = loc.ssa_gap(state, list(raw), [0], [1], [2])
         rows.append(_ssa_row(rep, label, n))
@@ -296,11 +317,11 @@ def _run_ssa_cq(cfg):
     from .localization import CQState, cq_ssa_gap
 
     rng = np.random.default_rng(cfg["seed"])
-    m = cfg.get("cells", 3)
-    n = cfg.get("modes", 4)
+    m = cfg["cells"]
+    n = cfg["modes"]
     space = fock.build_space(n, "fermion")
     D = space.dim
-    h = cfg.get("cell_volume", 0.5)
+    h = cfg["cell_volume"]
     rows = []
 
     def rand_psd(scale):
@@ -308,7 +329,7 @@ def _run_ssa_cq(cfg):
         M = X @ X.conj().T
         return scale * M / np.trace(M).real
 
-    for trial in range(cfg.get("n_states", 50)):
+    for trial in range(cfg["n_states"]):
         b0 = rand_psd(0.5)
         b1 = np.zeros((m, D, D), complex)
         for i in range(m):
@@ -340,10 +361,9 @@ def _run_ssa_cq(cfg):
 def _run_energy(cfg):
     dom = _domain_from(cfg)
     op = cb.coulomb_hamiltonian(
-        dom, _nuclei_from(cfg), field=_field_from(cfg), n_max=cfg.get("n_max"),
-        dim_cap=cfg.get("dim_cap", 16384),
+        dom, _nuclei_from(cfg), field=_field_from(cfg), n_max=cfg["n_max"], dim_cap=cfg["dim_cap"]
     )
-    res = cb.ground_state_energy(op, dense_cap=cfg.get("dense_cap", 2048))
+    res = cb.ground_state_energy(op, dense_cap=cfg["dense_cap"])
     rows = [
         {
             "quantity": "ground_energy",
@@ -360,10 +380,9 @@ def _run_energy(cfg):
 def _run_free_energy(cfg):
     dom = _domain_from(cfg)
     op = cb.coulomb_hamiltonian(
-        dom, _nuclei_from(cfg), field=_field_from(cfg), n_max=cfg.get("n_max"),
-        dim_cap=cfg.get("dim_cap", 16384),
+        dom, _nuclei_from(cfg), field=_field_from(cfg), n_max=cfg["n_max"], dim_cap=cfg["dim_cap"]
     )
-    fe = cb.free_energy(op, cfg["beta"], cfg["mu"], dense_cap=cfg.get("dense_cap", 4096))
+    fe = cb.free_energy(op, cfg["beta"], cfg["mu"], dense_cap=cfg["dense_cap"])
     rows = [
         {"quantity": "free_energy", "sector": "", "value": fe.value},
         {"quantity": "log_z", "sector": "", "value": fe.log_z},
@@ -376,11 +395,7 @@ def _run_free_energy(cfg):
 def _run_hf(cfg):
     dom = _domain_from(cfg)
     res = cb.hf_minimize(
-        dom,
-        _nuclei_from(cfg),
-        mu=cfg.get("mu", 0.0),
-        beta=cfg.get("beta"),
-        field=_field_from(cfg),
+        dom, _nuclei_from(cfg), mu=cfg["mu"], beta=cfg["beta"], field=_field_from(cfg)
     )
     rows = [
         {"quantity": "hf_energy", "sector": "", "value": res.energy},
@@ -392,8 +407,7 @@ def _run_hf(cfg):
 
 
 def _run_scan_cmd(cfg):
-    spec = ScanSpec.from_dict(cfg)
-    result = run_scan(spec)
+    result = run_scan(ScanSpec(**cfg))
     rows = [r.output_fields() for r in result.rows]
     cols = list(rows[0].keys())
     ok = all(np.isfinite(r.energy_per_volume) or r.flags.startswith("skipped") for r in result.rows)
@@ -401,10 +415,8 @@ def _run_scan_cmd(cfg):
 
 
 def _run_compare(cfg):
-    defects = [(d["position"], d["z"]) for d in cfg.get("defects", [])]
-    spec_fields = {k: v for k, v in cfg.items() if k in ScanSpec.__dataclass_fields__}
-    spec = ScanSpec.from_dict({"model": "crystal", **spec_fields})
-    out = perturbation_compare(spec, defects=defects)
+    defects = [(d["position"], d["z"]) for d in cfg.pop("defects")]
+    out = perturbation_compare(ScanSpec(**cfg), defects=defects)
     rows = out["rows"]
     for r in rows:
         r["trend_nonincreasing"] = out["trend_nonincreasing"]
@@ -414,12 +426,90 @@ def _run_compare(cfg):
 
 
 # ---------------------------------------------------------------------------
+# subcommand -> (runner, key table); only the subcommands that draw random
+# numbers take a seed
+
+_CHARGE = {"position": (list[float], _REQUIRED), "z": (float, _REQUIRED)}
+_POINTS = list[list[float]]
+
+_VERIFY = {
+    "lieb-yau": (_run_lieb_yau, {
+        "configs": (list[{"electrons": (_POINTS, _REQUIRED), "nuclei": (_POINTS, _REQUIRED),
+                          "z": (float, _REQUIRED), "baxter": (bool, False)}], None),
+        "n_configs": (int, 1000), "seed": (int, 7), "n_max": (int, 8), "k_max": (int, 8),
+        "z_max": (float, 3.0), "baxter": (bool, True),
+    }),
+    "graf-schenker": (_run_graf_schenker, {
+        "configs": (list[{"points": (_POINTS, _REQUIRED), "charges": (list[float], _REQUIRED)}],
+                    None),
+        "n_configs": (int, 20), "seed": (int, 11), "samples": (int, 10000),
+        "ell_list": (list[float], [4.0, 8.0, 16.0]),
+    }),
+    "lt": (_run_lt, {
+        "side": (float, 4.0), "spacing": (float, 1.0),
+        "site": (int, None),  # None: the middle site, n_sites // 2
+        "depths": (list[float], [5.0, 10.0, 20.0]), "k_list": (list[int], [1, 2, 4, 8]),
+    }),
+    "li-yau": (_run_li_yau, {
+        "cases": (list[{"lengths": (list[float], _REQUIRED),
+                        "f": ({"kind": (str, _REQUIRED), "rate": (float, 1.0)}, {"kind": "exp"})}],
+                  [{"lengths": [np.pi], "f": {"kind": "exp", "rate": 1.0}},
+                   {"lengths": [1.0, 1.3, 0.8], "f": {"kind": "exp", "rate": 0.25}}]),
+    }),
+    "repelling": (_run_repelling, {
+        "side": (float, 4.0), "spacing": (float, 1.0), "N_list": (list[int], [1, 2, 3]),
+        "eps": (float, 0.5),
+    }),
+    "ims": (_run_ims, {
+        "side": (float, 6.0), "spacing": (float, 1.0), "ell_list": (list[float], [4.0, 8.0, 16.0]),
+    }),
+    "dipole": (_run_dipole, {
+        "seed": (int, 5), "n_samples": (int, 10000), "R": (list[float], [0.1, 0.0, 0.0]),
+        "D": (list[float], [0.3, 0.2, -0.1]),
+    }),
+    "yukawa": (_run_yukawa, {
+        "seed": (int, 3), "n_configs": (int, 100), "nus": (list[float], [0.5, 1.0, 2.0]),
+    }),
+}
+
+_SSA = {
+    "quantum": (_run_ssa_quantum, {
+        "seed": (int, 21), "modes": (int, 6), "state_files": (list[str], []),
+        "n_states": (int, 100), "n_weights": (int, 4),
+    }),
+    "cq": (_run_ssa_cq, {
+        "seed": (int, 21), "cells": (int, 3), "modes": (int, 4), "cell_volume": (float, 0.5),
+        "n_states": (int, 50),
+    }),
+}
+
+# one model definition serves energy, free-energy and hf; "domain" is read by
+# geometry.build_domain, plus its "spacing" (default 1.0)
+_MODEL = {
+    "domain": (dict, _REQUIRED), "nuclei": (list[_CHARGE], []), "field": (dict, None),
+    "n_max": (int, None), "dim_cap": (int, 16384), "dense_cap": (int, 2048),
+    "beta": (float, None), "mu": (float, 0.0),
+}
+
+_SCAN = {name: (f.type, f.default) for name, f in ScanSpec.__dataclass_fields__.items()}
+
+_COMMANDS = {
+    "energy": (_run_energy, _MODEL),
+    "free-energy": (_run_free_energy, {
+        **_MODEL, "dense_cap": (int, 4096), "beta": (float, _REQUIRED), "mu": (float, _REQUIRED),
+    }),
+    "hf": (_run_hf, _MODEL),
+    "scan": (_run_scan_cmd, _SCAN),
+    "compare-perturbation": (_run_compare, {
+        **{k: _SCAN[k] for k in ("sides", "spacing", "z", "n_max", "dense_cap", "dim_cap")},
+        "defects": (list[_CHARGE], []),
+    }),
+}
 
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON configuration file")
-    common.add_argument("--seed", type=int, default=None, help="override the run seed")
     common.add_argument("--out", help="output path (stdout otherwise)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     p = argparse.ArgumentParser(prog="coulomblab")
@@ -427,8 +517,10 @@ def build_parser():
     v = sub.add_parser("verify", parents=[common])
     v.add_argument("which", choices=sorted(_VERIFY))
     s = sub.add_parser("ssa", parents=[common])
-    s.add_argument("which", choices=("quantum", "cq"))
-    for name in ("energy", "free-energy", "hf", "scan", "compare-perturbation"):
+    s.add_argument("which", choices=tuple(_SSA))
+    for seeded in (v, s):
+        seeded.add_argument("--seed", type=int, help="override the run seed (seeded suites only)")
+    for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
     return p
 
@@ -436,39 +528,32 @@ def build_parser():
 def cli_main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if extra:
+        sys.stderr.write(f"error: unrecognized arguments: {' '.join(extra)}\n")
+        return 2
     if not args.command:
         parser.print_usage()
         return 2
     try:
         if args.command == "verify":
-            runner, default = _VERIFY[args.which]
-            rows = runner(_load_config(args, default))
-            ok = all(r["passed"] for r in rows)
-            emit(rows, REPORT_COLUMNS, args)
+            runner, keys = _VERIFY[args.which]
         elif args.command == "ssa":
-            runner = _run_ssa_quantum if args.which == "quantum" else _run_ssa_cq
-            rows = runner(_load_config(args, {"seed": 21}))
+            runner, keys = _SSA[args.which]
+        else:
+            runner, keys = _COMMANDS[args.command]
+        cfg = _read_config(keys, _load_config(args))
+        if args.command in ("verify", "ssa"):
+            rows = runner(cfg)
+            if not rows:
+                raise ValueError("the config selects no checks: a count below 1 or an empty list")
+            cols = REPORT_COLUMNS if args.command == "verify" else SSA_COLUMNS
             ok = all(r["passed"] for r in rows)
-            emit(rows, SSA_COLUMNS, args)
-        elif args.command in ("energy", "free-energy", "hf", "scan", "compare-perturbation"):
-            runner = {
-                "energy": _run_energy,
-                "free-energy": _run_free_energy,
-                "hf": _run_hf,
-                "scan": _run_scan_cmd,
-                "compare-perturbation": _run_compare,
-            }[args.command]
-            default = {"seed": 0}
-            if args.command in ("energy", "free-energy", "hf") and not args.config:
-                sys.stderr.write("this subcommand needs --config with a model definition\n")
-                return 2
-            rows, cols, ok = runner(_load_config(args, default))
-            emit(rows, cols, args)
-        else:  # pragma: no cover
-            return 2
+        else:
+            rows, cols, ok = runner(cfg)
+        emit(rows, cols, args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -258,6 +258,8 @@ def _tiling():
 def _require_scales(ell_list, samples=1):
     if len(ell_list) == 0:
         raise ValueError("ell_list is empty")
+    if not all(np.isfinite(ell) and ell > 0 for ell in ell_list):
+        raise ValueError(f"scales must be positive and finite, got {list(ell_list)}")
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
 
@@ -282,6 +284,8 @@ def _envelope_reports(name, ell_list, deficits, zsq, extras):
     ell mean(D_s) / zsq against the constant fitted at the first scale,
     within the combined 3-sigma Monte Carlo error of the two.  extras holds
     one dict per scale for the report's extras."""
+    if zsq == 0:
+        raise ValueError("all charges are zero: the deficit rate divides by sum z^2")
     rows = []
     for ell, D_s in zip(ell_list, deficits):
         n = len(D_s)
@@ -469,6 +473,8 @@ def lt_state_ratio(domain, k_list):
     a3 = domain.a ** 3
     out = []
     for k in k_list:
+        if not 1 <= k <= domain.n_sites:
+            raise ValueError(f"k = {k} outside 1..{domain.n_sites}, the modes of the domain")
         occ = vecs[:, :k]
         kin = float(vals[:k].sum())
         rho = (np.abs(occ) ** 2).sum(axis=1) / a3
@@ -610,9 +616,11 @@ def dipole_bound_check(R, D, x_samples, singular_tol=1e-6):
     d1 = np.linalg.norm(xs - R - D, axis=1)
     d2 = np.linalg.norm(xs - R, axis=1)
     ok = (d1 > singular_tol) & (d2 > singular_tol)
+    if not ok.any():
+        raise ValueError("no sample point away from the two singularities")
     skipped = int((~ok).sum())
     ratio = np.abs(1.0 / d1[ok] - 1.0 / d2[ok]) * d1[ok] * d2[ok] / np.linalg.norm(D)
-    worst = float(ratio.max()) if ratio.size else 0.0
+    worst = float(ratio.max())
     return Report(
         "dipole_bound",
         lhs=1.0 + 1e-9,

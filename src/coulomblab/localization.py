@@ -281,6 +281,8 @@ def ssa_gap(state, weights, P1, P2, P3, tol=1e-9):
     for a, b in itertools.combinations(sets, 2):
         if a & b:
             raise ValueError("index sets must be pairwise disjoint")
+    if any(i not in range(len(weights)) for s in sets for i in s):
+        raise ValueError(f"index sets must name weights of the family of {len(weights)}")
     P1, P2, P3 = [sorted(s) for s in sets]
     ws = _validated_family(weights)
     if not isinstance(state, FockState):

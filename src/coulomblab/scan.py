@@ -21,12 +21,15 @@ _NUCLEUS_OFFSET = np.array([0.25, 0.25, 0.25])
 
 @dataclass
 class ScanSpec:
+    """Scan parameters; the annotations and defaults are also the key table
+    of the `scan` config (cli._read_config)."""
+
     model: str = "crystal"  # crystal | quantum-nuclei | movable
-    sides: tuple = (2, 3, 4)
+    sides: list[int] = (2, 3, 4)
     spacing: float = 1.0
     z: float = 1.0
     beta: float = 1.0
-    mu: object = 0.0  # scalar for crystal, pair for the two-species models
+    mu: float | list[float] = 0.0  # scalar for crystal, pair for the two-species models
     nuc_mass: float = 100.0
     n_max: int = 2
     nuc_max: int = 1
@@ -35,28 +38,20 @@ class ScanSpec:
     dense_cap: int = 4096
     dim_cap: int = 70000
     budget: int = 70000
-    seed: int = 0
 
     def __post_init__(self):
         if self.model not in ("crystal", "quantum-nuclei", "movable"):
             raise ValueError(f"unknown scan model {self.model!r}")
-        sides = tuple(int(s) for s in self.sides)
-        if any(b <= a for a, b in zip(sides, sides[1:])):
+        self.sides = tuple(self.sides)
+        if not self.sides:
+            raise ValueError("sides is empty")
+        if any(b <= a for a, b in zip(self.sides, self.sides[1:])):
             raise ValueError("sides must be strictly increasing")
-        self.sides = sides
         if self.model == "crystal":
             self.mu = float(np.atleast_1d(self.mu)[0])
         else:
             mu = np.atleast_1d(self.mu)
             self.mu = (float(mu[0]), float(mu[-1]))
-
-    @classmethod
-    def from_dict(cls, obj):
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(obj) - known
-        if bad:
-            raise ValueError(f"unknown scan options: {sorted(bad)}")
-        return cls(**obj)
 
 
 @dataclass

@@ -8,7 +8,7 @@ import pytest
 
 from coulomblab import coulomb as cb
 from coulomblab import fock
-from coulomblab.cli import cli_main
+from coulomblab.cli import _COMMANDS, _VERIFY, _read_config, cli_main
 from coulomblab.scan import (
     _NUCLEUS_OFFSET,
     ScanSpec,
@@ -26,13 +26,25 @@ class TestScanSpec:
         with pytest.raises(ValueError, match="increasing"):
             ScanSpec(sides=(3, 3))
 
+    def test_sides_must_not_be_empty(self):
+        with pytest.raises(ValueError, match="empty"):
+            ScanSpec(sides=())
+
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="model"):
             ScanSpec(model="continuum")
 
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown scan options"):
-            ScanSpec.from_dict({"model": "crystal", "turbo": True})
+    def test_reader_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match=r"unknown keys \['turbo'\]"):
+            _read_config(_COMMANDS["scan"][1], {"model": "crystal", "turbo": True})
+
+    def test_reader_fills_defaults_and_never_converts(self):
+        cfg = _read_config(_COMMANDS["scan"][1], {"sides": [2, 3], "z": 1, "mu": [-1, -2]})
+        assert ScanSpec(**cfg) == ScanSpec(sides=(2, 3), z=1, mu=[-1, -2])
+        assert type(cfg["z"]) is int and cfg["mu"] == [-1, -2]
+        for bad in ({"n_max": True}, {"n_max": 2.0}, {"z": "1"}, {"mu": [1, "x"]}):
+            with pytest.raises(ValueError, match="must be"):
+                _read_config(_COMMANDS["scan"][1], bad)
 
 
 class TestRunScan:
@@ -292,6 +304,8 @@ class TestCli:
             ("graf-schenker", {"samples": 0}),
             ("graf-schenker", {"configs": [{"points": [[0, 0, 0]], "charges": [1.0]}], "ell_list": []}),
             ("ims", {"ell_list": []}),
+            ("ims", {"ell_list": [0.0]}),
+            ("ims", {"ell_list": [-4.0]}),
         ],
     )
     def test_verify_empty_scales_or_samples_exit_2(self, tmp_path, capsys, which, bad):
@@ -303,11 +317,50 @@ class TestCli:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
+    # bad scales and sample counts are the cases of the test above
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["verify", "graf-schenker"], {"samples": 50.0}),
+            (["verify", "graf-schenker"], {"n_configs": "2"}),
+            (
+                ["verify", "graf-schenker"],
+                {"configs": [{"points": [[0, 0, 0], [1, 0, 0]], "charges": [0.0, 0.0]}], "samples": 50},
+            ),
+            (["verify", "graf-schenker"], {"ell_list": ["4"]}),
+            (["verify", "dipole"], {"n_samples": 10.5}),
+            (["scan"], {"sides": []}),
+            (["verify", "lieb-yau"], {"n_configs": -1}),
+            (["verify", "yukawa"], {"n_configs": True}),
+            (["scan"], {"sides": [2.5]}),
+            (["ssa", "quantum"], {"n_modes": 4}),
+            (["ssa", "quantum"], {"n_weights": 2, "n_states": 1, "modes": 3}),
+            (["compare-perturbation"], {"sides": [2], "turbo": 1}),
+            (["verify", "lt"], {"site": 99}),
+            (["verify", "lt"], {"k_list": [65]}),
+            (["verify", "dipole"], {"n_samples": 0}),
+            (["verify", "li-yau"], {"cases": [{"lengths": [1.0], "f": {"kind": "gauss"}}]}),
+            (["verify", "ims", "--seed", "3"], None),
+            (["scan", "--seed", "3"], None),
+        ],
+    )
+    def test_bad_config_exits_2(self, tmp_path, capsys, argv, bad):
+        if bad is not None:
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(json.dumps(bad))
+            argv = argv + ["--config", str(cfg)]
+        out = tmp_path / "bad.csv"
+        assert cli_main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_verify_lieb_yau_baxter_rows_take_suite_bounds(self):
         from coulomblab import inequalities as ineq
-        from coulomblab.cli import _run_lieb_yau, report_row
+        from coulomblab.cli import report_row
 
-        rows = _run_lieb_yau({"n_configs": 30, "seed": 4, "n_max": 1, "k_max": 1})
+        run, keys = _VERIFY["lieb-yau"]
+        rows = run(_read_config(keys, {"n_configs": 30, "seed": 4, "n_max": 1, "k_max": 1}))
         baxter = ineq.lieb_yau_suite(30, seed=4, n_max=1, k_max=1, baxter=True)
         assert rows[30:] == [report_row(r, config=str(i)) for i, r in enumerate(baxter)]
         assert all(row["check"] == "baxter" for row in rows[30:])
@@ -390,6 +443,22 @@ class TestCli:
             == 0
         )
         assert out1.read_bytes() != out2.read_bytes()
+
+
+def test_readme_config_examples_pass_their_readers():
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")) as fh:
+        section = fh.read().split("### Config examples")[1].split("\n## ")[0]
+    examples = [json.loads(part.split("```")[0]) for part in section.split("```json\n")[1:]]
+    documented = [
+        [_COMMANDS["energy"], _COMMANDS["free-energy"], _COMMANDS["hf"]],
+        [_COMMANDS["scan"]],
+        [_VERIFY["lieb-yau"]],
+        [_VERIFY["graf-schenker"]],
+    ]
+    assert len(examples) == len(documented)
+    for cfg, subcommands in zip(examples, documented):
+        for _run, keys in subcommands:
+            _read_config(keys, cfg)
 
 
 def _loaded_after_cli_import(modules):
