@@ -88,9 +88,10 @@ def _load_config(args):
 
 
 # A key table maps each config key to (kind, default).  A kind is a type (a
-# bool is not an int; an int is a float), list[kind], a union a | b, or a
-# nested key table for a JSON object.  _REQUIRED marks a key without a
-# default; a key whose default is None also takes null.
+# bool is not an int; an int is a float), list[kind], a union a | b, a
+# nested key table for a JSON object, or (tag, {tag value: key table}) for a
+# JSON object whose tag key picks its table.  _REQUIRED marks a key without
+# a default; a key whose default is None also takes null.
 _REQUIRED = object()
 
 
@@ -118,6 +119,12 @@ def _read_config(keys, cfg, where="config"):
 def _read_value(kind, value, where):
     if isinstance(kind, dict):
         return _read_config(kind, value, where)
+    if isinstance(kind, tuple):
+        tag, tables = kind
+        choice = value.get(tag) if isinstance(value, dict) else None
+        if isinstance(value, dict) and not (isinstance(choice, str) and choice in tables):
+            raise ValueError(f"{where}.{tag} must be one of {sorted(tables)}, got {choice!r}")
+        return _read_config({tag: (str, _REQUIRED), **tables.get(choice, {})}, value, where)
     if getattr(kind, "__origin__", None) is list:
         if isinstance(value, (list, tuple)):
             return [_read_value(kind.__args__[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
@@ -145,9 +152,9 @@ def _kind_name(kind):
 
 
 def _domain_from(cfg):
-    spec = dict(cfg["domain"])
-    a = float(spec.pop("spacing", 1.0))
-    return build_domain(spec, a)
+    # a ball without a center takes build_domain's default center
+    spec = {k: v for k, v in cfg["domain"].items() if v is not None}
+    return build_domain(spec, spec.pop("spacing"))
 
 
 def _nuclei_from(cfg):
@@ -156,17 +163,16 @@ def _nuclei_from(cfg):
 
 
 def _field_from(cfg):
-    f = cfg["field"]
-    if not f:
+    if cfg["field"] is None:
         return None
-    kind = f.get("kind")
-    if kind == "constant":
-        return cb.MagneticField.constant(f["B"])
-    if kind == "periodic_sine":
-        return cb.MagneticField.periodic_sine(f["amplitude"], f["period"])
-    if kind == "random":
-        return cb.MagneticField.random_bounded(f.get("seed", 0), f.get("scale", 1.0))
-    raise ValueError(f"unknown field kind {kind!r}")
+    # each kind's keys are the arguments of its constructor
+    f = dict(cfg["field"])
+    make = {
+        "constant": cb.MagneticField.constant,
+        "periodic_sine": cb.MagneticField.periodic_sine,
+        "random": cb.MagneticField.random_bounded,
+    }[f.pop("kind")]
+    return make(**f)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +294,19 @@ def _ssa_row(rep, config, n):
 SSA_COLUMNS = REPORT_COLUMNS + ["s12", "s23", "s2", "s123"]
 
 
+def _random_psd(rng, D, scale=1.0):
+    """A random positive D x D matrix of trace scale."""
+    X = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    M = X @ X.conj().T
+    return scale * M / np.trace(M).real
+
+
+def _random_partition(rng, count, n, floor):
+    """count random weights on n points with sum_i w_i^2 = 1 at each point."""
+    raw = rng.random((count, n)) + floor
+    return list(raw / np.sqrt((raw ** 2).sum(axis=0)))
+
+
 def _run_ssa_quantum(cfg):
     rng = np.random.default_rng(cfg["seed"])
     n = cfg["modes"]
@@ -298,58 +317,39 @@ def _run_ssa_quantum(cfg):
             M = fock.array_from_json(fh.read())
         states.append(("file:" + path, fock.FockState(space, M)))
     for trial in range(cfg["n_states"]):
-        X = rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal(
-            (space.dim, space.dim)
-        )
-        M = X @ X.conj().T
-        M /= np.trace(M).real
+        M = _random_psd(rng, space.dim)
         states.append((f"random{trial}", fock.FockState(space, M, validate=False)))
     rows = []
     for label, state in states:
-        raw = rng.random((cfg["n_weights"], n)) + 0.1
-        raw /= np.sqrt((raw ** 2).sum(axis=0))
-        rep = loc.ssa_gap(state, list(raw), [0], [1], [2])
-        rows.append(_ssa_row(rep, label, n))
+        weights = _random_partition(rng, cfg["n_weights"], n, 0.1)
+        rows.append(_ssa_row(loc.ssa_gap(state, weights, [0], [1], [2]), label, n))
     return rows
 
 
 def _run_ssa_cq(cfg):
-    from .localization import CQState, cq_ssa_gap
-
     rng = np.random.default_rng(cfg["seed"])
-    m = cfg["cells"]
-    n = cfg["modes"]
+    m, n, h = cfg["cells"], cfg["modes"], cfg["cell_volume"]
     space = fock.build_space(n, "fermion")
     D = space.dim
-    h = cfg["cell_volume"]
     rows = []
-
-    def rand_psd(scale):
-        X = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-        M = X @ X.conj().T
-        return scale * M / np.trace(M).real
-
     for trial in range(cfg["n_states"]):
-        b0 = rand_psd(0.5)
+        b0 = _random_psd(rng, D, 0.5)
         b1 = np.zeros((m, D, D), complex)
         for i in range(m):
-            b1[i] = rand_psd(0.1 + 0.3 * rng.random())
+            b1[i] = _random_psd(rng, D, 0.1 + 0.3 * rng.random())
         b2 = np.zeros((m, m, D, D), complex)
         for i in range(m):
             for j in range(i + 1, m):
-                blk = rand_psd(0.02 + 0.1 * rng.random())
-                b2[i, j] = b2[j, i] = blk
+                b2[i, j] = b2[j, i] = _random_psd(rng, D, 0.02 + 0.1 * rng.random())
         mass = (
             np.trace(b0).real
             + h * np.trace(b1, axis1=-2, axis2=-1).real.sum()
             + h * h / 2 * np.trace(b2, axis1=-2, axis2=-1).real.sum()
         )
-        rho = CQState(space, h, {0: b0 / mass, 1: b1 / mass, 2: b2 / mass})
-        thetas = rng.random((3, m)) + 0.2
-        thetas /= np.sqrt((thetas ** 2).sum(axis=0))
-        qs = rng.random((3, n)) + 0.2
-        qs /= np.sqrt((qs ** 2).sum(axis=0))
-        rep = cq_ssa_gap(rho, list(qs), list(thetas), [0], [1], [2])
+        rho = loc.CQState(space, h, {0: b0 / mass, 1: b1 / mass, 2: b2 / mass})
+        thetas = _random_partition(rng, 3, m, 0.2)
+        qs = _random_partition(rng, 3, n, 0.2)
+        rep = loc.cq_ssa_gap(rho, qs, thetas, [0], [1], [2])
         rows.append(_ssa_row(rep, f"cq{trial}", f"{m}x{n}"))
     return rows
 
@@ -483,10 +483,21 @@ _SSA = {
     }),
 }
 
-# one model definition serves energy, free-energy and hf; "domain" is read by
-# geometry.build_domain, plus its "spacing" (default 1.0)
+# one model definition serves energy, free-energy and hf; "domain" is the
+# spec of geometry.build_domain plus its "spacing", "field" the arguments of
+# one MagneticField constructor
+_DOMAIN = ("shape", {
+    "cube": {"side": (float, _REQUIRED), "spacing": (float, 1.0)},
+    "ball": {"radius": (float, _REQUIRED), "center": (list[float], None), "spacing": (float, 1.0)},
+    "custom": {"sites": (_POINTS, _REQUIRED), "label": (str, "custom"), "spacing": (float, 1.0)},
+})
+_FIELD = ("kind", {
+    "constant": {"B": (list[float], _REQUIRED)},
+    "periodic_sine": {"amplitude": (float, _REQUIRED), "period": (float, _REQUIRED)},
+    "random": {"seed": (int, 0), "scale": (float, 1.0)},
+})
 _MODEL = {
-    "domain": (dict, _REQUIRED), "nuclei": (list[_CHARGE], []), "field": (dict, None),
+    "domain": (_DOMAIN, _REQUIRED), "nuclei": (list[_CHARGE], []), "field": (_FIELD, None),
     "n_max": (int, None), "dim_cap": (int, 16384), "dense_cap": (int, 2048),
     "beta": (float, None), "mu": (float, 0.0),
 }

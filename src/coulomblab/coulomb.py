@@ -1025,8 +1025,10 @@ def classical_nuclei_free_energy(
                 top_k_terms.append(lt)
             if with_relaxed:
                 for assign in itertools.product(range(charge_nodes), repeat=K):
+                    charges = [nodes[i] for i in assign]
+                    # the all-top-node assignment is the fixed-charge one
                     ltr = (
-                        gibbs(subset, [nodes[i] for i in assign]).log_z
+                        (fe if charges == [z] * K else gibbs(subset, charges)).log_z
                         + K * (np.log(cell_volume) + log_w)
                         + beta * mu_nuc * K
                     )

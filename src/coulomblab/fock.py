@@ -292,15 +292,12 @@ def permutation_lift(space, sigma):
 class FockState:
     """Density matrix on a Fock space (Hermitian, PSD, unit trace)."""
 
-    def __init__(self, space, matrix, number_conserving=None, validate=True):
+    def __init__(self, space, matrix, validate=True):
         self.space = space
         M = np.asarray(matrix)
         if M.shape != (space.dim, space.dim):
             raise ValueError("state matrix has wrong shape")
         self.matrix = M
-        if number_conserving is None:
-            number_conserving = self._check_number_conserving()
-        self.number_conserving = number_conserving
         if validate:
             if np.abs(M - M.conj().T).max() > 1e-12:
                 raise ValueError("state is not Hermitian")
@@ -309,14 +306,6 @@ class FockState:
             lo = np.linalg.eigvalsh(M)[0]
             if lo < -1e-12:
                 raise ValueError(f"state has negative eigenvalue {lo:g}")
-
-    def _check_number_conserving(self):
-        M = self.matrix
-        for N, rows in self.space.sectors.items():
-            other = np.setdiff1d(np.arange(self.space.dim), rows)
-            if other.size and np.abs(M[np.ix_(rows, other)]).max() > 1e-12:
-                return False
-        return True
 
     @classmethod
     def pure(cls, space, vector, validate=True):
@@ -328,7 +317,7 @@ class FockState:
     def vacuum(cls, space):
         v = np.zeros(space.dim)
         v[space.vacuum_index()] = 1.0
-        return cls(space, np.outer(v, v), number_conserving=True, validate=False)
+        return cls(space, np.outer(v, v), validate=False)
 
     def expectation(self, op):
         if sp.issparse(op):

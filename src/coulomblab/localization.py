@@ -15,7 +15,6 @@ from .inequalities import Report
 
 __all__ = [
     "LocalizationWeight",
-    "LocalizedState",
     "localization_isometry",
     "localize_state",
     "localize_positive_operator",
@@ -29,14 +28,11 @@ __all__ = [
     "QuantizeResult",
 ]
 
-_EIG_FLOOR = 1e-14
-
-
 class LocalizationWeight:
     """Hermitian 0 <= q <= 1 on the one-body space with complement
     r = (1 - q^2)^(1/2)."""
 
-    def __init__(self, q, n=None):
+    def __init__(self, q):
         q = np.asarray(q, dtype=float)
         if q.ndim == 2 and not np.any(q - np.diag(np.diag(q))):
             q = np.diag(q)
@@ -145,26 +141,6 @@ def localization_isometry(space, q):
     return sp.csr_matrix((vals, (rows, cols)), shape=(D * D, D))
 
 
-class LocalizedState:
-    """Result of localizing a state: the reduced matrix on F(H) plus the
-    bookkeeping of where it came from."""
-
-    def __init__(self, matrix, source, weight):
-        self.matrix = matrix
-        self.source = source
-        self.weight = weight
-
-    @property
-    def trace(self):
-        return float(np.trace(self.matrix).real)
-
-    def entropy(self):
-        return fock.entropy(self.matrix)
-
-    def as_state(self, space):
-        return FockState(space, self.matrix, validate=False)
-
-
 def localize_positive_operator(space, matrix, q):
     """tr_2(Upsilon M Upsilon*) for a positive semidefinite M (not necessarily
     normalized), or for each matrix of a stack of shape (..., D, D).
@@ -230,31 +206,29 @@ def _fock_lift(space, V):
 def localize_state(state, q):
     """q-localized state: extend through the doubling isometry, trace out the
     second factor.  The one-body density transforms as gamma -> q gamma q."""
-    space = state.space if isinstance(state, FockState) else None
-    if space is None:
+    if not isinstance(state, FockState):
         raise ValueError("localize_state needs a FockState")
-    M = localize_positive_operator(space, state.matrix, q)
-    return LocalizedState(M, state, _coerce_weight(q, space.n))
+    M = localize_positive_operator(state.space, state.matrix, q)
+    return FockState(state.space, M, validate=False)
 
 
-def family_weight(weights, P, check_partition=True):
+def family_weight(weights, P):
     """q_P = (sum_{i in P} q_i^2)^(1/2) for a commuting family with
     sum_i q_i^2 = 1; q of the empty set is 0."""
-    return _family_weight(_validated_family(weights, check_partition), P)
+    return _family_weight(_validated_family(weights), P)
 
 
-def _validated_family(weights, check_partition=True):
-    """The family as LocalizationWeights, checked to commute and, unless
-    check_partition is off, to satisfy sum_i q_i^2 = 1."""
-    ws = [_coerce_weight(w, None if isinstance(w, LocalizationWeight) else len(np.atleast_1d(w))) for w in weights]
+def _validated_family(weights):
+    """The family as LocalizationWeights, checked to commute and to satisfy
+    sum_i q_i^2 = 1."""
+    ws = [_coerce_weight(w, 1) for w in weights]  # a scalar weighs one mode
     if any(w.diagonal is None for w in ws):
         for wa, wb in itertools.combinations(ws, 2):
             if np.abs(wa.q @ wb.q - wb.q @ wa.q).max() > 1e-10:
                 raise ValueError("weight family must commute")
-    if check_partition:
-        total = sum(w.q @ w.q for w in ws)
-        if np.abs(total - np.eye(ws[0].n)).max() > 1e-10:
-            raise ValueError("weight family is not a partition: sum q_i^2 != 1")
+    total = sum(w.q @ w.q for w in ws)
+    if np.abs(total - np.eye(ws[0].n)).max() > 1e-10:
+        raise ValueError("weight family is not a partition: sum q_i^2 != 1")
     return ws
 
 
@@ -276,34 +250,14 @@ def _family_weight(ws, P):
 
 def ssa_gap(state, weights, P1, P2, P3, tol=1e-9):
     """Strong subadditivity gap S(12) + S(23) - S(2) - S(123) >= 0 for the
-    localized states of a commuting partition-of-unity family."""
-    sets = [set(P1), set(P2), set(P3)]
-    for a, b in itertools.combinations(sets, 2):
-        if a & b:
-            raise ValueError("index sets must be pairwise disjoint")
-    if any(i not in range(len(weights)) for s in sets for i in s):
-        raise ValueError(f"index sets must name weights of the family of {len(weights)}")
-    P1, P2, P3 = [sorted(s) for s in sets]
-    ws = _validated_family(weights)
+    localized states of a commuting partition-of-unity family: the gap of
+    cq_ssa_gap for the state as a cq state with no classical particles."""
     if not isinstance(state, FockState):
         raise ValueError("localize_state needs a FockState")
-    space = state.space
-    names = ("12", "23", "2", "123")
-    qs = [_family_weight(ws, P) for P in (P1 + P2, P2 + P3, P2, P1 + P2 + P3)]
-    M = np.asarray(state.matrix, dtype=complex)
-    if all(q.diagonal is not None for q in qs):
-        localized = _localize_diagonal(space, M, np.array([q.diagonal for q in qs]))
-    else:
-        localized = np.array([localize_positive_operator(space, M, q) for q in qs])
-    spectra = np.linalg.eigvalsh(localized)
-    ent = {name: entropy_of_spectrum(lam) for name, lam in zip(names, spectra)}
-    return Report(
-        "ssa_quantum",
-        lhs=ent["12"] + ent["23"],
-        rhs=ent["2"] + ent["123"],
-        tol=tol,
-        extras={"entropies": ent},
-    )
+    rho = CQState(state.space, 1.0, {0: state.matrix}, validate=False)
+    # with no classical particle any classical partition gives the same gap
+    thetas = np.eye(len(weights), 1)
+    return _ssa_gap(rho, weights, thetas, (P1, P2, P3), "ssa_quantum", tol)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +277,8 @@ class CQState:
         self.space = space
         self.cell_volume = float(cell_volume)
         self.blocks = {int(K): np.asarray(B, dtype=complex) for K, B in blocks.items()}
-        if 0 not in self.blocks:
-            raise ValueError("need the K = 0 block")
+        if sorted(self.blocks) != list(range(len(self.blocks))):
+            raise ValueError("need one block per sector K = 0 .. K_max")
         self.n_cells = self.blocks[1].shape[0] if 1 in self.blocks else 1
         self.K_max = max(self.blocks)
         D = space.dim
@@ -358,26 +312,16 @@ class CQState:
     def mass(self):
         total = float(np.trace(self.blocks[0]).real)
         for K in range(1, self.K_max + 1):
-            if K not in self.blocks:
-                continue
-            B = self.blocks[K]
-            tr = np.trace(B, axis1=-2, axis2=-1).real
+            tr = np.trace(self.blocks[K], axis1=-2, axis2=-1).real
             total += self.cell_volume ** K / factorial(K) * float(tr.sum())
         return total
 
 
 def cq_entropy(rho):
     """-tr rho_0 log rho_0 - sum_K (h^K/K!) sum_tuples tr rho_K log rho_K."""
-    total = entropy_of_spectrum(np.linalg.eigvalsh(rho.blocks[0]))
     D = rho.space.dim
-    for K in range(1, rho.K_max + 1):
-        if K not in rho.blocks:
-            continue
-        weight = rho.cell_volume ** K / factorial(K)
-        # one spectrum per tuple, in itertools.product order
-        for lam in np.linalg.eigvalsh(rho.blocks[K].reshape(-1, D, D)):
-            total += weight * entropy_of_spectrum(lam)
-    return total
+    stack = np.concatenate([rho.blocks[K].reshape(-1, D, D) for K in range(rho.K_max + 1)])
+    return _cq_stack_entropy(rho, np.linalg.eigvalsh(stack))
 
 
 def cq_localize(rho, q, theta, k_max=None, warn_tol=1e-8):
@@ -425,8 +369,6 @@ def _cq_absorbed(rho, theta, K_top):
     for K in range(0, K_top + 1):
         acc = np.zeros((m,) * K + (D, D), dtype=complex)
         for M in range(0, rho.K_max - K + 1):
-            if K + M not in rho.blocks:
-                continue
             B = rho.blocks[K + M]
             w = h ** M / factorial(M)
             if M == 0:
@@ -447,55 +389,57 @@ def _cq_absorbed(rho, theta, K_top):
 
 
 def cq_ssa_gap(rho, q_weights, thetas, P1, P2, P3, tol=1e-9):
-    """Strong subadditivity gap for classical-quantum localized states.
+    """Strong subadditivity gap for classical-quantum localized states; each
+    entropy has the bits of cq_entropy(cq_localize(...)) of its set alone."""
+    return _ssa_gap(rho, q_weights, thetas, (P1, P2, P3), "ssa_cq", tol)
 
-    The absorbed, theta-weighted block stacks of the four index sets are
-    localized together (in one channel call for diagonal weights) and their
-    spectra taken in one eigvalsh; each entropy has the bits of
-    cq_entropy(cq_localize(...)) of its set alone."""
-    thetas = [np.asarray(t, dtype=float) for t in thetas]
-    total = sum(t ** 2 for t in thetas)
-    if np.abs(total - 1.0).max() > 1e-10:
-        raise ValueError("classical partition fails: sum theta_i^2 != 1")
-    sets = [set(P1), set(P2), set(P3)]
-    for a, b in itertools.combinations(sets, 2):
-        if a & b:
-            raise ValueError("index sets must be pairwise disjoint")
 
-    def theta_P(P):
-        if not P:
-            return np.zeros(rho.n_cells)
-        return np.sqrt(np.clip(sum(thetas[i] ** 2 for i in P), 0.0, 1.0))
-
+def _ssa_gap(rho, q_weights, thetas, sets, check, tol):
+    """The SSA gap of the (q_P, theta_P)-localized cq states for P = 12, 23,
+    2 and 123.  The four absorbed, theta-weighted block stacks are localized
+    together (in one channel call for diagonal weights) and their spectra
+    taken in one eigvalsh."""
+    P1, P2, P3 = map(set, sets)
+    if P1 & P2 or P2 & P3 or P1 & P3:
+        raise ValueError("index sets must be pairwise disjoint")
+    n = len(q_weights)
+    if len(thetas) != n:
+        raise ValueError(f"need one theta per weight: {len(thetas)} thetas, {n} weights")
+    if any(i not in range(n) for i in P1 | P2 | P3):
+        raise ValueError(f"index sets must name weights of the family of {n}")
     ws = _validated_family(q_weights)
-    names = ("12", "23", "2", "123")
-    index_sets = [
-        sorted(P)
-        for P in (sets[0] | sets[1], sets[1] | sets[2], sets[1], sets[0] | sets[1] | sets[2])
-    ]
+    thetas = [np.asarray(t, dtype=float) for t in thetas]
+    if np.abs(sum(t ** 2 for t in thetas) - 1.0).max() > 1e-10:
+        raise ValueError("classical partition fails: sum theta_i^2 != 1")
+    index_sets = [sorted(P) for P in (P1 | P2, P2 | P3, P2, P1 | P2 | P3)]
     qs = [_family_weight(ws, P) for P in index_sets]
-    stacks, weights = zip(*(_cq_absorbed(rho, theta_P(P), rho.K_max) for P in index_sets))
+    if rho.K_max == 0:
+        # no classical particles: each set localizes the one block, broadcast
+        stacks, weights = rho.blocks[0][None, None], np.ones((1, 1))
+    else:
+        theta_sq = [sum((thetas[i] ** 2 for i in P), np.zeros(rho.n_cells)) for P in index_sets]
+        absorbed = [_cq_absorbed(rho, np.sqrt(np.clip(t, 0.0, 1.0)), rho.K_max) for t in theta_sq]
+        stacks, weights = map(np.array, zip(*absorbed))
     if all(q.diagonal is not None for q in qs):
         diag = np.array([q.diagonal for q in qs])[:, None, :]
-        localized = _localize_diagonal(rho.space, np.array(stacks), diag)
+        localized = _localize_diagonal(rho.space, stacks, diag)
     else:
+        stacks = np.broadcast_to(stacks, (len(qs),) + stacks.shape[1:])
         localized = np.array(
             [localize_positive_operator(rho.space, M, q) for M, q in zip(stacks, qs)]
         )
-    spectra = np.linalg.eigvalsh(np.array(weights)[:, :, None, None] * localized)
-    ent = {name: _cq_stack_entropy(rho, lams) for name, lams in zip(names, spectra)}
+    spectra = np.linalg.eigvalsh(weights[:, :, None, None] * localized)
+    names = ("12", "23", "2", "123")
+    ent = {name: _cq_stack_entropy(rho, lam) for name, lam in zip(names, spectra)}
     return Report(
-        "ssa_cq",
-        lhs=ent["12"] + ent["23"],
-        rhs=ent["2"] + ent["123"],
-        tol=tol,
+        check, lhs=ent["12"] + ent["23"], rhs=ent["2"] + ent["123"], tol=tol,
         extras={"entropies": ent},
     )
 
 
 def _cq_stack_entropy(rho, spectra):
-    """cq_entropy of a localized state given the spectra of its blocks in
-    _cq_absorbed order, summed in cq_entropy's order."""
+    """The cq entropy of rho, or of a localized state of rho, given the
+    spectra of its blocks in sector then itertools.product order."""
     total = entropy_of_spectrum(spectra[0])
     start = 1
     for K in range(1, rho.K_max + 1):
@@ -537,9 +481,6 @@ class QuantizeResult:
             self.S_ell - np.log(self.t) + self.mean_K * np.log(self.cell_volume)
         )
 
-    def as_state(self):
-        return self.matrix
-
 
 def quantize_cq(rho, dim_cap=65536):
     """Materialize the lattice quantization of a cq-state.
@@ -559,8 +500,6 @@ def quantize_cq(rho, dim_cap=65536):
     t = 0.0
     mean_k_raw = 0.0
     for K in range(0, rho.K_max + 1):
-        if K not in rho.blocks:
-            continue
         B = rho.blocks[K]
         for combo in itertools.combinations(range(m), K):
             occ = [0] * m

@@ -211,7 +211,7 @@ def test_criterion_5_localization_algebra():
         st = F.FockState(space, M / np.trace(M).real, validate=False)
         loc = L.localize_state(st, w)
         g0 = F.reduced_density(st, 1).matrix
-        g1 = F.reduced_density(loc.as_state(space), 1).matrix
+        g1 = F.reduced_density(loc, 1).matrix
         worst["gamma"] = max(worst["gamma"], np.abs(g1 - w.q @ g0 @ w.q).max())
         # restriction consistency for a projector weight
         k = int(rng.integers(1, n))
@@ -230,7 +230,7 @@ def test_criterion_5_localization_algebra():
         lam = rng.random(n) * 0.8 + 0.1
         V = np.linalg.qr(rng.standard_normal((n, n)))[0]
         qf_state = F.quasi_free_state(space, (V * lam) @ V.T)
-        locq = L.localize_state(qf_state, w).as_state(space)
+        locq = L.localize_state(qf_state, w)
         gq1 = F.reduced_density(locq, 1).matrix
         gq2 = F.reduced_density(locq, 2).matrix
         pairs = list(itertools.combinations(range(n), 2))

@@ -1065,6 +1065,48 @@ class TestClassicalFreeEnergy:
                 z += w * np.exp(-beta * (vals - mu[0] * N)).sum()
         assert out["value"] == pytest.approx(-np.log(z) / beta, abs=1e-10)
 
+    @pytest.mark.parametrize("nodes, solves", [(1, 3), (2, 5)])
+    def test_relaxed_reuses_fixed_charge_solves(self, monkeypatch, nodes, solves):
+        # one free_energy per subset and charge assignment, the all-top-node
+        # assignment being the fixed-charge one; the same bits as a term by
+        # term sum with a fresh solve each
+        dom, z, beta, mu, h = cube(2), 2.0, 1.0, (0.0, 0.5), 4.0
+        solve = C.free_energy
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(C, "free_energy", counted)
+        out = C.classical_nuclei_free_energy(
+            dom, z, beta, mu, K_max=1, nucleus_grid=self.GRID, cell_volume=h,
+            charge_nodes=nodes, n_max=2,
+        )
+        assert len(calls) == solves
+
+        def gibbs(subset, charges):
+            nuclei = C.NucleiConfig([(self.GRID[i], q) for i, q in zip(subset, charges)])
+            return solve(C.coulomb_hamiltonian(dom, nuclei, n_max=2), beta, mu[0], dense_cap=4096)
+
+        energy, fixed, relaxed = np.inf, [], []
+        for subset in ((), (0,), (1,)):
+            K = len(subset)
+            fe = gibbs(subset, [z] * K)
+            if fe.ground_state().value < energy - 1e-12:
+                energy = fe.ground_state().value
+            fixed.append(fe.log_z + K * np.log(h) + beta * mu[1] * K)
+            for assign in itertools.product(range(nodes), repeat=K):
+                charges = [(i + 1) * z / nodes for i in assign]
+                relaxed.append(
+                    gibbs(subset, charges).log_z
+                    + K * (np.log(h) + np.log(z / nodes))
+                    + beta * mu[1] * K
+                )
+        assert out["energy"] == energy
+        assert out["value"] == -float(C._logsumexp(np.array(fixed))) / beta
+        assert out["relaxed"] == -float(C._logsumexp(np.array(relaxed))) / beta
+
     def test_truncation_flag(self):
         dom = cube(2)
         out = C.classical_nuclei_free_energy(

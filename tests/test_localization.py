@@ -91,14 +91,14 @@ class TestLocalizeState:
         vac = np.zeros(space.dim)
         vac[space.vacuum_index()] = 1.0
         assert np.abs(loc.matrix - np.outer(vac, vac)).max() < 1e-12
-        assert abs(loc.entropy()) < 1e-10
+        assert abs(F.entropy(loc)) < 1e-10
 
     def test_trace_preserved(self):
         space = F.build_space(5, "fermion")
         st = random_state(space, 6)
         rng = np.random.default_rng(7)
         loc = L.localize_state(st, L.LocalizationWeight(rng.random(5)))
-        assert loc.trace == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(loc.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_one_body_density_conjugation(self):
         space = F.build_space(4, "fermion")
@@ -107,7 +107,7 @@ class TestLocalizeState:
         w = L.LocalizationWeight(rng.random(4))
         loc = L.localize_state(st, w)
         g_orig = F.reduced_density(st, 1).matrix
-        g_loc = F.reduced_density(loc.as_state(space), 1).matrix
+        g_loc = F.reduced_density(loc, 1).matrix
         assert np.abs(g_loc - w.q @ g_orig @ w.q).max() < 1e-10
 
     def test_two_body_density_conjugation(self):
@@ -117,7 +117,7 @@ class TestLocalizeState:
         w = L.LocalizationWeight(rng.random(4))
         loc = L.localize_state(st, w)
         g2 = F.reduced_density(st, 2).matrix
-        g2_loc = F.reduced_density(loc.as_state(space), 2).matrix
+        g2_loc = F.reduced_density(loc, 2).matrix
         pairs = list(itertools.combinations(range(4), 2))
         q = w.q
         Q2 = np.zeros((len(pairs), len(pairs)))
@@ -148,7 +148,7 @@ class TestLocalizeState:
         V = np.linalg.qr(rng.standard_normal((4, 4)))[0]
         st = F.quasi_free_state(space, (V * lam) @ V.T)
         w = L.LocalizationWeight(rng.random(4))
-        loc = L.localize_state(st, w).as_state(space)
+        loc = L.localize_state(st, w)
         g1 = F.reduced_density(loc, 1).matrix
         g2 = F.reduced_density(loc, 2).matrix
         pairs = list(itertools.combinations(range(4), 2))
@@ -254,7 +254,7 @@ class TestFamilyWeight:
         q1 = np.array([[0.5, 0.2], [0.2, 0.3]])
         q2 = np.array([[0.4, 0.0], [0.0, 0.8]])
         with pytest.raises(ValueError, match="commute"):
-            L.family_weight([q1, q2], [0], check_partition=False)
+            L.family_weight([q1, q2], [0])
 
 
 def product_state_and_blocks(seed):
@@ -327,7 +327,7 @@ def looped_entropies(state, weights, P1, P2, P3):
     family weight, the loop the stacked call replaced."""
     ws = L._validated_family(weights)
     return {
-        name: L.localize_state(state, L._family_weight(ws, P)).entropy()
+        name: F.entropy(L.localize_state(state, L._family_weight(ws, P)))
         for name, P in (("12", P1 + P2), ("23", P2 + P3), ("2", P2), ("123", P1 + P2 + P3))
     }
 
@@ -592,6 +592,22 @@ class TestCqSsa:
                 theta = np.sqrt(np.clip(sum(thetas[i] ** 2 for i in P), 0.0, 1.0))
                 local = L.cq_localize(rho, L.family_weight(list(qs), P), theta)
                 assert rep.extras["entropies"][name] == L.cq_entropy(local)
+
+    @pytest.mark.parametrize(
+        "n_thetas, sets, match",
+        [
+            (3, ([0], [1], [3]), "family of 3"),
+            (2, ([0], [1], [2]), "one theta per weight"),
+            (4, ([0], [1], [2]), "one theta per weight"),
+        ],
+    )
+    def test_index_sets_and_thetas_checked(self, n_thetas, sets, match):
+        space = F.build_space(2, "fermion")
+        rho = random_cq(space, 36)
+        qs = np.full((3, 2), np.sqrt(1 / 3))
+        thetas = np.full((n_thetas, rho.n_cells), np.sqrt(1 / n_thetas))
+        with pytest.raises(ValueError, match=match):
+            L.cq_ssa_gap(rho, list(qs), list(thetas), *sets)
 
     def test_random_suite(self):
         space = F.build_space(4, "fermion")

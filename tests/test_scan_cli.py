@@ -342,6 +342,10 @@ class TestCli:
             (["verify", "li-yau"], {"cases": [{"lengths": [1.0], "f": {"kind": "gauss"}}]}),
             (["verify", "ims", "--seed", "3"], None),
             (["scan", "--seed", "3"], None),
+            (["energy"], {**MODEL_CONFIG, "domain": {"shape": "cube", "side": 2.0, "radius": 9}}),
+            (["energy"], {**MODEL_CONFIG, "field": {"kind": "random", "sclae": 5.0}}),
+            (["energy"], {**MODEL_CONFIG, "domain": {"shape": "cube", "side": "2"}}),
+            (["energy"], {**MODEL_CONFIG, "field": {"kind": "constant"}}),
         ],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, argv, bad):
