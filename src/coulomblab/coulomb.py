@@ -316,10 +316,12 @@ class ManyBodyOperator:
     index lists; charges holds the particle numbers entering mu.N.
 
     reflections lists candidate symmetries: zero-argument callables giving
-    the Fock lift (perm, sign) of one of the domain's lattice reflections
-    (see fock.permutation_lift), computed on first call and cached by the
-    builder.  A sector spectrum lifts and uses them only where it is split
-    (_sector_spectrum) and they leave its block exactly invariant.
+    a signed basis permutation (perm, sign), the Fock lift of one of the
+    domain's axis reflections or coordinate swaps (see
+    fock.permutation_lift), computed on first call and cached by the
+    builder.  A sector spectrum lifts them only where it is split
+    (_sector_spectrum), and splits by the group generated by those that
+    leave its block exactly invariant.
     """
 
     def __init__(self, matrix, sectors, charges, space=None, reflections=()):
@@ -434,8 +436,10 @@ class EnergyResult:
 class EigensolverError(RuntimeError):
     """A sector eigensolve failed: the iterative eigensolver did not converge
     or missed its residual bound, or a symmetry split did not hold (a lift
-    that is not a signed involution of the sector, or blocks that do not add
-    up to it)."""
+    that is not a signed permutation of the sector, a group of more than
+    _GROUP_MAX elements, group-algebra eigenvalues too close to tell apart,
+    linked blocks of unequal size, or blocks that do not add up to the
+    sector)."""
 
 
 # Largest sector densified for its lowest eigenvalue.  Measured on crystal
@@ -453,17 +457,34 @@ _LANCZOS_FROM = 256
 # (gap 7e-4) 1.7e-13 off.
 _LANCZOS_BASIS = 100
 _LANCZOS_MATVECS = 5000
-# Smallest sector whose full spectrum is split by its symmetries.  Measured the
-# same way (best of 40, lifts cached; dense eigvalsh whole / split ms): crystal
-# N = 2 blocks split in two by one swap, 190 2.0/4.2, 276 5.5/5.0, 351 9.2/6.6,
-# 496 19/11; two-species (1, 1) blocks split in eight, 144 1.4/4.8, 256 3.3/5.0,
-# 400 9.6/6.4.  Computing the lifts on first use adds 1.5-2.5 ms.
+# Smallest sector whose full spectrum is split by its symmetry group.
+# Measured the same way (best of 40, lifts cached; dense eigvalsh whole / split
+# ms, group order in brackets): crystal N = 2 sectors of 2x2x5, 3x3x3 and 2x4x4
+# boxes, 190 [2] 1.4/2.1, 351 [6] 6.5/3.4, 496 [2] 14/7.4; two-species (1, 1)
+# sectors of 2x2x3, 2x2x4, 2x2x5 and 3x3x3 boxes, 144 [16] 0.7/2.2, 256 [16]
+# 2.5/2.5, 400 [16] 6.7/3.4, 729 [48] 28/8.8.  Computing the lifts on first use
+# adds 1.5-2.5 ms.
 _SPLIT_FROM = 300
+# Most elements a sector's symmetry group may have: the 48 of the cube.
+_GROUP_MAX = 48
+# Fixed generic weights c_g of the group-algebra element S of
+# _isotypic_split; S eigenvalues closer than _S_SAME (relative to the
+# largest) are one, and a gap up to _S_APART cannot be told apart.  A
+# coupling below _S_COUPLED between two subspaces is rounding.
+_S_WEIGHTS = np.random.default_rng(0).standard_normal(_GROUP_MAX)
+_S_SAME = 1e-9
+_S_APART = 1e-6
+_S_COUPLED = 1e-8
+# Shortest orbit whose S eigenvectors are refined by inverse iteration.  On
+# the crystal and two-species sectors of sides 2-4, refining the shorter
+# orbits too leaves every spectrum's largest error against dense eigvalsh
+# unchanged (2e-15 to 7e-15 relative); skipping orbits of length 24 raises
+# it to 1.4e-14.
+_REFINE_FROM = 13
 
 
-def _dense_eig(block, vectors=False):
-    """eigh (vectors=True) or eigvalsh of a sparse block, densified."""
-    dense = block.toarray()
+def _dense_eig(dense, vectors=False):
+    """eigh (vectors=True) or eigvalsh of a dense Hermitian block."""
     return np.linalg.eigh(dense) if vectors else np.linalg.eigvalsh(dense)
 
 
@@ -521,7 +542,7 @@ def _sector_lowest(mat, dense_cap, tol=1e-9):
     min(dense_cap, _LANCZOS_FROM), seeded Lanczos above."""
     dim = mat.shape[0]
     if dim <= min(dense_cap, _LANCZOS_FROM):
-        return float(_dense_eig(mat)[0]), {"solver": "dense", "dim": dim}
+        return float(_dense_eig(mat.toarray())[0]), {"solver": "dense", "dim": dim}
     # fixed start vector, so the result does not depend on earlier solves
     v0 = np.random.default_rng(dim).standard_normal(dim).astype(mat.dtype)
     val, v = _lanczos(mat, v0, tol)
@@ -557,70 +578,244 @@ def ground_state_energy(op, dense_cap=2048):
     return _lowest_sector(minima, method)
 
 
-def _symmetry_basis(reflections, idx, block):
-    """(Q, sizes): an orthogonal sparse Q whose consecutive column groups of
-    the given sizes span the symmetry blocks of one sector, one group per
-    character with a nonempty block; None when no reflection is kept.
+def _lift_group(lifts, idx, block):
+    """(codes, gens) of the group G generated by the lifts that leave one
+    sector block exactly invariant, identity first, gens the rows of the kept
+    lifts; None when no lift is kept.  U(g) e_b = s e_p in the sector basis
+    has the code codes[g, b] = 2 p + [s < 0].
 
-    A reflection is kept when its restriction to the sector is not the
-    identity and commutes with the reflections kept before it and exactly
-    with the block.  The kept ones generate Z_2^k; the columns for a
-    character chi are the normalized orbit sums sum_g chi(g) g e_rep, zero
-    sums dropped.  A lift that is not a signed involution of the sector is
-    defective and raises EigensolverError, as do blocks that do not add up
-    to the sector.
-    """
+    A lift that is not a signed permutation of the sector is defective and
+    raises EigensolverError, as does a group of more than _GROUP_MAX
+    elements."""
     d = idx.size
-    ident = np.arange(d)
-    diag = block.diagonal()
-    kept = []
-    for lift in reflections:
+    ident = np.arange(d, dtype=np.int32)  # codes up to 2 d, in half the memory
+    per_row = np.diff(block.indptr)
+    # (h g) e_b = s_g[b] s_h[p_g[b]] e_(p_h[p_g[b]]) has the code
+    # c_h[c_g >> 1] ^ (c_g & 1)
+    codes = [2 * ident]
+    rows = {codes[0].tobytes(): 0}
+    gens, where = [], None
+    for lift in lifts:
         perm, sign = lift()
-        where = np.full(perm.size, -1)
-        where[idx] = ident
+        if where is None:
+            where = np.full(perm.size, -1, dtype=np.int32)
+            where[idx] = ident
         local, s = where[perm[idx]], sign[idx]
-        if (local < 0).any() or (local[local] != ident).any() or (s * s[local] != 1).any():
-            raise EigensolverError(f"reflection lift is not a signed involution of sector dim {d}")
-        if (local == ident).all() and (s == 1).all():
-            continue
-        # g h = h g for signed permutations: p_g[p_h] = p_h[p_g] and
-        # s_h s_g[p_h] = s_g s_h[p_g]
-        if any(
-            (local[lk] != lk[local]).any() or (sk * s[lk] != s * sk[local]).any()
-            for lk, sk in kept
+        if (
+            (local < 0).any()
+            or (np.bincount(local, minlength=d) != 1).any()
+            or (np.abs(s) != 1).any()
         ):
+            raise EigensolverError(f"reflection lift is not a signed permutation of sector dim {d}")
+        code = 2 * local + (s < 0)
+        if code.tobytes() in rows:  # the identity, or a product of kept lifts
             continue
-        if (diag[local] != diag).any():  # cheap part of the exact check below
+        # U B U^T = B: every stored B[i, j] is s_i s_j B[p_i, p_j]; U maps
+        # index pairs one to one, so then no other entry moves to a nonzero
+        moved = np.asarray(block[np.repeat(local, per_row), local[block.indices]]).ravel()
+        if (moved != np.repeat(s, per_row) * s[block.indices] * block.data).any():
             continue
-        P = sp.csr_matrix((s, (local, ident)), shape=(d, d))
-        if (P @ block @ P.T != block).nnz:
-            continue
-        kept.append((local, s))
-    if not kept:
+        gens.append(code)
+        # Dimino: G grows by right cosets G_old r, first r = this lift, then
+        # every product r t of a coset representative and a generator that
+        # is not in G yet
+        old, reps = np.array(codes), [code]
+        for r in reps:
+            if r.tobytes() in rows:
+                continue
+            if len(codes) + len(old) > _GROUP_MAX:
+                raise EigensolverError(
+                    f"reflection lifts generate more than {_GROUP_MAX} elements on sector dim {d}"
+                )
+            for c in old[:, r >> 1] ^ (r & 1):
+                rows[c.tobytes()] = len(codes)
+                codes.append(c)
+            reps += [r[t >> 1] ^ (t & 1) for t in gens]
+    if not gens:
         return None
-    # element j of the group is the product of the kept reflections whose bit
-    # is set in j; (g h) e_b = s_h[b] s_g[p_h[b]] e_(p_g[p_h[b]])
-    perms, signs = [ident], [np.ones(d)]
-    for local, s in kept:
-        signs += [sh * s[p] for p, sh in zip(perms, signs)]
-        perms += [local[p] for p in perms]
-    perms, signs = np.array(perms), np.array(signs)
-    n_el = len(perms)
-    bits = (np.arange(n_el)[:, None] >> np.arange(len(kept))) & 1
-    characters = 1.0 - 2.0 * ((bits @ bits.T) % 2)  # chi_c(g_j) at [j, c]
-    reps = np.nonzero(perms.min(axis=0) == ident)[0]
-    r = reps.size
-    # column c*r + o: the chi_c orbit sum of reps[o]
-    vals = characters.T[:, :, None] * signs[None, :, reps]
-    rows = np.broadcast_to(perms[:, reps], vals.shape)
-    cols = np.broadcast_to(np.arange(n_el)[:, None, None] * r + np.arange(r), vals.shape)
-    Q = sp.csc_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(d, n_el * r))
-    norms = np.sqrt(np.asarray(Q.multiply(Q).sum(axis=0)).ravel())
-    live = norms > 0
-    if live.sum() != d:
+    return np.array(codes), [rows[c.tobytes()] for c in gens]
+
+
+def _isotypic_split(lifts, idx, block, every):
+    """[(M, copies, embed)] splitting one sector by its symmetry group G
+    (_lift_group); None when no lift is kept.
+
+    On each G-orbit of the sector basis take the signed basis
+    f_b = U(g_b) e_rep, g_b the first element of each coset of the
+    stabilizer.  Orbits with the same stabilizer and sign character (one
+    type) share the matrices of U(g) there, so those of the generic
+    symmetric group-algebra element S = sum_g c_g (U(g) + U(g)^T) and one
+    eigh.  The S eigenvectors of one eigenvalue, over all orbits, span a
+    subspace that the block B leaves invariant, as B commutes with S.
+    Subspaces that a kept lift couples lie in one isotypic component, and
+    by Schur's lemma B has one spectrum on all of them.
+
+    M = Q^T B Q for an orthonormal basis Q of one subspace (_subspace_blocks)
+    and embed(v) = Q v; the list has every subspace when every is set, else
+    the first of each linked set, which stands for copies of them.
+    EigensolverError when two S eigenvalues are too close to tell apart,
+    linked subspaces differ in size or the sizes do not add up to the
+    sector."""
+    group = _lift_group(lifts, idx, block)
+    if group is None:
+        return None
+    codes, gens = group
+    perms = codes >> 1
+    d, n = idx.size, len(perms)
+    reps = np.nonzero(perms.min(axis=0) == np.arange(d))[0]
+    # an orbit's type: its representative's stabilizer and sign character
+    stab = np.where(perms[:, reps] == reps, codes[:, reps] & 1, -1).T.copy()
+    seen = {}
+    kind = np.array([seen.setdefault(h.tobytes(), len(seen)) for h in stab])
+    n_types = len(seen)
+    # basis state x is sign_of[x] f_coset_of[x] on orbit orbit_of[x] of its type
+    place = type_of, orbit_of, coset_of, sign_of = np.empty((4, d), dtype=np.intp)
+    orbits = np.bincount(kind)
+    L_max = n // (stab >= 0).sum(axis=1).min()  # the longest orbit
+    S_all = np.zeros((n_types, L_max, L_max))
+    coupled = np.zeros((n_types, L_max, L_max), dtype=bool)
+    lam_all = np.full((n_types, L_max), np.inf)
+    V_all = np.zeros((n_types, L_max, L_max))
+    for t in range(n_types):
+        members = reps[kind == t]
+        cosets = np.sort(np.unique(perms[:, members[0]], return_index=True)[1])
+        X, F = perms[cosets[:, None], members], 1 - 2 * (codes[cosets[:, None], members] & 1)
+        L = X.shape[0]
+        type_of[X], orbit_of[X], coset_of[X] = t, np.arange(orbits[t]), np.arange(L)[:, None]
+        sign_of[X] = F
+        x, f = X[:, 0], F[:, 0]
+        target = coset_of[perms[:, x]]
+        # U(g) f_b = s_g[x_b] f[b] f[b'] f_b' with x_b' = p_g[x_b]: entry
+        # (b', b) of U(g) on the orbit
+        flat = target * L + np.arange(L)
+        entry = (1 - 2 * (codes[:, x] & 1)) * f[target] * f
+        S = np.bincount(flat.ravel(), (_S_WEIGHTS[:n, None] * entry).ravel(), L * L).reshape(L, L)
+        S_all[t, :L, :L] = S + S.T
+        lam_all[t, :L], V = np.linalg.eigh(S_all[t, :L, :L])
+        V_all[t, :L, :L] = V
+        Ug = np.zeros((len(gens), L * L))
+        Ug[np.arange(len(gens))[:, None], flat[gens]] = entry[gens]
+        coupled[t, :L, :L] = (np.abs(V.T @ Ug.reshape(-1, L, L) @ V) > _S_COUPLED).any(axis=0)
+    # one subspace per cluster of S eigenvalues
+    lam = lam_all[np.isfinite(lam_all)]
+    order = np.argsort(lam, kind="stable")
+    gaps = np.diff(lam[order])
+    scale = max(np.abs(lam).max(), 1.0)
+    if ((gaps > _S_SAME * scale) & (gaps <= _S_APART * scale)).any():
+        raise EigensolverError(f"S eigenvalues of sector dim {d} too close to tell apart")
+    label = np.full(lam_all.shape, -1)
+    label[np.isfinite(lam_all)] = np.cumsum(np.concatenate([[0], gaps > _S_SAME * scale]))[
+        np.argsort(order)
+    ]
+    k = label.max() + 1
+    own = np.zeros((n_types, L_max, k))
+    own[label >= 0, label[label >= 0]] = 1.0
+    dims = (orbits[:, None] * own.sum(axis=1)).sum(axis=0).astype(np.intp)
+    if dims.sum() != d:
         raise EigensolverError(f"symmetry blocks do not sum to the sector dimension {d}")
-    sizes = [int(n) for n in live.reshape(n_el, r).sum(axis=1) if n]
-    return Q[:, live] @ sp.diags(1.0 / norms[live]), sizes
+    linked = (own.transpose(0, 2, 1) @ coupled @ own).sum(axis=0) > 0
+    linked |= linked.T | np.eye(k, dtype=bool)
+    while True:  # transitive closure
+        reach = linked @ linked
+        if (reach == linked).all():
+            break
+        linked = reach
+    chosen, copies = [], []
+    for a in range(k):
+        if linked[a, :a].any():
+            continue
+        members = np.nonzero(linked[a])[0]
+        if (dims[members] != dims[a]).any():
+            raise EigensolverError(f"linked symmetry blocks of sector dim {d} differ in size")
+        chosen += list(members) if every else [a]
+        copies += [1] * len(members) if every else [len(members)]
+    blocks = _subspace_blocks(block, place, orbits, S_all, lam_all, V_all, label, np.array(chosen))
+    return [(M, n_copies, embed) for (M, embed), n_copies in zip(blocks, copies)]
+
+
+def _subspace_blocks(block, place, orbits, S_all, lam_all, V_all, label, chosen):
+    """[(M, embed)] for the chosen subspaces of _isotypic_split: M = Q^T B Q
+    for an orthonormal basis Q of the subspace and embed(v) = Q v.
+
+    Subspace c has the k_t eigenvectors V_t[:, j] of type t's S with labels
+    c, and column start[c, t, j] + o of Q is sum_b V_t[b, j] f_b on orbit o
+    of type t.  B Q = Q M, as B leaves the subspace invariant, so the rows
+    of B Q at k_t pivot states of each orbit fix M's k_t rows for that
+    orbit: of B, only those rows are read.  M is first order in the error
+    of the eigenvectors, so on orbits of at least _REFINE_FROM states one
+    step of inverse iteration takes them to rounding level first."""
+    type_of, orbit_of, coset_of, sign_of = place
+    d = type_of.size
+    n_c, (n_types, L_max) = chosen.size, label.shape
+    mine = label[None] == chosen[:, None, None]
+    counts = mine.sum(axis=2)  # k_t for each subspace and type
+    K = counts.max()
+    cols = np.argsort(~mine, axis=2, kind="stable")[:, :, :K]
+    valid = np.arange(K) < counts[:, :, None]
+    V = np.take_along_axis(V_all[None], cols[:, :, None, :], axis=3) * valid[:, :, None, :]
+    scale = max(np.abs(lam_all[np.isfinite(lam_all)]).max(), 1.0)
+    for t in range(n_types):
+        c = np.nonzero(counts[:, t])[0]
+        L = int(np.isfinite(lam_all[t]).sum())
+        if L < _REFINE_FROM or not c.size:
+            continue
+        shift = lam_all[t, cols[c, t, 0]] + _S_SAME * scale
+        W = np.linalg.solve(S_all[t, :L, :L] - shift[:, None, None] * np.eye(L), V[c, t, :L])
+        V[c, t, :L] = np.linalg.qr(W)[0] * valid[c, t, None, :]  # the zero columns come last
+    # greedy pivots: the row of largest norm once those chosen before are
+    # projected out
+    left = V.copy()
+    piv = np.zeros((n_c, n_types, K), dtype=np.intp)
+    for i in range(K):
+        piv[:, :, i] = b = (left * left).sum(axis=3).argmax(axis=2)
+        u = np.take_along_axis(left, b[:, :, None, None], axis=2)
+        u /= np.maximum(np.linalg.norm(u, axis=3, keepdims=True), 1e-300)
+        left -= (left @ u.transpose(0, 1, 3, 2)) @ u
+    square = np.take_along_axis(V, piv[:, :, :, None], axis=2)
+    both = valid[:, :, :, None] & valid[:, :, None, :]
+    inv = np.linalg.inv(np.where(both, square, np.eye(K)))
+    width = counts * orbits
+    m = width.sum(axis=1)
+    start = (np.cumsum(width, axis=1) - width)[:, :, None] + np.arange(K) * orbits[:, None]
+    start *= valid
+    # the pivot states: slot[c, x] = i when x sits at coset piv[c, t, i]
+    table = np.full((n_c, n_types, L_max), -1)
+    cc, tt, ii = np.nonzero(valid)
+    table[cc, tt, piv[cc, tt, ii]] = ii
+    slot = table[:, type_of, coset_of]
+    cs, xs = np.nonzero(slot >= 0)
+    sub = block[xs]
+    r = np.repeat(np.arange(xs.size), np.diff(sub.indptr))
+    y, val = sub.indices, sub.data
+    c, x = cs[r], xs[r]
+    live = counts[c, type_of[y]] > 0
+    c, x, y, val = c[live], x[live], y[live], val[live]
+    tx, ty = type_of[x], type_of[y]
+    # M[start[c, t, j] + o, :] = sum_i inv[c, t, j, i] f (B Q)[pivot i of orbit o, :]
+    w = (sign_of[x] * val * sign_of[y])[:, None, None]
+    w = w * inv[c, tx, :, slot[c, x]][:, :, None] * V[c, ty, coset_of[y]][:, None, :]
+    offset = np.cumsum(m * m) - m * m
+    flat = (
+        (offset[c] + m[c] * orbit_of[x])[:, None, None]
+        + m[c, None, None] * start[c, tx][:, :, None]
+        + (start[c, ty] + orbit_of[y][:, None])[:, None, :]
+    ).ravel()
+    M = np.bincount(flat, w.real.ravel(), offset[-1] + m[-1] ** 2).astype(w.dtype, copy=False)
+    if np.iscomplexobj(w):
+        M.imag = np.bincount(flat, w.imag.ravel(), M.size)
+
+    def embed(v, c):
+        live = counts[c, type_of] > 0
+        coef = V[c, type_of[live], coset_of[live]] * sign_of[live, None]
+        out = np.zeros((d, v.shape[1]), dtype=v.dtype)
+        out[live] = np.einsum("xj,xjr->xr", coef, v[start[c, type_of[live]] + orbit_of[live, None]])
+        return out
+
+    # M is Hermitian to rounding; eigh and eigvalsh read its lower triangle
+    return [
+        (M[offset[i] : offset[i] + m[i] ** 2].reshape(m[i], m[i]), functools.partial(embed, c=i))
+        for i in range(n_c)
+    ]
 
 
 def _fit_dense(what, dim, dense_cap):
@@ -632,28 +827,28 @@ def _sector_spectrum(op, key, dense_cap, vectors=False):
     """Ascending eigenvalues of one sector block, and with vectors=True the
     eigenvectors as columns in the sector basis.
 
-    A sector of dimension at least _SPLIT_FROM is split by the operator's
-    reflections that leave it exactly invariant (_symmetry_basis) and each
-    symmetry block is diagonalized densely; a smaller sector, or one with no
-    reflection kept, is diagonalized whole.  The sector dimension must fit
+    A sector of dimension at least _SPLIT_FROM is split by the group its
+    operator's exact lifts generate (_isotypic_split): one dense eigvalsh per
+    isotypic component, its eigenvalues repeated once per linked subspace,
+    or with vectors=True one eigh per subspace.  A smaller sector, or one
+    with no lift kept, is diagonalized whole.  The sector dimension must fit
     dense_cap."""
     idx = op.sectors[key]
     _fit_dense(f"sector {key}", idx.size, dense_cap)
     block = op.sector_matrix(key)
-    split = _symmetry_basis(op.reflections, idx, block) if idx.size >= _SPLIT_FROM else None
+    split = None
+    if idx.size >= _SPLIT_FROM:
+        split = _isotypic_split(op.reflections, idx, block, vectors)
     if split is None:
-        return _dense_eig(block, vectors)
-    Q, sizes = split
-    rotated = (Q.T @ block @ Q).tocsr()
-    bounds = np.cumsum([0] + sizes)
+        return _dense_eig(block.toarray(), vectors)
     vals, vecs = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for sub, copies, embed in split:
         if vectors:
-            w, v = _dense_eig(rotated[lo:hi, lo:hi], vectors=True)
-            vecs.append(Q[:, lo:hi] @ v)
+            w, v = _dense_eig(sub, vectors=True)
+            vecs.append(embed(v))
         else:
-            w = _dense_eig(rotated[lo:hi, lo:hi])
-        vals.append(w)
+            w = _dense_eig(sub)
+        vals += [w] * copies
     vals = np.concatenate(vals)
     order = np.argsort(vals, kind="stable")
     if not vectors:

@@ -178,6 +178,8 @@ def build_domain(spec, a):
     if shape == "ball":
         r = float(spec["radius"])
         center = np.asarray(spec.get("center", [a / 2.0, a / 2.0, a / 2.0]), dtype=float)
+        if center.shape != (3,):
+            raise ValueError(f"ball center must have 3 coordinates, got shape {center.shape}")
         m = int(np.ceil(r / a)) + 1
         rng = range(-m, m + 1)
         base = np.array(list(itertools.product(rng, rng, rng)), dtype=np.int64)

@@ -222,6 +222,8 @@ def _validated_family(weights):
     """The family as LocalizationWeights, checked to commute and to satisfy
     sum_i q_i^2 = 1."""
     ws = [_coerce_weight(w, 1) for w in weights]  # a scalar weighs one mode
+    if not ws:
+        raise ValueError("weight family is empty")
     if any(w.diagonal is None for w in ws):
         for wa, wb in itertools.combinations(ws, 2):
             if np.abs(wa.q @ wb.q - wb.q @ wa.q).max() > 1e-10:
@@ -253,7 +255,7 @@ def ssa_gap(state, weights, P1, P2, P3, tol=1e-9):
     localized states of a commuting partition-of-unity family: the gap of
     cq_ssa_gap for the state as a cq state with no classical particles."""
     if not isinstance(state, FockState):
-        raise ValueError("localize_state needs a FockState")
+        raise ValueError("ssa_gap needs a FockState")
     rho = CQState(state.space, 1.0, {0: state.matrix}, validate=False)
     # with no classical particle any classical partition gives the same gap
     thetas = np.eye(len(weights), 1)

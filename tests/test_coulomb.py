@@ -602,6 +602,31 @@ def plain_eigvalsh(op, key):
     return np.linalg.eigvalsh(op.sector_matrix(key).toarray())
 
 
+def split_blocks(op, key, every=False):
+    """(size, copies) of the blocks _isotypic_split diagonalizes, largest first."""
+    split = C._isotypic_split(op.reflections, op.sectors[key], op.sector_matrix(key), every)
+    return sorted(((M.shape[0], n) for M, n, _embed in split), reverse=True)
+
+
+def group_order(op, key):
+    return len(C._lift_group(op.reflections, op.sectors[key], op.sector_matrix(key))[0])
+
+
+def offering(op, lifts):
+    """op with the given (perm, sign) lifts offered instead of its own."""
+    return C.ManyBodyOperator(
+        op.matrix, op.sectors, op.charges, space=op.space,
+        reflections=[lambda lift=lift: lift for lift in lifts],
+    )
+
+
+def field_3():
+    # a constant field along z keeps only the z reflection: a complex block
+    return C.coulomb_hamiltonian(
+        cube(3), C.NucleiConfig.empty(), field=C.MagneticField.constant([0.0, 0.0, 0.7]), n_max=2
+    )
+
+
 class TestSectorSpectrum:
     @pytest.mark.parametrize(
         "build",
@@ -614,25 +639,29 @@ class TestSectorSpectrum:
             lambda: C.coulomb_hamiltonian(
                 cube(2), C.NucleiConfig.empty(), statistics="boson", boson_cap=2, n_max=3
             ),
+            field_3,
         ],
-        ids=["two-species-2", "two-species-3", "fermion-2", "fermion-3", "boson-2"],
+        ids=["two-species-2", "two-species-3", "fermion-2", "fermion-3", "boson-2", "field-3"],
     )
     def test_split_matches_dense(self, build, monkeypatch):
         monkeypatch.setattr(C, "_SPLIT_FROM", 8)  # these sectors are below the measured size
         op = build()
-        assert len(op.reflections) == 6
+        field = op.matrix.dtype == complex
+        # the six lattice reflections generate O_h; the field keeps only z
+        assert len(op.reflections) == (1 if field else 6)
         for key, idx in op.sectors.items():
             if idx.size < 8:
                 continue
-            Q, sizes = C._symmetry_basis(op.reflections, idx, op.sector_matrix(key))
-            assert len(sizes) > 1 and sum(sizes) == idx.size
-            assert np.abs((Q.T @ Q).toarray() - np.eye(idx.size)).max() < 1e-12
-            # the axis reflections come first; no coordinate swap commutes with them
-            Q3, sizes3 = C._symmetry_basis(op.reflections[:3], idx, op.sector_matrix(key))
-            assert sizes == sizes3 and (Q != Q3).nnz == 0
+            assert group_order(op, key) == (2 if field else 48)
+            blocks = split_blocks(op, key)
+            assert sum(size * n for size, n in blocks) == idx.size
+            every = split_blocks(op, key, every=True)
+            assert sorted(every) == sorted((size, 1) for size, n in blocks for _ in range(n))
             split = C._sector_spectrum(op, key, 4096)
             dense = plain_eigvalsh(op, key)
             assert np.abs(split - dense).max() <= 1e-12 * np.abs(dense).max()
+        if field:
+            assert split_blocks(op, 2) == [(189, 1), (162, 1)]
 
     @pytest.mark.parametrize("side", [2, 3, 4])
     def test_crystal_split_by_swap(self, side, monkeypatch):
@@ -643,11 +672,9 @@ class TestSectorSpectrum:
         assert len(lifts) == 6 and len(op.reflections) == 3
         for lift, (perm, sign) in zip(op.reflections, lifts[3:]):
             assert np.array_equal(lift()[0], perm) and np.array_equal(lift()[1], sign)
-        # offered every lattice reflection, a sector keeps the x<->y swap alone
-        offered = C.ManyBodyOperator(
-            op.matrix, op.sectors, op.charges, space=op.space,
-            reflections=[lambda lift=lift: lift for lift in lifts],
-        )
+        # offered every lattice reflection, a sector keeps the three swaps,
+        # which generate S_3
+        offered = offering(op, lifts)
         monkeypatch.setattr(C, "_SPLIT_FROM", 2)  # at side 2 every sector is small
         fe = C.free_energy(offered, 1.0, -4.0)
         for key, idx in op.sectors.items():
@@ -661,31 +688,46 @@ class TestSectorSpectrum:
                 P = sp.csr_matrix((sign[idx], (where[perm[idx]], np.arange(idx.size))))
                 commutes.append((P @ block @ P.T != block).nnz == 0)
             assert commutes == [False] * 3 + [True] * 3
-            Q, sizes = C._symmetry_basis(offered.reflections, idx, block)
-            Q_xy, sizes_xy = C._symmetry_basis(offered.reflections[3:4], idx, block)
-            assert len(sizes) == 2 and sizes == sizes_xy and (Q != Q_xy).nnz == 0
+            assert group_order(offered, key) == 6
+            assert split_blocks(offered, key) == split_blocks(op, key)
             dense = plain_eigvalsh(op, key)
             assert np.abs(fe.sector_eigs[key] - dense).max() <= 1e-12 * np.abs(dense).max()
-        if side == 4:  # the scan's one large sector, at the measured split size
-            monkeypatch.setattr(C, "_SPLIT_FROM", 300)
-            assert C._symmetry_basis(op.reflections, op.sectors[2], op.sector_matrix(2))[1] == [
-                1056, 960
-            ]
-            split = C._sector_spectrum(op, 2, 4096)
-            assert np.abs(split - fe.sector_eigs[2]).max() <= 1e-12 * np.abs(split).max()
+        # S_3 has two 1-dim irreps and one 2-dim one: one block per isotypic
+        # component, its eigenvalues repeated once per linked subspace
+        pins = {
+            2: [(9, 2), (7, 1), (3, 1)],
+            3: [(116, 2), (73, 1), (46, 1)],
+            4: [(670, 2), (386, 1), (290, 1)],
+        }
+        assert split_blocks(op, 2) == pins[side]
 
     def test_quantum_nuclei_keeps_reflection_split(self):
+        # O_h has ten irreps, of dimension 1, 2 or 3
         op = C.two_species_hamiltonian(cube(4), 1.0, 100.0)
-        assert len(op.reflections) == 6
-        idx = op.sectors[(1, 1)]
-        _Q, sizes = C._symmetry_basis(op.reflections, idx, op.sector_matrix((1, 1)))
-        assert sizes == [512] * 8
+        assert len(op.reflections) == 6 and group_order(op, (1, 1)) == 48
+        assert split_blocks(op, (1, 1)) == [
+            (288, 3), (288, 3), (224, 3), (224, 3), (168, 2), (168, 2),
+            (120, 1), (120, 1), (56, 1), (56, 1),
+        ]
+
+    def test_free_energy_densifies_only_isotypic_blocks(self, monkeypatch):
+        # a fall-back to whole sectors, or to the Z_2 characters of commuting
+        # lifts (blocks 1056 + 960 and 8 x 512), fails here
+        shapes = []
+
+        def spy(dense, vectors=False, real=C._dense_eig):
+            shapes.append(dense.shape[0])
+            return real(dense, vectors)
+
+        monkeypatch.setattr(C, "_dense_eig", spy)
+        C.free_energy(crystal(4), 1.0, -4.0)
+        assert max(shapes) == 670 and len(shapes) == 5  # sectors 0, 1; 2 in three blocks
+        shapes.clear()
+        C.free_energy(C.two_species_hamiltonian(cube(4), 1.0, 100.0), 1.0, (-1.0, -1.0))
+        assert max(shapes) == 288 and len(shapes) == 13  # three small sectors; (1, 1) in ten
 
     def test_dense_cap_bounds_split_sector(self):
         op = crystal(3)
-        assert C._symmetry_basis(op.reflections, op.sectors[2], op.sector_matrix(2))[1] == [
-            189, 162
-        ]
         with pytest.raises(ValueError, match="sector 2 dimension 351 exceeds dense cap 300"):
             C.free_energy(op, 1.0, -4.0, dense_cap=300)
 
@@ -710,16 +752,39 @@ class TestSectorSpectrum:
 
     def test_defective_lift_raises(self):
         dom = cube(3)
-        op = C.coulomb_hamiltonian(dom, crystal_nuclei(dom), n_max=2)
+        op = crystal(3)
         xy, yz = dom.reflections()[3:5]
         perm, sign = F.permutation_lift(op.space, xy)
-        # the lift of a cyclic coordinate permutation, and a halved sign
-        for lift in (F.permutation_lift(op.space, xy[yz]), (perm, 0.5 * sign)):
-            broken = C.ManyBodyOperator(
-                op.matrix, op.sectors, op.charges, reflections=[lambda lift=lift: lift]
-            )
-            with pytest.raises(C.EigensolverError, match="not a signed involution"):
-                C.free_energy(broken, 1.0, -4.0)
+        with pytest.raises(C.EigensolverError, match="not a signed permutation of sector dim 351"):
+            C.free_energy(offering(op, [(perm, 0.5 * sign)]), 1.0, -4.0)
+        # the cyclic coordinate permutation is no involution, but a symmetry:
+        # it generates Z_3, whose 2-dim real irrep keeps both of its rows in
+        # one block (2 x 116 of the S_3 split; 119 = 73 + 46 is invariant)
+        cyclic = offering(op, [F.permutation_lift(op.space, xy[yz])])
+        assert group_order(cyclic, 2) == 3
+        assert split_blocks(cyclic, 2) == [(232, 1), (119, 1)]
+        split = C._sector_spectrum(cyclic, 2, 4096)
+        dense = plain_eigvalsh(op, 2)
+        assert np.abs(split - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_group_of_more_than_48_raises(self, monkeypatch):
+        # every signed permutation commutes with the identity; a 49-cycle
+        # generates 49 elements
+        monkeypatch.setattr(C, "_SPLIT_FROM", 2)
+        op = C.ManyBodyOperator(
+            sp.identity(49, format="csr"), {0: np.arange(49)}, np.zeros(49),
+            reflections=[lambda: (np.roll(np.arange(49), 1), np.ones(49))],
+        )
+        with pytest.raises(C.EigensolverError, match="generate more than 48 elements"):
+            C.free_energy(op, 1.0, 0.0)
+
+    def test_split_is_repeatable_and_order_free(self):
+        op = C.two_species_hamiltonian(cube(3), 1.0, 100.0)
+        first, again = (C.free_energy(op, 1.0, (-1.0, -1.0)).sector_eigs for _ in range(2))
+        assert all(np.array_equal(first[key], again[key]) for key in first)
+        reverse = offering(op, [lift() for lift in op.reflections[::-1]])
+        back = C._sector_spectrum(reverse, (1, 1), 4096)
+        assert np.abs(back - first[(1, 1)]).max() <= 1e-12 * np.abs(back).max()
 
     def test_gibbs_matrix_and_ground_vector_split(self, monkeypatch):
         monkeypatch.setattr(C, "_SPLIT_FROM", 8)  # these sectors are below the measured size

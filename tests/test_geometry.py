@@ -76,6 +76,11 @@ class TestBuildDomain:
         dom = G.build_domain({"shape": "ball", "radius": 1.0}, 1.0)
         assert dom.n_sites == 8
 
+    @pytest.mark.parametrize("center", [[0.5], [0.5, 0.5, 0.5, 0.5], [[0.5, 0.5, 0.5]]])
+    def test_ball_center_needs_three_coordinates(self, center):
+        with pytest.raises(ValueError, match="ball center must have 3 coordinates"):
+            G.build_domain({"shape": "ball", "radius": 1.0, "center": center}, 1.0)
+
     def test_boundary_subset_of_sites(self):
         dom = G.build_domain({"shape": "cube", "side": 4.0}, 1.0)
         sites = {tuple(s) for s in dom.idx.tolist()}

@@ -256,6 +256,10 @@ class TestFamilyWeight:
         with pytest.raises(ValueError, match="commute"):
             L.family_weight([q1, q2], [0])
 
+    def test_empty_family_rejected(self):
+        with pytest.raises(ValueError, match="weight family is empty"):
+            L.family_weight([], [])
+
 
 def product_state_and_blocks(seed):
     """State on 6 modes that factorizes over the mode blocks {0,1},{2,3},{4,5}.
@@ -362,7 +366,7 @@ class TestStackedSsa:
 
     def test_non_state_rejected(self):
         raw = np.full((2, 3), np.sqrt(0.5))
-        with pytest.raises(ValueError, match="FockState"):
+        with pytest.raises(ValueError, match="^ssa_gap needs a FockState$"):
             L.ssa_gap(np.eye(8), list(raw), [0], [1], [])
 
 

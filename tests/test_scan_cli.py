@@ -228,13 +228,13 @@ class TestCli:
 
         monkeypatch.setattr(fock, "permutation_lift", halved_sign)
         cfg = tmp_path / "scan.json"
-        # the side-3 N = 2 sector (351) is split by the x<->y swap
+        # the side-3 N = 2 sector (351) is split by the coordinate swaps
         cfg.write_text(json.dumps({"model": "crystal", "sides": [3], "z": 0.5, "n_max": 2}))
         out = tmp_path / "scan.csv"
         assert cli_main(["scan", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(
-            "error: reflection lift is not a signed involution of sector dim 351"
+            "error: reflection lift is not a signed permutation of sector dim 351"
         )
         assert "Traceback" not in err
         assert not out.exists()
@@ -346,6 +346,11 @@ class TestCli:
             (["energy"], {**MODEL_CONFIG, "field": {"kind": "random", "sclae": 5.0}}),
             (["energy"], {**MODEL_CONFIG, "domain": {"shape": "cube", "side": "2"}}),
             (["energy"], {**MODEL_CONFIG, "field": {"kind": "constant"}}),
+            # one coordinate would be broadcast to all three
+            (
+                ["energy"],
+                {**MODEL_CONFIG, "domain": {"shape": "ball", "radius": 1.0, "center": [0.5]}},
+            ),
         ],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, argv, bad):
