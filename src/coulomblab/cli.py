@@ -483,9 +483,9 @@ _SSA = {
     }),
 }
 
-# one model definition serves energy, free-energy and hf; "domain" is the
-# spec of geometry.build_domain plus its "spacing", "field" the arguments of
-# one MagneticField constructor
+# the model keys of energy, free-energy and hf: "domain" is the spec of
+# geometry.build_domain plus its "spacing", "field" the arguments of one
+# MagneticField constructor
 _DOMAIN = ("shape", {
     "cube": {"side": (float, _REQUIRED), "spacing": (float, 1.0)},
     "ball": {"radius": (float, _REQUIRED), "center": (list[float], None), "spacing": (float, 1.0)},
@@ -496,20 +496,19 @@ _FIELD = ("kind", {
     "periodic_sine": {"amplitude": (float, _REQUIRED), "period": (float, _REQUIRED)},
     "random": {"seed": (int, 0), "scale": (float, 1.0)},
 })
-_MODEL = {
-    "domain": (_DOMAIN, _REQUIRED), "nuclei": (list[_CHARGE], []), "field": (_FIELD, None),
-    "n_max": (int, None), "dim_cap": (int, 16384), "dense_cap": (int, 2048),
-    "beta": (float, None), "mu": (float, 0.0),
-}
+_MODEL = {"domain": (_DOMAIN, _REQUIRED), "nuclei": (list[_CHARGE], []), "field": (_FIELD, None)}
+# the many-body keys of energy and free-energy
+_FOCK = {"n_max": (int, None), "dim_cap": (int, 16384)}
 
 _SCAN = {name: (f.type, f.default) for name, f in ScanSpec.__dataclass_fields__.items()}
 
 _COMMANDS = {
-    "energy": (_run_energy, _MODEL),
+    "energy": (_run_energy, {**_MODEL, **_FOCK, "dense_cap": (int, 2048)}),
     "free-energy": (_run_free_energy, {
-        **_MODEL, "dense_cap": (int, 4096), "beta": (float, _REQUIRED), "mu": (float, _REQUIRED),
+        **_MODEL, **_FOCK, "dense_cap": (int, 4096), "beta": (float, _REQUIRED),
+        "mu": (float, _REQUIRED),
     }),
-    "hf": (_run_hf, _MODEL),
+    "hf": (_run_hf, {**_MODEL, "beta": (float, None), "mu": (float, 0.0)}),
     "scan": (_run_scan_cmd, _SCAN),
     "compare-perturbation": (_run_compare, {
         **{k: _SCAN[k] for k in ("sides", "spacing", "z", "n_max", "dense_cap", "dim_cap")},

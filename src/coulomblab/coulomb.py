@@ -49,10 +49,9 @@ class MagneticField:
     """Vector potential A as a rule point -> R^3; hopping phases are Peierls
     phases A(midpoint).(y - x)."""
 
-    def __init__(self, func, label="custom", periodicity=None):
+    def __init__(self, func, label="custom"):
         self._func = func
         self.label = label
-        self.periodicity = periodicity
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -79,7 +78,7 @@ class MagneticField:
             out[:, 1] = amplitude * np.sin(k * pts[:, 0])
             return out
 
-        return cls(A, label="periodic_sine", periodicity=period)
+        return cls(A, label="periodic_sine")
 
     @classmethod
     def random_bounded(cls, seed, scale=1.0, n_modes=3):
@@ -109,17 +108,16 @@ class MagneticField:
 
 
 class NucleiConfig:
-    """Point nuclei {(R_k, z_k)} with optional periodic-lattice bookkeeping.
+    """Point nuclei {(R_k, z_k)}.
 
     Positions must be pairwise distinct whenever both charges are nonzero;
     min_separation is the smallest pairwise distance over all entries.
     """
 
-    def __init__(self, entries, generator=None):
+    def __init__(self, entries):
         self.entries = [(np.asarray(R, dtype=float).reshape(3), float(z)) for R, z in entries]
         if any(z < 0 for _, z in self.entries):
             raise ValueError("nuclear charges must be nonnegative")
-        self.generator = generator
         self._pairs = _pair_table(self.positions)
         i, j, d = self._pairs
         z = self.charges
@@ -183,7 +181,7 @@ class NucleiConfig:
         keep = _inside_domain(domain, np.array([R for R, _ in cands]).reshape(-1, 3), margin)
         entries = [c for c, k in zip(cands, keep) if k]
         try:
-            cfg = cls(entries, generator={"cell": cell, "basis": list(basis)})
+            cfg = cls(entries)
         except ValueError as exc:
             raise ValueError(f"hyp_D3 violated: {exc}")
         if len(cfg) > 1 and cfg.min_separation <= 1e-9:
@@ -313,23 +311,23 @@ def nuclear_constant(nuclei):
 
 class ManyBodyOperator:
     """Number-conserving operator stored as one sparse matrix plus the sector
-    index lists; charges holds the particle numbers entering mu.N.
+    index lists.  A sector's key is its particle number, an int or one count
+    per species, and the one record of it: mu.N is read from the key
+    (_mu_dot_n).
 
     reflections lists candidate symmetries: zero-argument callables giving
-    a signed basis permutation (perm, sign), the Fock lift of one of the
-    domain's axis reflections or coordinate swaps (see
-    fock.permutation_lift), computed on first call and cached by the
-    builder.  A sector spectrum lifts them only where it is split
-    (_sector_spectrum), and splits by the group generated by those that
-    leave its block exactly invariant.
+    a signed basis permutation (perm, sign), the Fock lift (see
+    fock.permutation_lift) of one of the domain's axis reflections or
+    coordinate swaps that fix the one-body matrix (_lattice_symmetries),
+    computed on first call and cached by the builder.  Only a sector
+    spectrum that is split lifts them (_sector_spectrum), and it splits by
+    the group generated by those that leave its block exactly invariant;
+    Gibbs states and ground-state vectors diagonalize whole sectors.
     """
 
-    def __init__(self, matrix, sectors, charges, space=None, reflections=()):
+    def __init__(self, matrix, sectors, space=None, reflections=()):
         self.matrix = matrix.tocsr()
         self.sectors = dict(sorted(sectors.items()))
-        self.charges = np.asarray(charges, dtype=float)
-        if self.charges.ndim == 1:
-            self.charges = self.charges[:, None]
         self.space = space
         self.reflections = list(reflections)
 
@@ -350,20 +348,30 @@ class ManyBodyOperator:
         mask = sector_of[M.row] != sector_of[M.col]
         return float(np.abs(M.data[mask]).max()) if mask.any() else 0.0
 
-    def mu_dot_charge(self, mu):
-        mu_vec = np.atleast_1d(np.asarray(mu, dtype=float))
-        if mu_vec.shape[0] != self.charges.shape[1]:
-            raise ValueError("chemical potential arity does not match the model")
-        return self.charges @ mu_vec
-
     def shifted(self, c):
         return ManyBodyOperator(
             self.matrix + c * sp.identity(self.dim, format="csr"),
             self.sectors,
-            self.charges,
             space=self.space,
             reflections=self.reflections,
         )
+
+
+def _mu_dot_n(mu, key):
+    """mu.N for the particle numbers N of a sector key; ValueError when mu
+    does not have one entry per species."""
+    mu_vec = np.atleast_1d(np.asarray(mu, dtype=float))
+    n = np.atleast_1d(np.asarray(key, dtype=float))
+    if mu_vec.shape != n.shape:
+        raise ValueError("chemical potential arity does not match the model")
+    return float(mu_vec @ n)
+
+
+def _lattice_symmetries(domain, h):
+    """The site permutations of domain.reflections() that leave the one-body
+    matrix h exactly invariant; the Fock lift of any other cannot commute
+    with a Hamiltonian whose one-particle part is h."""
+    return [s for s in domain.reflections() if np.array_equal(h[np.ix_(s, s)], h)]
 
 
 class _Electrons:
@@ -386,10 +394,9 @@ class _Electrons:
             second_quantize_onebody(self.space, T)
             + second_quantize_twobody(self.space, coulomb_kernel(domain))
         ).tocsr()
-        self.sectors = {int(N): idx for N, idx in self.space.sectors.items()}
-        # H restricted to one particle is T + diag(v), so a reflection that
-        # moves T or v cannot commute with H: operator offers only the others
-        self._symmetries = [s for s in domain.reflections() if np.array_equal(T[np.ix_(s, s)], T)]
+        # H restricted to one particle is T + diag(v): operator offers only
+        # the symmetries of T that also fix v
+        self._symmetries = _lattice_symmetries(domain, T)
         self._lifts = [
             functools.cache(functools.partial(fock.permutation_lift, self.space, s))
             for s in self._symmetries
@@ -403,9 +410,7 @@ class _Electrons:
         reflections = [
             lift for lift, s in zip(self._lifts, self._symmetries) if np.array_equal(v[s], v)
         ]
-        return ManyBodyOperator(
-            H, self.sectors, self.space.totals, space=self.space, reflections=reflections
-        )
+        return ManyBodyOperator(H, self.space.sectors, space=self.space, reflections=reflections)
 
 
 def coulomb_hamiltonian(
@@ -636,8 +641,8 @@ def _lift_group(lifts, idx, block):
     return np.array(codes), [rows[c.tobytes()] for c in gens]
 
 
-def _isotypic_split(lifts, idx, block, every):
-    """[(M, copies, embed)] splitting one sector by its symmetry group G
+def _isotypic_split(lifts, idx, block):
+    """[(M, copies)] splitting one sector by its symmetry group G
     (_lift_group); None when no lift is kept.
 
     On each G-orbit of the sector basis take the signed basis
@@ -650,8 +655,7 @@ def _isotypic_split(lifts, idx, block, every):
     Subspaces that a kept lift couples lie in one isotypic component, and
     by Schur's lemma B has one spectrum on all of them.
 
-    M = Q^T B Q for an orthonormal basis Q of one subspace (_subspace_blocks)
-    and embed(v) = Q v; the list has every subspace when every is set, else
+    M = Q^T B Q for an orthonormal basis Q of one subspace (_subspace_blocks),
     the first of each linked set, which stands for copies of them.
     EigensolverError when two S eigenvalues are too close to tell apart,
     linked subspaces differ in size or the sizes do not add up to the
@@ -727,15 +731,15 @@ def _isotypic_split(lifts, idx, block, every):
         members = np.nonzero(linked[a])[0]
         if (dims[members] != dims[a]).any():
             raise EigensolverError(f"linked symmetry blocks of sector dim {d} differ in size")
-        chosen += list(members) if every else [a]
-        copies += [1] * len(members) if every else [len(members)]
+        chosen.append(a)
+        copies.append(len(members))
     blocks = _subspace_blocks(block, place, orbits, S_all, lam_all, V_all, label, np.array(chosen))
-    return [(M, n_copies, embed) for (M, embed), n_copies in zip(blocks, copies)]
+    return list(zip(blocks, copies))
 
 
 def _subspace_blocks(block, place, orbits, S_all, lam_all, V_all, label, chosen):
-    """[(M, embed)] for the chosen subspaces of _isotypic_split: M = Q^T B Q
-    for an orthonormal basis Q of the subspace and embed(v) = Q v.
+    """[M] for the chosen subspaces of _isotypic_split: M = Q^T B Q for an
+    orthonormal basis Q of the subspace.
 
     Subspace c has the k_t eigenvectors V_t[:, j] of type t's S with labels
     c, and column start[c, t, j] + o of Q is sum_b V_t[b, j] f_b on orbit o
@@ -745,7 +749,6 @@ def _subspace_blocks(block, place, orbits, S_all, lam_all, V_all, label, chosen)
     of the eigenvectors, so on orbits of at least _REFINE_FROM states one
     step of inverse iteration takes them to rounding level first."""
     type_of, orbit_of, coset_of, sign_of = place
-    d = type_of.size
     n_c, (n_types, L_max) = chosen.size, label.shape
     mine = label[None] == chosen[:, None, None]
     counts = mine.sum(axis=2)  # k_t for each subspace and type
@@ -803,19 +806,8 @@ def _subspace_blocks(block, place, orbits, S_all, lam_all, V_all, label, chosen)
     M = np.bincount(flat, w.real.ravel(), offset[-1] + m[-1] ** 2).astype(w.dtype, copy=False)
     if np.iscomplexobj(w):
         M.imag = np.bincount(flat, w.imag.ravel(), M.size)
-
-    def embed(v, c):
-        live = counts[c, type_of] > 0
-        coef = V[c, type_of[live], coset_of[live]] * sign_of[live, None]
-        out = np.zeros((d, v.shape[1]), dtype=v.dtype)
-        out[live] = np.einsum("xj,xjr->xr", coef, v[start[c, type_of[live]] + orbit_of[live, None]])
-        return out
-
-    # M is Hermitian to rounding; eigh and eigvalsh read its lower triangle
-    return [
-        (M[offset[i] : offset[i] + m[i] ** 2].reshape(m[i], m[i]), functools.partial(embed, c=i))
-        for i in range(n_c)
-    ]
+    # M is Hermitian to rounding; eigvalsh reads its lower triangle
+    return [M[offset[i] : offset[i] + m[i] ** 2].reshape(m[i], m[i]) for i in range(n_c)]
 
 
 def _fit_dense(what, dim, dense_cap):
@@ -823,45 +815,35 @@ def _fit_dense(what, dim, dense_cap):
         raise ValueError(f"{what} dimension {dim} exceeds dense cap {dense_cap}")
 
 
-def _sector_spectrum(op, key, dense_cap, vectors=False):
-    """Ascending eigenvalues of one sector block, and with vectors=True the
-    eigenvectors as columns in the sector basis.
+def _sector_spectrum(op, key, dense_cap):
+    """Ascending eigenvalues of one sector block.
 
     A sector of dimension at least _SPLIT_FROM is split by the group its
     operator's exact lifts generate (_isotypic_split): one dense eigvalsh per
-    isotypic component, its eigenvalues repeated once per linked subspace,
-    or with vectors=True one eigh per subspace.  A smaller sector, or one
-    with no lift kept, is diagonalized whole.  The sector dimension must fit
-    dense_cap."""
+    isotypic component, its eigenvalues repeated once per linked subspace.
+    A smaller sector, or one with no lift kept, is diagonalized whole.  The
+    sector dimension must fit dense_cap."""
     idx = op.sectors[key]
     _fit_dense(f"sector {key}", idx.size, dense_cap)
     block = op.sector_matrix(key)
     split = None
     if idx.size >= _SPLIT_FROM:
-        split = _isotypic_split(op.reflections, idx, block, vectors)
+        split = _isotypic_split(op.reflections, idx, block)
     if split is None:
-        return _dense_eig(block.toarray(), vectors)
-    vals, vecs = [], []
-    for sub, copies, embed in split:
-        if vectors:
-            w, v = _dense_eig(sub, vectors=True)
-            vecs.append(embed(v))
-        else:
-            w = _dense_eig(sub)
-        vals += [w] * copies
-    vals = np.concatenate(vals)
-    order = np.argsort(vals, kind="stable")
-    if not vectors:
-        return vals[order]
-    return vals[order], np.hstack(vecs)[:, order]
+        return _dense_eig(block.toarray())
+    vals = []
+    for M, copies in split:
+        vals += [_dense_eig(M)] * copies
+    return np.sort(np.concatenate(vals))
 
 
 def ground_state_vector(op, dense_cap=4096):
-    """(energy, sector key, full-space vector) of the minimizing sector; the
-    minimizing block is diagonalized densely, so it must fit dense_cap."""
+    """(energy, sector key, full-space vector) of the minimizing sector, by
+    one eigh of its whole block, which must fit dense_cap."""
     res = ground_state_energy(op, dense_cap=dense_cap)
     idx = op.sectors[res.n_star]
-    _vals, vecs = _sector_spectrum(op, res.n_star, dense_cap, vectors=True)
+    _fit_dense(f"sector {res.n_star}", idx.size, dense_cap)
+    _vals, vecs = _dense_eig(op.sector_matrix(res.n_star).toarray(), vectors=True)
     full = np.zeros(op.dim, dtype=vecs.dtype)
     full[idx] = vecs[:, 0]
     return res.value, res.n_star, full
@@ -895,17 +877,9 @@ class FreeEnergyResult:
         self.mu = mu
         self.sector_eigs = sector_eigs
         self.dense_cap = dense_cap
-        terms = []
-        for key, eigs in sector_eigs.items():
-            shift = self._mu_charge(key)
-            terms.append(-beta * (eigs - shift))
+        terms = [-beta * (eigs - _mu_dot_n(mu, key)) for key, eigs in sector_eigs.items()]
         self.log_z = float(_logsumexp(np.concatenate(terms)))
         self.value = -self.log_z / beta
-
-    def _mu_charge(self, key):
-        mu_vec = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        charge = np.atleast_1d(np.asarray(key, dtype=float))
-        return float(mu_vec @ charge)
 
     def ground_state(self):
         """Ground energy of H (no mu shift) from the retained spectra, with the
@@ -916,7 +890,7 @@ class FreeEnergyResult:
     def sector_weights(self):
         out = {}
         for key, eigs in self.sector_eigs.items():
-            out[key] = np.exp(-self.beta * (eigs - self._mu_charge(key)) - self.log_z)
+            out[key] = np.exp(-self.beta * (eigs - _mu_dot_n(self.mu, key)) - self.log_z)
         return out
 
     def mean_charge(self):
@@ -927,15 +901,15 @@ class FreeEnergyResult:
         return m if m.size > 1 else float(m[0])
 
     def gibbs_matrix(self):
-        """Dense Gibbs density matrix exp(-beta(H - mu.N))/Z; every sector and
-        the whole space must fit dense_cap."""
+        """Dense Gibbs density matrix exp(-beta(H - mu.N))/Z by one eigh per
+        sector; every sector and the whole space must fit dense_cap."""
         for key, idx in self.op.sectors.items():
             _fit_dense(f"sector {key}", idx.size, self.dense_cap)
         _fit_dense("Fock space", self.op.dim, self.dense_cap)
         M = np.zeros((self.op.dim, self.op.dim), dtype=complex)
         for key, idx in self.op.sectors.items():
-            vals, vecs = _sector_spectrum(self.op, key, self.dense_cap, vectors=True)
-            w = np.exp(-self.beta * (vals - self._mu_charge(key)) - self.log_z)
+            vals, vecs = _dense_eig(self.op.sector_matrix(key).toarray(), vectors=True)
+            w = np.exp(-self.beta * (vals - _mu_dot_n(self.mu, key)) - self.log_z)
             M[np.ix_(idx, idx)] = (vecs * w) @ vecs.conj().T
         return M
 
@@ -959,9 +933,9 @@ def free_energy(op, beta, mu, dense_cap=4096):
 def variational_free_energy(op, beta, mu, state):
     """tr[(H - mu.N) G] + (1/beta) tr[G log G] for a trial state G; this is
     bounded below by the Gibbs free energy."""
-    mu_diag = op.mu_dot_charge(mu)
+    weight = np.real(np.diag(state.matrix))  # of each basis state
     energy = np.real(state.expectation(op.matrix))
-    energy -= float(mu_diag @ np.real(np.diag(state.matrix)))
+    energy -= sum(_mu_dot_n(mu, key) * weight[idx].sum() for key, idx in op.sectors.items())
     return energy - fock.entropy(state) / beta
 
 
@@ -1291,13 +1265,12 @@ def two_species_hamiltonian(
         for Kn, jn in nuc.sectors.items():
             idx = (ie[:, None] * nuc.dim + jn[None, :]).ravel()
             sectors[(int(Ne), int(Kn))] = np.sort(idx)
-    charges = np.zeros((el.dim * nuc.dim, 2))
-    charges[:, 0] = np.repeat(el.totals, nuc.dim)
-    charges[:, 1] = np.tile(nuc.totals, el.dim)
+    # W is invariant under every lattice symmetry, so only T can break one
     reflections = [
-        functools.cache(functools.partial(_product_lift, el, nuc, s)) for s in domain.reflections()
+        functools.cache(functools.partial(_product_lift, el, nuc, s))
+        for s in _lattice_symmetries(domain, T)
     ]
-    return ManyBodyOperator(H.tocsr(), sectors, charges, reflections=reflections)
+    return ManyBodyOperator(H.tocsr(), sectors, reflections=reflections)
 
 
 def _product_lift(el, nuc, sigma):

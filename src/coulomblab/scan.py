@@ -37,7 +37,6 @@ class ScanSpec:
     candidates_per_side: int = 2
     dense_cap: int = 4096
     dim_cap: int = 70000
-    budget: int = 70000
 
     def __post_init__(self):
         if self.model not in ("crystal", "quantum-nuclei", "movable"):
@@ -140,17 +139,16 @@ def _estimate_dim(model, n_sites, spec):
 
 
 def run_scan(spec):
-    """Rows of E/|O| and F/|O| for each cube side; sizes whose predicted
-    dimension exceeds the budget are flagged and skipped."""
+    """Rows of E/|O| and F/|O| for each cube side; sizes whose Fock
+    dimension exceeds dim_cap are flagged and skipped."""
     rows = []
     prev_e = None
     for side in spec.sides:
         domain = _cube(side, spec.spacing)
-        est = _estimate_dim(spec.model, domain.n_sites, spec)
-        if est > spec.budget:
+        if _estimate_dim(spec.model, domain.n_sites, spec) > spec.dim_cap:
             rows.append(
                 ScanRow(side, domain.volume, np.nan, np.nan, np.nan, np.nan, np.nan, np.nan,
-                        "skipped:budget")
+                        "skipped:dim_cap")
             )
             continue
         flags = []

@@ -528,7 +528,7 @@ class TestFreeEnergy:
         sp = F.build_space(8, "fermion")
         T = C.kinetic_operator(dom)
         H = F.second_quantize_onebody(sp, T)
-        op = C.ManyBodyOperator(H, dict(sp.sectors), sp.totals, space=sp)
+        op = C.ManyBodyOperator(H, dict(sp.sectors), space=sp)
         beta, mu = 0.7, 2.0
         lam = np.linalg.eigvalsh(T)
         product = -np.sum(np.log(1 + np.exp(-beta * (lam - mu)))) / beta
@@ -591,6 +591,16 @@ class TestFreeEnergy:
         with pytest.raises(ValueError, match="Fock space dimension 37 exceeds dense cap 28"):
             fe.gibbs_matrix()
 
+    def test_mu_of_wrong_arity_raises(self):
+        op = C.coulomb_hamiltonian(cube(2), TWO_NUCLEI, n_max=2)
+        pair = C.two_species_hamiltonian(cube(2), 1.0, 100.0)
+        for model, mu in ((op, (0.4, -0.2)), (pair, 0.4), (pair, (0.4, -0.2, 0.1))):
+            with pytest.raises(ValueError, match="chemical potential arity"):
+                C.free_energy(model, 1.3, mu)
+        state = F.FockState(op.space, np.eye(op.dim) / op.dim, validate=False)
+        with pytest.raises(ValueError, match="chemical potential arity"):
+            C.variational_free_energy(op, 1.3, (0.4, -0.2), state)
+
     def test_mean_charge(self):
         dom = cube(2)
         op = C.coulomb_hamiltonian(dom, C.NucleiConfig.empty(), n_max=2)
@@ -602,10 +612,10 @@ def plain_eigvalsh(op, key):
     return np.linalg.eigvalsh(op.sector_matrix(key).toarray())
 
 
-def split_blocks(op, key, every=False):
+def split_blocks(op, key):
     """(size, copies) of the blocks _isotypic_split diagonalizes, largest first."""
-    split = C._isotypic_split(op.reflections, op.sectors[key], op.sector_matrix(key), every)
-    return sorted(((M.shape[0], n) for M, n, _embed in split), reverse=True)
+    split = C._isotypic_split(op.reflections, op.sectors[key], op.sector_matrix(key))
+    return sorted(((M.shape[0], n) for M, n in split), reverse=True)
 
 
 def group_order(op, key):
@@ -615,7 +625,7 @@ def group_order(op, key):
 def offering(op, lifts):
     """op with the given (perm, sign) lifts offered instead of its own."""
     return C.ManyBodyOperator(
-        op.matrix, op.sectors, op.charges, space=op.space,
+        op.matrix, op.sectors, space=op.space,
         reflections=[lambda lift=lift: lift for lift in lifts],
     )
 
@@ -655,8 +665,6 @@ class TestSectorSpectrum:
             assert group_order(op, key) == (2 if field else 48)
             blocks = split_blocks(op, key)
             assert sum(size * n for size, n in blocks) == idx.size
-            every = split_blocks(op, key, every=True)
-            assert sorted(every) == sorted((size, 1) for size, n in blocks for _ in range(n))
             split = C._sector_spectrum(op, key, 4096)
             dense = plain_eigvalsh(op, key)
             assert np.abs(split - dense).max() <= 1e-12 * np.abs(dense).max()
@@ -726,6 +734,28 @@ class TestSectorSpectrum:
         C.free_energy(C.two_species_hamiltonian(cube(4), 1.0, 100.0), 1.0, (-1.0, -1.0))
         assert max(shapes) == 288 and len(shapes) == 13  # three small sectors; (1, 1) in ten
 
+    def test_two_species_in_a_field_lifts_only_symmetries_of_t(self, monkeypatch):
+        # a constant field along z: of the six lattice symmetries only the z
+        # reflection (the third) fixes T(A), so it alone is offered and lifted
+        dom = cube(3)
+        fld = C.MagneticField.constant([0.0, 0.0, 0.7])
+        z_mirror = dom.reflections()[2]
+        lifted = []
+
+        def spy(space, sigma, real=F.permutation_lift):
+            lifted.append(sigma)
+            return real(space, sigma)
+
+        monkeypatch.setattr(F, "permutation_lift", spy)
+        op = C.two_species_hamiltonian(dom, 1.0, 100.0, field=fld)
+        assert len(op.reflections) == 1
+        fe = C.free_energy(op, 1.0, (-1.0, -1.0))
+        # the (1, 1) sector (729) is split: one lift per species
+        assert len(lifted) == 2 and all(np.array_equal(s, z_mirror) for s in lifted)
+        assert group_order(op, (1, 1)) == 2
+        dense = plain_eigvalsh(op, (1, 1))
+        assert np.abs(fe.sector_eigs[(1, 1)] - dense).max() <= 1e-12 * np.abs(dense).max()
+
     def test_dense_cap_bounds_split_sector(self):
         op = crystal(3)
         with pytest.raises(ValueError, match="sector 2 dimension 351 exceeds dense cap 300"):
@@ -772,7 +802,7 @@ class TestSectorSpectrum:
         # generates 49 elements
         monkeypatch.setattr(C, "_SPLIT_FROM", 2)
         op = C.ManyBodyOperator(
-            sp.identity(49, format="csr"), {0: np.arange(49)}, np.zeros(49),
+            sp.identity(49, format="csr"), {0: np.arange(49)},
             reflections=[lambda: (np.roll(np.arange(49), 1), np.ones(49))],
         )
         with pytest.raises(C.EigensolverError, match="generate more than 48 elements"):
@@ -786,14 +816,13 @@ class TestSectorSpectrum:
         back = C._sector_spectrum(reverse, (1, 1), 4096)
         assert np.abs(back - first[(1, 1)]).max() <= 1e-12 * np.abs(back).max()
 
-    def test_gibbs_matrix_and_ground_vector_split(self, monkeypatch):
-        monkeypatch.setattr(C, "_SPLIT_FROM", 8)  # these sectors are below the measured size
+    def test_gibbs_matrix_and_ground_vector_split(self):
         op = C.two_species_hamiltonian(cube(2), 1.0, 100.0, el_max=2)
         fe = C.free_energy(op, 1.3, (0.4, -0.2))
         ref = np.zeros((op.dim, op.dim))
         for key, idx in op.sectors.items():
             vals, vecs = np.linalg.eigh(op.sector_matrix(key).toarray())
-            w = np.exp(-1.3 * (vals - fe._mu_charge(key)) - fe.log_z)
+            w = np.exp(-1.3 * (vals - C._mu_dot_n(fe.mu, key)) - fe.log_z)
             ref[np.ix_(idx, idx)] = (vecs * w) @ vecs.T
         assert np.abs(fe.gibbs_matrix() - ref).max() < 1e-12
         energy, _key, vec = C.ground_state_vector(op)

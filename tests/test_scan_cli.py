@@ -8,7 +8,7 @@ import pytest
 
 from coulomblab import coulomb as cb
 from coulomblab import fock
-from coulomblab.cli import _COMMANDS, _VERIFY, _read_config, cli_main
+from coulomblab.cli import _COMMANDS, _SSA, _VERIFY, _read_config, cli_main
 from coulomblab.scan import (
     _NUCLEUS_OFFSET,
     ScanSpec,
@@ -100,9 +100,9 @@ class TestRunScan:
         assert _estimate_dim("movable", dom.n_sites, spec) == electrons.space.dim
 
     def test_budget_gate_flags_rows(self):
-        spec = ScanSpec(model="crystal", sides=(2, 3), n_max=2, budget=10)
+        spec = ScanSpec(model="crystal", sides=(2, 3), n_max=2, dim_cap=10)
         res = run_scan(spec)
-        assert all(r.flags == "skipped:budget" for r in res.rows)
+        assert all(r.flags == "skipped:dim_cap" for r in res.rows)
 
     def test_output_fields_exclude_timing(self):
         spec = ScanSpec(model="crystal", sides=(2, 3), z=0.5, mu=-4.0, n_max=1)
@@ -178,12 +178,19 @@ class TestPerturbationCompare:
             perturbation_compare(spec, deformation=smash)
 
 
+# an energy config; free-energy adds beta and mu, hf takes no n_max
 MODEL_CONFIG = {
     "domain": {"shape": "cube", "side": 2.0, "spacing": 1.0},
     "nuclei": [{"position": [0.4, 0.4, 0.4], "z": 2.0}],
     "n_max": 2,
-    "beta": 1.0,
-    "mu": 0.0,
+}
+HF_CONFIG = {
+    "domain": MODEL_CONFIG["domain"], "nuclei": MODEL_CONFIG["nuclei"], "beta": 1.0, "mu": 0.0,
+}
+MODEL_CONFIGS = {
+    "energy": MODEL_CONFIG,
+    "free-energy": {**MODEL_CONFIG, "beta": 1.0, "mu": 0.0},
+    "hf": HF_CONFIG,
 }
 
 
@@ -200,9 +207,9 @@ class TestCli:
         assert cli_main(["energy", "--config", str(bad)]) == 2
 
     def test_model_subcommands(self, tmp_path, capsys):
-        cfg = tmp_path / "model.json"
-        cfg.write_text(json.dumps(MODEL_CONFIG))
-        for cmd in ("energy", "free-energy", "hf"):
+        for cmd, model in MODEL_CONFIGS.items():
+            cfg = tmp_path / f"{cmd}.json"
+            cfg.write_text(json.dumps(model))
             out = tmp_path / f"{cmd}.csv"
             assert cli_main([cmd, "--config", str(cfg), "--out", str(out)]) == 0
             assert out.read_text().startswith("quantity,")
@@ -351,6 +358,10 @@ class TestCli:
                 ["energy"],
                 {**MODEL_CONFIG, "domain": {"shape": "ball", "radius": 1.0, "center": [0.5]}},
             ),
+            # keys of another model subcommand, which this one would ignore
+            (["energy"], {**MODEL_CONFIG, "beta": 3.0, "mu": 1.0}),
+            (["hf"], {**HF_CONFIG, "n_max": 1, "dim_cap": 5, "dense_cap": 1}),
+            (["scan"], {"sides": [2], "budget": 10}),
         ],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, argv, bad):
@@ -454,12 +465,65 @@ class TestCli:
         assert out1.read_bytes() != out2.read_bytes()
 
 
+class _ReadKeys(dict):
+    """A config that records which of its keys are read.  It overrides
+    __iter__, so ScanSpec(**cfg) reads each key through __getitem__."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def pop(self, key, *default):
+        self.read.add(key)
+        return super().pop(key, *default)
+
+    def __iter__(self):
+        return super().__iter__()
+
+
+RUNNERS = {**_VERIFY, **_SSA, **_COMMANDS}
+# a small valid config of each subcommand
+SMALL_CONFIGS = {
+    "lieb-yau": {"n_configs": 2, "n_max": 2, "k_max": 2},
+    "graf-schenker": {"n_configs": 1, "samples": 50, "ell_list": [4.0]},
+    "lt": {"side": 2.0, "depths": [5.0], "k_list": [1]},
+    "li-yau": {},
+    "repelling": {"side": 2.0, "N_list": [1]},
+    "ims": {"side": 2.0, "ell_list": [4.0]},
+    "dipole": {"n_samples": 10},
+    "yukawa": {"n_configs": 2},
+    "quantum": {"n_states": 1, "modes": 4},
+    "cq": {"n_states": 1, "modes": 3, "cells": 2},
+    **MODEL_CONFIGS,
+    "scan": {"sides": [2], "n_max": 1},
+    "compare-perturbation": {"sides": [2], "n_max": 1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNNERS))
+def test_runner_reads_every_declared_key(name):
+    # a declared key that its runner never reads would be a silent knob
+    assert len(RUNNERS) == len(_VERIFY) + len(_SSA) + len(_COMMANDS)
+    run, keys = RUNNERS[name]
+    cfg = _ReadKeys(_read_config(keys, SMALL_CONFIGS[name]))
+    run(cfg)
+    assert cfg.read == set(keys)
+
+
 def test_readme_config_examples_pass_their_readers():
     with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")) as fh:
         section = fh.read().split("### Config examples")[1].split("\n## ")[0]
     examples = [json.loads(part.split("```")[0]) for part in section.split("```json\n")[1:]]
     documented = [
-        [_COMMANDS["energy"], _COMMANDS["free-energy"], _COMMANDS["hf"]],
+        [_COMMANDS["free-energy"]],
         [_COMMANDS["scan"]],
         [_VERIFY["lieb-yau"]],
         [_VERIFY["graf-schenker"]],
