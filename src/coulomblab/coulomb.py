@@ -367,11 +367,11 @@ def _mu_dot_n(mu, key):
     return float(mu_vec @ n)
 
 
-def _lattice_symmetries(domain, h):
-    """The site permutations of domain.reflections() that leave the one-body
-    matrix h exactly invariant; the Fock lift of any other cannot commute
-    with a Hamiltonian whose one-particle part is h."""
-    return [s for s in domain.reflections() if np.array_equal(h[np.ix_(s, s)], h)]
+def _lattice_symmetries(domain, *hs):
+    """The site permutations of domain.reflections() that leave every
+    one-body matrix in hs exactly invariant; the Fock lift of any other cannot
+    commute with a Hamiltonian whose one-particle parts are hs."""
+    return [s for s in domain.reflections() if all(np.array_equal(h[np.ix_(s, s)], h) for h in hs)]
 
 
 class _Electrons:
@@ -455,11 +455,11 @@ class EigensolverError(RuntimeError):
 _LANCZOS_FROM = 256
 # Lanczos basis size before a restart, and the matrix-vector products allowed
 # in one solve.  On the six Lanczos sectors of the side-2..5 perturbation
-# comparison (dims 351-7750, at most 64 steps, so no restart) 100 vectors give
-# the lowest eigenvalue to 4e-15 relative of eigsh at tol=0.  20 vectors (eigsh's
-# default for one eigenvalue) solve them in 70 ms against 98 ms in a fresh
-# process, but their restarts leave the near-degenerate side-5 periodic sector
-# (gap 7e-4) 1.7e-13 off.
+# comparison (dims 351-7750, at most 65 products, so no restart) 100 vectors
+# give the lowest eigenvalue to 3e-15 relative of eigsh at tol=0, all six in
+# 30-40 ms in a fresh process (5 runs, 2 vCPU).  20 vectors (eigsh's default
+# for one eigenvalue) restart, take 36-46 ms, and leave the near-degenerate
+# side-5 periodic sector (gap 3.5e-4) up to 6e-15 off.
 _LANCZOS_BASIS = 100
 _LANCZOS_MATVECS = 5000
 # Smallest sector whose full spectrum is split by its symmetry group.
@@ -496,11 +496,12 @@ def _dense_eig(dense, vectors=False):
 def _lanczos(mat, v, tol):
     """Lowest Ritz pair (theta, x) of the Hermitian sparse mat from start v.
 
-    After the three-term step, each new vector is orthogonalized against the
-    whole basis by classical Gram-Schmidt, repeated once when its norm falls
-    below 1/sqrt(2) of its value (the DGKS test).  Stops on the Ritz estimate
-    |beta_j s_j| <= tol max(|theta|, 1), as eigsh does; a full basis restarts
-    from the Ritz vector.  EigensolverError after _LANCZOS_MATVECS products."""
+    The three-term recurrence without reorthogonalization: the basis loses
+    orthogonality only as Ritz values converge, and the extreme one stays
+    accurate (Paige, Linear Algebra Appl. 34, 235 (1980)); x is normalized
+    for that loss.  Stops on the Ritz estimate |beta_j s_j| <= tol max(|theta|, 1), as eigsh
+    does; a full basis restarts from x.  EigensolverError after
+    _LANCZOS_MATVECS products."""
     dim = mat.shape[0]
     m = min(dim, _LANCZOS_BASIS)
     V = np.empty((m, dim), dtype=np.result_type(mat.dtype, v.dtype))
@@ -513,14 +514,7 @@ def _lanczos(mat, v, tol):
             w -= beta[j - 1] * V[j - 1]
         alpha[j] = np.vdot(V[j], w).real
         w -= alpha[j] * V[j]
-        before = np.linalg.norm(w)
-        for _ in range(2):
-            h = (V[: j + 1] @ w.conj()).conj()  # V^H w without copying V
-            w -= h @ V[: j + 1]
-            beta[j] = np.linalg.norm(w)
-            if beta[j] >= before / np.sqrt(2.0):
-                break
-            before = beta[j]
+        beta[j] = np.linalg.norm(w)
         # the estimate is at most beta_j: test every 4th step, on a full
         # basis, and wherever beta_j alone passes
         if (j + 1) % 4 == 0 or j + 1 == m or beta[j] <= tol:
@@ -530,9 +524,10 @@ def _lanczos(mat, v, tol):
             converged = beta[j] * abs(S[j, 0]) <= tol * max(abs(theta[0]), 1.0)
             if converged or j + 1 == m:
                 x = S[:, 0] @ V[: j + 1]
+                x /= np.linalg.norm(x)
                 if converged:
                     return float(theta[0]), x
-                V[0], j = x / np.linalg.norm(x), 0
+                V[0], j = x, 0
                 continue
         V[j + 1] = w / beta[j]
         j += 1
@@ -906,7 +901,7 @@ class FreeEnergyResult:
         for key, idx in self.op.sectors.items():
             _fit_dense(f"sector {key}", idx.size, self.dense_cap)
         _fit_dense("Fock space", self.op.dim, self.dense_cap)
-        M = np.zeros((self.op.dim, self.op.dim), dtype=complex)
+        M = np.zeros((self.op.dim, self.op.dim), dtype=np.result_type(self.op.matrix.dtype, float))
         for key, idx in self.op.sectors.items():
             vals, vecs = _dense_eig(self.op.sector_matrix(key).toarray(), vectors=True)
             w = np.exp(-self.beta * (vals - _mu_dot_n(self.mu, key)) - self.log_z)
@@ -1237,7 +1232,7 @@ def two_species_hamiltonian(
     dim_cap=65536,
 ):
     """Electrons (fermions) and bosonic nuclei of charge z and mass M/2 on the
-    same grid: H = dGamma_el(T(A)) + dGamma_nuc(T(A))/M - z (cross Coulomb)
+    same grid: H = dGamma_el(T(A)) + dGamma_nuc(T(-zA))/M - z (cross Coulomb)
     + el-el + z^2 nuc-nuc, commuting with both number operators.
 
     Same-site pairs use the cell-averaged kernel value alpha/a.
@@ -1250,9 +1245,10 @@ def two_species_hamiltonian(
             f"product dimension {el.dim * nuc.dim} exceeds cap {dim_cap}"
         )
     T = kinetic_operator(domain, field)
+    T_nuc = T if field is None else kinetic_operator(domain, MagneticField(lambda p: -z * field(p)))
     W = coulomb_kernel(domain)
     H_el = second_quantize_onebody(el, T) + second_quantize_twobody(el, W)
-    H_nuc = (1.0 / M) * second_quantize_onebody(nuc, T) + second_quantize_twobody(
+    H_nuc = (1.0 / M) * second_quantize_onebody(nuc, T_nuc) + second_quantize_twobody(
         nuc, z ** 2 * W
     )
     Ie = sp.identity(el.dim, format="csr")
@@ -1265,10 +1261,10 @@ def two_species_hamiltonian(
         for Kn, jn in nuc.sectors.items():
             idx = (ie[:, None] * nuc.dim + jn[None, :]).ravel()
             sectors[(int(Ne), int(Kn))] = np.sort(idx)
-    # W is invariant under every lattice symmetry, so only T can break one
+    # W is invariant under every lattice symmetry, so only T or T_nuc can break one
     reflections = [
         functools.cache(functools.partial(_product_lift, el, nuc, s))
-        for s in _lattice_symmetries(domain, T)
+        for s in _lattice_symmetries(domain, T, T_nuc)
     ]
     return ManyBodyOperator(H.tocsr(), sectors, reflections=reflections)
 

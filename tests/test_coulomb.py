@@ -49,6 +49,31 @@ LANCZOS_BLOCKS = {
     .sector_matrix(2),
 }
 
+# LANCZOS_BLOCKS and the largest ground-build sector, by name
+HISTORY_BLOCKS = dict(LANCZOS_BLOCKS, **{"crystal-5": lambda: crystal(5).sector_matrix(2)})
+
+
+def defect_crystal(side):
+    """The crystal of compare-perturbation's default config, with its defect."""
+    dom = cube(side)
+    nuclei = C.NucleiConfig.from_lattice(
+        1.0, [((0.25, 0.25, 0.25), 0.5)], dom, defects=[((0.65, 0.65, 0.65), 0.5)], margin=0.49
+    )
+    return C.coulomb_hamiltonian(dom, nuclei, n_max=2)
+
+
+# The Lanczos sectors of compare-perturbation's default run: N = 2 of sides
+# 3, 4, 5 (dims 351, 2016, 7750), periodic and with the defect, and the
+# matrix-vector products their Lanczos solves take (none restarts)
+GROUND_BUILD_PRODUCTS = {
+    ("crystal", 3): 45,
+    ("defect", 3): 41,
+    ("crystal", 4): 53,
+    ("defect", 4): 49,
+    ("crystal", 5): 65,
+    ("defect", 5): 57,
+}
+
 
 class TestKinetic:
     def test_zero_field_real_positive(self):
@@ -415,8 +440,26 @@ class _CountingMatrix:
         return self.mat @ x
 
 
+@pytest.fixture(scope="module")
+def ground_build_sectors():
+    build = {"crystal": crystal, "defect": defect_crystal}
+    return {key: build[key[0]](key[1]).sector_matrix(2) for key in GROUND_BUILD_PRODUCTS}
+
+
 class TestLanczosKernel:
     """The in-repo Lanczos against eigsh and eigvalsh, kept here as oracles."""
+
+    @pytest.mark.parametrize("key", sorted(GROUND_BUILD_PRODUCTS), ids="{0[0]}-{0[1]}".format)
+    def test_ground_build_sectors(self, key, ground_build_sectors):
+        B = ground_build_sectors[key]
+        counted = _CountingMatrix(B)
+        val, info = C._sector_lowest(counted, 4096)
+        # at most the Lanczos steps counted above and one residual product
+        assert counted.products <= GROUND_BUILD_PRODUCTS[key] + 1
+        arpack = eigsh(B, k=1, which="SA", tol=0)[0][0]
+        assert abs(val - arpack) <= 1e-12 * abs(arpack)
+        assert info["solver"] == "lanczos"
+        assert info["residual"] <= max(1e-9 * 100 * abs(val), 1e-6)
 
     @pytest.mark.parametrize("name", sorted(LANCZOS_BLOCKS))
     def test_matches_eigsh_and_eigvalsh(self, name):
@@ -452,9 +495,10 @@ class TestLanczosKernel:
         assert counted.products == 20
 
     def test_minima_independent_of_call_history(self):
-        # the same bits after other solves in this process and in a fresh one
-        names = ("crystal-3", "field-3", "empty-3")
-        blocks = {name: LANCZOS_BLOCKS[name]() for name in names}
+        # the same bits after other solves in this process and in a fresh
+        # single-threaded one, the side-5 ground-build sector (dim 7750) included
+        names = ("crystal-3", "field-3", "empty-3", "crystal-5")
+        blocks = {name: HISTORY_BLOCKS[name]() for name in names}
         seen = {name: set() for name in names}
         for name in names + names[::-1]:
             seen[name].add(C._sector_lowest(blocks[name], 4096)[0].hex())
@@ -463,13 +507,13 @@ class TestLanczosKernel:
         src = os.path.join(here, os.pardir, "src")
         path = os.pathsep.join(p for p in (here, src, os.environ.get("PYTHONPATH")) if p)
         code = (
-            "from test_coulomb import C, LANCZOS_BLOCKS\n"
+            "from test_coulomb import C, HISTORY_BLOCKS\n"
             f"for name in {names!r}:\n"
-            "    print(C._sector_lowest(LANCZOS_BLOCKS[name](), 4096)[0].hex())\n"
+            "    print(C._sector_lowest(HISTORY_BLOCKS[name](), 4096)[0].hex())\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=path),
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
             capture_output=True,
             text=True,
             check=True,
@@ -590,6 +634,23 @@ class TestFreeEnergy:
         fe = C.free_energy(op, 1.3, 0.4, dense_cap=28)
         with pytest.raises(ValueError, match="Fock space dimension 37 exceeds dense cap 28"):
             fe.gibbs_matrix()
+
+    def test_gibbs_matrix_takes_the_operator_dtype(self):
+        dom = cube(2)
+        for fld in (None, C.MagneticField.constant([0.3, 0.2, 0.7])):
+            op = C.coulomb_hamiltonian(dom, TWO_NUCLEI, field=fld, n_max=2)
+            fe = C.free_energy(op, 1.3, 0.4)
+            # the same sums into a complex128 matrix
+            ref = np.zeros((op.dim, op.dim), dtype=complex)
+            for key, idx in op.sectors.items():
+                vals, vecs = np.linalg.eigh(op.sector_matrix(key).toarray())
+                w = np.exp(-1.3 * (vals - C._mu_dot_n(0.4, key)) - fe.log_z)
+                ref[np.ix_(idx, idx)] = (vecs * w) @ vecs.conj().T
+            M = fe.gibbs_matrix()
+            assert M.dtype == (float if fld is None else complex)
+            assert np.array_equal(M, ref.real if fld is None else ref)
+            state = fe.gibbs_state()
+            assert fe.variational_value(state) == pytest.approx(fe.value, abs=1e-9)
 
     def test_mu_of_wrong_arity_raises(self):
         op = C.coulomb_hamiltonian(cube(2), TWO_NUCLEI, n_max=2)
@@ -1087,7 +1148,9 @@ class TestTwoSpecies:
 
     def test_periodic_field_diamagnetic(self):
         dom = cube(2)
-        fld = C.MagneticField.periodic_sine(0.8, 2.0)
+        # period 4: at period 2 every y-bond midpoint sits at a zero of the sine
+        fld = C.MagneticField.periodic_sine(0.8, 4.0)
+        assert np.abs(C.kinetic_operator(dom, fld).imag).max() > 0.1
         e0 = C.ground_state_energy(
             C.two_species_hamiltonian(dom, z=8.0, M=100.0, el_max=1, nuc_max=1)
         ).value
@@ -1095,6 +1158,24 @@ class TestTwoSpecies:
             C.two_species_hamiltonian(dom, z=8.0, M=100.0, field=fld, el_max=1, nuc_max=1)
         ).value
         assert eA >= e0 - 1e-10
+
+    @pytest.mark.parametrize("z", [1.0, 2.0])
+    def test_nucleus_hops_with_its_own_charge(self, z):
+        # one nucleus and no electron: dGamma_nuc(T(-zA))/M, whose diagonal
+        # holds no Coulomb term
+        dom = cube(2)
+        fld = C.MagneticField.constant([0.3, 0.2, 0.7])
+        op = C.two_species_hamiltonian(dom, z, 10.0, field=fld, el_max=1, nuc_max=1)
+        nuc = F.build_space(dom.n_sites, "boson", boson_cap=1, n_max=1)
+        idx = np.ix_(nuc.sector_indices(1), nuc.sector_indices(1))
+        block = op.sector_matrix((0, 1)).toarray()
+
+        def hop(A):
+            return (F.second_quantize_onebody(nuc, C.kinetic_operator(dom, A)) / 10.0).toarray()
+
+        assert np.abs(block - hop(C.MagneticField(lambda p: -z * fld(p)))[idx]).max() <= 1e-15
+        # not the electrons' T(A)/M
+        assert np.abs(block - hop(fld)[idx]).max() > 0.05
 
 
 class TestMovableNuclei:
