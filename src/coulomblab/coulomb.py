@@ -404,9 +404,11 @@ class _Electrons:
 
     def operator(self, nuclei):
         """H = base + sum_i v(x_i) + nuclear constant, v the site samples of
-        nuclear_potential; a diagonal in the occupation basis."""
+        nuclear_potential; a diagonal, each state's sorted terms v(list) summed
+        (a pad adds +0.0), so bitwise invariant under the symmetries of v."""
         v = nuclear_potential(self.domain, nuclei)
-        H = self.base + sp.diags(self.space.occupations @ v + nuclear_constant(nuclei))
+        terms = np.sort(np.append(v, 0.0)[self.space.lists], axis=1)
+        H = self.base + sp.diags(terms.sum(axis=1) + nuclear_constant(nuclei))
         reflections = [
             lift for lift, s in zip(self._lifts, self._symmetries) if np.array_equal(v[s], v)
         ]

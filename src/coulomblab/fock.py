@@ -46,7 +46,8 @@ class FockSpaceDesc:
     rank = sum_s counts[p_s, top - s] (the combinatorial number system), with
     counts[m, t] the occupation rows on m modes with entries <= per_mode and
     total <= t; index, dGamma(h) and the permutation lifts all rank through
-    it.  The (dim, n) occupation table is derived from the lists on first use.
+    it.  The (dim, n) occupation table is derived from the lists on first
+    use; the Coulomb assembly (dGamma(h), dGamma_2(w)) never builds it.
     """
 
     def __init__(self, n, statistics, boson_cap, lists, counts, n_max=None):
@@ -187,59 +188,80 @@ def ladder(space, mode, kind):
 
 def second_quantize_onebody(space, h):
     """dGamma(h) = sum_ij h_ij adag_i a_j as a sparse matrix, assembled from the
-    basis with no ladder matrices: the diagonal sum_i h_ii n_i from the
-    occupation table, then one vectorized pass over the hops (state b,
-    distinct occupied mode j of b, mode i != j with h_ij != 0 and room for one
-    more particle), each moving a particle from j to i; its target is the rank
-    of b's list with that j replaced by i.  A fermion hop carries the sign
-    (-1)^(below_j + below_i - [j < i]), below_m the occupied modes under m; a
-    boson hop the factor sqrt(n_i + 1) sqrt(n_j)."""
+    orbital lists one list position (column) at a time, with no ladder
+    matrices, no occupation table and no sort.  The diagonal sum_i h_ii n_i
+    adds h_ii n_i once per run of mode i, in ascending mode order (zero
+    entries, such as the vacuum's, stay unstored).  Then one vectorized pass
+    over the hops (state b, run of mode j starting at position s, mode
+    i != j with h_ij != 0 and room for one more particle) moves a particle
+    from j to i.  Mode i lands at position t = #(entries above i) - [j > i],
+    so the target list is b's list with the entries between s and t shifted
+    by one place, ranked as it stands.  A fermion hop carries the sign
+    (-1)^(s + t), on a descending list (-1)^(below_j + below_i - [j < i]),
+    below_m the occupied modes under m; a boson hop the factor
+    sqrt(n_i + 1) sqrt(n_j)."""
     h = np.asarray(h)
     if h.shape != (space.n, space.n):
         raise ValueError("one-body matrix has wrong shape")
     if np.abs(h - h.conj().T).max() > 1e-12:
         raise ValueError("one-body matrix must be Hermitian")
     h = h.astype(complex if np.iscomplexobj(h) else float)
-    occ = space.occupations
+    top = space.top
+    columns = np.ascontiguousarray(space.lists.T)  # columns[u]: position u of every list
+    # first[u]: position u starts a run of mode j; run[u]: that run's length n_j
+    first = columns >= 0
+    first[1:] &= columns[1:] != columns[:-1]
+    run = [(columns[u:] == columns[u]).sum(axis=0) for u in range(top)]
     diag = np.zeros(space.dim, dtype=h.dtype)
-    for i in range(space.n):
-        diag += h[i, i] * occ[:, i]
-    (nz,) = np.nonzero(diag)  # zero entries, such as the vacuum's, stay unstored
-    lists = space.lists
-    # (b, s): list position s of state b that starts a run of mode j
-    first = lists >= 0
-    first[:, 1:] &= lists[:, 1:] != lists[:, :-1]
-    b, s = np.nonzero(first)
-    j = lists[b, s]
-    # the modes i != j with h_ij != 0, grouped by j in ascending i
+    for u in reversed(range(top)):  # descending positions: ascending modes
+        (states,) = np.nonzero(first[u])
+        m = columns[u, states]
+        diag[states] += h[m, m] * run[u][states]
+    b, s = np.nonzero(first.T)  # run starts, state by state
+    j = space.lists[b, s]
+    # the modes i != j with h_ij != 0, grouped by j in ascending i, and h_ij
     coupled = h != 0
     np.fill_diagonal(coupled, False)
     degree = coupled.sum(axis=0)
-    neighbours = np.nonzero(coupled.T)[1]
+    jj, neighbours = np.nonzero(coupled.T)
+    h_nb = h[neighbours, jj]
     reps = degree[j]
-    b, s, j = np.repeat(b, reps), np.repeat(s, reps), np.repeat(j, reps)
-    k = np.arange(len(b)) - np.repeat(np.cumsum(reps) - reps, reps)
-    i = neighbours[(np.cumsum(degree) - degree)[j] + k]
-    room = occ[b, i] < space.per_mode
-    b, s, j, i = b[room], s[room], j[room], i[room]
-    src = lists[b]
-    target = src.copy()
-    target[np.arange(len(b)), s] = i
-    dst = space.rank(np.sort(target, axis=1)[:, ::-1])
-    hij = h[i, j]
+    # hop q of run r is r's neighbour q - (r's first hop), at nb[q] in the table
+    offset = (np.cumsum(degree) - degree)[j] - (np.cumsum(reps) - reps)
+    nb = np.arange(reps.sum()) + np.repeat(offset, reps)
+    i = neighbours.astype(columns.dtype)[nb]
+    b, s, j = np.repeat(b, reps), np.repeat(s.astype(columns.dtype), reps), np.repeat(j, reps)
+    src = columns.take(b, axis=1)  # src[u]: position u of each hop's source list
+    n_i = (src == i).sum(axis=0, dtype=columns.dtype)
+    t = (src > i).sum(axis=0, dtype=columns.dtype) - (j > i)
+    dst = np.zeros(len(b), dtype=space.counts.dtype)
+    for u in range(top):
+        col = np.where(t == u, i, src[u])
+        if u + 1 < top:
+            col = np.where((s <= u) & (u < t), src[u + 1], col)
+        if u:
+            col = np.where((t < u) & (u <= s), src[u - 1], col)
+        dst += space.counts[:, top - u][col]
     if space.is_fermionic:
-        below_j = ((src >= 0) & (src < j[:, None])).sum(axis=1)
-        below_i = ((src >= 0) & (src < i[:, None])).sum(axis=1)
-        odd = (below_j + below_i - (j < i)) % 2
-        vals = np.where(odd == 1, -hij, hij)
+        odd = ((s ^ t) & 1).astype(nb.dtype)
+        vals = np.concatenate([h_nb, -h_nb])[nb + len(h_nb) * odd]  # -h_ij when odd
     else:
-        n_i, n_j = occ[b, i].astype(float), occ[b, j].astype(float)
+        n_j = (src == j).sum(axis=0)
         # the ladder product's order, so hops match adag_i a_j bit for bit
-        vals = np.sqrt(n_i + 1.0) * (hij * np.sqrt(n_j))
-    return sp.csr_matrix(
-        (np.concatenate([diag[nz], vals]), (np.concatenate([nz, dst]), np.concatenate([nz, b]))),
-        shape=(space.dim, space.dim),
-    )
+        vals = np.sqrt(n_i + 1.0) * (h_nb[nb] * np.sqrt(n_j.astype(float)))
+    (keep,) = np.nonzero(n_i < space.per_mode)  # room on i; the other targets are dropped
+    # CSC form, column b: its nonzero diagonal entry, then its hops in order;
+    # the transpose to CSR leaves every row sorted
+    (nz,) = np.nonzero(diag)
+    per_column = np.bincount(b[keep], minlength=space.dim) + (diag != 0)
+    indptr = np.concatenate([[0], np.cumsum(per_column)])
+    lead = indptr[nz]
+    hop = np.ones(indptr[-1], dtype=bool)
+    hop[lead] = False
+    data, rows = np.empty(indptr[-1], dtype=h.dtype), np.empty(indptr[-1], dtype=np.int64)
+    data[lead], data[hop] = diag[nz], vals[keep]
+    rows[lead], rows[hop] = nz, dst[keep]
+    return sp.csc_matrix((data, rows, indptr), shape=(space.dim, space.dim)).tocsr()
 
 
 def second_quantize_twobody(space, w):

@@ -817,6 +817,21 @@ class TestSectorSpectrum:
         dense = plain_eigvalsh(op, (1, 1))
         assert np.abs(fe.sector_eigs[(1, 1)] - dense).max() <= 1e-12 * np.abs(dense).max()
 
+    def test_three_electron_crystal_sectors_split(self):
+        # the nuclear diagonal sums each state's sorted list terms, so it is
+        # bitwise invariant under the symmetries of v for every N; the
+        # occupation-table product it replaced broke them on N >= 3 sectors
+        sites = [[x, y, z] for x in range(2) for y in range(2) for z in range(4)]
+        box = G.build_domain({"shape": "custom", "sites": sites}, 1.0)
+        op = C.coulomb_hamiltonian(box, crystal_nuclei(box), n_max=3)
+        assert op.sectors[3].size == 560 and group_order(op, 3) == 2  # x <-> y
+        split = C._sector_spectrum(op, 3, 4096)
+        dense = plain_eigvalsh(op, 3)
+        assert np.abs(split - dense).max() <= 1e-12 * np.abs(dense).max()
+        dom = cube(3)
+        op = C.coulomb_hamiltonian(dom, crystal_nuclei(dom), n_max=3)
+        assert op.sectors[3].size == 2925 and group_order(op, 3) == 6  # S_3
+
     def test_dense_cap_bounds_split_sector(self):
         op = crystal(3)
         with pytest.raises(ValueError, match="sector 2 dimension 351 exceeds dense cap 300"):
@@ -1102,10 +1117,10 @@ class TestChargeFamily:
 class TestElectronsMemory:
     def test_side5_assembly_peak(self):
         """The side-5 cube with n_max = 2 has dim 7876 on 125 modes.  The peak
-        is about 12.5 MiB since dGamma_2 sums its pair terms from the orbital
-        lists (it was 18.3 MiB with two (dim, n) float64 arrays); a (dim, n)
-        int64 table kept alive through the assembly, such as ranked
-        occupation rows, adds 7.5 MiB to it."""
+        is about 8.5 MiB since dGamma(h) and dGamma_2 read the orbital lists
+        (12.5 MiB with the occupation table, 18.3 MiB with two (dim, n)
+        float64 arrays); a (dim, n) int64 table kept alive through the
+        assembly, such as ranked occupation rows, adds 7.5 MiB to it."""
         dom = cube(5)
         tracemalloc.start()
         try:
@@ -1114,6 +1129,17 @@ class TestElectronsMemory:
         finally:
             tracemalloc.stop()
         assert peak < 25 * 2 ** 20
+
+    def test_assembly_builds_no_occupation_table(self):
+        # dGamma(T), dGamma_2(W) and the nuclear diagonal all read the orbital
+        # lists; the (dim, n) table is a cached property, so building it
+        # leaves it in the space's __dict__
+        dom = cube(3)
+        op = C.coulomb_hamiltonian(dom, crystal_nuclei(dom), n_max=2)
+        assert "occupations" not in op.space.__dict__
+        electrons = C._Electrons(dom, n_max=2)
+        op = electrons.operator(crystal_nuclei(dom))
+        assert "occupations" not in op.space.__dict__
 
 
 class TestTwoSpecies:

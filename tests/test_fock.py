@@ -386,6 +386,24 @@ class TestAssemblyOracle:
             assert np.array_equal(got.indices, ref.indices)
             assert got.data.tobytes() == ref.data.tobytes()
 
+    @pytest.mark.parametrize(
+        "statistics, cap, n_max", [("fermion", 1, 3), ("boson", 2, 2)], ids=["fermion", "boson"]
+    )
+    @pytest.mark.parametrize(
+        "field", [None, C.MagneticField.constant([0.3, 0.2, 0.7])], ids=["nofield", "field"]
+    )
+    def test_onebody_bitwise_on_cube(self, statistics, cap, n_max, field):
+        # 27 modes: the oracle spaces above stop at 6, so they never hop
+        # between far-apart list entries over many modes
+        dom = G.build_domain({"shape": "cube", "side": 3.0}, 1.0)
+        T = C.kinetic_operator(dom, field)
+        space = F.build_space(dom.n_sites, statistics, boson_cap=cap, n_max=n_max)
+        got, ref = F.second_quantize_onebody(space, T), per_hop_onebody(space, T)
+        assert got.dtype == ref.dtype == (complex if field else float)
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert got.data.tobytes() == ref.data.tobytes()
+
     @pytest.mark.parametrize("statistics, cap, n_top", ORACLE_CASES)
     def test_lift_equals_permuted_table(self, statistics, cap, n_top):
         rng = np.random.default_rng(cap)
@@ -442,6 +460,60 @@ class TestPairDiagonal:
         for sigma in sigmas:
             assert np.array_equal(W[np.ix_(sigma, sigma)], W)
             perm, _ = F.permutation_lift(space, sigma)
+            assert diag[perm].tobytes() == diag.tobytes()
+
+
+def occupation_potential_diagonal(space, v):
+    """sum_i v(x_i) as the float (dim, n) occupation table times v, as the
+    nuclear diagonal was formed before the orbital-list sums; kept as their
+    oracle."""
+    return space.occupations.astype(float) @ v
+
+
+def nuclear_diagonal(electrons, nuclei):
+    """The diagonal that operator(nuclei) adds to base, sum_i v(x_i) plus the
+    nuclear constant: read with base set to zero."""
+    electrons.base = sps.csr_matrix(electrons.base.shape)
+    return electrons.operator(nuclei).matrix.diagonal()
+
+
+# one nucleus: no pairs, so the nuclear constant is 0.0
+ONE_NUCLEUS = C.NucleiConfig([([0.3, 0.45, 0.7], 1.3)])
+
+
+class TestPotentialDiagonal:
+    @pytest.mark.parametrize("side", [2, 3, 4])
+    @pytest.mark.parametrize("statistics", ["fermion", "boson"])
+    def test_bitwise_equals_occupation_product_up_to_two(self, side, statistics):
+        dom = G.build_domain({"shape": "cube", "side": float(side)}, 1.0)
+        electrons = C._Electrons(dom, statistics=statistics, n_max=2, boson_cap=2)
+        v = C.nuclear_potential(dom, ONE_NUCLEUS)
+        ref = occupation_potential_diagonal(electrons.space, v)
+        assert np.array_equal(nuclear_diagonal(electrons, ONE_NUCLEUS), ref)
+
+    @pytest.mark.parametrize("statistics", ["fermion", "boson"])
+    def test_matches_occupation_product_beyond_two(self, statistics):
+        dom = G.build_domain({"shape": "cube", "side": 3.0}, 1.0)
+        electrons = C._Electrons(dom, statistics=statistics, n_max=3, boson_cap=3)
+        v = C.nuclear_potential(dom, ONE_NUCLEUS)
+        ref = occupation_potential_diagonal(electrons.space, v)
+        got = nuclear_diagonal(electrons, ONE_NUCLEUS)
+        assert (np.abs(got - ref) <= 1e-14 * np.abs(ref)).all()
+
+    @pytest.mark.parametrize("statistics", ["fermion", "boson"])
+    def test_bitwise_invariant_under_potential_symmetries(self, statistics):
+        dom = G.build_domain({"shape": "cube", "side": 3.0}, 1.0)
+        # equal nuclei at the corners of the centred unit cube keep all 48
+        corners = itertools.product((0.5, 1.5), repeat=3)
+        nuclei = C.NucleiConfig([(list(R), 0.7) for R in corners])
+        v = C.nuclear_potential(dom, nuclei)
+        electrons = C._Electrons(dom, statistics=statistics, n_max=3, boson_cap=3)
+        diag = nuclear_diagonal(electrons, nuclei)
+        sigmas = cube_symmetries(dom)
+        assert len(sigmas) == 48
+        for sigma in sigmas:
+            assert np.array_equal(v[sigma], v)
+            perm, _ = F.permutation_lift(electrons.space, sigma)
             assert diag[perm].tobytes() == diag.tobytes()
 
 
