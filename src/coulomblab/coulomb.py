@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fock
-from .fock import FockState, build_space, second_quantize_onebody, second_quantize_twobody
+from .fock import build_space, second_quantize_onebody, second_quantize_twobody
 
 __all__ = [
     "MagneticField",
@@ -95,16 +95,6 @@ class MagneticField:
             return out
 
         return cls(A, label=f"random{seed}")
-
-    def curl_fd(self, point, h=1e-5):
-        """Finite-difference curl, for gauge spot checks."""
-        p = np.asarray(point, dtype=float)
-        J = np.zeros((3, 3))
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = h
-            J[:, k] = (self(p + e) - self(p - e)) / (2 * h)
-        return np.array([J[2, 1] - J[1, 2], J[0, 2] - J[2, 0], J[1, 0] - J[0, 1]])
 
 
 class NucleiConfig:
@@ -338,23 +328,6 @@ class ManyBodyOperator:
     def sector_matrix(self, key):
         idx = self.sectors[key]
         return self.matrix[np.ix_(idx, idx)]
-
-    def block_offdiagonal_norm(self):
-        """Largest matrix element outside the sector blocks (0 by construction)."""
-        M = self.matrix.tocoo()
-        sector_of = np.empty(self.dim, dtype=int)
-        for s, (key, idx) in enumerate(self.sectors.items()):
-            sector_of[idx] = s
-        mask = sector_of[M.row] != sector_of[M.col]
-        return float(np.abs(M.data[mask]).max()) if mask.any() else 0.0
-
-    def shifted(self, c):
-        return ManyBodyOperator(
-            self.matrix + c * sp.identity(self.dim, format="csr"),
-            self.sectors,
-            space=self.space,
-            reflections=self.reflections,
-        )
 
 
 def _mu_dot_n(mu, key):
@@ -909,14 +882,6 @@ class FreeEnergyResult:
             w = np.exp(-self.beta * (vals - _mu_dot_n(self.mu, key)) - self.log_z)
             M[np.ix_(idx, idx)] = (vecs * w) @ vecs.conj().T
         return M
-
-    def gibbs_state(self):
-        if self.op.space is None:
-            raise ValueError("no Fock space attached to this operator")
-        return FockState(self.op.space, self.gibbs_matrix(), validate=False)
-
-    def variational_value(self, state):
-        return variational_free_energy(self.op, self.beta, self.mu, state)
 
 
 def free_energy(op, beta, mu, dense_cap=4096):

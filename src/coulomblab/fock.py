@@ -6,6 +6,7 @@ isomorphism F(H1 + H2) ~ F(H1) (x) F(H2).
 import functools
 import itertools
 import json
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,7 +25,6 @@ __all__ = [
     "reduced_density",
     "split_isomorphism",
     "quasi_free_state",
-    "array_to_json",
     "array_from_json",
 ]
 
@@ -346,9 +346,6 @@ class FockState:
             return complex((op @ self.matrix).diagonal().sum())
         return complex(np.trace(op @ self.matrix))
 
-    def mean_particle_number(self):
-        return float((self.space.totals * np.real(np.diag(self.matrix))).sum())
-
 
 def entropy_of_spectrum(eigs):
     lam = np.asarray(eigs, dtype=float)
@@ -409,10 +406,6 @@ class ReducedDensity:
     def trace(self):
         return float(np.trace(self.matrix).real)
 
-    def site_density(self, spacing=1.0):
-        """Diagonal in the site basis divided by the cell volume."""
-        return np.real(np.diag(self.matrix)) / spacing ** 3
-
 
 def split_isomorphism(space, n1):
     """Unitary from F(H) onto F(H1) (x) F(H2) for the mode split [0, n1).
@@ -471,25 +464,35 @@ def quasi_free_state(space, gamma):
 # JSON layout: row-major flattened arrays, numbers as decimal strings
 
 
-def array_to_json(arr, name="array"):
-    arr = np.asarray(arr)
-    if np.iscomplexobj(arr):
-        data = [[repr(float(z.real)), repr(float(z.imag))] for z in arr.ravel()]
-        dtype = "complex"
-    else:
-        data = [repr(float(x)) for x in arr.ravel()]
-        dtype = "float"
-    return json.dumps(
-        {"name": name, "shape": list(arr.shape), "dtype": dtype, "order": "row-major", "data": data},
-        sort_keys=True,
-    )
-
-
 def array_from_json(text):
+    """The array of a JSON document {"shape": [d0, d1, ...], "dtype": "float"
+    or "complex", "data": [...]}, whose data holds the prod(shape) entries in
+    row-major order: decimal strings, or [re, im] pairs of them for "complex".
+    Other keys ("name", "order") are not read.  Any other document, or a
+    non-finite entry, raises ValueError."""
     obj = json.loads(text)
-    shape = tuple(obj["shape"])
-    if obj["dtype"] == "complex":
-        flat = np.array([complex(float(re), float(im)) for re, im in obj["data"]])
+    if not isinstance(obj, dict):
+        raise ValueError(f"array document must be a JSON object, got {type(obj).__name__}")
+    shape, dtype, data = obj.get("shape"), obj.get("dtype"), obj.get("data")
+    if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+        raise ValueError(f"array shape must be a list of non-negative ints, got {shape!r}")
+    if dtype not in ("float", "complex"):
+        raise ValueError(f"array dtype must be 'float' or 'complex', got {dtype!r}")
+    pairs = dtype == "complex"
+    size = math.prod(shape)
+
+    def is_entry(x):
+        if pairs:
+            return isinstance(x, list) and len(x) == 2 and all(isinstance(c, str) for c in x)
+        return isinstance(x, str)
+
+    if not (isinstance(data, list) and len(data) == size and all(map(is_entry, data))):
+        kind = "[re, im] pairs of decimal strings" if pairs else "decimal strings"
+        raise ValueError(f"array data must be a list of {size} {kind} for shape {shape}")
+    if pairs:
+        flat = np.array([complex(float(re), float(im)) for re, im in data])
     else:
-        flat = np.array([float(x) for x in obj["data"]])
+        flat = np.array([float(x) for x in data])
+    if not np.isfinite(flat).all():
+        raise ValueError("array data must be finite")
     return flat.reshape(shape)

@@ -1,18 +1,16 @@
-"""Discretized domains, the 24-tetrahedron cube tiling, Haar sampling on the
-motion group, and mollified tile indicators.
+"""Discretized domains, the 24-tetrahedron cube tiling, seeded rigid-motion
+samples, and mollified tile indicators.
 
 Length units are dimensionless (hbar = e = 1, electron mass 1/2); a domain is
 a finite set of sites of the lattice a*Z^3.
 """
 
 import itertools
-import json
 
 import numpy as np
 
 __all__ = [
     "Domain",
-    "GroupElement",
     "Tiling",
     "SmoothedIndicator",
     "RegularityProfile",
@@ -21,12 +19,8 @@ __all__ = [
     "cone_check",
     "regularity_profile",
     "unit_cube_tiling",
-    "sample_group",
     "tile_weight_table",
     "inner_approximation",
-    "domain_to_json",
-    "tiling_to_json",
-    "field_to_csv",
 ]
 
 _AXIS_STEPS = np.array(
@@ -203,37 +197,6 @@ def build_domain(spec, a):
 # rigid motions
 
 
-class GroupElement:
-    """Rigid motion x -> R x + u with R in SO(3)."""
-
-    def __init__(self, rotation, translation):
-        R = np.asarray(rotation, dtype=float).reshape(3, 3)
-        if np.abs(R.T @ R - np.eye(3)).max() > 1e-12:
-            raise ValueError("rotation is not orthogonal")
-        if np.linalg.det(R) < 0:
-            raise ValueError("rotation must have determinant +1")
-        self.rotation = R
-        self.translation = np.asarray(translation, dtype=float).reshape(3)
-
-    def apply(self, points):
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.rotation.T + self.translation
-
-    def apply_inverse(self, points):
-        pts = np.asarray(points, dtype=float)
-        return (pts - self.translation) @ self.rotation
-
-    def inverse(self):
-        return GroupElement(self.rotation.T, -self.rotation.T @ self.translation)
-
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(3), np.zeros(3))
-
-    def __repr__(self):
-        return f"GroupElement(u={self.translation.round(4).tolist()})"
-
-
 def cube_rotations():
     """The 24 rotation matrices of the cube (signed permutations, det +1)."""
     mats = []
@@ -248,23 +211,13 @@ def cube_rotations():
     return np.array(mats)
 
 
-def sample_group(seed, n):
-    """n seeded Haar-ish samples of the motion group.
-
-    Rotations are Haar-uniform on SO(3) (normalized Gaussian quaternions);
-    translations are uniform over one fundamental cell [0,1)^3 of the tiling
-    translation sublattice, which suffices for averages of tiling-summed
-    integrands.  Deterministic under the seed.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1 samples")
-    R, u = _sample_motions(np.random.default_rng(seed), n)
-    return [GroupElement(Ri, ui) for Ri, ui in zip(R, u)]
-
-
 def _sample_motions(rng, n, scale=1.0):
-    """Rotations (n, 3, 3) from normalized Gaussian quaternions, then
-    translations (n, 3) uniform in [0, scale)^3, drawn in that order."""
+    """n rigid motions x -> R x + u: rotations R (n, 3, 3), Haar-uniform on
+    SO(3) from normalized Gaussian quaternions, then translations u (n, 3)
+    uniform over one cell [0, scale)^3 of the scaled tiling's translation
+    lattice (enough for averages of tiling-summed integrands), drawn in that
+    order.  A caller moves the tiling by pulling its points back to
+    (x - u) R."""
     q = rng.standard_normal((n, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     return _quat_to_matrix(q), scale * rng.random((n, 3))
@@ -354,8 +307,7 @@ class Tiling:
 
     Tile pieces at scale ell are ell*(R_m @ T0 + u + v) for chamber m, integer
     cell u and the fixed shift v chosen so the canonical tile contains the
-    origin.  The tiling group is generated by the unit translations and the
-    cube rotations conjugated to the shifted frame.
+    origin.
     """
 
     def __init__(self, shift=None, scale=1.0):
@@ -399,10 +351,10 @@ class Tiling:
         np.minimum(out, margins[:, 48:72], out=out)
         return np.minimum(out, margins[:, 72:], out=out)
 
-    def locate(self, points, scale=None, g=None):
+    def locate(self, points, scale=None):
         """Packed tile key (int64, see _pack) of each point, ties resolved to
         the tile of maximal face margin (deterministic)."""
-        cells, local = self._frame(points, scale, g)
+        cells, local = self._frame(points, scale)
         codes, gap = _chamber_codes(*local)
         chamber = self._chamber_of_code[codes]
         # points within _TIE_GAP of a tie (or NaN) take the margin argmax,
@@ -414,16 +366,14 @@ class Tiling:
             chamber[rows] = self.chamber_margins(p).argmax(axis=1)
         return _pack(chamber, *cells)
 
-    def _frame(self, points, scale, g):
-        """Rounded cells and cell-frame coordinates of the points (P, 3)
-        pulled back by g, each as three columns: w = y / scale - shift,
-        u = rint(w), p = w - u."""
+    def _frame(self, points, scale):
+        """Rounded cells and cell-frame coordinates of the points x (P, 3),
+        each as three columns: w = x / scale - shift, u = rint(w), p = w - u."""
         scale = self.scale if scale is None else float(scale)
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        y = pts if g is None else g.apply_inverse(pts)
         cells, local = [], []
         for k, v in enumerate(self.shift):
-            p = y[:, k] / scale
+            p = pts[:, k] / scale
             p -= v
             u = np.rint(p)
             p -= u
@@ -431,35 +381,25 @@ class Tiling:
             local.append(p)
         return cells, local
 
-    def multiplicity(self, points, scale=None, g=None, tol=1e-9):
+    def multiplicity(self, points, scale=None, tol=1e-9):
         """Number of open tiles strictly containing each point (cube-interior
         points only count chambers of their own cell)."""
-        _, local = self._frame(points, scale, g)
+        _, local = self._frame(points, scale)
         p = np.stack(local, axis=1)
         inside_cell = (np.abs(p) < 0.5 - tol).all(axis=1)
         margins = self.chamber_margins(p)
         count = (margins > tol).sum(axis=1)
         return np.where(inside_cell, count, 0)
 
-    # -- tiles and the group -------------------------------------------------
+    # -- tiles ---------------------------------------------------------------
 
-    def tile_vertices(self, chamber, cell, scale=None, g=None):
+    def tile_vertices(self, chamber, cell, scale=None):
         scale = self.scale if scale is None else float(scale)
-        verts = scale * (
-            self.tetrahedra[int(chamber)] + np.asarray(cell, dtype=float) + self.shift
-        )
-        return verts if g is None else g.apply(verts)
+        return scale * (self.tetrahedra[int(chamber)] + np.asarray(cell, dtype=float) + self.shift)
 
     def tile_volume(self, scale=None):
         scale = self.scale if scale is None else float(scale)
         return scale ** 3 / 24.0
-
-    def group_element(self, chamber, cell):
-        """Tiling-group element carrying the base tile to (chamber, cell)."""
-        R = self.rotations[int(chamber)]
-        v = self.shift
-        u = np.asarray(cell, dtype=float)
-        return GroupElement(R, u + v - R @ v)
 
 
 # Cell coordinates in [-2^18, 2^18) fill 19 bits each, so a packed key stays
@@ -532,14 +472,13 @@ class SmoothedIndicator:
     """theta = (1_tile * j)^(1/2) for one tile, via fixed midpoint quadrature
     of the convolution with a polynomial bump of support radius r_j."""
 
-    def __init__(self, tiling, chamber, cell, scale, g=None, r_j=0.1, n_quad=16):
+    def __init__(self, tiling, chamber, cell, scale, r_j=0.1, n_quad=16):
         if scale <= 0 or r_j <= 0:
             raise ValueError("scale and r_j must be positive")
         self.tiling = tiling
         self.chamber = int(chamber)
         self.cell = tuple(int(c) for c in np.asarray(cell).reshape(3))
         self.scale = float(scale)
-        self.g = g
         self.r_j = float(r_j)
         self.n_quad = n_quad
         self.nodes, self.weights = _mollifier_nodes(r_j, n_quad)
@@ -551,11 +490,11 @@ class SmoothedIndicator:
         are left out of the table (weight 0), so its dense matrix spans only
         the tiles near this one."""
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        verts = self.tiling.tile_vertices(self.chamber, self.cell, self.scale, self.g)
+        verts = self.tiling.tile_vertices(self.chamber, self.cell, self.scale)
         pad = 2.0 * self.r_j
         near = ((pts > verts.min(axis=0) - pad) & (pts < verts.max(axis=0) + pad)).all(axis=1)
         keys, theta_sq = tile_weight_table(
-            self.tiling, pts[near], self.scale, self.g, self.r_j, self.n_quad
+            self.tiling, pts[near], self.scale, self.r_j, self.n_quad
         )
         out = np.zeros(len(pts))
         row = np.searchsorted(keys, self._key)
@@ -571,13 +510,13 @@ class SmoothedIndicator:
         return self.weights.sum() * self.tiling.tile_volume(self.scale)
 
 
-def tile_weight_table(tiling, points, scale, g=None, r_j=0.1, n_quad=16):
+def tile_weight_table(tiling, points, scale, r_j=0.1, n_quad=16):
     """Mollified tile weights theta_mu^2(x) as (keys, theta_sq): the sorted
     distinct packed keys of the tiles the points' quadrature nodes land in,
     and the dense (len(keys), P) matrix of each tile's weight at each point.
 
     Each column sums to one (quadrature nodes land in exactly one tile
-    each), which realizes the partition of unity over the moved tiling.
+    each), which realizes the partition of unity over the tiling.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     nodes, w = _mollifier_nodes(r_j, n_quad)
@@ -588,7 +527,7 @@ def tile_weight_table(tiling, points, scale, g=None, r_j=0.1, n_quad=16):
     for start in range(0, P, chunk):
         block = pts[start : start + chunk]
         offs = (block[:, None, :] - nodes[None, :, :]).reshape(-1, 3)
-        keys = tiling.locate(offs, scale=scale, g=g)
+        keys = tiling.locate(offs, scale=scale)
         pid = np.repeat(np.arange(start, start + block.shape[0]), K)
         order = np.lexsort((keys, pid))
         keys, pid = keys[order], pid[order]
@@ -827,40 +766,3 @@ def inner_approximation(domain, scale, delta, tiling=None):
     return Domain(
         domain.a, idx, label=f"{domain.label}_inner", allow_empty=True, warning=warning
     )
-
-
-# ---------------------------------------------------------------------------
-# exports
-
-
-def domain_to_json(domain):
-    return json.dumps(
-        {
-            "spacing": repr(domain.a),
-            "label": domain.label,
-            "sites": domain.idx.tolist(),
-            "volume": repr(domain.volume),
-            "boundary_sites": domain.boundary_sites.tolist(),
-        },
-        sort_keys=True,
-    )
-
-
-def tiling_to_json(tiling):
-    return json.dumps(
-        {
-            "shift": [repr(x) for x in tiling.shift],
-            "scale": repr(tiling.scale),
-            "tetrahedra": [
-                [[repr(x) for x in v] for v in verts] for verts in tiling.tetrahedra
-            ],
-        },
-        sort_keys=True,
-    )
-
-
-def field_to_csv(points, values):
-    lines = ["x,y,z,value"]
-    for p, v in zip(np.asarray(points, dtype=float), np.asarray(values, dtype=float)):
-        lines.append(f"{p[0]!r},{p[1]!r},{p[2]!r},{v!r}")
-    return "\n".join(lines) + "\n"

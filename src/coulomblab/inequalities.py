@@ -93,17 +93,6 @@ class ChargeConfig:
             nucleus_mask = np.zeros(len(self.charges), dtype=bool)
         self.nucleus_mask = np.asarray(nucleus_mask, dtype=bool)
 
-    @classmethod
-    def electron_nucleus(cls, electrons, nuclei):
-        electrons = np.asarray(electrons, dtype=float).reshape(-1, 3)
-        nuclei = np.asarray(nuclei, dtype=float).reshape(-1, 3)
-        pts = np.vstack([electrons, nuclei])
-        charges = np.concatenate([-np.ones(len(electrons)), np.ones(len(nuclei))])
-        mask = np.concatenate(
-            [np.zeros(len(electrons), dtype=bool), np.ones(len(nuclei), dtype=bool)]
-        )
-        return cls(pts, charges, mask)
-
     @property
     def electrons(self):
         return self.points[~self.nucleus_mask]
@@ -111,9 +100,6 @@ class ChargeConfig:
     @property
     def nuclei(self):
         return self.points[self.nucleus_mask]
-
-    def sum_sq_charge(self):
-        return float((self.charges ** 2).sum())
 
 
 def _pairwise_dist(pts_a, pts_b=None):

@@ -229,33 +229,6 @@ def _cap_weight(f_res, n_cap):
     return float(sum(weights[k].sum() for k in top))
 
 
-def mu_sweep(spec, mu_values):
-    """F/|O| versus the electron chemical potential at the smallest scan size.
-
-    Purely tabulated: the near-linear large-mu trend is reported, never
-    asserted.
-    """
-    side = spec.sides[0]
-    domain = _cube(side, spec.spacing)
-    if spec.model != "crystal":
-        raise ValueError("the chemical-potential sweep runs on the crystal model")
-    nuclei = _crystal_nuclei(domain, spec.z)
-    op = cb.coulomb_hamiltonian(domain, nuclei, n_max=spec.n_max, dim_cap=spec.dim_cap)
-    # the sector spectra do not depend on mu: diagonalize once
-    spectra = cb.free_energy(op, spec.beta, 0.0, dense_cap=spec.dense_cap).sector_eigs
-    rows = []
-    for mu in mu_values:
-        fe = cb.FreeEnergyResult(op, spec.beta, float(mu), spectra, spec.dense_cap)
-        rows.append(
-            {
-                "mu": float(mu),
-                "f_per_volume": fe.value / domain.volume,
-                "mean_n_per_volume": float(np.atleast_1d(fe.mean_charge())[0]) / domain.volume,
-            }
-        )
-    return rows
-
-
 def perturbation_compare(spec, defects=(), deformation=None):
     """|E_(perturbed) - E_(periodic)| / |O| across the size sequence.
 

@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -21,12 +20,23 @@ def barycentric_inside(verts, p, tol=0.0):
     return np.all(lam > tol)
 
 
-def margin_keys(tiling, points, scale, g=None):
+def motion(seed):
+    """One rigid motion x -> R x + u, the first that _sample_motions draws."""
+    R, u = G._sample_motions(np.random.default_rng(seed), 1)
+    return R[0], u[0]
+
+
+def pull_back(points, R, u):
+    """Points (P, 3) pulled back by x -> R x + u, (x - u) R: where the moved
+    tiling puts a point is where the fixed one puts its pull-back."""
+    return (np.asarray(points, dtype=float) - u) @ R
+
+
+def margin_keys(tiling, points, scale):
     """Packed tile keys by the documented rule, computed densely: the cell of
     the nearest lattice point, then the chamber of maximal min face margin
     (the lowest index on ties)."""
-    y = points if g is None else g.apply_inverse(points)
-    w = y / scale - tiling.shift
+    w = points / scale - tiling.shift
     u = np.rint(w)
     chamber = tiling.chamber_margins(w - u).argmax(axis=1)
     return strided_pack(np.column_stack([chamber, u.astype(np.int64)]))
@@ -194,25 +204,16 @@ class TestTiling:
             assert count == inside
 
     def test_moved_tiling_partition(self):
-        # 1e5 random (g, x) pairs land in exactly one tile, up to a boundary
-        # set of frequency below 1e-3
+        # 1e5 random (motion, x) pairs land in exactly one tile, up to a
+        # boundary set of frequency below 1e-3
         t = G.unit_cube_tiling()
         rng = np.random.default_rng(3)
         off = 0
-        for g in G.sample_group(5, 5):
+        for R, u in zip(*G._sample_motions(np.random.default_rng(5), 5)):
             pts = rng.uniform(-20, 20, size=(20000, 3))
-            mult = t.multiplicity(pts, scale=3.0, g=g)
+            mult = t.multiplicity(pull_back(pts, R, u), scale=3.0)
             off += int((mult != 1).sum())
         assert off / 100000 < 1e-3
-
-    def test_group_elements_move_base_tile(self):
-        t = G.unit_cube_tiling()
-        base = t.tile_vertices(int(np.argmax([np.trace(R) for R in t.rotations])), (0, 0, 0))
-        for chamber, cell in [(3, (1, 0, -2)), (17, (0, 0, 0)), (9, (-1, 2, 1))]:
-            mu = t.group_element(chamber, cell)
-            moved = mu.apply(base)
-            target = t.tile_vertices(chamber, cell)
-            assert np.abs(np.sort(moved, axis=0) - np.sort(target, axis=0)).max() < 1e-12
 
     def test_invalid_shift_rejected(self):
         with pytest.raises(ValueError, match="invalid shift"):
@@ -223,17 +224,18 @@ class TestLocate:
     def setup_method(self):
         self.tiling = G.unit_cube_tiling()
 
-    def assert_margin_rule(self, points, scale, g=None):
-        keys = self.tiling.locate(points, scale=scale, g=g)
+    def assert_margin_rule(self, points, scale):
+        keys = self.tiling.locate(points, scale=scale)
         assert keys.dtype == np.int64 and keys.shape == (len(points),)
-        np.testing.assert_array_equal(keys, margin_keys(self.tiling, points, scale, g))
+        np.testing.assert_array_equal(keys, margin_keys(self.tiling, points, scale))
 
     def test_random_points(self):
         rng = np.random.default_rng(12)
-        moved = G.sample_group(4, 1)[0]
+        R, u = motion(4)
         for scale in (0.5, 1.0, 4.0, 8.0):
-            for g in (None, moved):
-                self.assert_margin_rule(rng.uniform(-20, 20, size=(50000, 3)), scale, g)
+            for moved in (False, True):
+                pts = rng.uniform(-20, 20, size=(50000, 3))
+                self.assert_margin_rule(pull_back(pts, R, u) if moved else pts, scale)
 
     def test_inner_approximation_lattices(self):
         for shape, a, scales in (
@@ -316,17 +318,17 @@ class TestLocate:
     def test_margin_rule_property(self, rows, scale, seed):
         # integer rows sit on the 1/16 grid, where ties are frequent
         pts = np.array([[v / 16 if isinstance(v, int) else v for v in r] for r in rows])
-        g = None if seed is None else G.sample_group(seed, 1)[0]
-        self.assert_margin_rule(pts, scale, g)
+        if seed is not None:
+            pts = pull_back(pts, *motion(seed))
+        self.assert_margin_rule(pts, scale)
 
 
-def strided_keys(tiling, points, scale, g=None):
+def strided_keys(tiling, points, scale):
     """The (P, 3) locator the column core replaced, kept as its oracle: chamber
     codes from a (P, 3) array of cell points, the margin argmax within
     _TIE_GAP of a tie, keys as one (P, 4) array."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    y = pts if g is None else g.apply_inverse(pts)
-    w = y / scale - tiling.shift
+    w = pts / scale - tiling.shift
     u = np.rint(w)
     p = w - u
     ax, ay, az = np.abs(p).T
@@ -388,13 +390,13 @@ class TestColumnLocator:
         tiling = G.unit_cube_tiling()
         rng = np.random.default_rng(int(scale))
         pts = self.points(tiling, scale, rng)
-        for g in (None, G.sample_group(int(scale), 1)[0]):
-            ref = strided_pack(strided_keys(tiling, pts, scale, g))
-            keys = tiling.locate(pts, scale=scale, g=g)
+        for moved in (pts, pull_back(pts, *motion(int(scale)))):
+            ref = strided_pack(strided_keys(tiling, moved, scale))
+            keys = tiling.locate(moved, scale=scale)
             assert keys.dtype == np.int64 and np.array_equal(keys, ref)
             # a NaN row has no tile: the batch raises
             with pytest.raises(ValueError, match="NaN"), np.errstate(invalid="ignore"):
-                tiling.locate(np.vstack([pts, [[0.3, np.nan, 0.1]]]), scale=scale, g=g)
+                tiling.locate(np.vstack([moved, [[0.3, np.nan, 0.1]]]), scale=scale)
 
 
 class TestTieChunks:
@@ -421,9 +423,9 @@ class TestTieChunks:
         w = pts / 4.0 - tiling.shift
         _, gap = G._chamber_codes(*(w - np.rint(w)).T)
         assert (gap < G._TIE_GAP).sum() > 3 * G._TIE_CHUNK
-        for g in (None, G.sample_group(6, 1)[0]):
-            ref = strided_keys(tiling, pts, 4.0, g)
-            assert np.array_equal(tiling.locate(pts, scale=4.0, g=g), strided_pack(ref))
+        for moved in (pts, pull_back(pts, *motion(6))):
+            ref = strided_keys(tiling, moved, 4.0)
+            assert np.array_equal(tiling.locate(moved, scale=4.0), strided_pack(ref))
 
     @pytest.mark.parametrize("ell", [4.0, 8.0, 16.0])
     def test_ims_grid(self, ell):
@@ -438,47 +440,37 @@ class TestTieChunks:
 
 class TestGroupSampling:
     def test_orthogonality_and_determinism(self):
-        gs = G.sample_group(9, 50)
-        for g in gs:
-            assert np.abs(g.rotation.T @ g.rotation - np.eye(3)).max() < 1e-12
-            assert np.linalg.det(g.rotation) == pytest.approx(1.0)
-        gs2 = G.sample_group(9, 50)
-        assert all(
-            np.array_equal(a.rotation, b.rotation)
-            and np.array_equal(a.translation, b.translation)
-            for a, b in zip(gs, gs2)
-        )
+        R, u = G._sample_motions(np.random.default_rng(9), 50)
+        for Ri in R:
+            assert np.abs(Ri.T @ Ri - np.eye(3)).max() < 1e-12
+            assert np.linalg.det(Ri) == pytest.approx(1.0)
+        R2, u2 = G._sample_motions(np.random.default_rng(9), 50)
+        assert np.array_equal(R, R2) and np.array_equal(u, u2)
 
     def test_rotation_mean_vanishes(self):
         n = 4000
-        gs = G.sample_group(123, n)
-        mean = sum(g.rotation for g in gs) / n
+        R, _ = G._sample_motions(np.random.default_rng(123), n)
+        mean = sum(R) / n
         # each entry has variance 1/3 under the rotation-invariant measure
         assert np.abs(mean).max() < 3.0 / np.sqrt(3 * n)
 
     def test_haar_marginals_chi2(self):
         n = 8000
-        gs = G.sample_group(77, n)
+        R, u = G._sample_motions(np.random.default_rng(77), n)
         x0 = np.array([0.37, -1.21, 0.55])
-        moved = np.array([g.apply(x0) for g in gs])
+        moved = x0 @ R.transpose(0, 2, 1) + u
         # translation marginal: uniform on the unit cell after folding
         folded = np.mod(moved, 1.0)
         for axis in range(3):
             counts, _ = np.histogram(folded[:, axis], bins=8, range=(0, 1))
             assert chisquare(counts).pvalue > 0.01
         # rotation-angle marginal: density (1 - cos t)/pi on [0, pi]
-        angles = np.array(
-            [np.arccos(np.clip((np.trace(g.rotation) - 1) / 2, -1, 1)) for g in gs]
-        )
+        angles = np.arccos(np.clip((np.trace(R, axis1=1, axis2=2) - 1) / 2, -1, 1))
         edges = np.linspace(0, np.pi, 9)
         counts, _ = np.histogram(angles, bins=edges)
         cdf = lambda t: (t - np.sin(t)) / np.pi
         expected = n * np.diff([cdf(t) for t in edges])
         assert chisquare(counts, expected).pvalue > 0.01
-
-    def test_needs_positive_count(self):
-        with pytest.raises(ValueError):
-            G.sample_group(0, 0)
 
 
 class TestSmoothedIndicator:
@@ -496,25 +488,25 @@ class TestSmoothedIndicator:
 
     def test_partition_of_unity(self):
         rng = np.random.default_rng(4)
-        pts = rng.uniform(-8, 8, size=(1000, 3))
-        g = G.sample_group(11, 1)[0]
-        keys, theta_sq = G.tile_weight_table(self.tiling, pts, scale=4.0, g=g, r_j=0.25)
+        pts = pull_back(rng.uniform(-8, 8, size=(1000, 3)), *motion(11))
+        keys, theta_sq = G.tile_weight_table(self.tiling, pts, scale=4.0, r_j=0.25)
         assert theta_sq.shape == (len(keys), len(pts))
         assert (np.diff(keys) > 0).all()
         assert np.abs(theta_sq.sum(axis=0) - 1.0).max() < 1e-9
 
     def test_theta_sq_is_the_tile_row(self):
         # points far from the tile are left out of its table: bitwise the
-        # row of the table over every point, zero far away
+        # row of the table over every point, zero far away; the points are
+        # drawn around the tile's image under a motion, then pulled back
         rng = np.random.default_rng(9)
-        g = G.sample_group(2, 1)[0]
-        si = G.SmoothedIndicator(self.tiling, 4, (0, 1, -1), 2.0, g=g, r_j=0.3, n_quad=8)
-        verts = self.tiling.tile_vertices(4, (0, 1, -1), scale=2.0, g=g)
-        pts = np.vstack([
+        R, u = motion(2)
+        si = G.SmoothedIndicator(self.tiling, 4, (0, 1, -1), 2.0, r_j=0.3, n_quad=8)
+        verts = self.tiling.tile_vertices(4, (0, 1, -1), scale=2.0) @ R.T + u
+        pts = pull_back(np.vstack([
             rng.uniform(verts.min(axis=0) - 0.7, verts.max(axis=0) + 0.7, size=(2000, 3)),
             rng.uniform(-10, 10, size=(200, 3)),
-        ])
-        keys, theta_sq = G.tile_weight_table(self.tiling, pts, 2.0, g=g, r_j=0.3, n_quad=8)
+        ]), R, u)
+        keys, theta_sq = G.tile_weight_table(self.tiling, pts, 2.0, r_j=0.3, n_quad=8)
         row = theta_sq[np.searchsorted(keys, si._key)]
         assert row.max() > 0.9 and (row == 0).sum() > 200
         assert si.theta_sq(pts).tobytes() == row.tobytes()
@@ -563,20 +555,3 @@ class TestInnerApproximation:
             G.inner_approximation(dom, scale=s, delta=0.4).volume for s in (1.0, 2.0, 3.0)
         ]
         assert vols[0] >= vols[1] >= vols[2]
-
-
-class TestExports:
-    def test_domain_json(self):
-        dom = G.build_domain({"shape": "cube", "side": 1.0}, 0.5)
-        obj = json.loads(G.domain_to_json(dom))
-        assert float(obj["spacing"]) == 0.5
-        assert len(obj["sites"]) == 8
-
-    def test_tiling_json_and_field_csv(self):
-        t = G.unit_cube_tiling()
-        obj = json.loads(G.tiling_to_json(t))
-        assert len(obj["tetrahedra"]) == 24
-        csv = G.field_to_csv([[0, 0, 0], [1, 2, 3]], [0.5, -1.0])
-        lines = csv.strip().split("\n")
-        assert lines[0] == "x,y,z,value"
-        assert len(lines) == 3

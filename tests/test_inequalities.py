@@ -50,7 +50,7 @@ class TestLiebYau:
         assert np.isfinite(r.rhs)
 
     def test_charge_config_input(self):
-        cfg = I.ChargeConfig.electron_nucleus([[0, 0, 0]], [[0, 0, 2.0]])
+        cfg = I.ChargeConfig([[0, 0, 0], [0, 0, 2.0]], [-1.0, 1.0], nucleus_mask=[False, True])
         r = I.lieb_yau_gap(cfg.electrons, cfg.nuclei, 1.5)
         assert r.gap == pytest.approx((np.sqrt(3.0) + 0.5) / 2.0)
 
@@ -203,7 +203,7 @@ def loop_gs_deficit(cfg, ell_list, samples, seed):
     prod = np.outer(charges, charges)[iu]
     full = float(np.where(np.abs(prod) > 0, prod / np.where(d > 0, d, 1.0), 0.0).sum())
     prods = prod / d if n >= 2 else np.zeros(0)
-    zsq = cfg.sum_sq_charge()
+    zsq = float((cfg.charges ** 2).sum())
     ratios, sigmas, deficits = [], [], []
     for j, ell in enumerate(ell_list):
         R, u = G._sample_motions(np.random.default_rng([seed, j]), samples, ell)
@@ -252,7 +252,7 @@ class TestGrafSchenkerOracle:
 class KeepColumns:
     """Stands in for the tiling: records the moved (P, 3) points."""
 
-    def locate(self, points, scale=None, g=None):
+    def locate(self, points, scale=None):
         self.points = points
         return np.zeros(len(points), dtype=np.int64)
 
@@ -281,7 +281,7 @@ def dict_smooth_gs(cfg, ell_list, r_j, samples, seed, n_quad=8):
     tiling = G.unit_cube_tiling()
     pts, charges = cfg.points, cfg.charges
     n = len(charges)
-    zsq = cfg.sum_sq_charge()
+    zsq = float((cfg.charges ** 2).sum())
     full = I.pair_coulomb(pts, charges)
     iu = np.triu_indices(n, 1)
     prods = np.outer(charges, charges)[iu] / I._pairwise_dist(pts)[iu]
