@@ -313,9 +313,13 @@ def _run_ssa_quantum(cfg):
     space = fock.build_space(n, "fermion")
     states = []
     for path in cfg["state_files"]:
-        with open(path) as fh:
-            M = fock.array_from_json(fh.read())
-        states.append(("file:" + path, fock.FockState(space, M)))
+        # of several files, the message must say which one is bad
+        try:
+            with open(path) as fh:
+                M = fock.array_from_json(fh.read())
+            states.append(("file:" + path, fock.FockState(space, M)))
+        except ValueError as exc:
+            raise ValueError(f"{exc} (state file {path})") from None
     for trial in range(cfg["n_states"]):
         M = _random_psd(rng, space.dim)
         states.append((f"random{trial}", fock.FockState(space, M, validate=False)))
@@ -363,7 +367,7 @@ def _run_energy(cfg):
     op = cb.coulomb_hamiltonian(
         dom, _nuclei_from(cfg), field=_field_from(cfg), n_max=cfg["n_max"], dim_cap=cfg["dim_cap"]
     )
-    res = cb.ground_state_energy(op, dense_cap=cfg["dense_cap"])
+    res = cb.ground_state_energy(op)
     rows = [
         {
             "quantity": "ground_energy",
@@ -503,7 +507,7 @@ _FOCK = {"n_max": (int, None), "dim_cap": (int, 16384)}
 _SCAN = {name: (f.type, f.default) for name, f in ScanSpec.__dataclass_fields__.items()}
 
 _COMMANDS = {
-    "energy": (_run_energy, {**_MODEL, **_FOCK, "dense_cap": (int, 2048)}),
+    "energy": (_run_energy, {**_MODEL, **_FOCK}),
     "free-energy": (_run_free_energy, {
         **_MODEL, **_FOCK, "dense_cap": (int, 4096), "beta": (float, _REQUIRED),
         "mu": (float, _REQUIRED),
@@ -511,7 +515,7 @@ _COMMANDS = {
     "hf": (_run_hf, {**_MODEL, "beta": (float, None), "mu": (float, 0.0)}),
     "scan": (_run_scan_cmd, _SCAN),
     "compare-perturbation": (_run_compare, {
-        **{k: _SCAN[k] for k in ("sides", "spacing", "z", "n_max", "dense_cap", "dim_cap")},
+        **{k: _SCAN[k] for k in ("sides", "spacing", "z", "n_max", "dim_cap")},
         "defects": (list[_CHARGE], []),
     }),
 }

@@ -428,6 +428,9 @@ class EigensolverError(RuntimeError):
 # 351 eigvalsh takes 10.6 ms against 4.1 ms, at 2016 0.69 s against 6 ms, and
 # the two agree to 3e-15 relative.
 _LANCZOS_FROM = 256
+# Relative Ritz-estimate tolerance of a Lanczos solve, eigsh's stopping rule;
+# the true residual may be 100 times larger (_sector_lowest).
+_LANCZOS_TOL = 1e-9
 # Lanczos basis size before a restart, and the matrix-vector products allowed
 # in one solve.  On the six Lanczos sectors of the side-2..5 perturbation
 # comparison (dims 351-7750, at most 65 products, so no restart) 100 vectors
@@ -468,14 +471,15 @@ def _dense_eig(dense, vectors=False):
     return np.linalg.eigh(dense) if vectors else np.linalg.eigvalsh(dense)
 
 
-def _lanczos(mat, v, tol):
+def _lanczos(mat, v):
     """Lowest Ritz pair (theta, x) of the Hermitian sparse mat from start v.
 
     The three-term recurrence without reorthogonalization: the basis loses
     orthogonality only as Ritz values converge, and the extreme one stays
     accurate (Paige, Linear Algebra Appl. 34, 235 (1980)); x is normalized
-    for that loss.  Stops on the Ritz estimate |beta_j s_j| <= tol max(|theta|, 1), as eigsh
-    does; a full basis restarts from x.  EigensolverError after
+    for that loss.  Stops on the Ritz estimate
+    |beta_j s_j| <= _LANCZOS_TOL max(|theta|, 1), as eigsh does; a full basis
+    restarts from x.  EigensolverError after
     _LANCZOS_MATVECS products."""
     dim = mat.shape[0]
     m = min(dim, _LANCZOS_BASIS)
@@ -492,11 +496,11 @@ def _lanczos(mat, v, tol):
         beta[j] = np.linalg.norm(w)
         # the estimate is at most beta_j: test every 4th step, on a full
         # basis, and wherever beta_j alone passes
-        if (j + 1) % 4 == 0 or j + 1 == m or beta[j] <= tol:
+        if (j + 1) % 4 == 0 or j + 1 == m or beta[j] <= _LANCZOS_TOL:
             theta, S = np.linalg.eigh(
                 np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
             )
-            converged = beta[j] * abs(S[j, 0]) <= tol * max(abs(theta[0]), 1.0)
+            converged = beta[j] * abs(S[j, 0]) <= _LANCZOS_TOL * max(abs(theta[0]), 1.0)
             if converged or j + 1 == m:
                 x = S[:, 0] @ V[: j + 1]
                 x /= np.linalg.norm(x)
@@ -512,17 +516,17 @@ def _lanczos(mat, v, tol):
     )
 
 
-def _sector_lowest(mat, dense_cap, tol=1e-9):
-    """Lowest eigenvalue of one sector block: eigvalsh up to
-    min(dense_cap, _LANCZOS_FROM), seeded Lanczos above."""
+def _sector_lowest(mat):
+    """Lowest eigenvalue of one sector block: eigvalsh up to _LANCZOS_FROM,
+    seeded Lanczos above."""
     dim = mat.shape[0]
-    if dim <= min(dense_cap, _LANCZOS_FROM):
+    if dim <= _LANCZOS_FROM:
         return float(_dense_eig(mat.toarray())[0]), {"solver": "dense", "dim": dim}
     # fixed start vector, so the result does not depend on earlier solves
     v0 = np.random.default_rng(dim).standard_normal(dim).astype(mat.dtype)
-    val, v = _lanczos(mat, v0, tol)
+    val, v = _lanczos(mat, v0)
     resid = float(np.linalg.norm(mat @ v - val * v))
-    if resid > max(tol * 100 * max(abs(val), 1.0), 1e-6):
+    if resid > max(_LANCZOS_TOL * 100 * max(abs(val), 1.0), 1e-6):
         raise EigensolverError(f"iterative eigensolver residual {resid:g} too large")
     return val, {"solver": "lanczos", "dim": dim, "residual": resid}
 
@@ -538,16 +542,16 @@ def _lowest_sector(minima, method):
     return EnergyResult(best, minima, best_key, method)
 
 
-def ground_state_energy(op, dense_cap=2048):
+def ground_state_energy(op):
     """Per-sector lowest eigenvalue; global minimum over sectors (vacuum
     included), ties resolved toward the smallest particle number.
 
     A sector is diagonalized densely when its dimension is at most
-    min(dense_cap, _LANCZOS_FROM) = min(dense_cap, 256), and by seeded Lanczos
-    (with a residual check) above; method[key]["solver"] records which."""
+    _LANCZOS_FROM = 256, and by seeded Lanczos (with a residual check)
+    above; method[key]["solver"] records which."""
     minima, method = {}, {}
     for key in op.sectors:
-        val, info = _sector_lowest(op.sector_matrix(key), dense_cap)
+        val, info = _sector_lowest(op.sector_matrix(key))
         minima[key] = val
         method[key] = info
     return _lowest_sector(minima, method)
@@ -810,7 +814,7 @@ def _sector_spectrum(op, key, dense_cap):
 def ground_state_vector(op, dense_cap=4096):
     """(energy, sector key, full-space vector) of the minimizing sector, by
     one eigh of its whole block, which must fit dense_cap."""
-    res = ground_state_energy(op, dense_cap=dense_cap)
+    res = ground_state_energy(op)
     idx = op.sectors[res.n_star]
     _fit_dense(f"sector {res.n_star}", idx.size, dense_cap)
     _vals, vecs = _dense_eig(op.sector_matrix(res.n_star).toarray(), vectors=True)
@@ -921,9 +925,6 @@ class OnePdm:
     def trace(self):
         return float(np.trace(self.matrix).real)
 
-    def density(self, spacing=1.0):
-        return np.real(np.diag(self.matrix)) / spacing ** 3
-
 
 @dataclass
 class HFResult:
@@ -956,30 +957,27 @@ def hf_energy(domain, nuclei, gamma, field=None):
     return float(np.real(np.trace(h @ G))) + direct - exch + const
 
 
-def hf_minimize(
-    domain,
-    nuclei,
-    mu=0.0,
-    beta=None,
-    field=None,
-    step=0.3,
-    tol=1e-8,
-    maxiter=500,
-    gamma0=None,
-):
+# Damping of the SCF update, the change |target - gamma| that counts as
+# converged, and the iterations allowed.
+_HF_STEP = 0.3
+_HF_TOL = 1e-8
+_HF_MAXITER = 500
+
+
+def hf_minimize(domain, nuclei, mu=0.0, beta=None, field=None):
     """Damped self-consistent field iteration over number-conserving
-    quasi-free states (no pairing channel).
+    quasi-free states (no pairing channel), from gamma = 0.
 
     At beta=None the update is the aufbau projector onto mean-field modes
     below mu; at finite beta it is the Fermi-Dirac map.  Returns the best
-    iterate flagged unconverged when the fixed tolerance is not met.
+    iterate flagged unconverged when _HF_TOL is not met in _HF_MAXITER
+    steps.
     """
     h, W, const = _hf_pieces(domain, nuclei, field)
-    n = domain.n_sites
-    G = np.zeros_like(h) if gamma0 is None else np.asarray(gamma0, dtype=h.dtype).copy()
+    G = np.zeros_like(h)
     converged = False
     iterations = 0
-    for iterations in range(1, maxiter + 1):
+    for iterations in range(1, _HF_MAXITER + 1):
         rho = np.real(np.diag(G))
         fockmat = h + np.diag(W @ rho).astype(h.dtype) - W * G
         vals, vecs = np.linalg.eigh(fockmat)
@@ -989,8 +987,8 @@ def hf_minimize(
             occ = 1.0 / (1.0 + np.exp(np.clip(beta * (vals - mu), -700, 700)))
         target = (vecs * occ) @ vecs.conj().T
         delta = np.linalg.norm(target - G)
-        G = G + step * (target - G)
-        if delta < tol:
+        G = G + _HF_STEP * (target - G)
+        if delta < _HF_TOL:
             converged = True
             break
     G = 0.5 * (G + G.conj().T)
@@ -1025,64 +1023,50 @@ class ConcavityReport:
     worst_midpoint_defect: float
 
 
-def charge_concavity_scan(
-    domain,
-    positions,
-    z_max,
-    grid_steps,
-    statistics="fermion",
-    n_max=None,
-    boson_cap=4,
-    dim_cap=16384,
-    dense_cap=2048,
-    tol=1e-9,
-):
-    """Tabulate f(z_1..z_K) = inf spec H over a charge grid; checks discrete
-    per-axis midpoint concavity and corner attainment of the minimum."""
+# Slack of the concavity and corner checks of charge_concavity_scan.
+_CONCAVITY_TOL = 1e-9
+
+
+def charge_concavity_scan(domain, positions, z_max, grid_steps, n_max=None, dim_cap=16384):
+    """Tabulate f(z_1..z_K) = inf spec H (electrons) over a charge grid;
+    checks discrete per-axis midpoint concavity and corner attainment of the
+    minimum, each to _CONCAVITY_TOL."""
     K = len(positions)
     if K > 3 or grid_steps > 9:
         raise ValueError("scan limited to K <= 3 nuclei and <= 9 grid steps")
-    electrons = _Electrons(domain, None, statistics, n_max, boson_cap, dim_cap)
+    electrons = _Electrons(domain, n_max=n_max, dim_cap=dim_cap)
     zs = np.linspace(0.0, z_max, grid_steps)
     table = np.empty((grid_steps,) * K)
     for idx in itertools.product(range(grid_steps), repeat=K):
         nuclei = NucleiConfig(list(zip(positions, zs[list(idx)])))
-        table[idx] = ground_state_energy(electrons.operator(nuclei), dense_cap=dense_cap).value
+        table[idx] = ground_state_energy(electrons.operator(nuclei)).value
     worst = -np.inf
     for axis in range(K):
         t = np.moveaxis(table, axis, 0)
         defect = (t[:-2] + t[2:] - 2 * t[1:-1]).max() if grid_steps >= 3 else -np.inf
         worst = max(worst, float(defect))
-    concave = worst <= tol
+    concave = worst <= _CONCAVITY_TOL
     corner_vals = [
         table[tuple(grid_steps - 1 if c else 0 for c in corner)]
         for corner in itertools.product([0, 1], repeat=K)
     ]
     corner_min = float(min(corner_vals))
     min_value = float(table.min())
-    corner_attained = min_value >= corner_min - tol
+    corner_attained = min_value >= corner_min - _CONCAVITY_TOL
     return ConcavityReport(zs, table, concave, corner_attained, min_value, corner_min, worst)
 
 
-def movable_nuclei_energy(
-    domain,
-    z,
-    candidate_sites,
-    K_max=2,
-    statistics="fermion",
-    n_max=None,
-    dim_cap=16384,
-    dense_cap=2048,
-):
+def movable_nuclei_energy(domain, z, candidate_sites, K_max=2, n_max=None, dim_cap=16384):
     """Exhaustive grand-canonical minimum over at most K_max nuclei of charge z
-    placed on the candidate positions: (result, chosen sites, relaxed).
+    placed on the candidate positions, electrons the only quantum particles:
+    (result, chosen sites, relaxed).
 
     relaxed is the charge-relaxed minimum, over charges in {0, z/2, z} on the
     candidates with at most K_max of them nonzero, returned for the caller to
     compare: concavity in the charges puts it at a corner, i.e. at the
     result.  Ties between subsets go to the first within 1e-12.
     """
-    electrons = _Electrons(domain, None, statistics, n_max, 4, dim_cap)
+    electrons = _Electrons(domain, n_max=n_max, dim_cap=dim_cap)
     best = relaxed = np.inf
     best_cfg = ()
     minima = {}
@@ -1092,7 +1076,7 @@ def movable_nuclei_energy(
             # the all-z assignment comes last, the fixed-charge configuration
             for charges in itertools.product((0.5 * z, z), repeat=K):
                 nuclei = NucleiConfig([(candidate_sites[i], q) for i, q in zip(subset, charges)])
-                res = ground_state_energy(electrons.operator(nuclei), dense_cap=dense_cap)
+                res = ground_state_energy(electrons.operator(nuclei))
                 relaxed = min(relaxed, res.value)
             if res.value < best - 1e-12:
                 best, best_cfg, minima, n_star = res.value, subset, res.sector_minima, res.n_star
@@ -1100,21 +1084,14 @@ def movable_nuclei_energy(
     return result, [candidate_sites[i] for i in best_cfg], float(relaxed)
 
 
+# Gibbs weight of the K = K_max terms above which classical_nuclei_free_energy
+# flags the K sum as truncated.
+_TRUNCATION_TOL = 1e-6
+
+
 def classical_nuclei_free_energy(
-    domain,
-    z,
-    beta,
-    mu,
-    K_max,
-    nucleus_grid,
-    cell_volume,
-    charge_nodes=1,
-    statistics="fermion",
-    n_max=None,
-    dim_cap=16384,
+    domain, z, beta, mu, K_max, nucleus_grid, cell_volume, n_max=None, dim_cap=16384,
     dense_cap=4096,
-    with_relaxed=True,
-    truncation_tol=1e-6,
 ):
     """Free energy with a classical-nucleus sum: -log(Z)/beta with
 
@@ -1122,30 +1099,21 @@ def classical_nuclei_free_energy(
         tr exp(-beta (H_{R, z} - mu_el N - mu_nuc K)),
 
     h the nucleus-grid cell volume, the position sum over ordered tuples of
-    distinct grid points.  The charge-relaxed variant adds a right-endpoint
-    charge quadrature on [0, z] (nodes i z/m, weight z/m; the top node is z,
-    so with weight >= 1 the relaxed value cannot exceed F).
+    distinct grid points, electrons the only quantum particles.
 
-    "energy" is the lowest ground energy over the same fixed-charge subsets,
-    read from their spectra, with the tie rule of movable_nuclei_energy.
+    "energy" is the lowest ground energy over the same subsets, read from
+    their spectra, with the tie rule of movable_nuclei_energy.
     """
     mu_el, mu_nuc = float(mu[0]), float(mu[1])
-    electrons = _Electrons(domain, None, statistics, n_max, 4, dim_cap)
+    electrons = _Electrons(domain, n_max=n_max, dim_cap=dim_cap)
     G = len(nucleus_grid)
-
-    def gibbs(subset, charges):
-        nuclei = NucleiConfig([(nucleus_grid[i], q) for i, q in zip(subset, charges)])
-        return free_energy(electrons.operator(nuclei), beta, mu_el, dense_cap=dense_cap)
-
     energy = np.inf
     log_terms = []
-    log_terms_relaxed = []
     top_k_terms = []
-    nodes = [(k + 1) * z / charge_nodes for k in range(charge_nodes)]
-    log_w = np.log(z / charge_nodes)
     for K in range(0, min(K_max, G) + 1):
         for subset in itertools.combinations(range(G), K):
-            fe = gibbs(subset, [z] * K)
+            nuclei = NucleiConfig([(nucleus_grid[i], z) for i in subset])
+            fe = free_energy(electrons.operator(nuclei), beta, mu_el, dense_cap=dense_cap)
             ground = fe.ground_state().value
             if ground < energy - 1e-12:
                 energy = ground
@@ -1154,30 +1122,16 @@ def classical_nuclei_free_energy(
             log_terms.append(lt)
             if K == K_max:
                 top_k_terms.append(lt)
-            if with_relaxed:
-                for assign in itertools.product(range(charge_nodes), repeat=K):
-                    charges = [nodes[i] for i in assign]
-                    # the all-top-node assignment is the fixed-charge one
-                    ltr = (
-                        (fe if charges == [z] * K else gibbs(subset, charges)).log_z
-                        + K * (np.log(cell_volume) + log_w)
-                        + beta * mu_nuc * K
-                    )
-                    log_terms_relaxed.append(ltr)
     log_z = float(_logsumexp(np.array(log_terms)))
     value = -log_z / beta
     truncated = False
     if top_k_terms and K_max >= 1:
         frac = np.exp(float(_logsumexp(np.array(top_k_terms))) - log_z)
-        truncated = frac > truncation_tol
-    relaxed = None
-    if with_relaxed:
-        relaxed = -float(_logsumexp(np.array(log_terms_relaxed))) / beta
+        truncated = frac > _TRUNCATION_TOL
     return {
         "value": value,
         "energy": energy,
         "log_z": log_z,
-        "relaxed": relaxed,
         "beta": beta,
         "mu": (mu_el, mu_nuc),
         "truncation_flagged": truncated,

@@ -82,24 +82,13 @@ class Report:
 
 
 class ChargeConfig:
-    """Point charges in R^3, optionally marking a nucleus subset."""
+    """Point charges in R^3."""
 
-    def __init__(self, points, charges, nucleus_mask=None):
+    def __init__(self, points, charges):
         self.points = np.asarray(points, dtype=float).reshape(-1, 3)
         self.charges = np.asarray(charges, dtype=float).reshape(-1)
         if self.points.shape[0] != self.charges.shape[0]:
             raise ValueError("points and charges disagree in length")
-        if nucleus_mask is None:
-            nucleus_mask = np.zeros(len(self.charges), dtype=bool)
-        self.nucleus_mask = np.asarray(nucleus_mask, dtype=bool)
-
-    @property
-    def electrons(self):
-        return self.points[~self.nucleus_mask]
-
-    @property
-    def nuclei(self):
-        return self.points[self.nucleus_mask]
 
 
 def _pairwise_dist(pts_a, pts_b=None):
@@ -542,7 +531,7 @@ def _bounded_count(x, cap=2000):
 _REPELLING_DIM_CAP = 65536
 
 
-def repelling_bound_check(domain, N_list, eps, dense_cap=2048):
+def repelling_bound_check(domain, N_list, eps):
     """Ground energy of sum_i (T_i + eps max_{k != i} 1/|x_i - x_k|) on the
     symmetric N-particle sector; the maximum over an empty set is 0, and
     same-site pairs use the cell-averaged inverse distance.
@@ -572,7 +561,7 @@ def repelling_bound_check(domain, N_list, eps, dense_cap=2048):
             pair = inv[parts[:, :, None], parts[:, None, :]]
             pair[:, np.arange(N), np.arange(N)] = -np.inf  # k != i
             H = H + sp.diags(eps * pair.max(axis=2).sum(axis=1))
-        E = cb._sector_lowest(H, dense_cap)[0]
+        E = cb._sector_lowest(H)[0]
         dim = len(idx)
         scale = N * min(N / vol, N ** (1.0 / 3.0) / vol ** (1.0 / 3.0))
         c_obs = E / scale if scale > 0 else np.inf

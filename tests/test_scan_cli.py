@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import coulomblab
+from coulomblab import cli
 from coulomblab import coulomb as cb
 from coulomblab import fock
 from coulomblab.cli import _COMMANDS, _SSA, _VERIFY, _read_config, cli_main
@@ -75,7 +76,6 @@ class TestRunScan:
             ref = cb.movable_nuclei_energy(
                 dom, spec.z, _candidate_positions(dom, spec.candidates_per_side),
                 K_max=spec.movable_k_max, n_max=n_max, dim_cap=spec.dim_cap,
-                dense_cap=spec.dense_cap,
             )[0].value
             assert row.energy == pytest.approx(ref, rel=0, abs=1e-12)
 
@@ -139,7 +139,7 @@ class TestPerturbationCompare:
                 margin=0.49,
             )
             op = cb.coulomb_hamiltonian(domain, pert, n_max=spec.n_max, dim_cap=spec.dim_cap)
-            e = cb.ground_state_energy(op, dense_cap=spec.dense_cap).value
+            e = cb.ground_state_energy(op).value
             assert abs(row["e_perturbed"] - e) < 1e-12
 
     def test_colliding_deformation_rejected(self):
@@ -217,8 +217,9 @@ class TestCli:
     def test_eigensolver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         # two matrix-vector products cannot converge on the dim-8 and dim-28 sectors
         monkeypatch.setattr(cb, "_LANCZOS_MATVECS", 2)
+        monkeypatch.setattr(cb, "_LANCZOS_FROM", 2)  # Lanczos above dim 2
         cfg = tmp_path / "model.json"
-        cfg.write_text(json.dumps({**MODEL_CONFIG, "dense_cap": 2}))  # Lanczos above dim 2
+        cfg.write_text(json.dumps(MODEL_CONFIG))
         out = tmp_path / "energy.csv"
         assert cli_main(["energy", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
@@ -362,6 +363,9 @@ class TestCli:
             (["energy"], {**MODEL_CONFIG, "beta": 3.0, "mu": 1.0}),
             (["hf"], {**HF_CONFIG, "n_max": 1, "dim_cap": 5, "dense_cap": 1}),
             (["scan"], {"sides": [2], "budget": 10}),
+            # dense_cap bounds densified blocks only: no lowest eigenvalue reads it
+            (["energy"], {**MODEL_CONFIG, "dense_cap": 2048}),
+            (["compare-perturbation"], {"sides": [2], "n_max": 1, "dense_cap": 4096}),
         ],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, argv, bad):
@@ -455,6 +459,27 @@ class TestCli:
         assert cli_main(["ssa", "quantum", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: array ") and "Traceback" not in err
+        assert state in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (BAD_STATE_DOCS["nan-entry"], "error: array data must be finite"),
+            ({**STATE_DOC, "data": ["0.5"] + MIXED[1:]}, "error: state trace differs from one"),
+        ],
+        ids=["bad-array", "bad-state"],
+    )
+    def test_malformed_second_state_file_is_named(self, tmp_path, capsys, doc, message):
+        good = _write_state_file(tmp_path / "good.json")
+        bad = _write_state_file(tmp_path / "bad.json", doc)
+        cfg = tmp_path / "ssa.json"
+        cfg.write_text(json.dumps({"state_files": [good, bad], "n_states": 0, "modes": 3}))
+        out = tmp_path / "ssa.csv"
+        assert cli_main(["ssa", "quantum", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err
+        assert bad in err and good not in err
         assert not out.exists()
 
     def test_ssa_cq_small(self, tmp_path, capsys):
@@ -500,7 +525,31 @@ class _ReadKeys(dict):
         return super().__iter__()
 
 
+def _recording_spec(built, read):
+    """A ScanSpec to stand in for cli.ScanSpec: each instance joins built
+    once its __post_init__ is done, and from then on the names of the fields
+    read from it join read."""
+
+    class Recorded(ScanSpec):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
+
+        def __getattribute__(self, name):
+            if name in ScanSpec.__dataclass_fields__ and any(s is self for s in built):
+                read.add(name)
+            return super().__getattribute__(name)
+
+    return Recorded
+
+
 RUNNERS = {**_VERIFY, **_SSA, **_COMMANDS}
+# a small valid scan config of each model: some keys only one model reads
+SCAN_CONFIGS = [
+    {"sides": [2], "n_max": 1},
+    {"model": "quantum-nuclei", "sides": [2], "n_max": 1, "nuc_max": 1, "mu": [-1.0, -1.0]},
+    {"model": "movable", "sides": [2], "n_max": 1, "mu": [-1.0, -2.0]},
+]
 # a small valid config of each subcommand
 SMALL_CONFIGS = {
     "lieb-yau": {"n_configs": 2, "n_max": 2, "k_max": 2},
@@ -514,19 +563,29 @@ SMALL_CONFIGS = {
     "quantum": {"n_states": 1, "modes": 4},
     "cq": {"n_states": 1, "modes": 3, "cells": 2},
     **MODEL_CONFIGS,
-    "scan": {"sides": [2], "n_max": 1},
+    "scan": SCAN_CONFIGS[0],
     "compare-perturbation": {"sides": [2], "n_max": 1},
 }
 
 
 @pytest.mark.parametrize("name", sorted(RUNNERS))
-def test_runner_reads_every_declared_key(name):
-    # a declared key that its runner never reads would be a silent knob
+def test_runner_reads_every_declared_key(name, monkeypatch):
+    # a declared key that its runner never reads would be a silent knob.
+    # ScanSpec(**cfg) reads every key it is passed, so those count only when
+    # the run reads their ScanSpec field; scan counts the reads of all models
     assert len(RUNNERS) == len(_VERIFY) + len(_SSA) + len(_COMMANDS)
     run, keys = RUNNERS[name]
-    cfg = _ReadKeys(_read_config(keys, SMALL_CONFIGS[name]))
-    run(cfg)
-    assert cfg.read == set(keys)
+    read = set()
+    for small in SCAN_CONFIGS if name == "scan" else [SMALL_CONFIGS[name]]:
+        built, fields_read = [], set()
+        monkeypatch.setattr(cli, "ScanSpec", _recording_spec(built, fields_read))
+        cfg = _ReadKeys(_read_config(keys, small))
+        run(cfg)
+        if built:
+            read |= cfg.read - set(ScanSpec.__dataclass_fields__) | fields_read & set(cfg)
+        else:
+            read |= cfg.read
+    assert read == set(keys)
 
 
 def test_readme_config_examples_pass_their_readers():
@@ -613,9 +672,7 @@ def test_every_public_name_is_reached_or_allowed(tmp_path):
     runs = [(name, SMALL_CONFIGS[name]) for name in sorted(RUNNERS)] + [
         ("quantum", {"state_files": [_write_state_file(tmp_path / "mixed.json")],
                      "n_states": 0, "modes": 3}),
-        ("scan", {"model": "quantum-nuclei", "sides": [2], "n_max": 1, "nuc_max": 1,
-                  "mu": [-1.0, -1.0]}),
-        ("scan", {"model": "movable", "sides": [2], "n_max": 1, "mu": [-1.0, -2.0]}),
+        *[("scan", cfg) for cfg in SCAN_CONFIGS[1:]],
         ("energy", {**MODEL_CONFIG, "field": {"kind": "constant", "B": [0.0, 0.0, 0.5]}}),
         ("lieb-yau", {"configs": [{"electrons": [[0, 0, 0]], "nuclei": [[0, 0, 2.0]], "z": 1.5}]}),
     ]
