@@ -1283,10 +1283,11 @@ class TestClassicalFreeEnergy:
                 z += w * np.exp(-beta * (vals - mu[0] * N)).sum()
         assert out["value"] == pytest.approx(-np.log(z) / beta, abs=1e-10)
 
-    def test_one_solve_per_subset(self, monkeypatch):
-        # one free_energy per nucleus subset; the same bits as a term by term
-        # sum with a fresh solve each
-        dom, z, beta, mu, h = cube(2), 2.0, 1.0, (0.0, 0.5), 4.0
+    @pytest.mark.parametrize("z, h", [(1, 3), (2, 5)])
+    def test_relaxed_reuses_fixed_charge_solves(self, monkeypatch, z, h):
+        # one free_energy per nucleus subset at charge z and cell volume h; the
+        # same bits as a term by term sum with a fresh solve each
+        dom, beta, mu = cube(2), 1.0, (0.0, 0.5)
         solve = C.free_energy
         calls = []
 
