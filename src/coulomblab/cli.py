@@ -99,7 +99,8 @@ def _read_config(keys, cfg, where="config"):
     """cfg completed with the defaults of the key table keys.
 
     Raises ValueError on an unknown key, a missing required key or a value
-    not of its kind.  Values are checked, never converted."""
+    not of its kind (a float kind takes finite numbers only).  Values are
+    checked, never converted."""
     if not isinstance(cfg, dict):
         raise ValueError(f"{where} must be a JSON object, got {cfg!r}")
     unknown = sorted(set(cfg) - set(keys))
@@ -137,6 +138,9 @@ def _read_value(kind, value, where):
     elif isinstance(value, bool) == (kind is bool) and isinstance(
         value, (int, float) if kind is float else kind
     ):
+        # Python's json reads NaN and Infinity
+        if kind is float and not np.isfinite(value):
+            raise ValueError(f"{where} must be a finite number, got {value!r}")
         return value
     raise ValueError(f"{where} must be {_kind_name(kind)}, got {value!r}")
 
@@ -333,6 +337,8 @@ def _run_ssa_quantum(cfg):
 def _run_ssa_cq(cfg):
     rng = np.random.default_rng(cfg["seed"])
     m, n, h = cfg["cells"], cfg["modes"], cfg["cell_volume"]
+    if m < 1:
+        raise ValueError(f"config.cells must be at least 1, got {m}")
     space = fock.build_space(n, "fermion")
     D = space.dim
     rows = []

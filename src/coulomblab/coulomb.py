@@ -45,6 +45,9 @@ __all__ = [
 # fields and nuclei
 
 
+_RANDOM_FIELD_MODES = 3  # seeded sine modes of MagneticField.random_bounded
+
+
 class MagneticField:
     """Vector potential A as a rule point -> R^3; hopping phases are Peierls
     phases A(midpoint).(y - x)."""
@@ -81,15 +84,15 @@ class MagneticField:
         return cls(A, label="periodic_sine")
 
     @classmethod
-    def random_bounded(cls, seed, scale=1.0, n_modes=3):
+    def random_bounded(cls, seed, scale=1.0):
         rng = np.random.default_rng(seed)
-        ks = rng.uniform(0.3, 2.0, size=(n_modes, 3))
-        amps = rng.normal(scale=scale, size=(n_modes, 3))
-        phases = rng.uniform(0, 2 * np.pi, size=(n_modes, 3))
+        ks = rng.uniform(0.3, 2.0, size=(_RANDOM_FIELD_MODES, 3))
+        amps = rng.normal(scale=scale, size=(_RANDOM_FIELD_MODES, 3))
+        phases = rng.uniform(0, 2 * np.pi, size=(_RANDOM_FIELD_MODES, 3))
 
         def A(pts):
             out = np.zeros_like(pts)
-            for m in range(n_modes):
+            for m in range(_RANDOM_FIELD_MODES):
                 arg = (pts @ ks[m])[:, None] + phases[m][None, :]
                 out += amps[m][None, :] * np.sin(arg)
             return out
@@ -125,10 +128,6 @@ class NucleiConfig:
     @property
     def charges(self):
         return np.array([z for _, z in self.entries])
-
-    @classmethod
-    def empty(cls):
-        return cls([])
 
     @classmethod
     def from_lattice(
@@ -969,10 +968,12 @@ def hf_minimize(domain, nuclei, mu=0.0, beta=None, field=None):
     quasi-free states (no pairing channel), from gamma = 0.
 
     At beta=None the update is the aufbau projector onto mean-field modes
-    below mu; at finite beta it is the Fermi-Dirac map.  Returns the best
-    iterate flagged unconverged when _HF_TOL is not met in _HF_MAXITER
+    below mu; at a finite beta > 0 it is the Fermi-Dirac map.  Returns the
+    best iterate flagged unconverged when _HF_TOL is not met in _HF_MAXITER
     steps.
     """
+    if beta is not None and not beta > 0:
+        raise ValueError("beta must be positive")
     h, W, const = _hf_pieces(domain, nuclei, field)
     G = np.zeros_like(h)
     converged = False

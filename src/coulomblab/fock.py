@@ -329,18 +329,6 @@ class FockState:
             if lo < -1e-12:
                 raise ValueError(f"state has negative eigenvalue {lo:g}")
 
-    @classmethod
-    def pure(cls, space, vector, validate=True):
-        v = np.asarray(vector, dtype=complex).reshape(-1)
-        v = v / np.linalg.norm(v)
-        return cls(space, np.outer(v, v.conj()), validate=validate)
-
-    @classmethod
-    def vacuum(cls, space):
-        v = np.zeros(space.dim)
-        v[space.vacuum_index()] = 1.0
-        return cls(space, np.outer(v, v), validate=False)
-
     def expectation(self, op):
         if sp.issparse(op):
             return complex((op @ self.matrix).diagonal().sum())
@@ -401,10 +389,6 @@ class ReducedDensity:
         self.parent = parent
         if np.abs(matrix - matrix.conj().T).max() > 1e-10:
             raise ValueError("reduced density is not Hermitian")
-
-    @property
-    def trace(self):
-        return float(np.trace(self.matrix).real)
 
 
 def split_isomorphism(space, n1):

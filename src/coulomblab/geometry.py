@@ -1,5 +1,5 @@
 """Discretized domains, the 24-tetrahedron cube tiling, seeded rigid-motion
-samples, and mollified tile indicators.
+samples, and the mollified tile-weight table.
 
 Length units are dimensionless (hbar = e = 1, electron mass 1/2); a domain is
 a finite set of sites of the lattice a*Z^3.
@@ -12,7 +12,6 @@ import numpy as np
 __all__ = [
     "Domain",
     "Tiling",
-    "SmoothedIndicator",
     "RegularityProfile",
     "ConeCheckResult",
     "build_domain",
@@ -20,7 +19,6 @@ __all__ = [
     "regularity_profile",
     "unit_cube_tiling",
     "tile_weight_table",
-    "inner_approximation",
 ]
 
 _AXIS_STEPS = np.array(
@@ -36,20 +34,17 @@ class Domain:
     neighbors is missing.  |Omega| = a^3 * (number of sites).
     """
 
-    def __init__(self, spacing, idx, label="", allow_empty=False, warning=None):
+    def __init__(self, spacing, idx, label=""):
         idx = np.asarray(idx, dtype=np.int64).reshape(-1, 3)
         if spacing <= 0:
             raise ValueError("degenerate domain: spacing must be positive")
-        if idx.shape[0] == 0 and not allow_empty:
+        if idx.shape[0] == 0:
             raise ValueError("degenerate domain: no sites")
         self.a = float(spacing)
         # deterministic site order: colex on (z, y, x)
-        if idx.shape[0]:
-            order = np.lexsort((idx[:, 0], idx[:, 1], idx[:, 2]))
-            idx = idx[order]
+        idx = idx[np.lexsort((idx[:, 0], idx[:, 1], idx[:, 2]))]
         self.idx = idx
         self.label = label
-        self.warning = warning
         self._site_set = {tuple(t) for t in idx.tolist()}
         if len(self._site_set) != idx.shape[0]:
             raise ValueError("duplicate sites in domain")
@@ -187,8 +182,6 @@ def build_domain(spec, a):
         idx = np.rint(sites).astype(np.int64)
         if np.abs(sites - idx).max(initial=0.0) > 1e-12:
             raise ValueError("custom sites must be integer lattice coordinates")
-        if idx.shape[0] == 0:
-            raise ValueError("degenerate domain: no sites")
         return Domain(a, idx, label=spec.get("label", "custom"))
     raise ValueError(f"unknown shape {shape!r}")
 
@@ -310,12 +303,11 @@ class Tiling:
     origin.
     """
 
-    def __init__(self, shift=None, scale=1.0):
+    def __init__(self, shift=None):
         self.rotations = cube_rotations()
         self.tetrahedra = np.einsum("mij,vj->mvi", self.rotations, _CANONICAL_TETRA)
         bary = _CANONICAL_TETRA.mean(axis=0)
         self.shift = -bary if shift is None else np.asarray(shift, dtype=float)
-        self.scale = float(scale)
         normals, offsets = [], []
         for verts in self.tetrahedra:
             nrm, off = _tetra_halfspaces(verts)
@@ -351,7 +343,7 @@ class Tiling:
         np.minimum(out, margins[:, 48:72], out=out)
         return np.minimum(out, margins[:, 72:], out=out)
 
-    def locate(self, points, scale=None):
+    def locate(self, points, scale):
         """Packed tile key (int64, see _pack) of each point, ties resolved to
         the tile of maximal face margin (deterministic)."""
         cells, local = self._frame(points, scale)
@@ -369,7 +361,7 @@ class Tiling:
     def _frame(self, points, scale):
         """Rounded cells and cell-frame coordinates of the points x (P, 3),
         each as three columns: w = x / scale - shift, u = rint(w), p = w - u."""
-        scale = self.scale if scale is None else float(scale)
+        scale = float(scale)
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         cells, local = [], []
         for k, v in enumerate(self.shift):
@@ -380,26 +372,6 @@ class Tiling:
             cells.append(u)
             local.append(p)
         return cells, local
-
-    def multiplicity(self, points, scale=None, tol=1e-9):
-        """Number of open tiles strictly containing each point (cube-interior
-        points only count chambers of their own cell)."""
-        _, local = self._frame(points, scale)
-        p = np.stack(local, axis=1)
-        inside_cell = (np.abs(p) < 0.5 - tol).all(axis=1)
-        margins = self.chamber_margins(p)
-        count = (margins > tol).sum(axis=1)
-        return np.where(inside_cell, count, 0)
-
-    # -- tiles ---------------------------------------------------------------
-
-    def tile_vertices(self, chamber, cell, scale=None):
-        scale = self.scale if scale is None else float(scale)
-        return scale * (self.tetrahedra[int(chamber)] + np.asarray(cell, dtype=float) + self.shift)
-
-    def tile_volume(self, scale=None):
-        scale = self.scale if scale is None else float(scale)
-        return scale ** 3 / 24.0
 
 
 # Cell coordinates in [-2^18, 2^18) fill 19 bits each, so a packed key stays
@@ -429,16 +401,6 @@ def _pack(chamber, ux, uy, uz):
     return key
 
 
-def _unpack(keys):
-    """Chamber and cell columns (int64) of packed tile keys, inverting _pack."""
-    cells, chamber = np.divmod(np.asarray(keys, dtype=np.int64), 24)
-    mask = (1 << _CELL_BITS) - 1
-    ux = (cells >> 2 * _CELL_BITS) - _CELL_OFFSET
-    uy = ((cells >> _CELL_BITS) & mask) - _CELL_OFFSET
-    uz = (cells & mask) - _CELL_OFFSET
-    return chamber, ux, uy, uz
-
-
 def unit_cube_tiling(v=None):
     """The 24-tetrahedron tiling of [-1/2, 1/2]^3.
 
@@ -450,7 +412,7 @@ def unit_cube_tiling(v=None):
 
 
 # ---------------------------------------------------------------------------
-# mollified indicators
+# mollified tile weights
 
 def _mollifier_nodes(r_j, n_quad=16):
     """Midpoint nodes/weights of the bump c (1-|x/r|^2)^4 on |x| < r_j.
@@ -466,48 +428,6 @@ def _mollifier_nodes(r_j, n_quad=16):
     pts = pts[keep]
     w = (1.0 - r2[keep]) ** 4
     return pts, w / w.sum()
-
-
-class SmoothedIndicator:
-    """theta = (1_tile * j)^(1/2) for one tile, via fixed midpoint quadrature
-    of the convolution with a polynomial bump of support radius r_j."""
-
-    def __init__(self, tiling, chamber, cell, scale, r_j=0.1, n_quad=16):
-        if scale <= 0 or r_j <= 0:
-            raise ValueError("scale and r_j must be positive")
-        self.tiling = tiling
-        self.chamber = int(chamber)
-        self.cell = tuple(int(c) for c in np.asarray(cell).reshape(3))
-        self.scale = float(scale)
-        self.r_j = float(r_j)
-        self.n_quad = n_quad
-        self.nodes, self.weights = _mollifier_nodes(r_j, n_quad)
-        self._key = _pack(np.array([self.chamber]), *np.array(self.cell).reshape(3, 1))[0]
-
-    def theta_sq(self, points):
-        """This tile's row of tile_weight_table at the points.  Points beyond
-        2 r_j of the tile's bounding box, whose nodes cannot reach the tile,
-        are left out of the table (weight 0), so its dense matrix spans only
-        the tiles near this one."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        verts = self.tiling.tile_vertices(self.chamber, self.cell, self.scale)
-        pad = 2.0 * self.r_j
-        near = ((pts > verts.min(axis=0) - pad) & (pts < verts.max(axis=0) + pad)).all(axis=1)
-        keys, theta_sq = tile_weight_table(
-            self.tiling, pts[near], self.scale, self.r_j, self.n_quad
-        )
-        out = np.zeros(len(pts))
-        row = np.searchsorted(keys, self._key)
-        if row < len(keys) and keys[row] == self._key:
-            out[near] = theta_sq[row]
-        return out
-
-    def theta(self, points):
-        return np.sqrt(self.theta_sq(points))
-
-    def mass(self):
-        """Exact integral of theta^2 for the quadrature-defined convolution."""
-        return self.weights.sum() * self.tiling.tile_volume(self.scale)
 
 
 def tile_weight_table(tiling, points, scale, r_j=0.1, n_quad=16):
@@ -562,13 +482,17 @@ class ConeCheckResult:
         return f"ConeCheckResult({status}, tested={self.tested})"
 
 
-def _cone_directions(seed, n_random=50):
+_CONE_RANDOM_AXES = 50  # seeded axes tried after the 26 stencil directions
+_PROFILE_CONE_SAMPLES = 24  # boundary and ghost sites per cone scale
+
+
+def _cone_directions(seed):
     stencil = np.array(
         [d for d in itertools.product([-1, 0, 1], repeat=3) if any(d)], dtype=float
     )
     stencil /= np.linalg.norm(stencil, axis=1, keepdims=True)
     rng = np.random.default_rng(seed)
-    extra = rng.standard_normal((n_random, 3))
+    extra = rng.standard_normal((_CONE_RANDOM_AXES, 3))
     extra /= np.linalg.norm(extra, axis=1, keepdims=True)
     return np.vstack([stencil, extra])
 
@@ -650,7 +574,7 @@ class RegularityProfile:
         )
 
 
-def regularity_profile(domain, t_grid, cone_samples=24, seed=0):
+def regularity_profile(domain, t_grid, seed=0):
     from scipy.spatial import cKDTree
 
     t_grid = list(t_grid)
@@ -667,102 +591,9 @@ def regularity_profile(domain, t_grid, cone_samples=24, seed=0):
         rows.append((float(t), frac))
     cone_eps = 0.0
     for mult in (2.0, 1.6, 1.25, 1.0, 0.75, 0.5, 0.25):
-        if cone_check(domain, mult * domain.a, n_samples=cone_samples, seed=seed).passed:
+        if cone_check(domain, mult * domain.a, n_samples=_PROFILE_CONE_SAMPLES, seed=seed).passed:
             cone_eps = mult * domain.a
             break
     lo, hi = domain.points.min(axis=0), domain.points.max(axis=0)
     bbox_volume = float(np.prod(hi - lo + domain.a))
     return RegularityProfile(rows, cone_eps, domain.diameter() / v13, bbox_volume)
-
-
-# ---------------------------------------------------------------------------
-# inner approximation by tiles
-
-
-def _points_triangle_dist(P, tri):
-    """Distances from points P (n, 3) to one triangle (Ericson clamp)."""
-    a, b, c = tri
-    ab, ac = b - a, c - a
-    ap = P - a
-    d1, d2 = ap @ ab, ap @ ac
-    bp = P - b
-    d3, d4 = bp @ ab, bp @ ac
-    cp = P - c
-    d5, d6 = cp @ ab, cp @ ac
-    va = d3 * d6 - d5 * d4
-    vb = d5 * d2 - d1 * d6
-    vc = d1 * d4 - d3 * d2
-    denom = va + vb + vc
-    v = np.where(denom != 0, vb / np.where(denom != 0, denom, 1.0), 0.0)
-    w = np.where(denom != 0, vc / np.where(denom != 0, denom, 1.0), 0.0)
-    closest = a + np.outer(v, ab) + np.outer(w, ac)
-    # vertex regions
-    closest = np.where(((d1 <= 0) & (d2 <= 0))[:, None], a, closest)
-    closest = np.where(((d3 >= 0) & (d4 <= d3))[:, None], b, closest)
-    closest = np.where(((d6 >= 0) & (d5 <= d6))[:, None], c, closest)
-    # edge regions
-    m = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-    t = d1 / np.where(d1 - d3 != 0, d1 - d3, 1.0)
-    closest = np.where(m[:, None], a + np.outer(t, ab), closest)
-    m = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-    t = d2 / np.where(d2 - d6 != 0, d2 - d6, 1.0)
-    closest = np.where(m[:, None], a + np.outer(t, ac), closest)
-    m = (va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0)
-    t = (d4 - d3) / np.where((d4 - d3) + (d5 - d6) != 0, (d4 - d3) + (d5 - d6), 1.0)
-    closest = np.where(m[:, None], b + np.outer(t, c - b), closest)
-    return np.linalg.norm(P - closest, axis=1)
-
-
-def points_tetra_distance(P, verts):
-    """Distances from points (n, 3) to a solid tetrahedron (0 inside)."""
-    P = np.asarray(P, dtype=float).reshape(-1, 3)
-    normals, offsets = _tetra_halfspaces(verts)
-    inside = (P @ normals.T - offsets).max(axis=1) <= 0
-    dist = np.full(P.shape[0], np.inf)
-    for f in range(4):
-        tri = np.delete(verts, f, axis=0)
-        dist = np.minimum(dist, _points_triangle_dist(P, tri))
-    return np.where(inside, 0.0, dist)
-
-
-def inner_approximation(domain, scale, delta, tiling=None):
-    """Union of tiles whose delta-neighborhood lies inside the domain.
-
-    A tile is accepted when every lattice site within distance delta of the
-    tetrahedron belongs to the domain; the result is the set of domain sites
-    covered by accepted tiles (possibly empty, flagged by a warning).
-    """
-    if scale <= 0 or delta < 0:
-        raise ValueError("scale must be positive and delta nonnegative")
-    tiling = tiling or unit_cube_tiling()
-    keys = tiling.locate(domain.points, scale=scale)
-    tiles = np.unique(keys)
-    a = domain.a
-    # occupancy bitmap over the padded bounding box for O(1) membership slices
-    pad = int(np.ceil(delta / a)) + int(np.ceil(1.4 * scale / a)) + 2
-    lo_all = domain.idx.min(axis=0) - pad
-    hi_all = domain.idx.max(axis=0) + pad
-    shape = tuple(hi_all - lo_all + 1)
-    occupancy = np.zeros(shape, dtype=bool)
-    rel = domain.idx - lo_all
-    occupancy[rel[:, 0], rel[:, 1], rel[:, 2]] = True
-    chambers, *cells = _unpack(tiles)
-    accepted = np.zeros(len(tiles), dtype=bool)
-    for t, (chamber, cell) in enumerate(zip(chambers, np.stack(cells, axis=1))):
-        verts = tiling.tile_vertices(chamber, cell, scale=scale)
-        lo = np.floor((verts.min(axis=0) - delta) / a).astype(int)
-        hi = np.ceil((verts.max(axis=0) + delta) / a).astype(int)
-        s = tuple(slice(l - o, h - o + 1) for l, h, o in zip(lo, hi, lo_all))
-        block = occupancy[s]
-        if block.all():
-            accepted[t] = True
-            continue
-        missing = np.argwhere(~block) + lo
-        dist = points_tetra_distance(a * missing.astype(float), verts)
-        accepted[t] = dist.min(initial=np.inf) > delta
-    mask = np.isin(keys, tiles[accepted])
-    idx = domain.idx[mask]
-    warning = None if idx.shape[0] else "inner approximation is empty"
-    return Domain(
-        domain.a, idx, label=f"{domain.label}_inner", allow_empty=True, warning=warning
-    )

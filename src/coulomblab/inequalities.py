@@ -398,7 +398,10 @@ def yukawa(r, nu):
 
 
 def coulomb_yukawa_bound(cfg, nu):
-    """sum q_i q_j / r >= sum q_i q_j Y_nu(r) - (nu/2) sum q_i^2."""
+    """sum q_i q_j / r >= sum q_i q_j Y_nu(r) - (nu/2) sum q_i^2, for a
+    screening nu >= 0."""
+    if not nu >= 0:
+        raise ValueError(f"yukawa screening nu must be nonnegative, got {nu}")
     q = cfg.charges
     lhs, qsq, iu, d, _ = _pair_table(cfg.points, q)
     rhs = float((q[iu[0]] * q[iu[1]] * yukawa(d, nu)).sum()) - 0.5 * nu * qsq
@@ -462,20 +465,27 @@ def lt_state_ratio(domain, k_list):
 # Li-Yau (continuum boxes, exact Dirichlet spectra)
 
 
-def li_yau_gap(lengths, f, eig_floor=1e-16, tol=1e-9):
+_LI_YAU_FLOOR = 1e-16  # the eigenvalue sum stops where f falls below this
+_LI_YAU_TOL = 1e-9  # slack of the li_yau report
+
+
+def li_yau_gap(lengths, f):
     """Phase-space bound on tr f(-Delta) for a box with exact Dirichlet
     spectrum: volume (2 pi)^(-n) int f(|p|^2) dp minus the eigenvalue sum.
 
-    f must be decaying; the eigenvalue sum is truncated when f < eig_floor.
-    Raises on a divergent phase-space integral.
+    f must be decaying; the eigenvalue sum is truncated when f < _LI_YAU_FLOOR.
+    Raises on a box length that is not positive and on a divergent
+    phase-space integral.
     """
     lengths = tuple(float(L) for L in np.atleast_1d(lengths))
     ndim = len(lengths)
     if ndim not in (1, 3):
         raise ValueError("only 1D intervals and 3D boxes are supported")
+    if not all(L > 0 for L in lengths):
+        raise ValueError(f"box lengths must be positive, got {list(lengths)}")
     power = 0 if ndim == 1 else 2
     val = _phase_space_integral(f, power)
-    t_max = _decay_threshold(f, eig_floor)
+    t_max = _decay_threshold(f, _LI_YAU_FLOOR)
     if ndim == 1:
         L = lengths[0]
         k_hi = _bounded_count(np.sqrt(t_max) * L / np.pi)
@@ -492,7 +502,7 @@ def li_yau_gap(lengths, f, eig_floor=1e-16, tol=1e-9):
         lhs_sum = float(np.sum(f(lam)))
         V = float(np.prod(lengths))
         rhs = V / (2.0 * np.pi ** 2) * val
-    return Report("li_yau", rhs, lhs_sum, tol=tol, extras={"dim": ndim})
+    return Report("li_yau", rhs, lhs_sum, tol=_LI_YAU_TOL, extras={"dim": ndim})
 
 
 def _phase_space_integral(f, power):
@@ -580,9 +590,13 @@ def repelling_bound_check(domain, N_list, eps):
 # dipole potential bound
 
 
-def dipole_bound_check(R, D, x_samples, singular_tol=1e-6):
+_DIPOLE_SINGULAR_DIST = 1e-6  # samples this close to either pole are skipped
+
+
+def dipole_bound_check(R, D, x_samples):
     """|1/|x-R-D| - 1/|x-R|| <= C |D| / (|x-R-D| |x-R|) with C = 1; reports
-    the largest observed ratio (samples near either singularity are skipped)."""
+    the largest observed ratio (samples within _DIPOLE_SINGULAR_DIST of
+    either singularity are skipped)."""
     R = np.asarray(R, dtype=float).reshape(3)
     D = np.asarray(D, dtype=float).reshape(3)
     if np.linalg.norm(D) == 0:
@@ -590,7 +604,7 @@ def dipole_bound_check(R, D, x_samples, singular_tol=1e-6):
     xs = np.asarray(x_samples, dtype=float).reshape(-1, 3)
     d1 = np.linalg.norm(xs - R - D, axis=1)
     d2 = np.linalg.norm(xs - R, axis=1)
-    ok = (d1 > singular_tol) & (d2 > singular_tol)
+    ok = (d1 > _DIPOLE_SINGULAR_DIST) & (d2 > _DIPOLE_SINGULAR_DIST)
     if not ok.any():
         raise ValueError("no sample point away from the two singularities")
     skipped = int((~ok).sum())
@@ -609,17 +623,20 @@ def dipole_bound_check(R, D, x_samples, singular_tol=1e-6):
 # IMS localization defect
 
 
-def ims_defect(T, theta_rows, tol=1e-9):
+_PARTITION_TOL = 1e-9  # how far sum_mu theta_mu^2 may stray from 1 on a site
+
+
+def ims_defect(T, theta_rows):
     """Defect of the localized kinetic operator for a partition of unity.
 
     theta_rows has one row per tile (values on the sites); requires
-    sum_mu theta_mu^2 = 1 on the sites.  Returns (defect matrix, overlap
-    kernel): sum_mu Theta T Theta - T = T o (K - 1) off the diagonal, with
+    sum_mu theta_mu^2 = 1 on the sites, to _PARTITION_TOL.  Returns (defect
+    matrix, overlap kernel): sum_mu Theta T Theta - T = T o (K - 1) off the diagonal, with
     K(x, y) = sum_mu theta_mu(x) theta_mu(y).
     """
     theta = np.asarray(theta_rows, dtype=float)
     colsum = (theta ** 2).sum(axis=0)
-    if np.abs(colsum - 1.0).max() > tol:
+    if np.abs(colsum - 1.0).max() > _PARTITION_TOL:
         raise ValueError("partition of unity fails on the domain")
     K = theta.T @ theta
     defect = T * (K - 1.0)

@@ -16,9 +16,7 @@ from .inequalities import Report
 __all__ = [
     "LocalizationWeight",
     "localization_isometry",
-    "localize_state",
     "localize_positive_operator",
-    "family_weight",
     "ssa_gap",
     "CQState",
     "cq_entropy",
@@ -55,10 +53,6 @@ class LocalizationWeight:
     @classmethod
     def zero(cls, n):
         return cls(np.zeros(n))
-
-    @classmethod
-    def identity(cls, n):
-        return cls(np.ones(n))
 
     @property
     def n(self):
@@ -203,21 +197,6 @@ def _fock_lift(space, V):
     return (X * np.exp(1j * e)) @ X.conj().T
 
 
-def localize_state(state, q):
-    """q-localized state: extend through the doubling isometry, trace out the
-    second factor.  The one-body density transforms as gamma -> q gamma q."""
-    if not isinstance(state, FockState):
-        raise ValueError("localize_state needs a FockState")
-    M = localize_positive_operator(state.space, state.matrix, q)
-    return FockState(state.space, M, validate=False)
-
-
-def family_weight(weights, P):
-    """q_P = (sum_{i in P} q_i^2)^(1/2) for a commuting family with
-    sum_i q_i^2 = 1; q of the empty set is 0."""
-    return _family_weight(_validated_family(weights), P)
-
-
 def _validated_family(weights):
     """The family as LocalizationWeights, checked to commute and to satisfy
     sum_i q_i^2 = 1."""
@@ -235,7 +214,8 @@ def _validated_family(weights):
 
 
 def _family_weight(ws, P):
-    """q_P of a family already passed through _validated_family."""
+    """q_P = (sum_{i in P} q_i^2)^(1/2) of a family already passed through
+    _validated_family; q of the empty set is 0."""
     n = ws[0].n
     P = list(P)
     if not P:
@@ -250,7 +230,10 @@ def _family_weight(ws, P):
     return LocalizationWeight((V * np.sqrt(np.clip(lam, 0.0, 1.0))) @ V.conj().T)
 
 
-def ssa_gap(state, weights, P1, P2, P3, tol=1e-9):
+_SSA_TOL = 1e-9  # slack of both SSA gaps
+
+
+def ssa_gap(state, weights, P1, P2, P3):
     """Strong subadditivity gap S(12) + S(23) - S(2) - S(123) >= 0 for the
     localized states of a commuting partition-of-unity family: the gap of
     cq_ssa_gap for the state as a cq state with no classical particles."""
@@ -259,7 +242,7 @@ def ssa_gap(state, weights, P1, P2, P3, tol=1e-9):
     rho = CQState(state.space, 1.0, {0: state.matrix}, validate=False)
     # with no classical particle any classical partition gives the same gap
     thetas = np.eye(len(weights), 1)
-    return _ssa_gap(rho, weights, thetas, (P1, P2, P3), "ssa_quantum", tol)
+    return _ssa_gap(rho, weights, thetas, (P1, P2, P3), "ssa_quantum")
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +309,17 @@ def cq_entropy(rho):
     return _cq_stack_entropy(rho, np.linalg.eigvalsh(stack))
 
 
-def cq_localize(rho, q, theta, k_max=None, warn_tol=1e-8):
+_TRUNCATION_WARN_MASS = 1e-8  # mass cq_localize may drop before it warns
+
+
+def cq_localize(rho, q, theta, k_max=None):
     """(q, theta)-localized classical-quantum state.
 
     Kept classical particles are weighted by theta^2 per cell; absorbed ones
     are summed out with eta^2 = 1 - theta^2 weights; the quantum factor is
     q-localized.  Exact when the source blocks vanish above K_max; an
     explicit k_max below the source's top sector sets truncation_warning on
-    the result when the dropped weight exceeds warn_tol.
+    the result when the dropped weight exceeds _TRUNCATION_WARN_MASS.
     """
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.shape[0] != rho.n_cells:
@@ -352,7 +338,7 @@ def cq_localize(rho, q, theta, k_max=None, warn_tol=1e-8):
     }
     result = CQState(rho.space, rho.cell_volume, out, validate=False)
     result.truncation_warning = (
-        K_top < rho.K_max and abs(result.mass() - rho.mass()) > warn_tol
+        K_top < rho.K_max and abs(result.mass() - rho.mass()) > _TRUNCATION_WARN_MASS
     )
     return result
 
@@ -390,13 +376,13 @@ def _cq_absorbed(rho, theta, K_top):
     return np.concatenate(accs), np.concatenate(weights)
 
 
-def cq_ssa_gap(rho, q_weights, thetas, P1, P2, P3, tol=1e-9):
+def cq_ssa_gap(rho, q_weights, thetas, P1, P2, P3):
     """Strong subadditivity gap for classical-quantum localized states; each
     entropy has the bits of cq_entropy(cq_localize(...)) of its set alone."""
-    return _ssa_gap(rho, q_weights, thetas, (P1, P2, P3), "ssa_cq", tol)
+    return _ssa_gap(rho, q_weights, thetas, (P1, P2, P3), "ssa_cq")
 
 
-def _ssa_gap(rho, q_weights, thetas, sets, check, tol):
+def _ssa_gap(rho, q_weights, thetas, sets, check):
     """The SSA gap of the (q_P, theta_P)-localized cq states for P = 12, 23,
     2 and 123.  The four absorbed, theta-weighted block stacks are localized
     together (in one channel call for diagonal weights) and their spectra
@@ -434,7 +420,7 @@ def _ssa_gap(rho, q_weights, thetas, sets, check, tol):
     names = ("12", "23", "2", "123")
     ent = {name: _cq_stack_entropy(rho, lam) for name, lam in zip(names, spectra)}
     return Report(
-        check, lhs=ent["12"] + ent["23"], rhs=ent["2"] + ent["123"], tol=tol,
+        check, lhs=ent["12"] + ent["23"], rhs=ent["2"] + ent["123"], tol=_SSA_TOL,
         extras={"entropies": ent},
     )
 

@@ -20,6 +20,12 @@ from coulomblab.cli import cli_main
 from coulomblab.scan import ScanSpec, run_scan
 
 
+def _localize_state(state, q):
+    """The q-localized state tr_2(U G U*) of a FockState."""
+    M = L.localize_positive_operator(state.space, state.matrix, q)
+    return F.FockState(state.space, M, validate=False)
+
+
 def _line(num, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"criterion {num:2d}: {status} - {detail}")
@@ -209,14 +215,14 @@ def test_criterion_5_localization_algebra():
         X = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
         M = X @ X.conj().T
         st = F.FockState(space, M / np.trace(M).real, validate=False)
-        loc = L.localize_state(st, w)
+        loc = _localize_state(st, w)
         g0 = F.reduced_density(st, 1).matrix
         g1 = F.reduced_density(loc, 1).matrix
         worst["gamma"] = max(worst["gamma"], np.abs(g1 - w.q @ g0 @ w.q).max())
         # restriction consistency for a projector weight
         k = int(rng.integers(1, n))
         proj = L.LocalizationWeight(np.array([1.0] * k + [0.0] * (n - k)))
-        locp = L.localize_state(st, proj)
+        locp = _localize_state(st, proj)
         Usp, s1, s2 = F.split_isomorphism(space, k)
         big = Usp @ st.matrix @ Usp.conj().T.toarray()
         red = F.partial_trace_second(big, s1.dim, s2.dim)
@@ -230,7 +236,7 @@ def test_criterion_5_localization_algebra():
         lam = rng.random(n) * 0.8 + 0.1
         V = np.linalg.qr(rng.standard_normal((n, n)))[0]
         qf_state = F.quasi_free_state(space, (V * lam) @ V.T)
-        locq = L.localize_state(qf_state, w)
+        locq = _localize_state(qf_state, w)
         gq1 = F.reduced_density(locq, 1).matrix
         gq2 = F.reduced_density(locq, 2).matrix
         pairs = list(itertools.combinations(range(n), 2))

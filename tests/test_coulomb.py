@@ -66,7 +66,7 @@ LANCZOS_BLOCKS = {
     "field-3": lambda: C.coulomb_hamiltonian(
         cube(3), TWO_NUCLEI, field=C.MagneticField.constant([0.0, 0.3, 0.8]), n_max=2
     ).sector_matrix(2),
-    "empty-3": lambda: C.coulomb_hamiltonian(cube(3), C.NucleiConfig.empty(), n_max=2)
+    "empty-3": lambda: C.coulomb_hamiltonian(cube(3), C.NucleiConfig([]), n_max=2)
     .sector_matrix(2),
 }
 
@@ -285,7 +285,7 @@ class TestNuclearPotential:
 
     def test_no_charge_and_guard(self):
         dom = cube(2)
-        for nuclei in (C.NucleiConfig.empty(), C.NucleiConfig([([0.5, 0.5, 0.5], 0.0)])):
+        for nuclei in (C.NucleiConfig([]), C.NucleiConfig([([0.5, 0.5, 0.5], 0.0)])):
             v = C.nuclear_potential(dom, nuclei)
             assert np.array_equal(v, np.zeros(8)) and not np.signbit(v).any()
         # the a/10 guard names the first offending nucleus, charged or not
@@ -344,7 +344,7 @@ class TestHamiltonianAndGroundState:
 
     def test_no_nuclei_one_electron_matches_kinetic(self):
         dom = cube(2)
-        op = C.coulomb_hamiltonian(dom, C.NucleiConfig.empty(), n_max=1)
+        op = C.coulomb_hamiltonian(dom, C.NucleiConfig([]), n_max=1)
         idx = op.space.sector_indices(1)
         block = np.asarray(op.matrix.todense())[np.ix_(idx, idx)]
         assert np.allclose(
@@ -360,7 +360,7 @@ class TestHamiltonianAndGroundState:
 
     def test_vacuum_optimal_without_nuclei(self):
         dom = cube(2)
-        op = C.coulomb_hamiltonian(dom, C.NucleiConfig.empty(), n_max=2)
+        op = C.coulomb_hamiltonian(dom, C.NucleiConfig([]), n_max=2)
         res = C.ground_state_energy(op)
         assert res.value == 0.0 and res.n_star == 0
 
@@ -376,7 +376,7 @@ class TestHamiltonianAndGroundState:
         # the Lanczos path
         dom = cube(3)
         for fld in (None, C.MagneticField.constant([0.0, 0.0, 0.8])):
-            op = C.coulomb_hamiltonian(dom, C.NucleiConfig.empty(), field=fld, n_max=2)
+            op = C.coulomb_hamiltonian(dom, C.NucleiConfig([]), field=fld, n_max=2)
             runs = [C.ground_state_energy(op) for _ in range(4)]
             assert runs[0].method[2]["solver"] == "lanczos"
             assert len({r.sector_minima[2].hex() for r in runs}) == 1
@@ -575,7 +575,7 @@ class TestLogSumExp:
 class TestFreeEnergy:
     def test_single_site_two_level(self):
         dom = G.build_domain({"shape": "custom", "sites": [[0, 0, 0]]}, 1.0)
-        op = C.coulomb_hamiltonian(dom, C.NucleiConfig.empty())
+        op = C.coulomb_hamiltonian(dom, C.NucleiConfig([]))
         beta, mu = 2.0, 1.0
         fe = C.free_energy(op, beta, mu)
         assert fe.value == pytest.approx(
@@ -689,7 +689,7 @@ class TestFreeEnergy:
 
     def test_mean_charge(self):
         dom = cube(2)
-        op = C.coulomb_hamiltonian(dom, C.NucleiConfig.empty(), n_max=2)
+        op = C.coulomb_hamiltonian(dom, C.NucleiConfig([]), n_max=2)
         fe = C.free_energy(op, 1.0, -50.0)
         assert fe.mean_charge() == pytest.approx(0.0, abs=1e-12)
 
@@ -719,7 +719,7 @@ def offering(op, lifts):
 def field_3():
     # a constant field along z keeps only the z reflection: a complex block
     return C.coulomb_hamiltonian(
-        cube(3), C.NucleiConfig.empty(), field=C.MagneticField.constant([0.0, 0.0, 0.7]), n_max=2
+        cube(3), C.NucleiConfig([]), field=C.MagneticField.constant([0.0, 0.0, 0.7]), n_max=2
     )
 
 
@@ -729,11 +729,11 @@ class TestSectorSpectrum:
         [
             lambda: C.two_species_hamiltonian(cube(2), 1.0, 100.0),
             lambda: C.two_species_hamiltonian(cube(3), 1.0, 100.0),
-            lambda: C.coulomb_hamiltonian(cube(2), C.NucleiConfig.empty(), n_max=2),
+            lambda: C.coulomb_hamiltonian(cube(2), C.NucleiConfig([]), n_max=2),
             # side 3 puts sites on the mirror planes
-            lambda: C.coulomb_hamiltonian(cube(3), C.NucleiConfig.empty(), n_max=2),
+            lambda: C.coulomb_hamiltonian(cube(3), C.NucleiConfig([]), n_max=2),
             lambda: C.coulomb_hamiltonian(
-                cube(2), C.NucleiConfig.empty(), statistics="boson", boson_cap=2, n_max=3
+                cube(2), C.NucleiConfig([]), statistics="boson", boson_cap=2, n_max=3
             ),
             field_3,
         ],
@@ -994,7 +994,7 @@ class TestChargeConcavity:
     def test_zero_charges_match_free_model(self):
         dom = cube(2)
         rep = C.charge_concavity_scan(dom, [[0.6, 0.6, 0.6]], z_max=3.0, grid_steps=3, n_max=2)
-        op = C.coulomb_hamiltonian(dom, C.NucleiConfig.empty(), n_max=2)
+        op = C.coulomb_hamiltonian(dom, C.NucleiConfig([]), n_max=2)
         assert rep.table[0] == pytest.approx(C.ground_state_energy(op).value, abs=1e-12)
 
     def test_cost_guard(self):
@@ -1026,7 +1026,7 @@ def builder_configs(side):
     uncharged."""
     c = (side - 1) / 2.0
     return [
-        C.NucleiConfig.empty(),
+        C.NucleiConfig([]),
         C.NucleiConfig([([c, c, 0.3], 1.7)]),
         C.NucleiConfig([([0.4, 0.4, 0.4], 1.7), ([1.6, 0.6, 1.3], 0.6), ([0.5, 1.5, 0.7], 0.0)]),
     ]
@@ -1120,7 +1120,7 @@ class TestChargeFamily:
         dom = cube(3)
         configs = [
             crystal_nuclei(dom),
-            C.NucleiConfig.empty(),
+            C.NucleiConfig([]),
             crystal_nuclei(dom, 0.45),
             C.NucleiConfig.from_lattice(
                 1.0, [((0.25, 0.25, 0.25), 0.5)], dom, defects=[((0.65, 0.65, 0.65), 0.5)],
@@ -1172,7 +1172,7 @@ class TestTwoSpecies:
         dom = cube(2)
         op = C.two_species_hamiltonian(dom, z=0.0, M=50.0, el_max=1, nuc_max=1)
         res = C.ground_state_energy(op)
-        el = C.ground_state_energy(C.coulomb_hamiltonian(dom, C.NucleiConfig.empty(), n_max=1))
+        el = C.ground_state_energy(C.coulomb_hamiltonian(dom, C.NucleiConfig([]), n_max=1))
         T = C.kinetic_operator(dom)
         nuc_min = min(0.0, np.linalg.eigvalsh(T / 50.0)[0])
         assert res.value == pytest.approx(el.value + nuc_min, abs=1e-12)
@@ -1261,7 +1261,7 @@ class TestClassicalFreeEnergy:
             dom, 1.0, 1.0, (0.0, -1000.0), K_max=1, nucleus_grid=self.GRID,
             cell_volume=4.0, n_max=2,
         )
-        op = C.coulomb_hamiltonian(dom, C.NucleiConfig.empty(), n_max=2)
+        op = C.coulomb_hamiltonian(dom, C.NucleiConfig([]), n_max=2)
         fe = C.free_energy(op, 1.0, 0.0)
         assert out["value"] == pytest.approx(fe.value, abs=1e-9)
 
@@ -1274,7 +1274,7 @@ class TestClassicalFreeEnergy:
             n_max=1,
         )
         # direct evaluation: Z = tr e^(-beta(H0 - mu1 N)) + h^3 e^(beta mu2) tr ...
-        op0 = C.coulomb_hamiltonian(dom, C.NucleiConfig.empty(), n_max=1)
+        op0 = C.coulomb_hamiltonian(dom, C.NucleiConfig([]), n_max=1)
         op1 = C.coulomb_hamiltonian(dom, C.NucleiConfig([(grid[0], 1.5)]), n_max=1)
         z = 0.0
         for op, w in ((op0, 1.0), (op1, 8.0 * np.exp(beta * mu[1]))):

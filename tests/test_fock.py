@@ -20,6 +20,13 @@ def random_state(space, seed, real=False):
     return F.FockState(space, M / np.trace(M).real)
 
 
+def pure_state(space, vector):
+    """The pure FockState of a vector, normalized."""
+    v = np.asarray(vector, dtype=complex).reshape(-1)
+    v = v / np.linalg.norm(v)
+    return F.FockState(space, np.outer(v, v.conj()))
+
+
 def mean_number(state):
     """<N> read off the number operator's diagonal in the occupation basis."""
     return float((state.space.totals * np.real(np.diag(state.matrix))).sum())
@@ -550,7 +557,7 @@ class TestEntropy:
         sp = F.build_space(3, "fermion")
         rng = np.random.default_rng(0)
         psi = rng.standard_normal(sp.dim)
-        assert abs(F.entropy(F.FockState.pure(sp, psi))) < 1e-10
+        assert abs(F.entropy(pure_state(sp, psi))) < 1e-10
 
     def test_maximally_mixed(self):
         sp = F.build_space(2, "fermion")
@@ -587,13 +594,13 @@ class TestReducedDensity:
         sp = F.build_space(4, "fermion")
         vec = np.zeros(sp.dim)
         vec[sp.index((1, 1, 0, 0))] = 1.0
-        st = F.FockState.pure(sp, vec)
+        st = pure_state(sp, vec)
         g1 = F.reduced_density(st, 1).matrix
         assert np.abs(g1 - np.diag([1, 1, 0, 0])).max() < 1e-12
 
     def test_vacuum(self):
         sp = F.build_space(3, "fermion")
-        g1 = F.reduced_density(F.FockState.vacuum(sp), 1).matrix
+        g1 = F.reduced_density(pure_state(sp, np.eye(sp.dim)[sp.vacuum_index()]), 1).matrix
         assert np.abs(g1).max() == 0.0
 
     def test_two_fermion_trace(self):
@@ -602,11 +609,11 @@ class TestReducedDensity:
         idx = sp.sector_indices(2)
         vec = np.zeros(sp.dim, dtype=complex)
         vec[idx] = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
-        st = F.FockState.pure(sp, vec)
+        st = pure_state(sp, vec)
         rd = F.reduced_density(st, 1)
-        assert rd.trace == pytest.approx(2.0, abs=1e-12)
+        assert np.trace(rd.matrix).real == pytest.approx(2.0, abs=1e-12)
         # independent: <N> from the number operator diagonal
-        assert rd.trace == pytest.approx(mean_number(st), abs=1e-12)
+        assert np.trace(rd.matrix).real == pytest.approx(mean_number(st), abs=1e-12)
 
     def test_diagonal_sums_to_mean_number(self):
         sp = F.build_space(4, "fermion")

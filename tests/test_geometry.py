@@ -20,6 +20,41 @@ def barycentric_inside(verts, p, tol=0.0):
     return np.all(lam > tol)
 
 
+def tile_vertices(tiling, chamber, cell, scale):
+    """Vertices (4, 3) of one tile of the scaled tiling."""
+    return scale * (tiling.tetrahedra[chamber] + np.asarray(cell, dtype=float) + tiling.shift)
+
+
+def tile_row(tiling, chamber, cell, points, scale, r_j, n_quad=16):
+    """theta^2 of one tile at the points: its row of tile_weight_table, zero
+    where no quadrature node of a point lands in the tile."""
+    key = G._pack(np.array([chamber]), *np.reshape(cell, (3, 1)))[0]
+    keys, theta_sq = G.tile_weight_table(tiling, points, scale, r_j, n_quad)
+    row = np.searchsorted(keys, key)
+    return theta_sq[row] if row < len(keys) and keys[row] == key else np.zeros(len(points))
+
+
+def multiplicity(tiling, points, scale, tol=1e-9):
+    """Number of open tiles strictly containing each point (cube-interior
+    points only count chambers of their own cell): the partition-of-unity
+    oracle of the cover tests."""
+    _, local = tiling._frame(points, scale)
+    p = np.stack(local, axis=1)
+    inside_cell = (np.abs(p) < 0.5 - tol).all(axis=1)
+    count = (tiling.chamber_margins(p) > tol).sum(axis=1)
+    return np.where(inside_cell, count, 0)
+
+
+def unpack(keys):
+    """Chamber and cell columns (int64) of packed tile keys, inverting _pack."""
+    cells, chamber = np.divmod(np.asarray(keys, dtype=np.int64), 24)
+    mask = (1 << G._CELL_BITS) - 1
+    ux = (cells >> 2 * G._CELL_BITS) - G._CELL_OFFSET
+    uy = ((cells >> G._CELL_BITS) & mask) - G._CELL_OFFSET
+    uz = (cells & mask) - G._CELL_OFFSET
+    return chamber, ux, uy, uz
+
+
 def motion(seed):
     """One rigid motion x -> R x + u, the first that _sample_motions draws."""
     R, u = G._sample_motions(np.random.default_rng(seed), 1)
@@ -195,12 +230,12 @@ class TestTiling:
         t = G.unit_cube_tiling()
         rng = np.random.default_rng(0)
         pts = rng.random((100000, 3)) - 0.5
-        mult = t.multiplicity(pts)
+        mult = multiplicity(t, pts, 1.0)
         assert (mult != 1).mean() < 1e-3
         # cross-check membership on a slice with an independent barycentric test
         for p in pts[:200]:
             count = sum(barycentric_inside(v, p, tol=1e-12) for v in t.tetrahedra)
-            inside = t.multiplicity(p[None, :])[0]
+            inside = multiplicity(t, p[None, :], 1.0)[0]
             assert count == inside
 
     def test_moved_tiling_partition(self):
@@ -211,7 +246,7 @@ class TestTiling:
         off = 0
         for R, u in zip(*G._sample_motions(np.random.default_rng(5), 5)):
             pts = rng.uniform(-20, 20, size=(20000, 3))
-            mult = t.multiplicity(pull_back(pts, R, u), scale=3.0)
+            mult = multiplicity(t, pull_back(pts, R, u), 3.0)
             off += int((mult != 1).sum())
         assert off / 100000 < 1e-3
 
@@ -278,14 +313,14 @@ class TestLocate:
 
     def test_extreme_cells_keep_lexicographic_order(self):
         # cells +-(2^18 - 1) and -2^18 on every axis, four chambers each:
-        # distinct keys, sorted as (ux, uy, uz, chamber) rows, and _unpack
+        # distinct keys, sorted as (ux, uy, uz, chamber) rows, and unpack
         # gives the rows back
         edge = (-(2 ** 18), -(2 ** 18) + 1, -1, 0, 1, 2 ** 18 - 1)
         cells = np.array(list(itertools.product(edge, repeat=3)), dtype=np.int64)
         interior = np.array([[0.4, 0.2, 0.1], [-0.1, 0.4, 0.2], [0.2, -0.1, -0.4], [0.1, 0.2, 0.4]])
         pts = (cells[:, None, :] + interior[None, :, :] + self.tiling.shift).reshape(-1, 3)
-        keys = self.tiling.locate(pts)
-        rows = np.column_stack([*G._unpack(keys)])
+        keys = self.tiling.locate(pts, 1.0)
+        rows = np.column_stack([*unpack(keys)])
         np.testing.assert_array_equal(rows[:, 1:], np.repeat(cells, 4, axis=0))
         np.testing.assert_array_equal(keys, strided_pack(rows))
         np.testing.assert_array_equal(keys, margin_keys(self.tiling, pts, 1.0))
@@ -303,7 +338,7 @@ class TestLocate:
                 pts = np.full((2, 3), 0.1) + self.tiling.shift
                 pts[1, axis] += x
                 with pytest.raises(ValueError, match="outside"), np.errstate(invalid="ignore"):
-                    self.tiling.locate(pts)
+                    self.tiling.locate(pts, 1.0)
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
@@ -474,17 +509,19 @@ class TestGroupSampling:
 
 
 class TestSmoothedIndicator:
+    """The mollified tile indicators theta_mu^2, as rows of tile_weight_table."""
+
     def setup_method(self):
         self.tiling = G.unit_cube_tiling()
 
     def test_deep_interior_and_outside(self):
         ell, r_j = 6.0, 0.2
-        si = G.SmoothedIndicator(self.tiling, 5, (0, 0, 0), ell, r_j=r_j)
-        verts = self.tiling.tile_vertices(5, (0, 0, 0), scale=ell)
+        verts = tile_vertices(self.tiling, 5, (0, 0, 0), ell)
         bary = verts.mean(axis=0)
-        assert si.theta(bary[None, :])[0] == pytest.approx(1.0, abs=1e-9)
         far = verts[1] + 10 * r_j * (verts[1] - bary) / np.linalg.norm(verts[1] - bary)
-        assert si.theta(far[None, :])[0] == pytest.approx(0.0, abs=1e-12)
+        theta = np.sqrt(tile_row(self.tiling, 5, (0, 0, 0), np.array([bary, far]), ell, r_j))
+        assert theta[0] == pytest.approx(1.0, abs=1e-9)
+        assert theta[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_partition_of_unity(self):
         rng = np.random.default_rng(4)
@@ -494,64 +531,14 @@ class TestSmoothedIndicator:
         assert (np.diff(keys) > 0).all()
         assert np.abs(theta_sq.sum(axis=0) - 1.0).max() < 1e-9
 
-    def test_theta_sq_is_the_tile_row(self):
-        # points far from the tile are left out of its table: bitwise the
-        # row of the table over every point, zero far away; the points are
-        # drawn around the tile's image under a motion, then pulled back
-        rng = np.random.default_rng(9)
-        R, u = motion(2)
-        si = G.SmoothedIndicator(self.tiling, 4, (0, 1, -1), 2.0, r_j=0.3, n_quad=8)
-        verts = self.tiling.tile_vertices(4, (0, 1, -1), scale=2.0) @ R.T + u
-        pts = pull_back(np.vstack([
-            rng.uniform(verts.min(axis=0) - 0.7, verts.max(axis=0) + 0.7, size=(2000, 3)),
-            rng.uniform(-10, 10, size=(200, 3)),
-        ]), R, u)
-        keys, theta_sq = G.tile_weight_table(self.tiling, pts, 2.0, r_j=0.3, n_quad=8)
-        row = theta_sq[np.searchsorted(keys, si._key)]
-        assert row.max() > 0.9 and (row == 0).sum() > 200
-        assert si.theta_sq(pts).tobytes() == row.tobytes()
-
-    def test_mass_equals_tile_volume(self):
-        for ell in (2.0, 5.0):
-            si = G.SmoothedIndicator(self.tiling, 7, (1, -1, 0), ell, r_j=0.3)
-            verts = self.tiling.tile_vertices(7, (1, -1, 0), scale=ell)
-            assert si.mass() == pytest.approx(tetra_volume(verts), rel=1e-6)
-            assert si.mass() == pytest.approx(ell ** 3 / 24.0, rel=1e-6)
-
     def test_mass_against_monte_carlo(self):
+        # the integral of theta^2 is the tile's volume, ell^3 / 24
         ell, r_j = 3.0, 0.3
-        si = G.SmoothedIndicator(self.tiling, 2, (0, 0, 0), ell, r_j=r_j, n_quad=8)
-        verts = self.tiling.tile_vertices(2, (0, 0, 0), scale=ell)
+        verts = tile_vertices(self.tiling, 2, (0, 0, 0), ell)
         lo = verts.min(axis=0) - 2 * r_j
         hi = verts.max(axis=0) + 2 * r_j
         rng = np.random.default_rng(8)
         pts = rng.uniform(lo, hi, size=(12000, 3))
         box = np.prod(hi - lo)
-        est = box * si.theta_sq(pts).mean()
-        assert est == pytest.approx(si.mass(), rel=0.05)
-
-
-class TestInnerApproximation:
-    def test_large_cube_high_coverage(self):
-        dom = G.build_domain({"shape": "cube", "side": 12.0}, 1.0)
-        inner = G.inner_approximation(dom, scale=1.0, delta=0.4)
-        assert inner.volume / dom.volume >= 0.9
-
-    def test_subset_always(self):
-        dom = G.build_domain({"shape": "ball", "radius": 4.0}, 1.0)
-        inner = G.inner_approximation(dom, scale=2.0, delta=0.5)
-        sites = {tuple(s) for s in dom.idx.tolist()}
-        assert all(tuple(s) in sites for s in inner.idx.tolist())
-
-    def test_oversized_scale_empty_with_warning(self):
-        dom = G.build_domain({"shape": "cube", "side": 3.0}, 1.0)
-        inner = G.inner_approximation(dom, scale=10.0, delta=0.5)
-        assert inner.n_sites == 0
-        assert inner.warning
-
-    def test_monotone_in_scale(self):
-        dom = G.build_domain({"shape": "cube", "side": 12.0}, 1.0)
-        vols = [
-            G.inner_approximation(dom, scale=s, delta=0.4).volume for s in (1.0, 2.0, 3.0)
-        ]
-        assert vols[0] >= vols[1] >= vols[2]
+        est = box * tile_row(self.tiling, 2, (0, 0, 0), pts, ell, r_j, n_quad=8).mean()
+        assert est == pytest.approx(ell ** 3 / 24.0, rel=0.05)

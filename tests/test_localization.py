@@ -19,6 +19,17 @@ def random_state(space, seed):
     return F.FockState(space, M / np.trace(M).real, validate=False)
 
 
+def localize_state(state, q):
+    """The q-localized state tr_2(U G U*) of a FockState."""
+    M = L.localize_positive_operator(state.space, state.matrix, q)
+    return F.FockState(state.space, M, validate=False)
+
+
+def family_weight(weights, P):
+    """q_P = (sum_{i in P} q_i^2)^(1/2) of a validated commuting family."""
+    return L._family_weight(L._validated_family(weights), P)
+
+
 def lifted_ops(space, f):
     """c^dag(f) and d^dag(f) on the doubled space, built independently."""
     D = space.dim
@@ -43,7 +54,7 @@ class TestIsometry:
 
     def test_identity_weight_appends_vacuum(self):
         space = F.build_space(4, "fermion")
-        U = L.localization_isometry(space, L.LocalizationWeight.identity(4))
+        U = L.localization_isometry(space, L.LocalizationWeight(np.ones(4)))
         rng = np.random.default_rng(2)
         psi = rng.standard_normal(space.dim)
         psi /= np.linalg.norm(psi)
@@ -81,13 +92,13 @@ class TestLocalizeState:
     def test_identity_weight_is_identity(self):
         space = F.build_space(4, "fermion")
         st = random_state(space, 4)
-        loc = L.localize_state(st, L.LocalizationWeight.identity(4))
+        loc = localize_state(st, L.LocalizationWeight(np.ones(4)))
         assert np.abs(loc.matrix - st.matrix).max() < 1e-12
 
     def test_zero_weight_gives_vacuum(self):
         space = F.build_space(4, "fermion")
         st = random_state(space, 5)
-        loc = L.localize_state(st, L.LocalizationWeight.zero(4))
+        loc = localize_state(st, L.LocalizationWeight.zero(4))
         vac = np.zeros(space.dim)
         vac[space.vacuum_index()] = 1.0
         assert np.abs(loc.matrix - np.outer(vac, vac)).max() < 1e-12
@@ -97,7 +108,7 @@ class TestLocalizeState:
         space = F.build_space(5, "fermion")
         st = random_state(space, 6)
         rng = np.random.default_rng(7)
-        loc = L.localize_state(st, L.LocalizationWeight(rng.random(5)))
+        loc = localize_state(st, L.LocalizationWeight(rng.random(5)))
         assert np.trace(loc.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_one_body_density_conjugation(self):
@@ -105,7 +116,7 @@ class TestLocalizeState:
         st = random_state(space, 8)
         rng = np.random.default_rng(9)
         w = L.LocalizationWeight(rng.random(4))
-        loc = L.localize_state(st, w)
+        loc = localize_state(st, w)
         g_orig = F.reduced_density(st, 1).matrix
         g_loc = F.reduced_density(loc, 1).matrix
         assert np.abs(g_loc - w.q @ g_orig @ w.q).max() < 1e-10
@@ -115,7 +126,7 @@ class TestLocalizeState:
         st = random_state(space, 10)
         rng = np.random.default_rng(11)
         w = L.LocalizationWeight(rng.random(4))
-        loc = L.localize_state(st, w)
+        loc = localize_state(st, w)
         g2 = F.reduced_density(st, 2).matrix
         g2_loc = F.reduced_density(loc, 2).matrix
         pairs = list(itertools.combinations(range(4), 2))
@@ -132,7 +143,7 @@ class TestLocalizeState:
         space = F.build_space(5, "fermion")
         st = random_state(space, 12)
         proj = L.LocalizationWeight(np.array([1.0, 1.0, 0.0, 0.0, 0.0]))
-        loc = L.localize_state(st, proj)
+        loc = localize_state(st, proj)
         U, s1, s2 = F.split_isomorphism(space, 2)
         big = U @ st.matrix @ U.conj().T.toarray()
         red = F.partial_trace_second(big, s1.dim, s2.dim)
@@ -148,7 +159,7 @@ class TestLocalizeState:
         V = np.linalg.qr(rng.standard_normal((4, 4)))[0]
         st = F.quasi_free_state(space, (V * lam) @ V.T)
         w = L.LocalizationWeight(rng.random(4))
-        loc = L.localize_state(st, w)
+        loc = localize_state(st, w)
         g1 = F.reduced_density(loc, 1).matrix
         g2 = F.reduced_density(loc, 2).matrix
         pairs = list(itertools.combinations(range(4), 2))
@@ -215,7 +226,7 @@ class TestChannels:
         for call in (
             lambda: L.localization_isometry(space, rotated),
             lambda: L.localize_positive_operator(space, st.matrix, rotated),
-            lambda: L.localize_state(st, rotated),
+            lambda: localize_state(st, rotated),
         ):
             with pytest.raises(ValueError, match="fermion space"):
                 call()
@@ -229,12 +240,12 @@ class TestFamilyWeight:
         rng = np.random.default_rng(14)
         raw = rng.random((3, 5)) + 0.1
         raw /= np.sqrt((raw ** 2).sum(axis=0))
-        w = L.family_weight(list(raw), [0, 1, 2])
+        w = family_weight(list(raw), [0, 1, 2])
         assert np.abs(w.q - np.eye(5)).max() < 1e-10
 
     def test_empty_set_is_zero(self):
         raw = np.ones((1, 4))
-        w = L.family_weight(list(raw), [])
+        w = family_weight(list(raw), [])
         assert np.abs(w.q).max() == 0.0
 
     def test_disjoint_indicators_give_union(self):
@@ -243,22 +254,22 @@ class TestFamilyWeight:
             np.array([0.0, 0.0, 1.0, 0.0]),
             np.array([0.0, 0.0, 0.0, 1.0]),
         ]
-        w = L.family_weight(inds, [0, 2])
+        w = family_weight(inds, [0, 2])
         assert np.abs(np.diag(w.q) - np.array([1.0, 1.0, 0.0, 1.0])).max() < 1e-12
 
     def test_partition_validated(self):
         with pytest.raises(ValueError, match="partition"):
-            L.family_weight([np.full(3, 0.5), np.full(3, 0.5)], [0])
+            family_weight([np.full(3, 0.5), np.full(3, 0.5)], [0])
 
     def test_noncommuting_rejected(self):
         q1 = np.array([[0.5, 0.2], [0.2, 0.3]])
         q2 = np.array([[0.4, 0.0], [0.0, 0.8]])
         with pytest.raises(ValueError, match="commute"):
-            L.family_weight([q1, q2], [0])
+            family_weight([q1, q2], [0])
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError, match="weight family is empty"):
-            L.family_weight([], [])
+            family_weight([], [])
 
 
 def product_state_and_blocks(seed):
@@ -331,7 +342,7 @@ def looped_entropies(state, weights, P1, P2, P3):
     family weight, the loop the stacked call replaced."""
     ws = L._validated_family(weights)
     return {
-        name: F.entropy(L.localize_state(state, L._family_weight(ws, P)))
+        name: F.entropy(localize_state(state, L._family_weight(ws, P)))
         for name, P in (("12", P1 + P2), ("23", P2 + P3), ("2", P2), ("123", P1 + P2 + P3))
     }
 
@@ -594,7 +605,7 @@ class TestCqSsa:
             rep = L.cq_ssa_gap(rho, list(qs), list(thetas), [0], [1], [2])
             for name, P in (("12", [0, 1]), ("23", [1, 2]), ("2", [1]), ("123", [0, 1, 2])):
                 theta = np.sqrt(np.clip(sum(thetas[i] ** 2 for i in P), 0.0, 1.0))
-                local = L.cq_localize(rho, L.family_weight(list(qs), P), theta)
+                local = L.cq_localize(rho, family_weight(list(qs), P), theta)
                 assert rep.extras["entropies"][name] == L.cq_entropy(local)
 
     @pytest.mark.parametrize(

@@ -91,7 +91,7 @@ class TestRunScan:
     def test_estimated_dimension_matches_built(self):
         dom = _cube(2, 1.0)
         spec = ScanSpec(model="crystal", n_max=2)
-        op = cb.coulomb_hamiltonian(dom, cb.NucleiConfig.empty(), n_max=spec.n_max)
+        op = cb.coulomb_hamiltonian(dom, cb.NucleiConfig([]), n_max=spec.n_max)
         assert _estimate_dim("crystal", dom.n_sites, spec) == op.dim
         spec = ScanSpec(model="quantum-nuclei", n_max=1, nuc_max=2, mu=(-1.0, -1.0))
         op = cb.two_species_hamiltonian(dom, 1.0, 100.0, el_max=1, nuc_max=2)
@@ -187,6 +187,15 @@ BAD_STATE_DOCS = {
     },
     "nan-entry": {**STATE_DOC, "data": ["nan"] + MIXED[1:]},
 }
+
+
+def _nonfinite_keys(value, key=None):
+    """The keys under which a config holds a NaN or infinite number."""
+    if isinstance(value, dict):
+        return [k for name, v in value.items() for k in _nonfinite_keys(v, name)]
+    if isinstance(value, list):
+        return [k for v in value for k in _nonfinite_keys(v, key)]
+    return [key] if isinstance(value, float) and not np.isfinite(value) else []
 
 
 def _write_state_file(path, doc=STATE_DOC):
@@ -295,14 +304,16 @@ class TestCli:
         assert len(rows) == 6 and code == 0
 
     def test_verify_graf_schenker_nan_point_exits_2(self, tmp_path, capsys):
-        # Python's json writes and reads NaN; a NaN point has no tile
+        # Python's json writes and reads NaN; the reader names the coordinate
+        # (Tiling.locate's own NaN error is checked in test_geometry)
         cfg = tmp_path / "gs.json"
         nan_point = [[0, 0, 0], [0.5, float("nan"), 0.1]]
         cfg.write_text(json.dumps({"configs": [{"points": nan_point, "charges": [1.0, 1.0]}]}))
         out = tmp_path / "gs.csv"
         assert cli_main(["verify", "graf-schenker", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: tile cell coordinate NaN") and "Traceback" not in err
+        assert err.startswith("error: config.configs[0].points[1][1] must be a finite number")
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -366,6 +377,18 @@ class TestCli:
             # dense_cap bounds densified blocks only: no lowest eigenvalue reads it
             (["energy"], {**MODEL_CONFIG, "dense_cap": 2048}),
             (["compare-perturbation"], {"sides": [2], "n_max": 1, "dense_cap": 4096}),
+            # json writes and reads NaN and Infinity; the error names the key
+            (["free-energy"], {**MODEL_CONFIGS["free-energy"], "beta": float("nan")}),
+            (["free-energy"], {**MODEL_CONFIGS["free-energy"], "mu": float("nan")}),
+            (["free-energy"], {**MODEL_CONFIGS["free-energy"], "beta": float("inf")}),
+            (["scan"], {"sides": [2], "n_max": 1, "beta": float("nan")}),
+            (["hf"], {**HF_CONFIG, "mu": float("inf")}),
+            (
+                ["energy"],
+                {**MODEL_CONFIG, "nuclei": [{"position": [0.4, float("nan"), 0.4], "z": 2.0}]},
+            ),
+            (["scan"], {"sides": [2], "n_max": 1, "z": float("nan")}),
+            (["compare-perturbation"], {"sides": [2], "n_max": 1, "z": float("nan")}),
         ],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, argv, bad):
@@ -377,6 +400,34 @@ class TestCli:
         assert cli_main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        for key in _nonfinite_keys(bad):
+            assert f".{key}" in err and "must be a finite number" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, bad, message",
+        [
+            (["hf"], {**HF_CONFIG, "beta": 0}, "beta must be positive"),
+            (["hf"], {**HF_CONFIG, "beta": -1.0}, "beta must be positive"),
+            (["verify", "yukawa"], {"n_configs": 2, "nus": [-1.0]}, "nu must be nonnegative"),
+            (
+                ["verify", "li-yau"],
+                {"cases": [{"lengths": [-1.0], "f": {"kind": "exp"}}]},
+                "box lengths must be positive",
+            ),
+            (["ssa", "cq"], {"cells": 0, "n_states": 1}, "cells must be at least 1"),
+        ],
+        ids=["hf-beta-0", "hf-beta-negative", "yukawa-nu-negative", "li-yau-length-negative",
+             "cq-no-cells"],
+    )
+    def test_out_of_range_exits_2(self, tmp_path, capsys, argv, bad, message):
+        # exit 1 means a paper inequality failed; a bad input is exit 2
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        out = tmp_path / "bad.csv"
+        assert cli_main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
         assert not out.exists()
 
     def test_verify_lieb_yau_baxter_rows_take_suite_bounds(self):
@@ -646,25 +697,48 @@ UNREACHED_ALLOWED = {
     "fock.entropy": "the dense entropy oracle of the SSA and variational tests",
     "fock.split_isomorphism": "acceptance criteria 2 and 5, the tensor-factor isomorphism",
     "fock.quasi_free_state": "acceptance criterion 5",
-    "geometry.SmoothedIndicator": "one tile's mollified indicator, a row of tile_weight_table",
     "geometry.RegularityProfile": "what regularity_profile returns",
     "geometry.ConeCheckResult": "what cone_check returns",
     "geometry.cone_check": "Part I regularity diagnostic, not a CLI column yet",
     "geometry.regularity_profile": "Part I regularity diagnostic, not a CLI column yet",
-    "geometry.inner_approximation": "Part I inner tile approximation",
     "inequalities.smooth_gs_check": "the mollified Graf-Schenker check, not a CLI row yet",
     "inequalities.w_kernel_quadrature_error": "quadrature check of the kernel W verify yukawa uses",
     "inequalities.peierls_gap": "acceptance criterion 7",
     "inequalities.diamagnetic_gap": "acceptance criterion 7",
     "localization.localization_isometry": "acceptance criterion 5",
-    "localization.localize_state": "acceptance criterion 5",
     "localization.localize_positive_operator": "acceptance criterion 5",
-    "localization.family_weight": "the validated form of the SSA weights q_P",
     "localization.cq_entropy": "acceptance criterion 4",
     "localization.cq_localize": "the per-set oracle of cq_ssa_gap's one-pass entropies",
     "localization.quantize_cq": "acceptance criterion 4",
     "localization.QuantizeResult": "what quantize_cq returns",
 }
+
+
+# Public methods and properties of exported classes that no CLI runner
+# reaches, each with the reason it stays.
+MEMBERS_ALLOWED = {
+    "coulomb.ManyBodyOperator.dim": "the Fock dimension ground_state_vector and gibbs_matrix fill",
+    "coulomb.FreeEnergyResult.gibbs_matrix": "the Gibbs state, the variational bound's minimizer",
+    "fock.FockSpaceDesc.vacuum_index": "the doubled vacuum of localization_isometry",
+    "fock.FockState.expectation": "the energy term of variational_free_energy",
+    "geometry.Domain.boundary_sites": "Part I regularity diagnostic (cone_check)",
+    "geometry.Domain.boundary_points": "Part I regularity diagnostic (regularity_profile)",
+    "geometry.Domain.contains_idx": "Part I regularity diagnostic (cone_check)",
+    "geometry.Domain.ghost_sites": "Part I regularity diagnostic (cone_check)",
+    "geometry.Domain.diameter": "Part I regularity diagnostic (regularity_profile)",
+    "localization.LocalizationWeight.zero": "q of an empty index set; no CLI set is empty",
+    "localization.QuantizeResult.corrected_entropy": "acceptance criterion 4",
+    "scan.ScanResult.running_floors": "acceptance criterion 9",
+    "scan.ScanResult.floor_variation": "acceptance criterion 9",
+}
+
+
+def _member_code(member):
+    """The code object a call of a class member runs, or None for a member
+    that is not a method or property."""
+    for attr in ("fget", "func", "__func__"):  # property, cached_property, classmethod
+        member = getattr(member, attr, member)
+    return getattr(member, "__code__", None)
 
 
 def test_every_public_name_is_reached_or_allowed(tmp_path):
@@ -674,6 +748,9 @@ def test_every_public_name_is_reached_or_allowed(tmp_path):
                      "n_states": 0, "modes": 3}),
         *[("scan", cfg) for cfg in SCAN_CONFIGS[1:]],
         ("energy", {**MODEL_CONFIG, "field": {"kind": "constant", "B": [0.0, 0.0, 0.5]}}),
+        ("energy", {**MODEL_CONFIG, "field": {"kind": "periodic_sine", "amplitude": 1.0,
+                                              "period": 4.0}}),
+        ("hf", {**HF_CONFIG, "field": {"kind": "random", "seed": 3}}),
         ("lieb-yau", {"configs": [{"electrons": [[0, 0, 0]], "nuclei": [[0, 0, 2.0]], "z": 1.5}]}),
     ]
     codes, types = set(), set()
@@ -697,6 +774,7 @@ def test_every_public_name_is_reached_or_allowed(tmp_path):
     finally:
         sys.setprofile(None)
     public, unreached = set(), []
+    members, unreached_members = set(), []
     for module in coulomblab.__all__:
         mod = importlib.import_module(f"coulomblab.{module}")
         for name in mod.__all__:
@@ -705,5 +783,16 @@ def test_every_public_name_is_reached_or_allowed(tmp_path):
             reached = obj in types if isinstance(obj, type) else obj.__code__ in codes
             if not reached:
                 unreached.append(f"{module}.{name}")
+            if not isinstance(obj, type):
+                continue
+            for attr, member in vars(obj).items():
+                code = _member_code(member)
+                if attr.startswith("_") or code is None:
+                    continue
+                members.add(f"{module}.{name}.{attr}")
+                if code not in codes:
+                    unreached_members.append(f"{module}.{name}.{attr}")
     assert [n for n in unreached if n not in UNREACHED_ALLOWED] == []
     assert sorted(set(UNREACHED_ALLOWED) - public) == []
+    assert [m for m in unreached_members if m not in MEMBERS_ALLOWED] == []
+    assert sorted(set(MEMBERS_ALLOWED) - members) == []
