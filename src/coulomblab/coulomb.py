@@ -74,6 +74,8 @@ class MagneticField:
     @classmethod
     def periodic_sine(cls, amplitude, period):
         """A = (0, amp sin(2 pi x / L), 0): divergence free, curl periodic."""
+        if period == 0:
+            raise ValueError(f"periodic_sine period must be nonzero, got {period!r}")
         k = 2.0 * np.pi / period
 
         def A(pts):
@@ -100,91 +102,74 @@ class MagneticField:
         return cls(A, label=f"random{seed}")
 
 
-class NucleiConfig:
-    """Point nuclei {(R_k, z_k)}.
+# The crystal: one nucleus per cell of a Z^3, at +a/4 on each axis.  A nucleus
+# is kept within _LATTICE_MARGIN * a (max-norm) of a grid site, the discrete
+# version of "inside Omega".
+_NUCLEUS_OFFSET = 0.25
+_LATTICE_MARGIN = 0.49
 
-    Positions must be pairwise distinct whenever both charges are nonzero;
-    min_separation is the smallest pairwise distance over all entries.
+
+class NucleiConfig:
+    """Point nuclei {(R_k, z_k)}: positions (K, 3) and charges (K,).
+
+    Charges must be nonnegative, and positions pairwise distinct whenever
+    both charges are nonzero (hypothesis D3); min_separation is the smallest
+    pairwise distance over all entries.
     """
 
     def __init__(self, entries):
-        self.entries = [(np.asarray(R, dtype=float).reshape(3), float(z)) for R, z in entries]
-        if any(z < 0 for _, z in self.entries):
-            raise ValueError("nuclear charges must be nonnegative")
-        self._pairs = _pair_table(self.positions)
+        self._set(*_entry_arrays(entries))
+
+    def _set(self, positions, charges):
+        self.positions, self.charges = positions, charges
+        if (charges < 0).any():
+            raise ValueError(f"nuclear charges must be nonnegative, got {float(charges.min())}")
+        self._pairs = _pair_table(positions)
         i, j, d = self._pairs
-        z = self.charges
-        if ((d < 1e-12) & (z[i] * z[j] != 0.0)).any():
-            raise ValueError("coincident nuclei with nonzero charges")
+        if ((d < 1e-12) & (charges[i] * charges[j] != 0.0)).any():
+            raise ValueError("hyp_D3 violated: coincident nuclei with nonzero charges")
         self.min_separation = float(d.min()) if d.size else np.inf
 
     def __len__(self):
-        return len(self.entries)
-
-    @property
-    def positions(self):
-        return np.array([R for R, _ in self.entries]).reshape(-1, 3)
-
-    @property
-    def charges(self):
-        return np.array([z for _, z in self.entries])
+        return len(self.charges)
 
     @classmethod
-    def from_lattice(
-        cls,
-        cell,
-        basis,
-        domain,
-        deformation=None,
-        defects=(),
-        margin=0.5,
-    ):
-        """Nuclei of a (possibly deformed) lattice lying inside the domain.
+    def from_lattice(cls, domain, z, defects=()):
+        """The crystal on the domain: charge z at a (u + 1/4) for every site
+        a u, in lexicographic order of u, and then each defect, a (position,
+        charge) pair, that lies within _LATTICE_MARGIN * a of a site.
 
-        cell is the cubic lattice constant; basis lists (fractional position,
-        charge) per cell; deformation maps a lattice position to
-        (displacement, charge shift); defects are extra (position, charge)
-        pairs.  A nucleus is kept when it lies within margin*a (max-norm) of a
-        grid site, the discrete version of "inside Omega".
-        """
-        cell = float(cell)
-        pts = domain.points
-        lo = pts.min(axis=0) - domain.a
-        hi = pts.max(axis=0) + domain.a
-        n_lo = np.floor(lo / cell).astype(int) - 1
-        n_hi = np.ceil(hi / cell).astype(int) + 1
-        shifts = np.array(
-            list(itertools.product(*(range(l, h + 1) for l, h in zip(n_lo, n_hi)))), dtype=float
-        )
-        fracs = np.array([frac for frac, _ in basis], dtype=float).reshape(-1, 3)
-        # candidates in (cell, basis point) order, each cell*shift + cell*frac
-        pos = ((cell * shifts)[:, None, :] + (cell * fracs)[None, :, :]).reshape(-1, 3)
-        charge = np.tile(np.array([z for _, z in basis], dtype=float), len(shifts))
-        if deformation is not None:
-            for k in range(len(pos)):
-                disp, dch = deformation(pos[k].copy(), charge[k])
-                pos[k] = pos[k] + np.asarray(disp, dtype=float)
-                charge[k] = charge[k] + float(dch)
-        cands = [(R, max(z, 0.0)) for R, z in zip(pos, charge.tolist())]
-        cands += [(np.asarray(R, dtype=float).reshape(3), float(z)) for R, z in defects]
-        keep = _inside_domain(domain, np.array([R for R, _ in cands]).reshape(-1, 3), margin)
-        entries = [c for c, k in zip(cands, keep) if k]
-        try:
-            cfg = cls(entries)
-        except ValueError as exc:
-            raise ValueError(f"hyp_D3 violated: {exc}")
-        if len(cfg) > 1 and cfg.min_separation <= 1e-9:
-            raise ValueError("hyp_D3 violated: deformed nuclei collide")
+        These are the lattice nuclei within the margin of a site, as a
+        lattice nucleus sits a/4 from its own site and at least 3a/4 (on one
+        axis) from every other."""
+        a = domain.a
+        cells = np.unique(domain.idx, axis=0)
+        R, q = _entry_arrays(defects)
+        keep = _inside_domain(domain, R)
+        R = np.concatenate([a * cells + a * _NUCLEUS_OFFSET, R[keep]])
+        q = np.concatenate([np.full(len(cells), float(z)), q[keep]])
+        cfg = cls.__new__(cls)
+        cfg._set(R, q)
+        if cfg.min_separation <= 1e-9:
+            raise ValueError("hyp_D3 violated: a defect collides with a nucleus")
         return cfg
 
 
-def _inside_domain(domain, R, margin):
-    """Mask over the rows of R: within margin*a (max-norm) of a grid site."""
+def _entry_arrays(entries):
+    """(positions (K, 3), charges (K,)) of (position, charge) pairs."""
+    entries = list(entries)
+    pos = [np.asarray(R, dtype=float).reshape(3) for R, _ in entries]
+    return np.array(pos).reshape(-1, 3), np.array([z for _, z in entries], dtype=float)
+
+
+def _inside_domain(domain, R):
+    """Mask over the rows of R: within _LATTICE_MARGIN * a (max-norm) of a
+    grid site."""
     # one axis at a time: a max over a trailing axis of length 3 is ~10x slower
     d = np.zeros((len(R), domain.n_sites))
     for k in range(3):
         np.maximum(d, np.abs(R[:, k, None] - domain.points[None, :, k]), out=d)
-    return d.min(axis=1) <= margin * domain.a + 1e-12
+    return d.min(axis=1) <= _LATTICE_MARGIN * domain.a + 1e-12
 
 
 def _pair_table(positions):
@@ -223,21 +208,11 @@ def kinetic_operator(domain, field=None, mass_scale=1.0):
     return mass_scale * T
 
 
-# the default key, precomputed: its 10^6-sample Monte Carlo costs 0.1-0.2 s
-# per process (the tests recompute it bit for bit)
-_ALPHA_CACHE = {(2024, 10 ** 6): 1.8829734063928072}
-
-
-def onsite_alpha(seed=2024, samples=10 ** 6):
+def onsite_alpha():
     """Cell-averaged Coulomb constant: E[1/|u - v|] for u, v uniform in the
-    unit cube, by seeded Monte Carlo.  The on-site kernel value is alpha/a."""
-    key = (seed, samples)
-    if key not in _ALPHA_CACHE:
-        rng = np.random.default_rng(seed)
-        u = rng.random((samples, 3))
-        v = rng.random((samples, 3))
-        _ALPHA_CACHE[key] = float(np.mean(1.0 / np.linalg.norm(u - v, axis=1)))
-    return _ALPHA_CACHE[key]
+    unit cube, the mean of 10^6 seeded Monte Carlo samples (seed 2024; the
+    tests recompute it bit for bit).  The on-site kernel value is alpha/a."""
+    return 1.8829734063928072
 
 
 def coulomb_kernel(domain):
@@ -354,13 +329,9 @@ class _Electrons:
     nuclear repulsion, so operator(nuclei) adds one diagonal to base.
     """
 
-    def __init__(
-        self, domain, field=None, statistics="fermion", n_max=None, boson_cap=4, dim_cap=16384
-    ):
+    def __init__(self, domain, field=None, n_max=None, dim_cap=16384):
         self.domain = domain
-        self.space = build_space(
-            domain.n_sites, statistics=statistics, boson_cap=boson_cap, n_max=n_max, dim_cap=dim_cap
-        )
+        self.space = build_space(domain.n_sites, n_max=n_max, dim_cap=dim_cap)
         T = kinetic_operator(domain, field)
         self.base = (
             second_quantize_onebody(self.space, T)
@@ -387,18 +358,11 @@ class _Electrons:
         return ManyBodyOperator(H, self.space.sectors, space=self.space, reflections=reflections)
 
 
-def coulomb_hamiltonian(
-    domain,
-    nuclei,
-    field=None,
-    statistics="fermion",
-    n_max=None,
-    boson_cap=4,
-    dim_cap=16384,
-):
+def coulomb_hamiltonian(domain, nuclei, field=None, n_max=None, dim_cap=16384):
     """H = dGamma(T(A) - sum_k z_k/|x - R_k|) + (1/2) sum_{i != j} 1/|x_i - x_j|
-    + nuclear constant, block diagonal over particle-number sectors."""
-    return _Electrons(domain, field, statistics, n_max, boson_cap, dim_cap).operator(nuclei)
+    + nuclear constant on the fermionic Fock space, block diagonal over
+    particle-number sectors."""
+    return _Electrons(domain, field, n_max, dim_cap).operator(nuclei)
 
 
 @dataclass
@@ -783,6 +747,11 @@ def _subspace_blocks(block, place, orbits, S_all, lam_all, V_all, label, chosen)
     return [M[offset[i] : offset[i] + m[i] ** 2].reshape(m[i], m[i]) for i in range(n_c)]
 
 
+# Largest block densified unless the caller sets dense_cap: the sector of
+# ground_state_vector, and the default of free_energy and its callers.
+_DENSE_CAP = 4096
+
+
 def _fit_dense(what, dim, dense_cap):
     if dim > dense_cap:
         raise ValueError(f"{what} dimension {dim} exceeds dense cap {dense_cap}")
@@ -810,12 +779,12 @@ def _sector_spectrum(op, key, dense_cap):
     return np.sort(np.concatenate(vals))
 
 
-def ground_state_vector(op, dense_cap=4096):
+def ground_state_vector(op):
     """(energy, sector key, full-space vector) of the minimizing sector, by
-    one eigh of its whole block, which must fit dense_cap."""
+    one eigh of its whole block, which must fit _DENSE_CAP."""
     res = ground_state_energy(op)
     idx = op.sectors[res.n_star]
-    _fit_dense(f"sector {res.n_star}", idx.size, dense_cap)
+    _fit_dense(f"sector {res.n_star}", idx.size, _DENSE_CAP)
     _vals, vecs = _dense_eig(op.sector_matrix(res.n_star).toarray(), vectors=True)
     full = np.zeros(op.dim, dtype=vecs.dtype)
     full[idx] = vecs[:, 0]
@@ -844,7 +813,7 @@ class FreeEnergyResult:
     """F = -log(Z)/beta with the exact sector eigenvalue table retained;
     dense_cap bounds the sector blocks gibbs_matrix densifies."""
 
-    def __init__(self, op, beta, mu, sector_eigs, dense_cap=4096):
+    def __init__(self, op, beta, mu, sector_eigs, dense_cap=_DENSE_CAP):
         self.op = op
         self.beta = float(beta)
         self.mu = mu
@@ -887,7 +856,7 @@ class FreeEnergyResult:
         return M
 
 
-def free_energy(op, beta, mu, dense_cap=4096):
+def free_energy(op, beta, mu, dense_cap=_DENSE_CAP):
     """Exact grand-canonical free energy by full per-sector diagonalization."""
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -1028,14 +997,14 @@ class ConcavityReport:
 _CONCAVITY_TOL = 1e-9
 
 
-def charge_concavity_scan(domain, positions, z_max, grid_steps, n_max=None, dim_cap=16384):
+def charge_concavity_scan(domain, positions, z_max, grid_steps, n_max=None):
     """Tabulate f(z_1..z_K) = inf spec H (electrons) over a charge grid;
     checks discrete per-axis midpoint concavity and corner attainment of the
     minimum, each to _CONCAVITY_TOL."""
     K = len(positions)
     if K > 3 or grid_steps > 9:
         raise ValueError("scan limited to K <= 3 nuclei and <= 9 grid steps")
-    electrons = _Electrons(domain, n_max=n_max, dim_cap=dim_cap)
+    electrons = _Electrons(domain, n_max=n_max)
     zs = np.linspace(0.0, z_max, grid_steps)
     table = np.empty((grid_steps,) * K)
     for idx in itertools.product(range(grid_steps), repeat=K):
@@ -1092,7 +1061,7 @@ _TRUNCATION_TOL = 1e-6
 
 def classical_nuclei_free_energy(
     domain, z, beta, mu, K_max, nucleus_grid, cell_volume, n_max=None, dim_cap=16384,
-    dense_cap=4096,
+    dense_cap=_DENSE_CAP,
 ):
     """Free energy with a classical-nucleus sum: -log(Z)/beta with
 
@@ -1159,6 +1128,8 @@ def two_species_hamiltonian(
 
     Same-site pairs use the cell-averaged kernel value alpha/a.
     """
+    if not M > 0:
+        raise ValueError(f"nucleus mass M must be positive, got {M!r}")
     n = domain.n_sites
     el = build_space(n, "fermion", n_max=el_max, dim_cap=dim_cap)
     nuc = build_space(n, "boson", boson_cap=max(1, nuc_max), n_max=nuc_max, dim_cap=dim_cap)

@@ -112,6 +112,8 @@ def _count_table(n, per_mode, n_max):
     occupation rows on m modes with entries <= per_mode and total <= t, as
     exact integers, so counts[n, top] is the basis dimension.  Row n + 1 is
     zero, so the list pad -1 adds nothing to a rank."""
+    if n_max is not None and n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max!r}")
     top = n * per_mode if n_max is None else min(n_max, n * per_mode)
     counts = np.zeros((n + 2, top + 1), dtype=object)
     counts[0] = 1

@@ -17,7 +17,6 @@ __all__ = [
     "build_domain",
     "cone_check",
     "regularity_profile",
-    "unit_cube_tiling",
     "tile_weight_table",
 ]
 
@@ -296,18 +295,18 @@ def _tetra_halfspaces(verts):
 
 
 class Tiling:
-    """24 congruent tetrahedra tiling the unit cube, replicated over Z^3.
+    """24 congruent tetrahedra tiling the unit cube [-1/2, 1/2]^3, replicated
+    over Z^3.
 
     Tile pieces at scale ell are ell*(R_m @ T0 + u + v) for chamber m, integer
-    cell u and the fixed shift v chosen so the canonical tile contains the
-    origin.
+    cell u and the shift v, the negated barycenter of the canonical
+    tetrahedron, so the canonical tile contains the origin.
     """
 
-    def __init__(self, shift=None):
+    def __init__(self):
         self.rotations = cube_rotations()
         self.tetrahedra = np.einsum("mij,vj->mvi", self.rotations, _CANONICAL_TETRA)
-        bary = _CANONICAL_TETRA.mean(axis=0)
-        self.shift = -bary if shift is None else np.asarray(shift, dtype=float)
+        self.shift = -_CANONICAL_TETRA.mean(axis=0)
         normals, offsets = [], []
         for verts in self.tetrahedra:
             nrm, off = _tetra_halfspaces(verts)
@@ -316,10 +315,6 @@ class Tiling:
         # face-major: entry f * 24 + m holds face f of chamber m
         self._normals = np.array(normals).transpose(1, 0, 2).reshape(-1, 3)  # (96, 3)
         self._offsets = np.array(offsets).T.reshape(1, -1)  # (1, 96)
-        # the shifted canonical tile must contain the origin
-        nrm0, off0 = _tetra_halfspaces(_CANONICAL_TETRA)
-        if (off0 - nrm0 @ (-self.shift)).min() <= 0:
-            raise ValueError("invalid shift: origin not inside the base tile")
         # chamber of each code, read off the margins at one interior point per
         # realizable code: |p| = (0.4, 0.2, 0.1) in every order, every sign
         mags = np.array(list(itertools.permutations((0.4, 0.2, 0.1))))
@@ -399,16 +394,6 @@ def _pack(chamber, ux, uy, uz):
     key *= 24
     key += chamber
     return key
-
-
-def unit_cube_tiling(v=None):
-    """The 24-tetrahedron tiling of [-1/2, 1/2]^3.
-
-    v defaults to the negated barycenter of the canonical tetrahedron so the
-    base tile contains the origin; an explicit v must satisfy the same
-    condition.
-    """
-    return Tiling(shift=v)
 
 
 # ---------------------------------------------------------------------------

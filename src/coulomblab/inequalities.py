@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from . import coulomb as cb
 from .fock import build_space, second_quantize_onebody
-from .geometry import _mollifier_nodes, _sample_motions, tile_weight_table, unit_cube_tiling
+from .geometry import Tiling, _mollifier_nodes, _sample_motions, tile_weight_table
 
 __all__ = [
     "Report",
@@ -227,7 +227,7 @@ _N_QUAD = 8
 @functools.cache
 def _tiling():
     """The unit-cube tiling of every tile check, built on first use."""
-    return unit_cube_tiling()
+    return Tiling()
 
 
 def _require_scales(ell_list, samples=1):

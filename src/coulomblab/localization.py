@@ -259,6 +259,8 @@ class CQState:
     """
 
     def __init__(self, space, cell_volume, blocks, validate=True, norm_tol=1e-10):
+        if not cell_volume > 0:
+            raise ValueError(f"cell_volume must be positive, got {cell_volume!r}")
         self.space = space
         self.cell_volume = float(cell_volume)
         self.blocks = {int(K): np.asarray(B, dtype=complex) for K, B in blocks.items()}

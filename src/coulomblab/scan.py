@@ -6,7 +6,7 @@ boundedness (finite running floors) and the single monotonicity trend in
 perturbation_compare.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,8 +15,6 @@ from .fock import _count_table
 from .geometry import build_domain
 
 __all__ = ["ScanSpec", "ScanRow", "ScanResult", "run_scan", "perturbation_compare"]
-
-_NUCLEUS_OFFSET = np.array([0.25, 0.25, 0.25])
 
 
 @dataclass
@@ -84,7 +82,7 @@ class ScanRow:
 class ScanResult:
     spec: ScanSpec
     rows: list
-    floors: dict = field(default_factory=dict)
+    floors: dict
 
     def running_floors(self, which="energy_per_volume"):
         vals = [getattr(r, which) for r in self.rows]
@@ -104,15 +102,6 @@ def _cube(side, a):
     return build_domain({"shape": "cube", "side": side * a}, a)
 
 
-def _crystal_nuclei(domain, z):
-    return cb.NucleiConfig.from_lattice(
-        domain.a,
-        [(_NUCLEUS_OFFSET, z)],
-        domain,
-        margin=0.49,
-    )
-
-
 def _candidate_positions(domain, per_side):
     """Coarse grid of nucleus candidates: off-site cell points of up to
     per_side^3 evenly spaced sites."""
@@ -126,7 +115,7 @@ def _candidate_positions(domain, per_side):
     for i in picks[0]:
         for j in picks[1]:
             for k in picks[2]:
-                out.append((np.array([i, j, k], dtype=float) + _NUCLEUS_OFFSET) * domain.a)
+                out.append((np.array([i, j, k], dtype=float) + cb._NUCLEUS_OFFSET) * domain.a)
     return out
 
 
@@ -153,10 +142,8 @@ def run_scan(spec):
             continue
         flags = []
         if spec.model == "crystal":
-            nuclei = _crystal_nuclei(domain, spec.z)
-            op = cb.coulomb_hamiltonian(
-                domain, nuclei, n_max=spec.n_max, dim_cap=spec.dim_cap
-            )
+            nuclei = cb.NucleiConfig.from_lattice(domain, spec.z)
+            op = cb.coulomb_hamiltonian(domain, nuclei, n_max=spec.n_max, dim_cap=spec.dim_cap)
             f_res = cb.free_energy(op, spec.beta, spec.mu, dense_cap=spec.dense_cap)
             energy, fval = f_res.ground_state().value, f_res.value
             mean_n = float(np.atleast_1d(f_res.mean_charge())[0])
@@ -209,16 +196,12 @@ def run_scan(spec):
                 ";".join(flags),
             )
         )
-    result = ScanResult(spec, rows)
     good = [r for r in rows if not r.flags.startswith("skipped")]
-    if good:
-        result.floors = {
-            "energy_per_volume": min(r.energy_per_volume for r in good),
-            "f_per_volume": min(r.f_per_volume for r in good),
-        }
-    else:
-        result.floors = {"energy_per_volume": np.nan, "f_per_volume": np.nan}
-    return result
+    floors = {
+        which: min((getattr(r, which) for r in good), default=np.nan)
+        for which in ("energy_per_volume", "f_per_volume")
+    }
+    return ScanResult(spec, rows, floors)
 
 
 def _cap_weight(f_res, n_cap):
@@ -228,7 +211,7 @@ def _cap_weight(f_res, n_cap):
     return float(sum(weights[k].sum() for k in top))
 
 
-def perturbation_compare(spec, defects=(), deformation=None):
+def perturbation_compare(spec, defects=()):
     """|E_(perturbed) - E_(periodic)| / |O| across the size sequence.
 
     For compactly supported perturbations the ratio is asserted nonincreasing
@@ -240,15 +223,8 @@ def perturbation_compare(spec, defects=(), deformation=None):
     rows = []
     for side in spec.sides:
         domain = _cube(side, spec.spacing)
-        base = _crystal_nuclei(domain, spec.z)
-        pert = cb.NucleiConfig.from_lattice(
-            domain.a,
-            [(_NUCLEUS_OFFSET, spec.z)],
-            domain,
-            deformation=deformation,
-            defects=defects,
-            margin=0.49,
-        )
+        base = cb.NucleiConfig.from_lattice(domain, spec.z)
+        pert = cb.NucleiConfig.from_lattice(domain, spec.z, defects)
         electrons = cb._Electrons(domain, n_max=spec.n_max, dim_cap=spec.dim_cap)
         op0, op1 = electrons.operator(base), electrons.operator(pert)
         e0 = cb.ground_state_energy(op0).value

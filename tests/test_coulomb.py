@@ -28,7 +28,7 @@ def chain(n, a=1.0):
 
 
 def crystal_nuclei(dom, z=0.5):
-    return C.NucleiConfig.from_lattice(1.0, [((0.25, 0.25, 0.25), z)], dom, margin=0.49)
+    return C.NucleiConfig.from_lattice(dom, z)
 
 
 def crystal(side):
@@ -77,9 +77,7 @@ HISTORY_BLOCKS = dict(LANCZOS_BLOCKS, **{"crystal-5": lambda: crystal(5).sector_
 def defect_crystal(side):
     """The crystal of compare-perturbation's default config, with its defect."""
     dom = cube(side)
-    nuclei = C.NucleiConfig.from_lattice(
-        1.0, [((0.25, 0.25, 0.25), 0.5)], dom, defects=[((0.65, 0.65, 0.65), 0.5)], margin=0.49
-    )
+    nuclei = C.NucleiConfig.from_lattice(dom, 0.5, defects=[((0.65, 0.65, 0.65), 0.5)])
     return C.coulomb_hamiltonian(dom, nuclei, n_max=2)
 
 
@@ -153,46 +151,34 @@ class TestNuclei:
 
     def test_lattice_generation_counts(self):
         dom = cube(3)
-        cfg = C.NucleiConfig.from_lattice(1.0, [((0.25, 0.25, 0.25), 1.0)], dom, margin=0.49)
+        cfg = C.NucleiConfig.from_lattice(dom, 1.0)
         assert len(cfg) == 27
 
-    def test_deformation_collision_rejected(self):
-        dom = cube(2)
 
-        def smash(R, z):
-            # collapse every nucleus onto one point
-            return -R + np.array([0.3, 0.3, 0.3]), 0.0
-
-        with pytest.raises(ValueError, match="hyp_D3"):
-            C.NucleiConfig.from_lattice(
-                1.0, [((0.25, 0.25, 0.25), 1.0)], dom, deformation=smash, margin=0.49
-            )
-
-
-def loop_from_lattice(cell, basis, domain, deformation=None, defects=(), margin=0.5):
-    """Entries of NucleiConfig.from_lattice by the per-point loop it replaced."""
-    pts = domain.points
-    n_lo = np.floor((pts.min(axis=0) - domain.a) / cell).astype(int) - 1
-    n_hi = np.ceil((pts.max(axis=0) + domain.a) / cell).astype(int) + 1
+def loop_from_lattice(domain, z, defects=()):
+    """Entries of NucleiConfig.from_lattice by the per-point loop it replaced:
+    every +a/4 point of a box of cells around the domain, and every defect,
+    kept within 0.49 a (max-norm) of a site."""
+    a, pts = domain.a, domain.points
+    n_lo = np.floor((pts.min(axis=0) - a) / a).astype(int) - 1
+    n_hi = np.ceil((pts.max(axis=0) + a) / a).astype(int) + 1
 
     def inside(R):
-        return np.abs(pts - R).max(axis=1).min() <= margin * domain.a + 1e-12
+        return np.abs(pts - R).max(axis=1).min() <= 0.49 * a + 1e-12
 
     entries = []
     for shift in itertools.product(*(range(l, h + 1) for l, h in zip(n_lo, n_hi))):
-        origin = cell * np.array(shift, dtype=float)
-        for frac, z in basis:
-            R = origin + cell * np.asarray(frac, dtype=float)
-            if deformation is not None:
-                disp, dch = deformation(R, z)
-                R = R + np.asarray(disp, dtype=float)
-                z = z + float(dch)
-            if inside(R):
-                entries.append((R, max(z, 0.0)))
-    for R, z in defects:
+        R = a * np.array(shift, dtype=float) + a * np.full(3, 0.25)
+        if inside(R):
+            entries.append((R, z))
+    for R, q in defects:
         if inside(np.asarray(R, dtype=float)):
-            entries.append((np.asarray(R, dtype=float), float(z)))
+            entries.append((np.asarray(R, dtype=float), float(q)))
     return entries
+
+
+def entries_of(cfg):
+    return list(zip(cfg.positions, cfg.charges))
 
 
 def loop_pairs(entries):
@@ -206,33 +192,31 @@ def loop_pairs(entries):
     return c, dmin
 
 
-def wobble(R, z):
-    return 0.04 * np.sin(3.0 * R + 0.3), 0.3 * np.cos(R[0] + 2.0 * R[2])
+DEFECTS = [((0.65, 0.65, 0.65), 0.5), ((9.0, 9.0, 9.0), 1.0), ([0.1, 1.3, 0.4], 0.0)]
 
 
 class TestNucleiTables:
     @pytest.mark.parametrize("side", [2, 3, 4])
-    @pytest.mark.parametrize("deformation", [None, wobble], ids=["lattice", "deformed"])
-    def test_from_lattice_matches_loop(self, side, deformation):
-        dom = cube(side)
-        basis = [((0.25, 0.25, 0.25), 0.5), ((0.75, 0.6, 0.1), 0.2)]
-        defects = [((0.65, 0.65, 0.65), 0.5), ((9.0, 9.0, 9.0), 1.0), ([0.1, 1.3, 0.4], 0.0)]
-        kw = dict(deformation=deformation, defects=defects, margin=0.49)
-        cfg = C.NucleiConfig.from_lattice(1.0, basis, dom, **kw)
-        ref = loop_from_lattice(1.0, basis, dom, **kw)
-        assert len(cfg) == len(ref) > 2 * side ** 3
-        assert np.array_equal(cfg.positions, np.array([R for R, _ in ref]))
-        assert np.array_equal(cfg.charges, np.array([z for _, z in ref]))
-        c, dmin = loop_pairs(cfg.entries)
-        assert C.nuclear_constant(cfg) == pytest.approx(c, rel=1e-14)
-        assert cfg.min_separation == pytest.approx(dmin, rel=1e-15)
+    @pytest.mark.parametrize("defects", [(), DEFECTS], ids=["lattice", "defects"])
+    def test_from_lattice_matches_loop(self, side, defects):
+        # a cube, and a ball whose sites are not a box
+        ball = G.build_domain({"shape": "ball", "radius": side / 2 + 0.3}, 0.5)
+        for dom in (cube(side), ball):
+            cfg = C.NucleiConfig.from_lattice(dom, 0.5, defects)
+            ref = loop_from_lattice(dom, 0.5, defects)
+            assert len(cfg) == len(ref) >= dom.n_sites
+            assert np.array_equal(cfg.positions, np.array([R for R, _ in ref]))
+            assert np.array_equal(cfg.charges, np.array([z for _, z in ref]))
+            c, dmin = loop_pairs(entries_of(cfg))
+            assert C.nuclear_constant(cfg) == pytest.approx(c, rel=1e-14)
+            assert cfg.min_separation == pytest.approx(dmin, rel=1e-15)
 
     @pytest.mark.parametrize("side", [2, 3, 4, 5])
     def test_crystal_constant_bitwise(self, side):
         dom = cube(side)
         for z in (0.5, 0.45, 0.55, 0.475):
-            cfg = C.NucleiConfig.from_lattice(1.0, [((0.25, 0.25, 0.25), z)], dom, margin=0.49)
-            assert C.nuclear_constant(cfg) == loop_pairs(cfg.entries)[0]
+            cfg = C.NucleiConfig.from_lattice(dom, z)
+            assert C.nuclear_constant(cfg) == loop_pairs(entries_of(cfg))[0]
 
     def test_zero_charges_and_empty(self):
         cfg = C.NucleiConfig([([0, 0, 0], 0.0), ([0, 0, 0], 2.0), ([1, 0, 0], 3.0)])
@@ -243,16 +227,13 @@ class TestNucleiTables:
 
     def test_defect_on_lattice_nucleus_rejected(self):
         with pytest.raises(ValueError, match="hyp_D3 violated: coincident"):
-            C.NucleiConfig.from_lattice(
-                1.0, [((0.25, 0.25, 0.25), 1.0)], cube(2), defects=[((1.25, 0.25, 0.25), 1.0)],
-                margin=0.49,
-            )
+            C.NucleiConfig.from_lattice(cube(2), 1.0, defects=[((1.25, 0.25, 0.25), 1.0)])
 
 
 def loop_potential(domain, nuclei):
     """nuclear_potential by the per-nucleus loop it replaced."""
     v = np.zeros(domain.n_sites)
-    for R, z in nuclei.entries:
+    for R, z in entries_of(nuclei):
         dist = np.linalg.norm(domain.points - R, axis=1)
         if dist.min() < domain.a / 10.0 - 1e-15:
             raise ValueError("regularization violated")
@@ -277,9 +258,7 @@ class TestNuclearPotential:
         dom = cube(side)
         for z in (0.5, 0.45, 0.55, 0.475):
             for defects in ((), [((0.65, 0.6, 0.7), z), ([0.3, 1.2, 0.4], 0.0)]):
-                nuclei = C.NucleiConfig.from_lattice(
-                    1.0, [((0.25, 0.25, 0.25), z)], dom, defects=defects, margin=0.49
-                )
+                nuclei = C.NucleiConfig.from_lattice(dom, z, defects)
                 v, ref = C.nuclear_potential(dom, nuclei), loop_potential(dom, nuclei)
                 assert np.abs(v - ref).max() <= 1e-15 * np.abs(ref).max()
 
@@ -432,12 +411,13 @@ class TestHamiltonianAndGroundState:
         assert abs(val - dense) <= 1e-12 * abs(dense)
         assert rep.lhs == val
 
-    def test_ground_state_vector_respects_dense_cap(self):
+    def test_ground_state_vector_respects_dense_cap(self, monkeypatch):
         dom = cube(2)
         op = C.coulomb_hamiltonian(dom, TWO_NUCLEI, n_max=2)
         assert C.ground_state_energy(op).n_star == 1  # sector dimension 8
+        monkeypatch.setattr(C, "_DENSE_CAP", 4)
         with pytest.raises(ValueError, match="exceeds dense cap 4"):
-            C.ground_state_vector(op, dense_cap=4)
+            C.ground_state_vector(op)
 
     def test_constant_shift(self):
         dom = cube(2)
@@ -732,12 +712,9 @@ class TestSectorSpectrum:
             lambda: C.coulomb_hamiltonian(cube(2), C.NucleiConfig([]), n_max=2),
             # side 3 puts sites on the mirror planes
             lambda: C.coulomb_hamiltonian(cube(3), C.NucleiConfig([]), n_max=2),
-            lambda: C.coulomb_hamiltonian(
-                cube(2), C.NucleiConfig([]), statistics="boson", boson_cap=2, n_max=3
-            ),
             field_3,
         ],
-        ids=["two-species-2", "two-species-3", "fermion-2", "fermion-3", "boson-2", "field-3"],
+        ids=["two-species-2", "two-species-3", "fermion-2", "fermion-3", "field-3"],
     )
     def test_split_matches_dense(self, build, monkeypatch):
         monkeypatch.setattr(C, "_SPLIT_FROM", 8)  # these sectors are below the measured size
@@ -1003,11 +980,11 @@ class TestChargeConcavity:
             C.charge_concavity_scan(dom, [[0.5] * 3] * 4, z_max=1.0, grid_steps=3)
 
 
-def one_shot(domain, nuclei, field=None, statistics="fermion", n_max=2, boson_cap=4):
+def one_shot(domain, nuclei, field=None, n_max=2):
     """Reference Coulomb Hamiltonian assembled in one pass, dGamma(T + diag v)
     + dGamma_2(W) + c, with the lifts of the reflections that leave T + diag v
     invariant."""
-    space = F.build_space(domain.n_sites, statistics=statistics, boson_cap=boson_cap, n_max=n_max)
+    space = F.build_space(domain.n_sites, n_max=n_max)
     T = C.kinetic_operator(domain, field)
     h = T + np.diag(C.nuclear_potential(domain, nuclei)).astype(T.dtype)
     W = C.coulomb_kernel(domain)
@@ -1033,9 +1010,8 @@ def builder_configs(side):
 
 
 BUILDER_CASES = [
-    pytest.param(side, stats, fld, id=f"side{side}-{stats[0]}-{'field' if fld else 'nofield'}")
+    pytest.param(side, fld, id=f"side{side}-fermion-{'field' if fld else 'nofield'}")
     for side in (2, 3)
-    for stats in (("fermion", 2, 4), ("boson", 2, 2))
     for fld in (None, C.MagneticField.constant([0.1, -0.2, 0.3]))
 ]
 
@@ -1073,15 +1049,14 @@ class TestChargeFamily:
         with pytest.raises(ValueError, match="regularization violated"):
             C.charge_concavity_scan(cube(2), [[0.0, 0.0, 0.05]], z_max=1.0, grid_steps=3)
 
-    @pytest.mark.parametrize("side, stats, fld", BUILDER_CASES)
-    def test_matches_one_shot_assembly(self, side, stats, fld):
+    @pytest.mark.parametrize("side, fld", BUILDER_CASES)
+    def test_matches_one_shot_assembly(self, side, fld):
         dom = cube(side)
-        statistics, n_max, cap = stats
-        electrons = C._Electrons(dom, fld, statistics, n_max, cap)
+        electrons = C._Electrons(dom, fld, 2)
         kept = 0
         for nuclei in builder_configs(side):
             op = electrons.operator(nuclei)
-            ref, lifts = one_shot(dom, nuclei, fld, statistics, n_max, cap)
+            ref, lifts = one_shot(dom, nuclei, fld)
             assert abs(op.matrix - ref).max() < 1e-12
             assert len(op.reflections) == len(lifts)
             for lift, (ref_perm, ref_sign) in zip(op.reflections, lifts):
@@ -1091,10 +1066,10 @@ class TestChargeFamily:
         if fld is None:  # the empty and the one-nucleus configurations keep some
             assert kept > 0
 
-    @pytest.mark.parametrize("side, stats, fld", BUILDER_CASES)
-    def test_reuse_matches_fresh_builder(self, side, stats, fld):
+    @pytest.mark.parametrize("side, fld", BUILDER_CASES)
+    def test_reuse_matches_fresh_builder(self, side, fld):
         dom = cube(side)
-        args = (dom, fld) + stats
+        args = (dom, fld, 2)
         configs = builder_configs(side)
         order = [2, 0, 1, 0, 2, 1]
         reused = C._Electrons(*args)
@@ -1122,10 +1097,7 @@ class TestChargeFamily:
             crystal_nuclei(dom),
             C.NucleiConfig([]),
             crystal_nuclei(dom, 0.45),
-            C.NucleiConfig.from_lattice(
-                1.0, [((0.25, 0.25, 0.25), 0.5)], dom, defects=[((0.65, 0.65, 0.65), 0.5)],
-                margin=0.49,
-            ),
+            C.NucleiConfig.from_lattice(dom, 0.5, defects=[((0.65, 0.65, 0.65), 0.5)]),
         ]
         reused = C._Electrons(dom, n_max=2)
         for k in [0, 1, 2, 3, 0, 1]:
@@ -1329,9 +1301,7 @@ class TestDensityBound:
         ratios = []
         for side in (2, 3):
             dom = cube(side)
-            nuc = C.NucleiConfig.from_lattice(
-                1.0, [((0.25, 0.25, 0.25), 0.5)], dom, margin=0.49
-            )
+            nuc = C.NucleiConfig.from_lattice(dom, 0.5)
             op = C.coulomb_hamiltonian(dom, nuc, n_max=2, dim_cap=70000)
             _e, _n, vec = C.ground_state_vector(op)
             st = F.FockState(op.space, np.outer(vec, vec.conj()), validate=False)
@@ -1341,15 +1311,22 @@ class TestDensityBound:
         assert max(ratios) < 10.0
 
 
+def monte_carlo_alpha(seed, samples):
+    """E[1/|u - v|] for u, v uniform in the unit cube, by the seeded Monte
+    Carlo that onsite_alpha's stored value came from."""
+    rng = np.random.default_rng(seed)
+    u = rng.random((samples, 3))
+    v = rng.random((samples, 3))
+    return float(np.mean(1.0 / np.linalg.norm(u - v, axis=1)))
+
+
 class TestOnsiteAlpha:
     def test_deterministic_and_plausible(self):
-        a1 = C.onsite_alpha(seed=11, samples=200000)
-        a2 = C.onsite_alpha(seed=11, samples=200000)
+        a1 = monte_carlo_alpha(11, 200000)
+        a2 = monte_carlo_alpha(11, 200000)
         assert a1 == a2
         # cell-averaged Coulomb constant of the unit cube
         assert 1.85 < a1 < 1.92
 
-    def test_default_key_literal_recomputes(self, monkeypatch):
-        stored = C._ALPHA_CACHE[(2024, 10 ** 6)]
-        monkeypatch.setattr(C, "_ALPHA_CACHE", {})
-        assert C.onsite_alpha() == stored
+    def test_default_key_literal_recomputes(self):
+        assert C.onsite_alpha() == monte_carlo_alpha(2024, 10 ** 6)

@@ -494,32 +494,32 @@ ONE_NUCLEUS = C.NucleiConfig([([0.3, 0.45, 0.7], 1.3)])
 
 
 class TestPotentialDiagonal:
-    @pytest.mark.parametrize("side", [2, 3, 4])
-    @pytest.mark.parametrize("statistics", ["fermion", "boson"])
-    def test_bitwise_equals_occupation_product_up_to_two(self, side, statistics):
+    # the ids name the particle statistics: electrons are fermions
+    @pytest.mark.parametrize("side", [2, 3, 4], ids=lambda side: f"fermion-{side}")
+    def test_bitwise_equals_occupation_product_up_to_two(self, side):
         dom = G.build_domain({"shape": "cube", "side": float(side)}, 1.0)
-        electrons = C._Electrons(dom, statistics=statistics, n_max=2, boson_cap=2)
+        electrons = C._Electrons(dom, n_max=2)
         v = C.nuclear_potential(dom, ONE_NUCLEUS)
         ref = occupation_potential_diagonal(electrons.space, v)
         assert np.array_equal(nuclear_diagonal(electrons, ONE_NUCLEUS), ref)
 
-    @pytest.mark.parametrize("statistics", ["fermion", "boson"])
-    def test_matches_occupation_product_beyond_two(self, statistics):
+    @pytest.mark.parametrize("n_max", [3], ids=["fermion"])
+    def test_matches_occupation_product_beyond_two(self, n_max):
         dom = G.build_domain({"shape": "cube", "side": 3.0}, 1.0)
-        electrons = C._Electrons(dom, statistics=statistics, n_max=3, boson_cap=3)
+        electrons = C._Electrons(dom, n_max=n_max)
         v = C.nuclear_potential(dom, ONE_NUCLEUS)
         ref = occupation_potential_diagonal(electrons.space, v)
         got = nuclear_diagonal(electrons, ONE_NUCLEUS)
         assert (np.abs(got - ref) <= 1e-14 * np.abs(ref)).all()
 
-    @pytest.mark.parametrize("statistics", ["fermion", "boson"])
-    def test_bitwise_invariant_under_potential_symmetries(self, statistics):
+    @pytest.mark.parametrize("n_max", [3], ids=["fermion"])
+    def test_bitwise_invariant_under_potential_symmetries(self, n_max):
         dom = G.build_domain({"shape": "cube", "side": 3.0}, 1.0)
         # equal nuclei at the corners of the centred unit cube keep all 48
         corners = itertools.product((0.5, 1.5), repeat=3)
         nuclei = C.NucleiConfig([(list(R), 0.7) for R in corners])
         v = C.nuclear_potential(dom, nuclei)
-        electrons = C._Electrons(dom, statistics=statistics, n_max=3, boson_cap=3)
+        electrons = C._Electrons(dom, n_max=n_max)
         diag = nuclear_diagonal(electrons, nuclei)
         sigmas = cube_symmetries(dom)
         assert len(sigmas) == 48

@@ -209,13 +209,13 @@ class TestRegularityProfile:
 
 class TestTiling:
     def test_24_pieces_volume(self):
-        t = G.unit_cube_tiling()
+        t = G.Tiling()
         assert t.tetrahedra.shape == (24, 4, 3)
         for verts in t.tetrahedra:
             assert tetra_volume(verts) == pytest.approx(1 / 24, abs=1e-12)
 
     def test_rotations_reproduce_the_pieces(self):
-        t = G.unit_cube_tiling()
+        t = G.Tiling()
         base = t.tetrahedra[0]
         images = {
             tuple(sorted(map(tuple, np.round(R @ base.T, 12).T.tolist())))
@@ -227,7 +227,7 @@ class TestTiling:
         assert images == pieces
 
     def test_cube_cover_multiplicity(self):
-        t = G.unit_cube_tiling()
+        t = G.Tiling()
         rng = np.random.default_rng(0)
         pts = rng.random((100000, 3)) - 0.5
         mult = multiplicity(t, pts, 1.0)
@@ -241,7 +241,7 @@ class TestTiling:
     def test_moved_tiling_partition(self):
         # 1e5 random (motion, x) pairs land in exactly one tile, up to a
         # boundary set of frequency below 1e-3
-        t = G.unit_cube_tiling()
+        t = G.Tiling()
         rng = np.random.default_rng(3)
         off = 0
         for R, u in zip(*G._sample_motions(np.random.default_rng(5), 5)):
@@ -250,14 +250,10 @@ class TestTiling:
             off += int((mult != 1).sum())
         assert off / 100000 < 1e-3
 
-    def test_invalid_shift_rejected(self):
-        with pytest.raises(ValueError, match="invalid shift"):
-            G.unit_cube_tiling(v=np.array([5.0, 5.0, 5.0]))
-
 
 class TestLocate:
     def setup_method(self):
-        self.tiling = G.unit_cube_tiling()
+        self.tiling = G.Tiling()
 
     def assert_margin_rule(self, points, scale):
         keys = self.tiling.locate(points, scale=scale)
@@ -422,7 +418,7 @@ class TestColumnLocator:
 
     @pytest.mark.parametrize("scale", [1.0, 4.0, 8.0, 16.0])
     def test_keys_match_strided_locator(self, scale):
-        tiling = G.unit_cube_tiling()
+        tiling = G.Tiling()
         rng = np.random.default_rng(int(scale))
         pts = self.points(tiling, scale, rng)
         for moved in (pts, pull_back(pts, *motion(int(scale)))):
@@ -440,7 +436,7 @@ class TestTieChunks:
     margins."""
 
     def test_margins_match_strided(self):
-        tiling = G.unit_cube_tiling()
+        tiling = G.Tiling()
         rng = np.random.default_rng(5)
         ties = tie_cell_points(rng, 400)
         p = np.vstack([ties, ties + 1e-12 * rng.choice([-1.0, 1.0], size=ties.shape)])
@@ -448,7 +444,7 @@ class TestTieChunks:
         assert tiling.chamber_margins(p).tobytes() == strided_margins(tiling, p).tobytes()
 
     def test_more_than_three_chunks_of_ties(self):
-        tiling = G.unit_cube_tiling()
+        tiling = G.Tiling()
         rng = np.random.default_rng(6)
         ties = tie_cell_points(rng, 300)
         ties = ties + 1e-12 * rng.choice([-1.0, 0.0, 1.0], size=ties.shape)
@@ -468,7 +464,7 @@ class TestTieChunks:
         dom = G.build_domain({"shape": "cube", "side": 6.0}, 1.0)
         nodes, _ = G._mollifier_nodes(0.5 * np.sqrt(ell), 8)
         pts = (dom.points[:, None, :] - nodes[None, :, :]).reshape(-1, 3)
-        tiling = G.unit_cube_tiling()
+        tiling = G.Tiling()
         ref = strided_keys(tiling, pts, ell)
         assert np.array_equal(tiling.locate(pts, scale=ell), strided_pack(ref))
 
@@ -512,7 +508,7 @@ class TestSmoothedIndicator:
     """The mollified tile indicators theta_mu^2, as rows of tile_weight_table."""
 
     def setup_method(self):
-        self.tiling = G.unit_cube_tiling()
+        self.tiling = G.Tiling()
 
     def test_deep_interior_and_outside(self):
         ell, r_j = 6.0, 0.2

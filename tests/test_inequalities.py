@@ -173,10 +173,9 @@ class TestGrafSchenker:
     def test_translation_cell_suffices(self):
         # the tile-summed integrand is periodic under the tiling translations,
         # so sampling one scaled cell and a doubled cell must agree
-        from coulomblab.geometry import unit_cube_tiling
         from coulomblab.inequalities import _same_tile_samples, _sample_motions
 
-        tiling = unit_cube_tiling()
+        tiling = G.Tiling()
         pts = np.array([[0.2, -0.4, 0.1], [1.4, 0.7, -0.3], [-0.8, 0.5, 0.9]])
         ell = 5.0
         rng = np.random.default_rng(17)
@@ -195,7 +194,7 @@ def loop_gs_deficit(cfg, ell_list, samples, seed):
     per-scale loop computed them: same @ prods, a zero branch for fewer than
     two points and the constant fitted at index 0.  Kept as the bitwise
     oracle of the shared pair table and envelope."""
-    tiling = G.unit_cube_tiling()
+    tiling = G.Tiling()
     pts, charges = cfg.points, cfg.charges
     n = len(charges)
     iu = np.triu_indices(n, 1)
@@ -268,7 +267,7 @@ class TestSameTileMotion:
             rec = KeepColumns()
             I._same_tile_samples(rec, pts, ell, R, u)
             assert np.array_equal(rec.points, Y.reshape(-1, 3))
-            tiling = G.unit_cube_tiling()
+            tiling = G.Tiling()
             keys = I._same_tile_samples(tiling, pts, ell, R, u)
             ref = tiling.locate(Y.reshape(-1, 3), scale=ell).reshape(len(R), n)
             assert np.array_equal(keys, ref)
@@ -278,7 +277,7 @@ def dict_smooth_gs(cfg, ell_list, r_j, samples, seed, n_quad=8):
     """Ratios, sigmas and max pair weights of smooth_gs_check as computed
     with one tile-weight dict per point and sample, kept as the oracle of the
     sorted-key pass."""
-    tiling = G.unit_cube_tiling()
+    tiling = G.Tiling()
     pts, charges = cfg.points, cfg.charges
     n = len(charges)
     zsq = float((cfg.charges ** 2).sum())

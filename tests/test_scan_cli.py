@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -13,7 +15,6 @@ from coulomblab import coulomb as cb
 from coulomblab import fock
 from coulomblab.cli import _COMMANDS, _SSA, _VERIFY, _read_config, cli_main
 from coulomblab.scan import (
-    _NUCLEUS_OFFSET,
     ScanSpec,
     _candidate_positions,
     _cube,
@@ -97,7 +98,7 @@ class TestRunScan:
         op = cb.two_species_hamiltonian(dom, 1.0, 100.0, el_max=1, nuc_max=2)
         assert _estimate_dim("quantum-nuclei", dom.n_sites, spec) == op.dim
         spec = ScanSpec(model="movable", n_max=3, mu=(-1.0, -2.0))
-        electrons = cb._Electrons(dom, None, "fermion", 3, 4, 16384)
+        electrons = cb._Electrons(dom, None, 3, 16384)
         assert _estimate_dim("movable", dom.n_sites, spec) == electrons.space.dim
 
     def test_budget_gate_flags_rows(self):
@@ -131,25 +132,10 @@ class TestPerturbationCompare:
         out = perturbation_compare(spec, defects=defects)
         for row in out["rows"]:
             domain = _cube(row["side"], spec.spacing)
-            pert = cb.NucleiConfig.from_lattice(
-                domain.a,
-                [(_NUCLEUS_OFFSET, spec.z)],
-                domain,
-                defects=defects,
-                margin=0.49,
-            )
+            pert = cb.NucleiConfig.from_lattice(domain, spec.z, defects)
             op = cb.coulomb_hamiltonian(domain, pert, n_max=spec.n_max, dim_cap=spec.dim_cap)
             e = cb.ground_state_energy(op).value
             assert abs(row["e_perturbed"] - e) < 1e-12
-
-    def test_colliding_deformation_rejected(self):
-        spec = ScanSpec(model="crystal", sides=(2,), n_max=1)
-
-        def smash(R, z):
-            return -R + np.array([0.3, 0.3, 0.3]), 0.0
-
-        with pytest.raises(ValueError, match="hyp_D3"):
-            perturbation_compare(spec, deformation=smash)
 
 
 # an energy config; free-energy adds beta and mu, hf takes no n_max
@@ -416,9 +402,36 @@ class TestCli:
                 "box lengths must be positive",
             ),
             (["ssa", "cq"], {"cells": 0, "n_states": 1}, "cells must be at least 1"),
+            (["energy"], {**MODEL_CONFIG, "n_max": -1}, "n_max must be nonnegative, got -1"),
+            (["scan"], {"sides": [2], "n_max": -1}, "n_max must be nonnegative, got -1"),
+            (
+                ["scan"],
+                {"model": "quantum-nuclei", "sides": [2], "n_max": 1, "mu": [-1.0, -1.0],
+                 "nuc_mass": 0},
+                "mass M must be positive, got 0",
+            ),
+            (
+                ["hf"],
+                {**HF_CONFIG, "field": {"kind": "periodic_sine", "amplitude": 1.0, "period": 0}},
+                "period must be nonzero, got 0",
+            ),
+            (["ssa", "cq"], {"cell_volume": -0.5, "n_states": 1}, "cell_volume must be positive"),
+            (["ssa", "cq"], {"cell_volume": 0.0, "n_states": 1}, "cell_volume must be positive"),
+            (
+                ["scan"],
+                {"sides": [2], "n_max": 1, "z": -1.0},
+                "nuclear charges must be nonnegative, got -1.0",
+            ),
+            (
+                ["compare-perturbation"],
+                {"sides": [2], "n_max": 1, "z": -1.0},
+                "nuclear charges must be nonnegative, got -1.0",
+            ),
         ],
         ids=["hf-beta-0", "hf-beta-negative", "yukawa-nu-negative", "li-yau-length-negative",
-             "cq-no-cells"],
+             "cq-no-cells", "energy-n_max-negative", "scan-n_max-negative", "quantum-nuclei-mass-0",
+             "hf-sine-period-0", "cq-cell-volume-negative", "cq-cell-volume-0",
+             "scan-z-negative", "compare-z-negative"],
     )
     def test_out_of_range_exits_2(self, tmp_path, capsys, argv, bad, message):
         # exit 1 means a paper inequality failed; a bad input is exit 2
@@ -731,6 +744,97 @@ MEMBERS_ALLOWED = {
     "scan.ScanResult.running_floors": "acceptance criterion 9",
     "scan.ScanResult.floor_variation": "acceptance criterion 9",
 }
+
+
+# Defaulted parameters of public functions and methods that no call in the
+# package passes, each with the reason it stays settable.
+PARAMS_ALLOWED = {
+    "coulomb.MagneticField.random_bounded.scale": "set through the CLI's **f of a random field",
+    "coulomb.two_species_hamiltonian.field": "the periodic field of the two-species model, "
+    "which its field tests set and no scan config reaches yet",
+    "coulomb.charge_concavity_scan.n_max": "acceptance criterion 8",
+    "coulomb.movable_nuclei_energy.K_max": "acceptance criterion 8, the movable scan's oracle",
+    "coulomb.movable_nuclei_energy.n_max": "acceptance criterion 8, the movable scan's oracle",
+    "coulomb.movable_nuclei_energy.dim_cap": "the movable scan's oracle takes the scan's cap",
+    "fock.reduced_density.k": "acceptance criterion 5 and the Wick tests read k = 1 and 2",
+    "geometry.regularity_profile.seed": "Part I regularity diagnostic, not a CLI column yet",
+    "inequalities.smooth_gs_check.r_j": "the mollified Graf-Schenker check, not a CLI row yet",
+    "inequalities.smooth_gs_check.samples": "the mollified Graf-Schenker check, not a CLI row yet",
+    "inequalities.smooth_gs_check.seed": "the mollified Graf-Schenker check, not a CLI row yet",
+    "inequalities.ims_residual.field": "the IMS residual in a field; verify ims has no field key",
+    "inequalities.diamagnetic_gap.mass_scale": "the one library path to kinetic_operator's "
+    "mass scale",
+    "localization.CQState.__init__.norm_tol": "criterion 4 builds unnormalized states (None)",
+    "localization.cq_localize.k_max": "the truncated localization of the cq tests",
+    "localization.quantize_cq.dim_cap": "the size guard of quantize_cq, set by its test",
+    "scan.ScanResult.floor_variation.which": "acceptance criterion 9 reads both floors",
+}
+
+
+def _package_calls():
+    """(callee name, ast.Call) of every call in the package: the name a call
+    is written with, and a cls(...) call the name of its class."""
+    calls = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            calls.append((owner if name == "cls" else name, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    src = os.path.dirname(coulomblab.__file__)
+    for fname in sorted(os.listdir(src)):
+        if fname.endswith(".py"):
+            with open(os.path.join(src, fname)) as fh:
+                visit(ast.parse(fh.read()), None)
+    return calls
+
+
+def _passes(call, name, index):
+    """Whether call passes parameter name (positional index, or None): by
+    keyword, through a ** mapping, or by position before any *args."""
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    positional = [a for a in call.args if not isinstance(a, ast.Starred)]
+    return index is not None and len(positional) == len(call.args) and len(call.args) > index
+
+
+def test_every_defaulted_parameter_is_passed_or_allowed():
+    # each __all__ function, and __init__ and each public method of each
+    # __all__ class, matched with the calls written with its name
+    calls = _package_calls()
+    unpassed = []
+    for module in coulomblab.__all__:
+        mod = importlib.import_module(f"coulomblab.{module}")
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            targets = [(f"{module}.{name}", name, obj)]
+            if isinstance(obj, type):
+                targets = [
+                    (f"{module}.{name}.{attr}", name if attr == "__init__" else attr, member)
+                    for attr, member in vars(obj).items()
+                    if attr == "__init__" or not attr.startswith("_")
+                ]
+            for qual, callee, member in targets:
+                for attr in ("fget", "func", "__func__"):  # property, cached_property, classmethod
+                    member = getattr(member, attr, member)
+                if not inspect.isfunction(member):
+                    continue
+                sig = [p for p in inspect.signature(member).parameters.values()
+                       if p.name not in ("self", "cls")]
+                for index, p in enumerate(sig):
+                    if p.default is inspect.Parameter.empty:
+                        continue
+                    if p.kind not in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD):
+                        index = None
+                    if not any(n == callee and _passes(c, p.name, index) for n, c in calls):
+                        unpassed.append(f"{qual}.{p.name}")
+    assert [p for p in unpassed if p not in PARAMS_ALLOWED] == []
+    assert sorted(set(PARAMS_ALLOWED) - set(unpassed)) == []
+
 
 
 def _member_code(member):
