@@ -274,10 +274,10 @@ def nuclear_constant(nuclei):
 
 
 class ManyBodyOperator:
-    """Number-conserving operator stored as one sparse matrix plus the sector
-    index lists.  A sector's key is its particle number, an int or one count
-    per species, and the one record of it: mu.N is read from the key
-    (_mu_dot_n).
+    """Number-conserving operator as one CSR block per sector: blocks[key]
+    acts on the basis states sectors[key], ascending.  A sector's key is its
+    particle number, an int or one count per species, and the one record of
+    it: mu.N is read from the key (_mu_dot_n).
 
     reflections lists candidate symmetries: zero-argument callables giving
     a signed basis permutation (perm, sign), the Fock lift (see
@@ -289,19 +289,24 @@ class ManyBodyOperator:
     Gibbs states and ground-state vectors diagonalize whole sectors.
     """
 
-    def __init__(self, matrix, sectors, space=None, reflections=()):
-        self.matrix = matrix.tocsr()
+    def __init__(self, blocks, sectors, space=None, reflections=()):
         self.sectors = dict(sorted(sectors.items()))
+        self.blocks = {key: blocks[key] for key in self.sectors}
+        self.dim = sum(idx.size for idx in self.sectors.values())
         self.space = space
         self.reflections = list(reflections)
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
 
-    def sector_matrix(self, key):
-        idx = self.sectors[key]
-        return self.matrix[np.ix_(idx, idx)]
+def _sector_blocks(matrix, sectors):
+    """{key: block} of a number-conserving CSR matrix: each sector's rows,
+    their columns relabelled to positions in its ascending index list."""
+    where = np.empty(matrix.shape[0], dtype=np.intp)
+    blocks = {}
+    for key, idx in sectors.items():
+        d, rows = idx.size, matrix[idx]
+        where[idx] = np.arange(d)
+        blocks[key] = sp.csr_matrix((rows.data, where[rows.indices], rows.indptr), shape=(d, d))
+    return blocks
 
 
 def _mu_dot_n(mu, key):
@@ -324,19 +329,18 @@ def _lattice_symmetries(domain, *hs):
 class _Electrons:
     """The electronic part of every Coulomb Hamiltonian on one domain.
 
-    The Fock space and base = dGamma(T(A)) + dGamma_2(W) are built once;
-    nuclei reach the electrons only through -sum_k z_k/|x - R_k| and the
-    nuclear repulsion, so operator(nuclei) adds one diagonal to base.
+    The Fock space and the sector blocks of dGamma(T(A)) + dGamma_2(W) are
+    built once; nuclei reach the electrons only through -sum_k z_k/|x - R_k|
+    and the nuclear repulsion, so operator(nuclei) adds one diagonal.
     """
 
     def __init__(self, domain, field=None, n_max=None, dim_cap=16384):
         self.domain = domain
         self.space = build_space(domain.n_sites, n_max=n_max, dim_cap=dim_cap)
         T = kinetic_operator(domain, field)
-        self.base = (
-            second_quantize_onebody(self.space, T)
-            + second_quantize_twobody(self.space, coulomb_kernel(domain))
-        ).tocsr()
+        W = coulomb_kernel(domain)
+        H = second_quantize_onebody(self.space, T) + second_quantize_twobody(self.space, W)
+        self.base = _sector_blocks(H, self.space.sectors)
         # H restricted to one particle is T + diag(v): operator offers only
         # the symmetries of T that also fix v
         self._symmetries = _lattice_symmetries(domain, T)
@@ -351,11 +355,13 @@ class _Electrons:
         (a pad adds +0.0), so bitwise invariant under the symmetries of v."""
         v = nuclear_potential(self.domain, nuclei)
         terms = np.sort(np.append(v, 0.0)[self.space.lists], axis=1)
-        H = self.base + sp.diags(terms.sum(axis=1) + nuclear_constant(nuclei))
+        diag = terms.sum(axis=1) + nuclear_constant(nuclei)
+        sectors = self.space.sectors
+        blocks = {key: B + sp.diags(diag[sectors[key]]) for key, B in self.base.items()}
         reflections = [
             lift for lift, s in zip(self._lifts, self._symmetries) if np.array_equal(v[s], v)
         ]
-        return ManyBodyOperator(H, self.space.sectors, space=self.space, reflections=reflections)
+        return ManyBodyOperator(blocks, sectors, space=self.space, reflections=reflections)
 
 
 def coulomb_hamiltonian(domain, nuclei, field=None, n_max=None, dim_cap=16384):
@@ -514,7 +520,7 @@ def ground_state_energy(op):
     above; method[key]["solver"] records which."""
     minima, method = {}, {}
     for key in op.sectors:
-        val, info = _sector_lowest(op.sector_matrix(key))
+        val, info = _sector_lowest(op.blocks[key])
         minima[key] = val
         method[key] = info
     return _lowest_sector(minima, method)
@@ -767,7 +773,7 @@ def _sector_spectrum(op, key, dense_cap):
     sector dimension must fit dense_cap."""
     idx = op.sectors[key]
     _fit_dense(f"sector {key}", idx.size, dense_cap)
-    block = op.sector_matrix(key)
+    block = op.blocks[key]
     split = None
     if idx.size >= _SPLIT_FROM:
         split = _isotypic_split(op.reflections, idx, block)
@@ -785,7 +791,7 @@ def ground_state_vector(op):
     res = ground_state_energy(op)
     idx = op.sectors[res.n_star]
     _fit_dense(f"sector {res.n_star}", idx.size, _DENSE_CAP)
-    _vals, vecs = _dense_eig(op.sector_matrix(res.n_star).toarray(), vectors=True)
+    _vals, vecs = _dense_eig(op.blocks[res.n_star].toarray(), vectors=True)
     full = np.zeros(op.dim, dtype=vecs.dtype)
     full[idx] = vecs[:, 0]
     return res.value, res.n_star, full
@@ -848,9 +854,10 @@ class FreeEnergyResult:
         for key, idx in self.op.sectors.items():
             _fit_dense(f"sector {key}", idx.size, self.dense_cap)
         _fit_dense("Fock space", self.op.dim, self.dense_cap)
-        M = np.zeros((self.op.dim, self.op.dim), dtype=np.result_type(self.op.matrix.dtype, float))
+        dtype = np.result_type(float, *(B.dtype for B in self.op.blocks.values()))
+        M = np.zeros((self.op.dim, self.op.dim), dtype=dtype)
         for key, idx in self.op.sectors.items():
-            vals, vecs = _dense_eig(self.op.sector_matrix(key).toarray(), vectors=True)
+            vals, vecs = _dense_eig(self.op.blocks[key].toarray(), vectors=True)
             w = np.exp(-self.beta * (vals - _mu_dot_n(self.mu, key)) - self.log_z)
             M[np.ix_(idx, idx)] = (vecs * w) @ vecs.conj().T
         return M
@@ -865,11 +872,13 @@ def free_energy(op, beta, mu, dense_cap=_DENSE_CAP):
 
 
 def variational_free_energy(op, beta, mu, state):
-    """tr[(H - mu.N) G] + (1/beta) tr[G log G] for a trial state G; this is
-    bounded below by the Gibbs free energy."""
-    weight = np.real(np.diag(state.matrix))  # of each basis state
-    energy = np.real(state.expectation(op.matrix))
-    energy -= sum(_mu_dot_n(mu, key) * weight[idx].sum() for key, idx in op.sectors.items())
+    """tr[(H - mu.N) G] + (1/beta) tr[G log G] for a trial state G, summed
+    sector by sector; this is bounded below by the Gibbs free energy."""
+    G, energy = state.matrix, 0.0
+    for key, idx in op.sectors.items():
+        B = op.blocks[key].tocoo()  # tr(B G) on the sector, less mu.N times its weight
+        trace = B.data @ G[idx[B.col], idx[B.row]]
+        energy += np.real(trace - _mu_dot_n(mu, key) * G[idx, idx].sum())
     return energy - fock.entropy(state) / beta
 
 
@@ -1126,40 +1135,45 @@ def two_species_hamiltonian(
     same grid: H = dGamma_el(T(A)) + dGamma_nuc(T(-zA))/M - z (cross Coulomb)
     + el-el + z^2 nuc-nuc, commuting with both number operators.
 
-    Same-site pairs use the cell-averaged kernel value alpha/a.
+    Each (N_e, K_n) block, on e_i (x) e_j in the order of i, then j, is
+    kron(H_el, I) + kron(I, H_nuc) + diag(cross); dim_cap bounds both species
+    spaces and every block.  Same-site pairs use the cell average alpha/a.
     """
     if not M > 0:
         raise ValueError(f"nucleus mass M must be positive, got {M!r}")
     n = domain.n_sites
-    el = build_space(n, "fermion", n_max=el_max, dim_cap=dim_cap)
+    electrons = _Electrons(domain, field, el_max, dim_cap)
+    el, H_el = electrons.space, electrons.base
     nuc = build_space(n, "boson", boson_cap=max(1, nuc_max), n_max=nuc_max, dim_cap=dim_cap)
-    if el.dim * nuc.dim > dim_cap:
-        raise ValueError(
-            f"product dimension {el.dim * nuc.dim} exceeds cap {dim_cap}"
-        )
+    pairs = itertools.product(el.sectors.items(), nuc.sectors.items())
+    size = {(Ne, Kn): ie.size * jn.size for (Ne, ie), (Kn, jn) in pairs}
+    largest = max(size, key=size.get)
+    if size[largest] > dim_cap:
+        raise ValueError(f"sector {largest} dimension {size[largest]} exceeds cap {dim_cap}")
     T = kinetic_operator(domain, field)
     T_nuc = T if field is None else kinetic_operator(domain, MagneticField(lambda p: -z * field(p)))
     W = coulomb_kernel(domain)
-    H_el = second_quantize_onebody(el, T) + second_quantize_twobody(el, W)
-    H_nuc = (1.0 / M) * second_quantize_onebody(nuc, T_nuc) + second_quantize_twobody(
-        nuc, z ** 2 * W
-    )
-    Ie = sp.identity(el.dim, format="csr")
-    In = sp.identity(nuc.dim, format="csr")
-    H = sp.kron(H_el, In) + sp.kron(Ie, H_nuc)
-    cross = -z * (el.occupations.astype(float) @ W @ nuc.occupations.astype(float).T)
-    H = H + sp.diags(cross.ravel())
-    sectors = {}
-    for Ne, ie in el.sectors.items():
-        for Kn, jn in nuc.sectors.items():
-            idx = (ie[:, None] * nuc.dim + jn[None, :]).ravel()
-            sectors[(int(Ne), int(Kn))] = np.sort(idx)
+    H_nuc = (1.0 / M) * second_quantize_onebody(nuc, T_nuc)
+    H_nuc = _sector_blocks(H_nuc + second_quantize_twobody(nuc, z ** 2 * W), nuc.sectors)
+    blocks, sectors = {}, {}
+    for Ne, Kn in size:
+        ie, jn = el.sectors[Ne], nuc.sectors[Kn]
+        # -z sum_(s, t) W[p_s, q_t] over the electron list p and the nucleus
+        # list q of each product state, its sorted terms summed
+        terms = W[el.lists[ie, None, :Ne, None], nuc.lists[None, jn, None, :Kn]]
+        cross = -z * np.sort(terms.reshape(size[Ne, Kn], Ne * Kn), axis=1).sum(axis=1)
+        blocks[Ne, Kn] = (
+            sp.kron(H_el[Ne], sp.identity(jn.size), format="csr")
+            + sp.kron(sp.identity(ie.size), H_nuc[Kn], format="csr")
+            + sp.diags(cross, dtype=T.dtype)  # a kron with an empty block is real
+        )
+        sectors[Ne, Kn] = (ie[:, None] * nuc.dim + jn[None, :]).ravel()
     # W is invariant under every lattice symmetry, so only T or T_nuc can break one
     reflections = [
         functools.cache(functools.partial(_product_lift, el, nuc, s))
         for s in _lattice_symmetries(domain, T, T_nuc)
     ]
-    return ManyBodyOperator(H.tocsr(), sectors, reflections=reflections)
+    return ManyBodyOperator(blocks, sectors, reflections=reflections)
 
 
 def _product_lift(el, nuc, sigma):

@@ -96,9 +96,6 @@ class FockSpaceDesc:
         out = np.where(valid, self.rank(lists), -1)
         return int(out) if out.ndim == 0 else out
 
-    def sector_indices(self, N):
-        return self.sectors[int(N)]
-
     def vacuum_index(self):
         return 0  # the all-pad list leads the colex order
 
@@ -331,11 +328,6 @@ class FockState:
             if lo < -1e-12:
                 raise ValueError(f"state has negative eigenvalue {lo:g}")
 
-    def expectation(self, op):
-        if sp.issparse(op):
-            return complex((op @ self.matrix).diagonal().sum())
-        return complex(np.trace(op @ self.matrix))
-
 
 def entropy_of_spectrum(eigs):
     lam = np.asarray(eigs, dtype=float)
@@ -420,12 +412,6 @@ def split_isomorphism(space, n1):
         shape=(s1.dim * s2.dim, space.dim),
     )
     return U, s1, s2
-
-
-def partial_trace_second(matrix, dim1, dim2):
-    """Trace out the second tensor factor of a (dim1*dim2)^2 matrix."""
-    M = np.asarray(matrix).reshape(dim1, dim2, dim1, dim2)
-    return np.einsum("abcb->ac", M)
 
 
 def quasi_free_state(space, gamma):

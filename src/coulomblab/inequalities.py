@@ -558,16 +558,16 @@ def repelling_bound_check(domain, N_list, eps):
     vol = domain.volume
     reports = []
     for N in N_list:
+        if N < 0:
+            raise ValueError(f"N_list entries must be nonnegative, got {N}")
         if N > 4:
             raise ValueError("bosonic check limited to N <= 4")
         space = build_space(n, "boson", boson_cap=N, n_max=N, dim_cap=_REPELLING_DIM_CAP)
-        idx = space.sector_indices(N)
-        occ = space.occupations[idx]
-        H = second_quantize_onebody(space, T)[idx][:, idx]
+        idx = space.sectors[N]
+        H = cb._sector_blocks(second_quantize_onebody(space, T), {N: idx})[N]
         if N >= 2:
-            # sites of the N particles of each basis row, ascending
-            rows, sites = np.nonzero(occ)
-            parts = np.repeat(sites, occ[rows, sites]).reshape(-1, N)
+            # sites of the N particles of each basis state, ascending
+            parts = space.lists[idx, ::-1]
             pair = inv[parts[:, :, None], parts[:, None, :]]
             pair[:, np.arange(N), np.arange(N)] = -np.inf  # k != i
             H = H + sp.diags(eps * pair.max(axis=2).sum(axis=1))

@@ -7,6 +7,7 @@ perturbation_compare.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -44,6 +45,9 @@ class ScanSpec:
             raise ValueError("sides is empty")
         if any(b <= a for a, b in zip(self.sides, self.sides[1:])):
             raise ValueError("sides must be strictly increasing")
+        for key, least in (("nuc_max", 0), ("movable_k_max", 0), ("candidates_per_side", 1)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)!r}")
         if self.model == "crystal":
             self.mu = float(np.atleast_1d(self.mu)[0])
         else:
@@ -111,25 +115,21 @@ def _candidate_positions(domain, per_side):
     for axis in range(3):
         count = min(per_side, hi[axis] - lo[axis] + 1)
         picks.append(np.unique(np.linspace(lo[axis], hi[axis], count).round().astype(int)))
-    out = []
-    for i in picks[0]:
-        for j in picks[1]:
-            for k in picks[2]:
-                out.append((np.array([i, j, k], dtype=float) + cb._NUCLEUS_OFFSET) * domain.a)
-    return out
+    return [(np.array(u, dtype=float) + cb._NUCLEUS_OFFSET) * domain.a for u in product(*picks)]
 
 
 def _estimate_dim(model, n_sites, spec):
-    # a basis dimension is the count-table entry of all n_sites modes at the cap
-    dim = _count_table(n_sites, 1, spec.n_max)[n_sites, -1]
-    if model == "quantum-nuclei":
-        dim *= _count_table(n_sites, max(1, spec.nuc_max), spec.nuc_max)[n_sites, -1]
-    return dim
+    # the largest space or block the builder forms; counts[n, t] counts <= t particles
+    el = _count_table(n_sites, 1, spec.n_max)[n_sites]
+    if model != "quantum-nuclei":
+        return el[-1]
+    nuc = _count_table(n_sites, max(1, spec.nuc_max), spec.nuc_max)[n_sites]
+    return max(el[-1], nuc[-1], np.diff(el, prepend=0).max() * np.diff(nuc, prepend=0).max())
 
 
 def run_scan(spec):
-    """Rows of E/|O| and F/|O| for each cube side; sizes whose Fock
-    dimension exceeds dim_cap are flagged and skipped."""
+    """Rows of E/|O| and F/|O| for each cube side; sizes whose largest
+    space or block (_estimate_dim) exceeds dim_cap are flagged and skipped."""
     rows = []
     prev_e = None
     for side in spec.sides:

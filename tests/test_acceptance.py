@@ -225,7 +225,8 @@ def test_criterion_5_localization_algebra():
         locp = _localize_state(st, proj)
         Usp, s1, s2 = F.split_isomorphism(space, k)
         big = Usp @ st.matrix @ Usp.conj().T.toarray()
-        red = F.partial_trace_second(big, s1.dim, s2.dim)
+        # trace out the second tensor factor
+        red = np.einsum("abcb->ac", big.reshape(s1.dim, s2.dim, s1.dim, s2.dim))
         emb = np.zeros((D, s1.dim))
         for i1, occ in enumerate(s1.occupations.tolist()):
             emb[space.index(tuple(occ) + (0,) * (n - k)), i1] = 1.0

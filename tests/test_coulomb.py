@@ -50,35 +50,100 @@ def curl_fd(field, point, h=1e-5):
     return np.array([J[2, 1] - J[1, 2], J[0, 2] - J[2, 0], J[1, 0] - J[0, 1]])
 
 
-def block_offdiagonal_norm(op):
-    """Largest matrix element of op outside its sector blocks."""
-    M = op.matrix.tocoo()
-    sector_of = np.empty(op.dim, dtype=int)
-    for s, idx in enumerate(op.sectors.values()):
+def block_offdiagonal_norm(H, sectors):
+    """Largest element of a whole-space matrix H outside the sector blocks."""
+    M = H.tocoo()
+    sector_of = np.empty(H.shape[0], dtype=int)
+    for s, idx in enumerate(sectors.values()):
         sector_of[idx] = s
     mask = sector_of[M.row] != sector_of[M.col]
     return float(np.abs(M.data[mask]).max()) if mask.any() else 0.0
 
+
+def full_matrix(op):
+    """op on its whole basis: the sector blocks placed block diagonally, in
+    basis order."""
+    rows, cols, vals = [], [], []
+    for key, idx in op.sectors.items():
+        B = op.blocks[key].tocoo()
+        rows.append(idx[B.row])
+        cols.append(idx[B.col])
+        vals.append(B.data)
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(op.dim, op.dim)
+    )
+
+
+def from_matrix(H, sectors, **kwargs):
+    """The ManyBodyOperator of a whole-space number-conserving matrix."""
+    return C.ManyBodyOperator(C._sector_blocks(H.tocsr(), sectors), sectors, **kwargs)
+
+
+def whole_electrons(domain, nuclei, field=None, n_max=2):
+    """(H, sectors) of the whole-space Coulomb Hamiltonian as _Electrons
+    assembled it before it kept sector blocks: base + sp.diags(...) over the
+    whole Fock space.  Kept as the bitwise oracle of the blocks."""
+    space = F.build_space(domain.n_sites, n_max=n_max)
+    base = (
+        F.second_quantize_onebody(space, C.kinetic_operator(domain, field))
+        + F.second_quantize_twobody(space, C.coulomb_kernel(domain))
+    ).tocsr()
+    v = C.nuclear_potential(domain, nuclei)
+    terms = np.sort(np.append(v, 0.0)[space.lists], axis=1)
+    return (base + sp.diags(terms.sum(axis=1) + C.nuclear_constant(nuclei))).tocsr(), space.sectors
+
+
+def whole_two_species(domain, z, M, field=None, el_max=1, nuc_max=1):
+    """(H, sectors) of the two-species Hamiltonian as it was assembled on the
+    whole product space: the sp.kron product and a dense (el.dim x nuc.dim)
+    cross table from both occupation tables.  Kept as the bitwise oracle of
+    the blocks."""
+    n = domain.n_sites
+    el = F.build_space(n, "fermion", n_max=el_max)
+    nuc = F.build_space(n, "boson", boson_cap=max(1, nuc_max), n_max=nuc_max)
+    T = C.kinetic_operator(domain, field)
+    T_nuc = T
+    if field is not None:
+        T_nuc = C.kinetic_operator(domain, C.MagneticField(lambda p: -z * field(p)))
+    W = C.coulomb_kernel(domain)
+    H_el = F.second_quantize_onebody(el, T) + F.second_quantize_twobody(el, W)
+    H_nuc = (1.0 / M) * F.second_quantize_onebody(nuc, T_nuc) + F.second_quantize_twobody(
+        nuc, z ** 2 * W
+    )
+    H = sp.kron(H_el, sp.identity(nuc.dim, format="csr")) + sp.kron(
+        sp.identity(el.dim, format="csr"), H_nuc
+    )
+    cross = -z * (el.occupations.astype(float) @ W @ nuc.occupations.astype(float).T)
+    H = H + sp.diags(cross.ravel())
+    sectors = {
+        (Ne, Kn): (ie[:, None] * nuc.dim + jn[None, :]).ravel()
+        for Ne, ie in el.sectors.items()
+        for Kn, jn in nuc.sectors.items()
+    }
+    return H.tocsr(), sectors
+
 # N = 2 sector blocks (dim 351) of side-3 cubes, all above _LANCZOS_FROM: real,
 # complex Hermitian (a magnetic field) and with a degenerate ground state
 LANCZOS_BLOCKS = {
-    "crystal-3": lambda: crystal(3).sector_matrix(2),
+    "crystal-3": lambda: crystal(3).blocks[2],
     "field-3": lambda: C.coulomb_hamiltonian(
         cube(3), TWO_NUCLEI, field=C.MagneticField.constant([0.0, 0.3, 0.8]), n_max=2
-    ).sector_matrix(2),
-    "empty-3": lambda: C.coulomb_hamiltonian(cube(3), C.NucleiConfig([]), n_max=2)
-    .sector_matrix(2),
+    ).blocks[2],
+    "empty-3": lambda: C.coulomb_hamiltonian(cube(3), C.NucleiConfig([]), n_max=2).blocks[2],
 }
 
 # LANCZOS_BLOCKS and the largest ground-build sector, by name
-HISTORY_BLOCKS = dict(LANCZOS_BLOCKS, **{"crystal-5": lambda: crystal(5).sector_matrix(2)})
+HISTORY_BLOCKS = dict(LANCZOS_BLOCKS, **{"crystal-5": lambda: crystal(5).blocks[2]})
+
+
+def defect_crystal_nuclei(dom):
+    """The nuclei of compare-perturbation's default config, with its defect."""
+    return C.NucleiConfig.from_lattice(dom, 0.5, defects=[((0.65, 0.65, 0.65), 0.5)])
 
 
 def defect_crystal(side):
-    """The crystal of compare-perturbation's default config, with its defect."""
     dom = cube(side)
-    nuclei = C.NucleiConfig.from_lattice(dom, 0.5, defects=[((0.65, 0.65, 0.65), 0.5)])
-    return C.coulomb_hamiltonian(dom, nuclei, n_max=2)
+    return C.coulomb_hamiltonian(dom, defect_crystal_nuclei(dom), n_max=2)
 
 
 # The Lanczos sectors of compare-perturbation's default run: N = 2 of sides
@@ -324,8 +389,7 @@ class TestHamiltonianAndGroundState:
     def test_no_nuclei_one_electron_matches_kinetic(self):
         dom = cube(2)
         op = C.coulomb_hamiltonian(dom, C.NucleiConfig([]), n_max=1)
-        idx = op.space.sector_indices(1)
-        block = np.asarray(op.matrix.todense())[np.ix_(idx, idx)]
+        block = op.blocks[1].toarray()
         assert np.allclose(
             np.sort(np.linalg.eigvalsh(block)),
             np.sort(np.linalg.eigvalsh(C.kinetic_operator(dom))),
@@ -333,9 +397,13 @@ class TestHamiltonianAndGroundState:
         )
 
     def test_commutes_with_number(self):
+        # the whole-space oracle has no entry between sectors, so the blocks
+        # hold all of it
         dom = cube(2)
         op = C.coulomb_hamiltonian(dom, TWO_NUCLEI, n_max=3)
-        assert block_offdiagonal_norm(op) == 0.0
+        H, sectors = whole_electrons(dom, TWO_NUCLEI, n_max=3)
+        assert block_offdiagonal_norm(H, sectors) == 0.0
+        assert (full_matrix(op) != H).nnz == 0
 
     def test_vacuum_optimal_without_nuclei(self):
         dom = cube(2)
@@ -347,7 +415,7 @@ class TestHamiltonianAndGroundState:
         dom = cube(2)
         op = C.coulomb_hamiltonian(dom, TWO_NUCLEI)  # full space, 2^8
         sector = C.ground_state_energy(op).value
-        dense = np.linalg.eigvalsh(np.asarray(op.matrix.todense()))[0]
+        dense = np.linalg.eigvalsh(full_matrix(op).toarray())[0]
         assert sector == pytest.approx(dense, abs=1e-9)
 
     def test_lanczos_repeatable_within_process(self):
@@ -377,7 +445,7 @@ class TestHamiltonianAndGroundState:
         res = C.ground_state_energy(op)
         solvers = set()
         for key, idx in op.sectors.items():
-            dense = np.linalg.eigvalsh(op.sector_matrix(key).toarray())[0]
+            dense = np.linalg.eigvalsh(op.blocks[key].toarray())[0]
             assert abs(res.sector_minima[key] - dense) <= 1e-12 * max(abs(dense), 1.0)
             solver = res.method[key]["solver"]
             assert solver == ("dense" if idx.size <= C._LANCZOS_FROM else "lanczos")
@@ -424,7 +492,7 @@ class TestHamiltonianAndGroundState:
         op = C.coulomb_hamiltonian(dom, TWO_NUCLEI, n_max=2)
         res = C.ground_state_energy(op)
         shifted = C.ManyBodyOperator(
-            op.matrix + 2.5 * sp.identity(op.dim, format="csr"),
+            {key: B + 2.5 * sp.identity(B.shape[0], format="csr") for key, B in op.blocks.items()},
             op.sectors,
             space=op.space,
             reflections=op.reflections,
@@ -448,7 +516,7 @@ class _CountingMatrix:
 @pytest.fixture(scope="module")
 def ground_build_sectors():
     build = {"crystal": crystal, "defect": defect_crystal}
-    return {key: build[key[0]](key[1]).sector_matrix(2) for key in GROUND_BUILD_PRODUCTS}
+    return {key: build[key[0]](key[1]).blocks[2] for key in GROUND_BUILD_PRODUCTS}
 
 
 class TestLanczosKernel:
@@ -577,7 +645,7 @@ class TestFreeEnergy:
         sp = F.build_space(8, "fermion")
         T = C.kinetic_operator(dom)
         H = F.second_quantize_onebody(sp, T)
-        op = C.ManyBodyOperator(H, dict(sp.sectors), space=sp)
+        op = from_matrix(H, dict(sp.sectors), space=sp)
         beta, mu = 0.7, 2.0
         lam = np.linalg.eigvalsh(T)
         product = -np.sum(np.log(1 + np.exp(-beta * (lam - mu)))) / beta
@@ -648,7 +716,7 @@ class TestFreeEnergy:
             # the same sums into a complex128 matrix
             ref = np.zeros((op.dim, op.dim), dtype=complex)
             for key, idx in op.sectors.items():
-                vals, vecs = np.linalg.eigh(op.sector_matrix(key).toarray())
+                vals, vecs = np.linalg.eigh(op.blocks[key].toarray())
                 w = np.exp(-1.3 * (vals - C._mu_dot_n(0.4, key)) - fe.log_z)
                 ref[np.ix_(idx, idx)] = (vecs * w) @ vecs.conj().T
             M = fe.gibbs_matrix()
@@ -675,23 +743,23 @@ class TestFreeEnergy:
 
 
 def plain_eigvalsh(op, key):
-    return np.linalg.eigvalsh(op.sector_matrix(key).toarray())
+    return np.linalg.eigvalsh(op.blocks[key].toarray())
 
 
 def split_blocks(op, key):
     """(size, copies) of the blocks _isotypic_split diagonalizes, largest first."""
-    split = C._isotypic_split(op.reflections, op.sectors[key], op.sector_matrix(key))
+    split = C._isotypic_split(op.reflections, op.sectors[key], op.blocks[key])
     return sorted(((M.shape[0], n) for M, n in split), reverse=True)
 
 
 def group_order(op, key):
-    return len(C._lift_group(op.reflections, op.sectors[key], op.sector_matrix(key))[0])
+    return len(C._lift_group(op.reflections, op.sectors[key], op.blocks[key])[0])
 
 
 def offering(op, lifts):
     """op with the given (perm, sign) lifts offered instead of its own."""
     return C.ManyBodyOperator(
-        op.matrix, op.sectors, space=op.space,
+        op.blocks, op.sectors, space=op.space,
         reflections=[lambda lift=lift: lift for lift in lifts],
     )
 
@@ -719,7 +787,7 @@ class TestSectorSpectrum:
     def test_split_matches_dense(self, build, monkeypatch):
         monkeypatch.setattr(C, "_SPLIT_FROM", 8)  # these sectors are below the measured size
         op = build()
-        field = op.matrix.dtype == complex
+        field = op.blocks[min(op.sectors)].dtype == complex
         # the six lattice reflections generate O_h; the field keeps only z
         assert len(op.reflections) == (1 if field else 6)
         for key, idx in op.sectors.items():
@@ -751,7 +819,7 @@ class TestSectorSpectrum:
         for key, idx in op.sectors.items():
             if idx.size < 2:
                 continue
-            block = op.sector_matrix(key)
+            block = op.blocks[key]
             where = np.full(op.dim, -1)
             where[idx] = np.arange(idx.size)
             commutes = []
@@ -880,7 +948,7 @@ class TestSectorSpectrum:
         # generates 49 elements
         monkeypatch.setattr(C, "_SPLIT_FROM", 2)
         op = C.ManyBodyOperator(
-            sp.identity(49, format="csr"), {0: np.arange(49)},
+            {0: sp.identity(49, format="csr")}, {0: np.arange(49)},
             reflections=[lambda: (np.roll(np.arange(49), 1), np.ones(49))],
         )
         with pytest.raises(C.EigensolverError, match="generate more than 48 elements"):
@@ -899,13 +967,13 @@ class TestSectorSpectrum:
         fe = C.free_energy(op, 1.3, (0.4, -0.2))
         ref = np.zeros((op.dim, op.dim))
         for key, idx in op.sectors.items():
-            vals, vecs = np.linalg.eigh(op.sector_matrix(key).toarray())
+            vals, vecs = np.linalg.eigh(op.blocks[key].toarray())
             w = np.exp(-1.3 * (vals - C._mu_dot_n(fe.mu, key)) - fe.log_z)
             ref[np.ix_(idx, idx)] = (vecs * w) @ vecs.T
         assert np.abs(fe.gibbs_matrix() - ref).max() < 1e-12
         energy, _key, vec = C.ground_state_vector(op)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(op.matrix @ vec - energy * vec) < 1e-10
+        assert np.linalg.norm(full_matrix(op) @ vec - energy * vec) < 1e-10
 
 
 class TestHartreeFock:
@@ -1027,7 +1095,7 @@ class TestChargeFamily:
         for R, z in zip(positions, [1.7, 0.6]):
             nuclei = C.NucleiConfig([(R, z)])
             ref, _lifts = one_shot(dom, nuclei)
-            assert abs(electrons.operator(nuclei).matrix - ref).max() < 1e-12
+            assert abs(full_matrix(electrons.operator(nuclei)) - ref).max() < 1e-12
 
     def test_pair_constant_matches_loop(self):
         dom = cube(2)
@@ -1036,7 +1104,7 @@ class TestChargeFamily:
         for charges in ([1.7, 0.6, 0.0], [1.7, 0.6, 1.1], [0.0, 0.6, 1.1]):
             nuclei = C.NucleiConfig(list(zip(positions, charges)))
             ref, _lifts = one_shot(dom, nuclei)
-            H = electrons.operator(nuclei).matrix
+            H = full_matrix(electrons.operator(nuclei))
             assert abs(H - ref).max() < 1e-12
             # the vacuum entry is the nuclear repulsion alone
             const = loop_pairs(list(zip(np.array(positions, dtype=float), charges)))[0]
@@ -1057,7 +1125,7 @@ class TestChargeFamily:
         for nuclei in builder_configs(side):
             op = electrons.operator(nuclei)
             ref, lifts = one_shot(dom, nuclei, fld)
-            assert abs(op.matrix - ref).max() < 1e-12
+            assert abs(full_matrix(op) - ref).max() < 1e-12
             assert len(op.reflections) == len(lifts)
             for lift, (ref_perm, ref_sign) in zip(op.reflections, lifts):
                 perm, sign = lift()
@@ -1076,8 +1144,10 @@ class TestChargeFamily:
         for k in order:
             got = reused.operator(configs[k])
             want = C._Electrons(*args).operator(configs[k])
-            assert got.matrix.dtype == want.matrix.dtype
-            assert (got.matrix != want.matrix).nnz == 0
+            assert got.blocks.keys() == want.blocks.keys()
+            for key, block in got.blocks.items():
+                assert block.dtype == want.blocks[key].dtype
+                assert (block != want.blocks[key]).nnz == 0
             assert len(got.reflections) == len(want.reflections)
             for lift, ref_lift in zip(got.reflections, want.reflections):
                 (perm, sign), (ref_perm, ref_sign) = lift(), ref_lift()
@@ -1097,7 +1167,7 @@ class TestChargeFamily:
             crystal_nuclei(dom),
             C.NucleiConfig([]),
             crystal_nuclei(dom, 0.45),
-            C.NucleiConfig.from_lattice(dom, 0.5, defects=[((0.65, 0.65, 0.65), 0.5)]),
+            defect_crystal_nuclei(dom),
         ]
         reused = C._Electrons(dom, n_max=2)
         for k in [0, 1, 2, 3, 0, 1]:
@@ -1139,6 +1209,108 @@ class TestElectronsMemory:
         assert "occupations" not in op.space.__dict__
 
 
+class TestTwoSpeciesMemory:
+    def test_side3_assembly_peak(self):
+        """The side-3 cube with el_max = 2 and nuc_max = 1 has species
+        spaces of 379 and 28 states and a largest block, (2, 1), of 9477.
+        The peak is about 3.7 MiB when only the sector blocks are formed;
+        the whole product space (10 612 states, its sp.kron terms and the
+        dense cross table) took it to 5.6 MiB."""
+        tracemalloc.start()
+        try:
+            C.two_species_hamiltonian(cube(3), 1.0, 100.0, el_max=2, nuc_max=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 2 ** 20
+
+    def test_assembly_builds_no_occupation_table(self, monkeypatch):
+        # the cross term reads the orbital lists of both species
+        spaces = []
+
+        def spy(*args, real=F.build_space, **kwargs):
+            spaces.append(real(*args, **kwargs))
+            return spaces[-1]
+
+        monkeypatch.setattr(C, "build_space", spy)
+        C.two_species_hamiltonian(cube(3), 1.0, 100.0, el_max=2, nuc_max=1)
+        assert [s.statistics for s in spaces] == ["fermion", "boson"]
+        assert all("occupations" not in s.__dict__ for s in spaces)
+
+
+# Operators whose sector blocks must be bitwise those of the whole-space
+# assembly: the ground-build crystals with and without the defect, the
+# electrons of the movable scan, a field, and the two-species scan model
+BITWISE_CASES = [
+    pytest.param("crystal", side, id=f"crystal-{side}") for side in (2, 3, 4, 5)
+] + [
+    pytest.param("defect", side, id=f"defect-{side}") for side in (2, 3, 4, 5)
+] + [
+    pytest.param("movable", side, id=f"movable-{side}") for side in (2, 3, 4)
+] + [
+    pytest.param("field", 3, id="field-3"),
+] + [
+    pytest.param("two-species", side, id=f"two-species-{side}") for side in (2, 3, 4)
+] + [
+    pytest.param("two-species-field", 2, id="two-species-field-2"),
+]
+
+
+def bitwise_pair(kind, side):
+    """(operator, its whole-space oracle (H, sectors)) of one BITWISE_CASES entry."""
+    dom = cube(side)
+    fld = C.MagneticField.constant([0.1, -0.2, 0.3])
+    if kind.startswith("two-species"):
+        field = fld if kind.endswith("field") else None
+        return (
+            C.two_species_hamiltonian(dom, 1.0, 100.0, field=field),
+            whole_two_species(dom, 1.0, 100.0, field=field),
+        )
+    nuclei, field, n_max = {
+        "crystal": (crystal_nuclei(dom), None, 2),
+        "defect": (defect_crystal_nuclei(dom), None, 2),
+        "movable": (C.NucleiConfig([([0.25, 0.25, 0.25], 2.0)]), None, 1),
+        "field": (TWO_NUCLEI, fld, 2),
+    }[kind]
+    return (
+        C.coulomb_hamiltonian(dom, nuclei, field=field, n_max=n_max),
+        whole_electrons(dom, nuclei, field=field, n_max=n_max),
+    )
+
+
+class TestSectorBlocks:
+    @pytest.mark.parametrize("kind, side", BITWISE_CASES)
+    def test_blocks_bitwise_whole_space_assembly(self, kind, side):
+        op, (H, sectors) = bitwise_pair(kind, side)
+        assert list(op.sectors) == list(sectors)
+        for key, idx in sectors.items():
+            assert np.array_equal(op.sectors[key], idx)
+            block, ref = op.blocks[key], H[np.ix_(idx, idx)]
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(block, name), getattr(ref, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_neutral_side3_two_two_block(self):
+        # the whole product space (153 874 states) passed the cap; the
+        # (2, 2) block alone is built
+        dom = cube(3)
+        op = C.two_species_hamiltonian(dom, 1.0, 100.0, el_max=2, nuc_max=2, dim_cap=2 ** 18)
+        block = op.blocks[2, 2]
+        assert block.shape == (132678, 132678)
+        val, info = C._sector_lowest(block)
+        ref = eigsh(block, k=1, which="SA", tol=1e-12)[0][0]
+        assert info["solver"] == "lanczos" and abs(val - ref) <= 1e-9 * abs(ref)
+
+    def test_block_above_cap_raises(self):
+        dom = cube(3)
+        with pytest.raises(ValueError, match=r"sector \(2, 2\) dimension 132678 exceeds cap 65536"):
+            C.two_species_hamiltonian(dom, 1.0, 100.0, el_max=2, nuc_max=2)
+        # the largest block decides: (1, 2) is 27 x 378
+        C.two_species_hamiltonian(dom, 1.0, 100.0, el_max=1, nuc_max=2, dim_cap=10206)
+        with pytest.raises(ValueError, match=r"sector \(1, 2\) dimension 10206 exceeds cap 10205"):
+            C.two_species_hamiltonian(dom, 1.0, 100.0, el_max=1, nuc_max=2, dim_cap=10205)
+
+
 class TestTwoSpecies:
     def test_decoupled_at_zero_charge(self):
         dom = cube(2)
@@ -1160,7 +1332,9 @@ class TestTwoSpecies:
     def test_conserves_both_numbers(self):
         dom = cube(2)
         op = C.two_species_hamiltonian(dom, z=2.0, M=10.0, el_max=1, nuc_max=1)
-        assert block_offdiagonal_norm(op) == 0.0
+        H, sectors = whole_two_species(dom, z=2.0, M=10.0)
+        assert block_offdiagonal_norm(H, sectors) == 0.0
+        assert (full_matrix(op) != H).nnz == 0
 
     def test_binding_at_large_charge(self):
         dom = cube(2)
@@ -1190,8 +1364,8 @@ class TestTwoSpecies:
         fld = C.MagneticField.constant([0.3, 0.2, 0.7])
         op = C.two_species_hamiltonian(dom, z, 10.0, field=fld, el_max=1, nuc_max=1)
         nuc = F.build_space(dom.n_sites, "boson", boson_cap=1, n_max=1)
-        idx = np.ix_(nuc.sector_indices(1), nuc.sector_indices(1))
-        block = op.sector_matrix((0, 1)).toarray()
+        idx = np.ix_(nuc.sectors[1], nuc.sectors[1])
+        block = op.blocks[0, 1].toarray()
 
         def hop(A):
             return (F.second_quantize_onebody(nuc, C.kinetic_operator(dom, A)) / 10.0).toarray()
@@ -1251,7 +1425,7 @@ class TestClassicalFreeEnergy:
         z = 0.0
         for op, w in ((op0, 1.0), (op1, 8.0 * np.exp(beta * mu[1]))):
             for N, idx in op.sectors.items():
-                vals = np.linalg.eigvalsh(np.asarray(op.sector_matrix(N).todense()))
+                vals = np.linalg.eigvalsh(op.blocks[N].toarray())
                 z += w * np.exp(-beta * (vals - mu[0] * N)).sum()
         assert out["value"] == pytest.approx(-np.log(z) / beta, abs=1e-10)
 

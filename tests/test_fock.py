@@ -183,7 +183,7 @@ class TestSecondQuantization:
         h = rng.standard_normal((5, 5))
         h = h + h.T
         H = F.second_quantize_onebody(sp, h).toarray()
-        idx = sp.sector_indices(1)
+        idx = sp.sectors[1]
         block = H[np.ix_(idx, idx)]
         assert np.allclose(
             np.sort(np.linalg.eigvalsh(block)), np.sort(np.linalg.eigvalsh(h)), atol=1e-12
@@ -484,9 +484,13 @@ def occupation_potential_diagonal(space, v):
 
 def nuclear_diagonal(electrons, nuclei):
     """The diagonal that operator(nuclei) adds to base, sum_i v(x_i) plus the
-    nuclear constant: read with base set to zero."""
-    electrons.base = sps.csr_matrix(electrons.base.shape)
-    return electrons.operator(nuclei).matrix.diagonal()
+    nuclear constant: read with every base block set to zero."""
+    electrons.base = {key: sps.csr_matrix(B.shape) for key, B in electrons.base.items()}
+    op = electrons.operator(nuclei)
+    diag = np.zeros(op.dim)
+    for key, idx in op.sectors.items():
+        diag[idx] = op.blocks[key].diagonal()
+    return diag
 
 
 # one nucleus: no pairs, so the nuclear constant is 0.0
@@ -606,7 +610,7 @@ class TestReducedDensity:
     def test_two_fermion_trace(self):
         sp = F.build_space(4, "fermion")
         rng = np.random.default_rng(9)
-        idx = sp.sector_indices(2)
+        idx = sp.sectors[2]
         vec = np.zeros(sp.dim, dtype=complex)
         vec[idx] = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
         st = pure_state(sp, vec)
@@ -665,7 +669,8 @@ class TestSplitIsomorphism:
             emb[sp.index(tuple(occ) + (0, 0)), i1] = 1.0
         M = emb @ small.matrix @ emb.T
         big = U @ M @ U.conj().T.toarray()
-        red = F.partial_trace_second(big, s1.dim, s2.dim)
+        # trace out the second tensor factor
+        red = np.einsum("abcb->ac", big.reshape(s1.dim, s2.dim, s1.dim, s2.dim))
         assert np.abs(red - small.matrix).max() < 1e-12
 
 

@@ -146,7 +146,8 @@ class TestLocalizeState:
         loc = localize_state(st, proj)
         U, s1, s2 = F.split_isomorphism(space, 2)
         big = U @ st.matrix @ U.conj().T.toarray()
-        red = F.partial_trace_second(big, s1.dim, s2.dim)
+        # trace out the second tensor factor
+        red = np.einsum("abcb->ac", big.reshape(s1.dim, s2.dim, s1.dim, s2.dim))
         emb = np.zeros((space.dim, s1.dim))
         for i1, occ in enumerate(s1.occupations.tolist()):
             emb[space.index(tuple(occ) + (0, 0, 0)), i1] = 1.0

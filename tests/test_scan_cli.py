@@ -94,9 +94,11 @@ class TestRunScan:
         spec = ScanSpec(model="crystal", n_max=2)
         op = cb.coulomb_hamiltonian(dom, cb.NucleiConfig([]), n_max=spec.n_max)
         assert _estimate_dim("crystal", dom.n_sites, spec) == op.dim
+        # the largest block, (1, 2) of 8 x 36 states, exceeds both species spaces (9, 45)
         spec = ScanSpec(model="quantum-nuclei", n_max=1, nuc_max=2, mu=(-1.0, -1.0))
         op = cb.two_species_hamiltonian(dom, 1.0, 100.0, el_max=1, nuc_max=2)
-        assert _estimate_dim("quantum-nuclei", dom.n_sites, spec) == op.dim
+        largest = max(idx.size for idx in op.sectors.values())
+        assert _estimate_dim("quantum-nuclei", dom.n_sites, spec) == largest == 288
         spec = ScanSpec(model="movable", n_max=3, mu=(-1.0, -2.0))
         electrons = cb._Electrons(dom, None, 3, 16384)
         assert _estimate_dim("movable", dom.n_sites, spec) == electrons.space.dim
@@ -427,11 +429,32 @@ class TestCli:
                 {"sides": [2], "n_max": 1, "z": -1.0},
                 "nuclear charges must be nonnegative, got -1.0",
             ),
+            (
+                ["scan"],
+                {"model": "movable", "sides": [2], "n_max": 1, "mu": [-1.0, -2.0],
+                 "candidates_per_side": 0},
+                "candidates_per_side must be at least 1, got 0",
+            ),
+            (
+                ["scan"],
+                {"model": "movable", "sides": [2], "n_max": 1, "mu": [-1.0, -2.0],
+                 "movable_k_max": -1},
+                "movable_k_max must be at least 0, got -1",
+            ),
+            (
+                ["scan"],
+                {"model": "quantum-nuclei", "sides": [2], "n_max": 1, "mu": [-1.0, -1.0],
+                 "nuc_max": -1},
+                "nuc_max must be at least 0, got -1",
+            ),
+            (["verify", "repelling"], {"N_list": [-1]}, "N_list entries must be nonnegative, got -1"),
         ],
         ids=["hf-beta-0", "hf-beta-negative", "yukawa-nu-negative", "li-yau-length-negative",
              "cq-no-cells", "energy-n_max-negative", "scan-n_max-negative", "quantum-nuclei-mass-0",
              "hf-sine-period-0", "cq-cell-volume-negative", "cq-cell-volume-0",
-             "scan-z-negative", "compare-z-negative"],
+             "scan-z-negative", "compare-z-negative", "movable-candidates-0",
+             "movable-kmax-negative", "quantum-nuclei-nuc_max-negative",
+             "repelling-N-negative"],
     )
     def test_out_of_range_exits_2(self, tmp_path, capsys, argv, bad, message):
         # exit 1 means a paper inequality failed; a bad input is exit 2
@@ -730,10 +753,8 @@ UNREACHED_ALLOWED = {
 # Public methods and properties of exported classes that no CLI runner
 # reaches, each with the reason it stays.
 MEMBERS_ALLOWED = {
-    "coulomb.ManyBodyOperator.dim": "the Fock dimension ground_state_vector and gibbs_matrix fill",
     "coulomb.FreeEnergyResult.gibbs_matrix": "the Gibbs state, the variational bound's minimizer",
     "fock.FockSpaceDesc.vacuum_index": "the doubled vacuum of localization_isometry",
-    "fock.FockState.expectation": "the energy term of variational_free_energy",
     "geometry.Domain.boundary_sites": "Part I regularity diagnostic (cone_check)",
     "geometry.Domain.boundary_points": "Part I regularity diagnostic (regularity_profile)",
     "geometry.Domain.contains_idx": "Part I regularity diagnostic (cone_check)",
