@@ -6,6 +6,7 @@ declares its config keys once, in the tables at the end of this module.
 """
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -312,7 +313,6 @@ def _random_partition(rng, count, n, floor):
 
 
 def _run_ssa_quantum(cfg):
-    rng = np.random.default_rng(cfg["seed"])
     n = cfg["modes"]
     space = fock.build_space(n, "fermion")
     states = []
@@ -324,11 +324,19 @@ def _run_ssa_quantum(cfg):
             states.append(("file:" + path, fock.FockState(space, M)))
         except ValueError as exc:
             raise ValueError(f"{exc} (state file {path})") from None
-    for trial in range(cfg["n_states"]):
-        M = _random_psd(rng, space.dim)
-        states.append((f"random{trial}", fock.FockState(space, M, validate=False)))
+    # one seeded stream draws every random state, then every weight set; a
+    # second copy of it draws each state when it is used, and the first skips
+    # the states' two (dim, dim) Gaussian arrays apiece
+    rng, state_rng = np.random.default_rng(cfg["seed"]), np.random.default_rng(cfg["seed"])
+    skipped = np.empty((space.dim, space.dim))
+    for _ in range(2 * cfg["n_states"]):
+        rng.standard_normal(out=skipped)
+    randoms = (
+        (f"random{trial}", fock.FockState(space, _random_psd(state_rng, space.dim), validate=False))
+        for trial in range(cfg["n_states"])
+    )
     rows = []
-    for label, state in states:
+    for label, state in itertools.chain(states, randoms):
         weights = _random_partition(rng, cfg["n_weights"], n, 0.1)
         rows.append(_ssa_row(loc.ssa_gap(state, weights, [0], [1], [2]), label, n))
     return rows

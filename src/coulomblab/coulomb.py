@@ -319,11 +319,12 @@ def _mu_dot_n(mu, key):
     return float(mu_vec @ n)
 
 
-def _lattice_symmetries(domain, *hs):
-    """The site permutations of domain.reflections() that leave every
-    one-body matrix in hs exactly invariant; the Fock lift of any other cannot
-    commute with a Hamiltonian whose one-particle parts are hs."""
-    return [s for s in domain.reflections() if all(np.array_equal(h[np.ix_(s, s)], h) for h in hs)]
+def _lattice_symmetries(candidates, *hs):
+    """The site permutations among candidates (domain.reflections() or a
+    subset) that leave every one-body matrix in hs exactly invariant; the
+    Fock lift of any other cannot commute with a Hamiltonian whose
+    one-particle parts are hs."""
+    return [s for s in candidates if all(np.array_equal(h[np.ix_(s, s)], h) for h in hs)]
 
 
 class _Electrons:
@@ -331,22 +332,23 @@ class _Electrons:
 
     The Fock space and the sector blocks of dGamma(T(A)) + dGamma_2(W) are
     built once; nuclei reach the electrons only through -sum_k z_k/|x - R_k|
-    and the nuclear repulsion, so operator(nuclei) adds one diagonal.
+    and the nuclear repulsion, so operator(nuclei) adds one diagonal.  T, W
+    and the lattice symmetries of T are kept for two_species_hamiltonian.
     """
 
     def __init__(self, domain, field=None, n_max=None, dim_cap=16384):
         self.domain = domain
         self.space = build_space(domain.n_sites, n_max=n_max, dim_cap=dim_cap)
-        T = kinetic_operator(domain, field)
-        W = coulomb_kernel(domain)
-        H = second_quantize_onebody(self.space, T) + second_quantize_twobody(self.space, W)
+        self.T, self.W = kinetic_operator(domain, field), coulomb_kernel(domain)
+        H = second_quantize_onebody(self.space, self.T)
+        H = H + second_quantize_twobody(self.space, self.W)
         self.base = _sector_blocks(H, self.space.sectors)
         # H restricted to one particle is T + diag(v): operator offers only
         # the symmetries of T that also fix v
-        self._symmetries = _lattice_symmetries(domain, T)
+        self.symmetries = _lattice_symmetries(domain.reflections(), self.T)
         self._lifts = [
             functools.cache(functools.partial(fock.permutation_lift, self.space, s))
-            for s in self._symmetries
+            for s in self.symmetries
         ]
 
     def operator(self, nuclei):
@@ -359,7 +361,7 @@ class _Electrons:
         sectors = self.space.sectors
         blocks = {key: B + sp.diags(diag[sectors[key]]) for key, B in self.base.items()}
         reflections = [
-            lift for lift, s in zip(self._lifts, self._symmetries) if np.array_equal(v[s], v)
+            lift for lift, s in zip(self._lifts, self.symmetries) if np.array_equal(v[s], v)
         ]
         return ManyBodyOperator(blocks, sectors, space=self.space, reflections=reflections)
 
@@ -1150,9 +1152,8 @@ def two_species_hamiltonian(
     largest = max(size, key=size.get)
     if size[largest] > dim_cap:
         raise ValueError(f"sector {largest} dimension {size[largest]} exceeds cap {dim_cap}")
-    T = kinetic_operator(domain, field)
+    T, W = electrons.T, electrons.W
     T_nuc = T if field is None else kinetic_operator(domain, MagneticField(lambda p: -z * field(p)))
-    W = coulomb_kernel(domain)
     H_nuc = (1.0 / M) * second_quantize_onebody(nuc, T_nuc)
     H_nuc = _sector_blocks(H_nuc + second_quantize_twobody(nuc, z ** 2 * W), nuc.sectors)
     blocks, sectors = {}, {}
@@ -1168,10 +1169,11 @@ def two_species_hamiltonian(
             + sp.diags(cross, dtype=T.dtype)  # a kron with an empty block is real
         )
         sectors[Ne, Kn] = (ie[:, None] * nuc.dim + jn[None, :]).ravel()
-    # W is invariant under every lattice symmetry, so only T or T_nuc can break one
+    # W is invariant under every lattice symmetry, so only T or T_nuc can
+    # break one: of the symmetries of T, keep those that also fix T_nuc
     reflections = [
         functools.cache(functools.partial(_product_lift, el, nuc, s))
-        for s in _lattice_symmetries(domain, T, T_nuc)
+        for s in _lattice_symmetries(electrons.symmetries, T_nuc)
     ]
     return ManyBodyOperator(blocks, sectors, reflections=reflections)
 

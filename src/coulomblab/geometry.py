@@ -24,6 +24,26 @@ _AXIS_STEPS = np.array(
     [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=int
 )
 
+# Working-set sizes of the chunked passes, kept in one place.  Each bounds
+# what one pass holds at once, and none is an option.  The tie and table
+# chunks split along points, so no result depends on them; the two
+# Graf-Schenker sizes split the per-sample sums, whose last bits can depend
+# on where a block starts (see _GS_BLOCK).
+# Near-tie points Tiling.locate settles at once: each chunk's projections
+# take (chunk, 96) doubles, and in a lattice-aligned point cloud a fifth of
+# the points can sit on a tie.
+_TIE_CHUNK = 1024
+# Mollifier offsets tile_weight_table locates and sorts at once (whole
+# points' worth).
+_WEIGHT_TABLE_OFFSETS = 8192
+# Samples per block of the sharp Graf-Schenker check.  A power of two: a
+# block's (block, pairs) @ prods then keeps the row bits of one whole-matrix
+# dgemv, which blocks of 2730 or 5461 rows do not.
+_GS_BLOCK = 2048
+# Moved mollifier offsets smooth_gs_check locates at once (whole samples'
+# worth).
+_SMOOTH_GS_OFFSETS = 32_768
+
 
 class Domain:
     """Finite set of grid sites of a*Z^3 with volume and boundary metadata.
@@ -204,28 +224,28 @@ def cube_rotations():
 
 
 def _sample_motions(rng, n, scale=1.0):
-    """n rigid motions x -> R x + u: rotations R (n, 3, 3), Haar-uniform on
-    SO(3) from normalized Gaussian quaternions, then translations u (n, 3)
-    uniform over one cell [0, scale)^3 of the scaled tiling's translation
-    lattice (enough for averages of tiling-summed integrands), drawn in that
-    order.  A caller moves the tiling by pulling its points back to
-    (x - u) R."""
-    q = rng.standard_normal((n, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    return _quat_to_matrix(q), scale * rng.random((n, 3))
+    """n rigid motions x -> R x + u, component-major: R (3, 3, n), whose
+    entry R[k, i] is one contiguous row over the samples, and u (3, n).  The
+    rotations are Haar-uniform on SO(3) from normalized Gaussian quaternions,
+    then the translations uniform over one cell [0, scale)^3 of the scaled
+    tiling's translation lattice (enough for averages of tiling-summed
+    integrands), drawn in that order as (n, 4) and (n, 3) arrays; the norm
+    sums w^2 + x^2 + y^2 + z^2 in that order, the bits of np.linalg.norm.  A
+    caller moves the tiling by pulling its points back to (x - u) R."""
+    q = np.ascontiguousarray(rng.standard_normal((n, 4)).T)
+    q /= np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    return _quat_to_matrix(*q), scale * np.ascontiguousarray(rng.random((n, 3)).T)
 
 
-def _quat_to_matrix(q):
-    """Rotation matrices (n, 3, 3) of unit quaternions (n, 4) = (w, x, y, z)."""
-    w, x, y, z = q.T
-    return np.stack(
+def _quat_to_matrix(w, x, y, z):
+    """Rotation entries (3, 3, n) of unit quaternions given as rows w, x, y, z."""
+    return np.array(
         [
-            1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w),
-            2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w),
-            2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y),
-        ],
-        axis=-1,
-    ).reshape(-1, 3, 3)
+            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +268,6 @@ _CANONICAL_TETRA = np.array(
 # Cell points whose |p_x|, |p_y|, |p_z| come closer than this to a tie are
 # located by the face margins themselves (max margin, lowest chamber index).
 _TIE_GAP = 1e-9
-
-# Near-tie points are settled this many at a time: each chunk's projections
-# take (chunk, 96) doubles, so a lattice-aligned point cloud, where a fifth
-# of the points can sit on a tie, keeps a working set of a few MiB.
-_TIE_CHUNK = 4096
 
 
 def _chamber_codes(px, py, pz):
@@ -421,14 +436,18 @@ def tile_weight_table(tiling, points, scale, r_j=0.1, n_quad=16):
     and the dense (len(keys), P) matrix of each tile's weight at each point.
 
     Each column sums to one (quadrature nodes land in exactly one tile
-    each), which realizes the partition of unity over the tiling.
+    each), which realizes the partition of unity over the tiling.  The
+    offsets x - node are located and summed by whole points, about
+    _WEIGHT_TABLE_OFFSETS at a time; a point's sums never span two chunks, so
+    the table does not depend on the chunk size.  The returned matrix itself
+    is dense.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     nodes, w = _mollifier_nodes(r_j, n_quad)
     P, K = pts.shape[0], nodes.shape[0]
     # one entry per (point, tile): its key, its point and its summed weight
     runs = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
-    chunk = max(1, 32_768 // K)  # offsets per chunk: a few MiB of keys and sort orders
+    chunk = max(1, _WEIGHT_TABLE_OFFSETS // K)  # points per chunk
     for start in range(0, P, chunk):
         block = pts[start : start + chunk]
         offs = (block[:, None, :] - nodes[None, :, :]).reshape(-1, 3)

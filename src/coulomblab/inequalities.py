@@ -15,6 +15,7 @@ import scipy.sparse as sp
 
 from . import coulomb as cb
 from .fock import build_space, second_quantize_onebody
+from .geometry import _GS_BLOCK, _SMOOTH_GS_OFFSETS
 from .geometry import Tiling, _mollifier_nodes, _sample_motions, tile_weight_table
 
 __all__ = [
@@ -240,18 +241,23 @@ def _require_scales(ell_list, samples=1):
 
 
 def _same_tile_samples(tiling, points, scale, R, u):
-    """Packed tile keys (samples, n_points) under the moved scaled tiling.
+    """Packed tile keys (P, samples) of the points (P, 3) under the moved
+    scaled tiling, for one block of the component-major motions of
+    _sample_motions (R (3, 3, samples), u (3, samples)).
 
     Coordinate i of (x - u) R is summed over k = x, y, z in that order, into
-    row i of one (3, samples * n_points) buffer, whose transpose is located."""
-    D = [points[None, :, k] - u[:, k, None] for k in range(3)]
-    Y = np.empty((3, len(R) * len(points)))
+    one (P, samples) row of a (3, P * samples) buffer, whose transpose is
+    located: each product runs along contiguous sample rows."""
+    n = u.shape[1]
+    D = [points[:, k, None] - u[k] for k in range(3)]
+    Y = np.empty((3, len(points) * n))
     for i in range(3):
-        col = Y[i].reshape(len(R), len(points))
-        np.multiply(D[0], R[:, 0, i, None], out=col)
-        col += D[1] * R[:, 1, i, None]
-        col += D[2] * R[:, 2, i, None]
-    return tiling.locate(Y.T, scale=scale).reshape(len(R), len(points))
+        row = Y[i].reshape(len(points), n)
+        np.multiply(D[0], R[0, i], out=row)
+        row += D[1] * R[1, i]
+        row += D[2] * R[2, i]
+    del D  # not held while the block is located
+    return tiling.locate(Y.T, scale=scale).reshape(len(points), n)
 
 
 def _envelope_reports(name, ell_list, deficits, zsq, extras):
@@ -296,8 +302,16 @@ def graf_schenker_deficit(cfg, ell_list, samples=10000, seed=0):
     deficits = []
     for j, ell in enumerate(ell_list):
         R, u = _sample_motions(np.random.default_rng([seed, j]), samples, ell)
-        keys = _same_tile_samples(_tiling(), cfg.points, ell, R, u)
-        deficits.append((keys[:, iu[0]] == keys[:, iu[1]]) @ prods - full)
+        inside = np.empty(samples)
+        for start in range(0, samples, _GS_BLOCK):
+            part = slice(start, start + _GS_BLOCK)
+            keys = _same_tile_samples(_tiling(), cfg.points, ell, R[:, :, part], u[:, part])
+            # one C-ordered (block, pairs) 0/1 matrix, as the whole one was
+            same = np.empty((keys.shape[1], len(prods)))
+            for c, (a, b) in enumerate(zip(*iu)):
+                np.equal(keys[a], keys[b], out=same[:, c])
+            inside[part] = same @ prods
+        deficits.append(inside - full)
     return _envelope_reports("graf_schenker", ell_list, deficits, zsq, [{}] * len(ell_list))
 
 
@@ -350,7 +364,7 @@ def smooth_gs_check(cfg, ell_list, r_j=0.3, samples=2000, seed=0):
     w_pairs = float((q[iu[0]] * q[iu[1]] * w_kernel(d)).sum())
     nodes, wts = _mollifier_nodes(r_j, _N_QUAD)
     offs = (cfg.points[:, None, :] - nodes[None, :, :]).reshape(-1, 3)
-    chunk = max(1, 32_768 // len(offs))  # samples per chunk: a few MiB of keys
+    chunk = max(1, _SMOOTH_GS_OFFSETS // len(offs))  # samples per chunk
     deficits, extras = [], []
     for j, ell in enumerate(ell_list):
         R, u = _sample_motions(np.random.default_rng([seed, 13, j]), samples, ell)
@@ -358,8 +372,8 @@ def smooth_gs_check(cfg, ell_list, r_j=0.3, samples=2000, seed=0):
         max_weight = 0.0
         for start in range(0, samples, chunk):
             part = slice(start, start + chunk)
-            keys = _same_tile_samples(_tiling(), offs, ell, R[part], u[part])
-            pair = _smooth_pair_weights(keys.ravel(), len(q), wts, iu)
+            keys = _same_tile_samples(_tiling(), offs, ell, R[:, :, part], u[:, part])
+            pair = _smooth_pair_weights(keys, len(q), wts, iu)
             vals[part] = pair @ prods
             max_weight = max(max_weight, float(pair.max(initial=0.0)))
         deficits.append(vals - full)
@@ -369,23 +383,25 @@ def smooth_gs_check(cfg, ell_list, r_j=0.3, samples=2000, seed=0):
 
 def _smooth_pair_weights(keys, n, wts, iu):
     """Smoothed same-tile weights sum_mu theta_mu^2(x_i) theta_mu^2(x_j) of the
-    pairs iu, one row per sample, from the packed tile keys of every
-    (sample, point, node) offset in that order.  The offsets sharing a sample
-    and a tile form one group; a point's weight in a group sums its nodes'
-    quadrature weights there, and a pair's weight sums over the groups of
-    its sample the product of the two points' weights."""
-    per_sample = n * len(wts)
-    sample = np.arange(len(keys)) // per_sample
+    pairs iu, one row per sample, from the packed tile keys (n * len(wts),
+    samples) of every (point, node) offset under every sample.  The offsets
+    sharing a sample and a tile form one group, its members in offset order;
+    a point's weight in a group sums its nodes' quadrature weights there, and
+    a pair's weight sums over the groups of its sample the product of the two
+    points' weights."""
+    n_samples = keys.shape[1]
+    keys = keys.ravel()
+    sample = np.arange(len(keys)) % n_samples
     order = np.lexsort((keys, sample))
     keys, sample = keys[order], sample[order]
     new = np.ones(len(keys), dtype=bool)
     new[1:] = (keys[1:] != keys[:-1]) | (sample[1:] != sample[:-1])
     group = np.cumsum(new) - 1
-    point = order % per_sample // len(wts)
+    point, node = np.divmod(order // n_samples, len(wts))
     weights = np.bincount(
-        group * n + point, weights=wts[order % len(wts)], minlength=(group[-1] + 1) * n
+        group * n + point, weights=wts[node], minlength=(group[-1] + 1) * n
     ).reshape(-1, n)
-    first = np.searchsorted(sample[new], np.arange(len(keys) // per_sample))
+    first = np.searchsorted(sample[new], np.arange(n_samples))
     return np.add.reduceat(weights[:, iu[0]] * weights[:, iu[1]], first, axis=0)
 
 

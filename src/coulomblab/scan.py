@@ -227,6 +227,7 @@ def perturbation_compare(spec, defects=()):
         pert = cb.NucleiConfig.from_lattice(domain, spec.z, defects)
         electrons = cb._Electrons(domain, n_max=spec.n_max, dim_cap=spec.dim_cap)
         op0, op1 = electrons.operator(base), electrons.operator(pert)
+        del electrons  # its blocks, T and W are not needed by the solves
         e0 = cb.ground_state_energy(op0).value
         e1 = cb.ground_state_energy(op1).value
         ratio = abs(e1 - e0) / domain.volume

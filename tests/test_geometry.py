@@ -55,9 +55,15 @@ def unpack(keys):
     return chamber, ux, uy, uz
 
 
+def stacked_motions(rng, n, scale=1.0):
+    """_sample_motions as stacks R (n, 3, 3), u (n, 3), one motion per row."""
+    R, u = G._sample_motions(rng, n, scale)
+    return R.transpose(2, 0, 1), u.T
+
+
 def motion(seed):
     """One rigid motion x -> R x + u, the first that _sample_motions draws."""
-    R, u = G._sample_motions(np.random.default_rng(seed), 1)
+    R, u = stacked_motions(np.random.default_rng(seed), 1)
     return R[0], u[0]
 
 
@@ -244,7 +250,7 @@ class TestTiling:
         t = G.Tiling()
         rng = np.random.default_rng(3)
         off = 0
-        for R, u in zip(*G._sample_motions(np.random.default_rng(5), 5)):
+        for R, u in zip(*stacked_motions(np.random.default_rng(5), 5)):
             pts = rng.uniform(-20, 20, size=(20000, 3))
             mult = multiplicity(t, pull_back(pts, R, u), 3.0)
             off += int((mult != 1).sum())
@@ -469,25 +475,51 @@ class TestTieChunks:
         assert np.array_equal(tiling.locate(pts, scale=ell), strided_pack(ref))
 
 
+def row_major_motions(rng, n, scale=1.0):
+    """The (n, 3, 3) / (n, 3) sampler the component-major one replaced: the
+    same draws, np.linalg.norm and one stacked quaternion-to-matrix map."""
+    q = rng.standard_normal((n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    w, x, y, z = q.T
+    R = np.stack(
+        [
+            1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w),
+            2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w),
+            2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y),
+        ],
+        axis=-1,
+    ).reshape(-1, 3, 3)
+    return R, scale * rng.random((n, 3))
+
+
 class TestGroupSampling:
+    @pytest.mark.parametrize("n", [1, 7, 5000])
+    def test_matches_row_major_sampler_bitwise(self, n):
+        R, u = G._sample_motions(np.random.default_rng([n, 2]), n, 8.0)
+        assert R.shape == (3, 3, n) and u.shape == (3, n)
+        assert R.flags.c_contiguous and u.flags.c_contiguous
+        R_ref, u_ref = row_major_motions(np.random.default_rng([n, 2]), n, 8.0)
+        assert R.transpose(2, 0, 1).tobytes() == R_ref.tobytes()
+        assert u.T.tobytes() == u_ref.tobytes()
+
     def test_orthogonality_and_determinism(self):
-        R, u = G._sample_motions(np.random.default_rng(9), 50)
+        R, u = stacked_motions(np.random.default_rng(9), 50)
         for Ri in R:
             assert np.abs(Ri.T @ Ri - np.eye(3)).max() < 1e-12
             assert np.linalg.det(Ri) == pytest.approx(1.0)
-        R2, u2 = G._sample_motions(np.random.default_rng(9), 50)
+        R2, u2 = stacked_motions(np.random.default_rng(9), 50)
         assert np.array_equal(R, R2) and np.array_equal(u, u2)
 
     def test_rotation_mean_vanishes(self):
         n = 4000
-        R, _ = G._sample_motions(np.random.default_rng(123), n)
+        R, _ = stacked_motions(np.random.default_rng(123), n)
         mean = sum(R) / n
         # each entry has variance 1/3 under the rotation-invariant measure
         assert np.abs(mean).max() < 3.0 / np.sqrt(3 * n)
 
     def test_haar_marginals_chi2(self):
         n = 8000
-        R, u = G._sample_motions(np.random.default_rng(77), n)
+        R, u = stacked_motions(np.random.default_rng(77), n)
         x0 = np.array([0.37, -1.21, 0.55])
         moved = x0 @ R.transpose(0, 2, 1) + u
         # translation marginal: uniform on the unit cell after folding

@@ -181,19 +181,27 @@ class TestGrafSchenker:
         rng = np.random.default_rng(17)
         R, u = _sample_motions(rng, 40000, ell)
         keys = _same_tile_samples(tiling, pts, ell, R, u)
-        same_small = (keys[:, 0] == keys[:, 1]).mean()
+        same_small = (keys[0] == keys[1]).mean()
         rng2 = np.random.default_rng(18)
         R2, u2 = _sample_motions(rng2, 40000, 2 * ell)
         keys2 = _same_tile_samples(tiling, pts, ell, R2, u2)
-        same_big = (keys2[:, 0] == keys2[:, 1]).mean()
+        same_big = (keys2[0] == keys2[1]).mean()
         assert same_small == pytest.approx(same_big, abs=0.01)
+
+
+def einsum_pull_back(points, R, u):
+    """Pull-backs (x - u) R (samples, P, 3) of the points under the motions
+    of _sample_motions, by one einsum over (samples, 3, 3) rotation stacks:
+    the bitwise oracle of the blocked pull-back."""
+    return np.einsum("snk,ski->sni", points[None, :, :] - u.T[:, None, :], R.transpose(2, 0, 1))
 
 
 def loop_gs_deficit(cfg, ell_list, samples, seed):
     """(lhs, rhs, mc_error, extras) of graf_schenker_deficit as its own
-    per-scale loop computed them: same @ prods, a zero branch for fewer than
-    two points and the constant fitted at index 0.  Kept as the bitwise
-    oracle of the shared pair table and envelope."""
+    per-scale loop computed them: one einsum pull-back of every sample, one
+    whole-matrix same @ prods, a zero branch for fewer than two points and
+    the constant fitted at index 0.  Kept as the bitwise oracle of the
+    sample blocks, the shared pair table and the envelope."""
     tiling = G.Tiling()
     pts, charges = cfg.points, cfg.charges
     n = len(charges)
@@ -206,7 +214,8 @@ def loop_gs_deficit(cfg, ell_list, samples, seed):
     ratios, sigmas, deficits = [], [], []
     for j, ell in enumerate(ell_list):
         R, u = G._sample_motions(np.random.default_rng([seed, j]), samples, ell)
-        keys = I._same_tile_samples(tiling, pts, ell, R, u)
+        Y = einsum_pull_back(pts, R, u)
+        keys = tiling.locate(Y.reshape(-1, 3), scale=ell).reshape(samples, n)
         if n >= 2:
             inside = (keys[:, iu[0]] == keys[:, iu[1]]) @ prods
         else:
@@ -227,8 +236,9 @@ def loop_gs_deficit(cfg, ell_list, samples, seed):
 
 class TestGrafSchenkerOracle:
     @pytest.mark.parametrize("n", [1, 2, 8])
-    @pytest.mark.parametrize("samples", [1, 700])
+    @pytest.mark.parametrize("samples", [1, 700, 2 * G._GS_BLOCK + 3])
     def test_matches_per_scale_loop_bitwise(self, n, samples):
+        # the last size runs two whole sample blocks and an odd tail
         rng = np.random.default_rng(60 + n)
         charges = rng.uniform(-3.0, 3.0, n)
         cfg = I.ChargeConfig(rng.uniform(-1.0, 1.0, (n, 3)), charges)
@@ -259,18 +269,20 @@ class KeepColumns:
 class TestSameTileMotion:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_motion_matches_einsum_bitwise(self, n):
+        # the points are pulled back and located point by point, each point's
+        # row running over the samples; the keys come back as (P, samples)
         rng = np.random.default_rng(40 + n)
         pts = rng.uniform(-1.0, 1.0, size=(n, 3))
         for ell in (4.0, 8.0, 16.0):
             R, u = G._sample_motions(rng, 2000, ell)
-            Y = np.einsum("snk,ski->sni", pts[None, :, :] - u[:, None, :], R)
+            Y = einsum_pull_back(pts, R, u)
             rec = KeepColumns()
             I._same_tile_samples(rec, pts, ell, R, u)
-            assert np.array_equal(rec.points, Y.reshape(-1, 3))
+            assert np.array_equal(rec.points, Y.transpose(1, 0, 2).reshape(-1, 3))
             tiling = G.Tiling()
             keys = I._same_tile_samples(tiling, pts, ell, R, u)
-            ref = tiling.locate(Y.reshape(-1, 3), scale=ell).reshape(len(R), n)
-            assert np.array_equal(keys, ref)
+            ref = tiling.locate(Y.reshape(-1, 3), scale=ell).reshape(2000, n)
+            assert np.array_equal(keys, ref.T)
 
 
 def dict_smooth_gs(cfg, ell_list, r_j, samples, seed, n_quad=8):
@@ -288,6 +300,7 @@ def dict_smooth_gs(cfg, ell_list, r_j, samples, seed, n_quad=8):
     out = []
     for j, ell in enumerate(ell_list):
         R, u = G._sample_motions(np.random.default_rng([seed, 13, j]), samples, ell)
+        R, u = R.transpose(2, 0, 1), u.T
         offs = (pts[:, None, :] - nodes[None, :, :]).reshape(-1, 3)
         vals = np.empty(samples)
         max_weight = 0.0
@@ -505,8 +518,10 @@ class TestIms:
     def test_side6_peak_memory(self):
         """On the side-6 cube a fifth of the mollifier offsets at ell = 4 sit
         within _TIE_GAP of a chamber tie.  Located all at once, their margin
-        matrices took the traced peak to about 40 MiB; in chunks of
-        _TIE_CHUNK rows it stays near 11 MiB."""
+        matrices took the traced peak to about 40 MiB, and in 4096-row tie
+        chunks of 32 768-offset table chunks to near 11 MiB.  With 1024-row
+        tie chunks of 8192-offset chunks it was 4.0 MiB when this bound
+        (about 1.5 times that) was set."""
         dom = cube(6)
         tracemalloc.start()
         try:
@@ -514,7 +529,7 @@ class TestIms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20 * 2 ** 20
+        assert peak < 6 * 2 ** 20
 
     @pytest.mark.parametrize("field", [None, C.MagneticField.constant([0.0, 0.3, 0.8])])
     def test_residual_is_spectral_norm(self, monkeypatch, field):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import coulomblab
 from coulomblab import cli
 from coulomblab import coulomb as cb
 from coulomblab import fock
+from coulomblab import localization as loc
 from coulomblab.cli import _COMMANDS, _SSA, _VERIFY, _read_config, cli_main
 from coulomblab.scan import (
     ScanSpec,
@@ -586,6 +588,64 @@ class TestCli:
             == 0
         )
         assert out1.read_bytes() != out2.read_bytes()
+
+
+def states_first_ssa_quantum(cfg):
+    """ssa quantum's rows as computed with every state held: the file
+    states, then every random state from the seeded stream, then the weights
+    of each state from the same stream.  The oracle of the states drawn as
+    they are used."""
+    rng = np.random.default_rng(cfg["seed"])
+    space = fock.build_space(cfg["modes"], "fermion")
+    states = []
+    for path in cfg["state_files"]:
+        with open(path) as fh:
+            states.append(("file:" + path, fock.FockState(space, fock.array_from_json(fh.read()))))
+    for trial in range(cfg["n_states"]):
+        M = cli._random_psd(rng, space.dim)
+        states.append((f"random{trial}", fock.FockState(space, M, validate=False)))
+    rows = []
+    for label, state in states:
+        weights = cli._random_partition(rng, cfg["n_weights"], cfg["modes"], 0.1)
+        rep = loc.ssa_gap(state, weights, [0], [1], [2])
+        rows.append(cli._ssa_row(rep, label, cfg["modes"]))
+    return rows
+
+
+class TestSsaQuantumDraws:
+    @pytest.mark.parametrize("with_file", [False, True])
+    def test_rows_match_states_drawn_first(self, tmp_path, with_file):
+        files = [_write_state_file(tmp_path / "mixed.json")] if with_file else []
+        cfg = _read_config(
+            _SSA["quantum"][1], {"modes": 3, "n_states": 6, "seed": 5, "state_files": files}
+        )
+        rows = cli._run_ssa_quantum(cfg)
+        assert len(rows) == 6 + len(files)
+        assert rows == states_first_ssa_quantum(cfg)
+
+
+class TestDefaultRunMemory:
+    """tracemalloc peaks of default CLI runs, each bound about 1.5 times the
+    peak measured when the guard was set (numpy 2.4, Python 3.11)."""
+
+    def traced_peak(self, argv, tmp_path):
+        tracemalloc.start()
+        try:
+            assert cli_main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_graf_schenker(self, tmp_path):
+        # measured 3.3 MiB: the motions of one scale (0.9 MiB) and one
+        # 2048-sample block of pull-backs and keys; 10.5 MiB when every
+        # sample's keys and pair matrix were held at once
+        assert self.traced_peak(["verify", "graf-schenker"], tmp_path) < 5 * 2 ** 20
+
+    def test_ssa_quantum(self, tmp_path):
+        # measured 1.1 MiB with each random state drawn when it is used;
+        # 7.3 MiB when all 100 (64 x 64 complex) states were held first
+        assert self.traced_peak(["ssa", "quantum"], tmp_path) < 1.75 * 2 ** 20
 
 
 class _ReadKeys(dict):
