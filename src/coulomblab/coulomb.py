@@ -95,8 +95,9 @@ class MagneticField:
         def A(pts):
             out = np.zeros_like(pts)
             for m in range(_RANDOM_FIELD_MODES):
-                arg = (pts @ ks[m])[:, None] + phases[m][None, :]
-                out += amps[m][None, :] * np.sin(arg)
+                # x k0 + y k1 + z k2 term by term: no row depends on its batch
+                kx = pts[:, 0] * ks[m, 0] + pts[:, 1] * ks[m, 1] + pts[:, 2] * ks[m, 2]
+                out += amps[m][None, :] * np.sin(kx[:, None] + phases[m][None, :])
             return out
 
         return cls(A, label=f"random{seed}")
@@ -164,12 +165,12 @@ def _entry_arrays(entries):
 
 def _inside_domain(domain, R):
     """Mask over the rows of R: within _LATTICE_MARGIN * a (max-norm) of a
-    grid site."""
-    # one axis at a time: a max over a trailing axis of length 3 is ~10x slower
-    d = np.zeros((len(R), domain.n_sites))
-    for k in range(3):
-        np.maximum(d, np.abs(R[:, k, None] - domain.points[None, :, k]), out=d)
-    return d.min(axis=1) <= _LATTICE_MARGIN * domain.a + 1e-12
+    grid site.  The margin is below a/2, so only the nearest grid point
+    rint(R / a) can qualify (clipped, so a huge row stays off when cast)."""
+    u = np.clip(np.rint(R / domain.a), -2.0 ** 40, 2.0 ** 40)
+    near = np.abs(R - domain.a * u).max(axis=1) <= _LATTICE_MARGIN * domain.a + 1e-12
+    near[near] = domain.site_of(u[near].astype(np.int64)) >= 0
+    return near
 
 
 def _pair_table(positions):
@@ -197,12 +198,15 @@ def kinetic_operator(domain, field=None, mass_scale=1.0):
     T = np.zeros((n, n), dtype=dtype)
     np.fill_diagonal(T, 6.0 / a ** 2)
     pts = domain.points
-    for i, j, _axis in domain.neighbor_pairs():
+    for k, step in enumerate(np.eye(3, dtype=np.int64)):
+        # the bonds i -> j = i + e_k, the field evaluated on all their midpoints
+        j = domain.site_of(domain.idx + step)
+        i = np.flatnonzero(j >= 0)
+        j = j[i]
         if field is None:
             T[i, j] = T[j, i] = -1.0 / a ** 2
         else:
-            mid = 0.5 * (pts[i] + pts[j])
-            phase = float(field(mid) @ (pts[j] - pts[i]))
+            phase = field(0.5 * (pts[i] + pts[j]))[:, k] * (pts[j, k] - pts[i, k])
             T[i, j] = -np.exp(1j * phase) / a ** 2
             T[j, i] = np.conj(T[i, j])
     return mass_scale * T

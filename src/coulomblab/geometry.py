@@ -36,6 +36,8 @@ _TIE_CHUNK = 1024
 # Mollifier offsets tile_weight_table locates and sorts at once (whole
 # points' worth).
 _WEIGHT_TABLE_OFFSETS = 8192
+# Site pairs Domain.diameter compares at once (whole rows' worth).
+_DIAMETER_PAIRS = 1 << 18
 # Samples per block of the sharp Graf-Schenker check.  A power of two: a
 # block's (block, pairs) @ prods then keeps the row bits of one whole-matrix
 # dgemv, which blocks of 2730 or 5461 rows do not.
@@ -48,9 +50,10 @@ _SMOOTH_GS_OFFSETS = 32_768
 class Domain:
     """Finite set of grid sites of a*Z^3 with volume and boundary metadata.
 
-    Sites are stored as integer lattice coordinates; real-space positions are
-    a * idx.  A site is a boundary site when at least one of its six grid
-    neighbors is missing.  |Omega| = a^3 * (number of sites).
+    Sites are stored once: integer lattice coordinates idx in colex (z, y, x)
+    order, the order of their sorted keys (_site_keys), which site_of
+    searches.  Real-space positions are a * idx.  A site is a boundary site
+    when one of its six grid neighbors is missing.  |Omega| = a^3 * n_sites.
     """
 
     def __init__(self, spacing, idx, label=""):
@@ -59,25 +62,24 @@ class Domain:
             raise ValueError("degenerate domain: spacing must be positive")
         if idx.shape[0] == 0:
             raise ValueError("degenerate domain: no sites")
-        self.a = float(spacing)
-        # deterministic site order: colex on (z, y, x)
-        idx = idx[np.lexsort((idx[:, 0], idx[:, 1], idx[:, 2]))]
-        self.idx = idx
-        self.label = label
-        self._site_set = {tuple(t) for t in idx.tolist()}
-        if len(self._site_set) != idx.shape[0]:
+        keys, ok = _site_keys(idx)
+        if not ok.all():
+            raise ValueError("site coordinate outside [-2^20, 2^20)")
+        order = np.argsort(keys)
+        self._keys = keys[order]
+        if (self._keys[1:] == self._keys[:-1]).any():
             raise ValueError("duplicate sites in domain")
-        self._index_of = {t: i for i, t in enumerate(map(tuple, idx.tolist()))}
-        self._boundary_mask = self._compute_boundary()
+        self.a = float(spacing)
+        self.idx = idx[order]
+        self.label = label
+        self._boundary_mask = (self.site_of(self.idx[:, None] + _AXIS_STEPS) < 0).any(axis=1)
 
-    def _compute_boundary(self):
-        mask = np.zeros(self.n_sites, dtype=bool)
-        for i, t in enumerate(map(tuple, self.idx.tolist())):
-            for step in _AXIS_STEPS:
-                if (t[0] + step[0], t[1] + step[1], t[2] + step[2]) not in self._site_set:
-                    mask[i] = True
-                    break
-        return mask
+    def site_of(self, points):
+        """Site number of each lattice point (..., 3), or -1 off the domain
+        (also for a coordinate outside [-2^20, 2^20))."""
+        keys, ok = _site_keys(np.asarray(points, dtype=np.int64))
+        pos = np.minimum(np.searchsorted(self._keys, keys), self.n_sites - 1)
+        return np.where(ok & (self._keys[pos] == keys), pos, -1)
 
     @property
     def n_sites(self):
@@ -99,31 +101,6 @@ class Domain:
     def boundary_points(self):
         return self.a * self.boundary_sites.astype(float)
 
-    def contains_idx(self, triple):
-        return tuple(int(v) for v in triple) in self._site_set
-
-    def ghost_sites(self):
-        """Grid sites outside the domain adjacent to a domain site."""
-        ghosts = set()
-        for t in self._site_set:
-            for step in _AXIS_STEPS:
-                cand = (t[0] + step[0], t[1] + step[1], t[2] + step[2])
-                if cand not in self._site_set:
-                    ghosts.add(cand)
-        return np.array(sorted(ghosts), dtype=np.int64).reshape(-1, 3)
-
-    def neighbor_pairs(self):
-        """(i, j, axis) for grid-neighbor site pairs, each unordered pair once."""
-        pairs = []
-        for i, t in enumerate(map(tuple, self.idx.tolist())):
-            for axis in range(3):
-                cand = list(t)
-                cand[axis] += 1
-                j = self._index_of.get(tuple(cand))
-                if j is not None:
-                    pairs.append((i, j, axis))
-        return pairs
-
     def reflections(self):
         """Site permutations of the axis reflections through the bounding-box
         centre, then of the coordinate swaps x<->y, y<->z and x<->z about its
@@ -142,26 +119,36 @@ class Domain:
             images.append(swapped)
         out = []
         for mirrored in images:
-            sigma = [self._index_of.get(t, -1) for t in map(tuple, mirrored.tolist())]
-            sigma = np.array(sigma, dtype=np.int64)
+            sigma = self.site_of(mirrored)
             if (sigma >= 0).all() and (sigma != np.arange(self.n_sites)).any():
                 out.append(sigma)
         return out
 
     def diameter(self):
-        pts = self.points
-        if self.n_sites <= 1:
-            return 0.0
-        if self.n_sites > 4000:
-            # corners of the bounding box bound the diameter tightly enough
-            lo, hi = pts.min(axis=0), pts.max(axis=0)
-            corners = np.array(list(itertools.product(*zip(lo, hi))))
-            pts = corners
-        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-        return float(np.sqrt(d2.max()))
+        """Largest distance between two sites.  Only boundary sites are
+        compared, _DIAMETER_PAIRS pairs at a time: an interior site is the
+        midpoint of two sites, one of which lies farther from any given
+        site."""
+        pts = self.boundary_points
+        rows = max(1, _DIAMETER_PAIRS // len(pts))
+        d2 = 0.0
+        for start in range(0, len(pts), rows):
+            diff = pts[start : start + rows, None, :] - pts[None, :, :]
+            d2 = max(d2, float((diff * diff).sum(-1).max()))
+        return float(np.sqrt(d2))
 
     def __repr__(self):
         return f"Domain({self.label or 'custom'}, a={self.a}, sites={self.n_sites})"
+
+
+def _site_keys(u):
+    """One int64 per lattice point u (..., 3), ((z' * 2^21 + y') * 2^21 + x')
+    with u' = u + 2^20, so keys ascend in colex (z, y, x) order; and whether
+    the point is in range, every coordinate in [-2^20, 2^20) (21 bits, so
+    no in-range key wraps)."""
+    v = u + (1 << 20)
+    ok = ((v >= 0) & (v < 1 << 21)).all(axis=-1)
+    return (v[..., 2] << 42) + (v[..., 1] << 21) + v[..., 0], ok
 
 
 def build_domain(spec, a):
@@ -516,41 +503,34 @@ def cone_check(domain, eps, n_samples=64, seed=0):
     m = int(np.floor(eps / a))
     rng_off = range(-m, m + 1)
     offs = np.array(
-        [d for d in itertools.product(rng_off, rng_off, rng_off) if any(d)], dtype=float
-    )
-    if offs.size:
-        norms = np.linalg.norm(offs, axis=1)
-        keep = a * norms < eps
-        offs, norms = offs[keep], norms[keep]
+        [d for d in itertools.product(rng_off, rng_off, rng_off) if any(d)], dtype=np.int64
+    ).reshape(-1, 3)
+    norms = np.linalg.norm(offs, axis=1)
+    keep = a * norms < eps
+    offs, norms = offs[keep], norms[keep]
     rng = np.random.default_rng(seed)
+    # masks[d]: the offsets in the cone of direction d
+    masks = np.array([(-offs @ d) > (1.0 - eps ** 2) * norms for d in dirs], dtype=int)
 
-    def has_cone(x_idx, inside):
-        if offs.shape[0] == 0:
-            return True  # eps below the grid scale: vacuous
-        for d in dirs:
-            mask = (-offs @ d) > (1.0 - eps ** 2) * norms
-            ys = x_idx + offs[mask]
-            ok = True
-            for y in ys:
-                member = domain.contains_idx(y)
-                if member != inside:
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
-
+    cand = (domain.boundary_sites[:, None] + _AXIS_STEPS).reshape(-1, 3)
+    ghosts = np.unique(cand[domain.site_of(cand) < 0], axis=0)
     tested = 0
-    for inside, pool in ((True, domain.boundary_sites), (False, domain.ghost_sites())):
+    for inside, pool in ((True, domain.boundary_sites), (False, ghosts)):
         if pool.shape[0] == 0 or n_samples == 0:
             continue
         take = min(n_samples, pool.shape[0])
-        sel = rng.choice(pool.shape[0], size=take, replace=False)
-        for x_idx in pool[sel]:
-            tested += 1
-            if not has_cone(x_idx, inside):
-                side = "domain" if inside else "complement"
-                return ConeCheckResult(False, witness=(tuple(int(v) for v in x_idx), side), tested=tested)
+        xs = pool[rng.choice(pool.shape[0], size=take, replace=False)]
+        # a sample has a cone when some direction's cone holds no offset
+        # whose membership differs from the sample's own (vacuous for eps
+        # below the grid scale, where no offset is left)
+        wrong = (domain.site_of(xs[:, None] + offs) >= 0) != inside
+        has_cone = ((wrong.astype(int) @ masks.T) == 0).any(axis=1)
+        if not has_cone.all():
+            first = int(np.argmin(has_cone))
+            side = "domain" if inside else "complement"
+            witness = (tuple(int(v) for v in xs[first]), side)
+            return ConeCheckResult(False, witness=witness, tested=tested + first + 1)
+        tested += take
     return ConeCheckResult(True, tested=tested)
 
 

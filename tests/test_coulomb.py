@@ -199,6 +199,77 @@ class TestKinetic:
             assert np.abs(curl_fd(fld, p) - B).max() < 1e-6 * np.abs(B).max()
 
 
+def loop_kinetic(domain, field=None, mass_scale=1.0):
+    """kinetic_operator by the per-bond loop it replaced: the bonds (i, j)
+    with site j = site i + e_k found through a tuple -> site dict, the field
+    evaluated on one midpoint at a time."""
+    index_of = {t: i for i, t in enumerate(map(tuple, domain.idx.tolist()))}
+    n, a, pts = domain.n_sites, domain.a, domain.points
+    T = np.zeros((n, n), dtype=complex if field is not None else float)
+    np.fill_diagonal(T, 6.0 / a ** 2)
+    for i, t in enumerate(map(tuple, domain.idx.tolist())):
+        for axis in range(3):
+            cand = list(t)
+            cand[axis] += 1
+            j = index_of.get(tuple(cand))
+            if j is None:
+                continue
+            if field is None:
+                T[i, j] = T[j, i] = -1.0 / a ** 2
+            else:
+                mid = 0.5 * (pts[i] + pts[j])
+                phase = float(field(mid) @ (pts[j] - pts[i]))
+                T[i, j] = -np.exp(1j * phase) / a ** 2
+                T[j, i] = np.conj(T[i, j])
+    return mass_scale * T
+
+
+def kinetic_domains():
+    """Cubes at spacings whose site differences are not exactly a, balls and
+    custom sets with negative coordinates."""
+    rng = np.random.default_rng(4)
+    doms = [cube(m, a) for m, a in ((1, 1.0), (2, 1.0), (3, 0.3), (4, 0.7), (5, 1.0))]
+    doms += [
+        G.build_domain({"shape": "ball", "radius": r, "center": c}, a)
+        for r, c, a in [(1.0, [0.5] * 3, 1.0), (2.2, [0.1, -0.3, 0.2], 1.0), (1.4, [0.2] * 3, 0.35)]
+    ]
+    for n in (1, 12, 80):
+        cells = rng.choice(8 ** 3, size=n, replace=False)
+        sites = np.stack(np.unravel_index(cells, (8, 8, 8)), axis=1) - 4
+        doms.append(G.build_domain({"shape": "custom", "sites": sites.tolist()}, 0.9))
+    return doms + [chain(6, 0.5)]
+
+
+class TestKineticOracle:
+    @pytest.mark.parametrize(
+        "field",
+        [
+            None,
+            C.MagneticField.constant([0.3, -1.2, 0.7]),
+            C.MagneticField.periodic_sine(1.0, 4.0),
+            C.MagneticField.periodic_sine(0.7, 2.5),
+            C.MagneticField.random_bounded(3, scale=1.5),
+        ],
+        ids=["none", "constant", "sine", "sine-short", "random"],
+    )
+    @pytest.mark.parametrize("mass_scale", [1.0, 0.01])
+    def test_bitwise_equal_to_bond_loop(self, field, mass_scale):
+        for dom in kinetic_domains():
+            T = C.kinetic_operator(dom, field, mass_scale)
+            ref = loop_kinetic(dom, field, mass_scale)
+            assert T.dtype == ref.dtype and np.array_equal(T, ref)
+
+    def test_random_field_rows_independent_of_batch(self):
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(-6.0, 6.0, size=(4096, 3))
+        fld = C.MagneticField.random_bounded(3)
+        whole = fld(pts)
+        assert np.array_equal(np.array([fld(p) for p in pts]), whole)
+        for size in (3, 5):
+            batches = [fld(pts[k : k + size]) for k in range(0, len(pts), size)]
+            assert np.array_equal(np.concatenate(batches), whole)
+
+
 class TestNuclei:
     def test_coincident_charged_rejected(self):
         with pytest.raises(ValueError, match="coincident"):
@@ -258,6 +329,39 @@ def loop_pairs(entries):
 
 
 DEFECTS = [((0.65, 0.65, 0.65), 0.5), ((9.0, 9.0, 9.0), 1.0), ([0.1, 1.3, 0.4], 0.0)]
+
+
+def dense_inside_domain(domain, R):
+    """_inside_domain by the dense (rows x sites) max-norm table it replaced."""
+    d = np.zeros((len(R), domain.n_sites))
+    for k in range(3):
+        np.maximum(d, np.abs(R[:, k, None] - domain.points[None, :, k]), out=d)
+    return d.min(axis=1) <= 0.49 * domain.a + 1e-12
+
+
+class TestInsideDomain:
+    def test_matches_dense_margin_table(self):
+        rng = np.random.default_rng(9)
+        rows, inside = 0, 0
+        for dom in kinetic_domains():
+            a = dom.a
+            lo, hi = dom.idx.min(axis=0) - 2, dom.idx.max(axis=0) + 2
+            # sites and their neighbours, some off the domain
+            near = dom.idx[rng.integers(dom.n_sites, size=40)] + rng.integers(-1, 2, size=(40, 3))
+            near = a * near
+            # points around the grid, and on and just past the 0.49 a edges
+            R = np.concatenate([
+                a * rng.uniform(lo - 0.5, hi + 0.5, size=(40, 3)),
+                near + a * rng.choice([-0.49, 0.49, -0.4900001, 0.4900001], size=(40, 3)),
+                near + a * rng.uniform(-0.49, 0.49, size=(40, 3)),
+                [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [1e300, 0.0, 0.0], [2.0 ** 30 * a, 0.0, 0.0]],
+            ])
+            with np.errstate(invalid="ignore"):
+                want = dense_inside_domain(dom, R)
+            got = C._inside_domain(dom, R)
+            assert got.dtype == bool and np.array_equal(got, want)
+            rows, inside = rows + len(R), inside + int(want.sum())
+        assert rows == 12 * 124 and 100 < inside < rows
 
 
 class TestNucleiTables:

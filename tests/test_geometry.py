@@ -150,6 +150,158 @@ class TestBuildDomain:
         assert err < 1e-12
 
 
+class SetDomain:
+    """The site set, index dict and per-site loops Domain used to keep: the
+    oracle of its one searchsorted index."""
+
+    def __init__(self, idx):
+        idx = np.asarray(idx, dtype=np.int64).reshape(-1, 3)
+        self.idx = idx[np.lexsort((idx[:, 0], idx[:, 1], idx[:, 2]))]
+        self.site_set = {tuple(t) for t in self.idx.tolist()}
+        self.index_of = {t: i for i, t in enumerate(map(tuple, self.idx.tolist()))}
+        steps = G._AXIS_STEPS.tolist()
+        self.boundary_mask = np.array(
+            [any((x + p, y + q, z + r) not in self.site_set for p, q, r in steps)
+             for x, y, z in self.idx.tolist()],
+            dtype=bool,
+        )
+
+    def contains(self, triple):
+        return tuple(int(v) for v in triple) in self.site_set
+
+    def ghost_sites(self):
+        ghosts = {
+            (x + p, y + q, z + r)
+            for x, y, z in self.site_set
+            for p, q, r in G._AXIS_STEPS.tolist()
+        } - self.site_set
+        return np.array(sorted(ghosts), dtype=np.int64).reshape(-1, 3)
+
+    def reflections(self):
+        lo, hi = self.idx.min(axis=0), self.idx.max(axis=0)
+        images = []
+        for axis in range(3):
+            mirrored = self.idx.copy()
+            mirrored[:, axis] = lo[axis] + hi[axis] - mirrored[:, axis]
+            images.append(mirrored)
+        for p, q in ((0, 1), (1, 2), (0, 2)):
+            swapped = self.idx.copy()
+            swapped[:, p] = lo[p] + self.idx[:, q] - lo[q]
+            swapped[:, q] = lo[q] + self.idx[:, p] - lo[p]
+            images.append(swapped)
+        out = []
+        for mirrored in images:
+            sigma = np.array([self.index_of.get(t, -1) for t in map(tuple, mirrored.tolist())])
+            if (sigma >= 0).all() and (sigma != np.arange(len(self.idx))).any():
+                out.append(sigma)
+        return out
+
+
+def random_custom_sites(rng, n, lo=-6, hi=6):
+    """n distinct lattice points of the box [lo, hi)^3, in random order."""
+    cells = rng.choice((hi - lo) ** 3, size=n, replace=False)
+    return np.stack(np.unravel_index(cells, (hi - lo,) * 3), axis=1) + lo
+
+
+def index_domains():
+    """Cubes, balls (some off-centre, some at a fine spacing), random custom
+    sets (some with negative coordinates), a cube with a cavity and the
+    neck."""
+    rng = np.random.default_rng(11)
+    doms = [G.build_domain({"shape": "cube", "side": float(m)}, 1.0) for m in (1, 2, 3, 5)]
+    doms += [
+        G.build_domain({"shape": "ball", "radius": r, "center": c}, a)
+        for r, c, a in [
+            (1.0, [0.5, 0.5, 0.5], 1.0),
+            (2.5, [0.0, 0.0, 0.0], 1.0),
+            (3.2, [0.3, -0.2, 0.1], 1.0),
+            (1.3, [0.25, 0.25, 0.25], 0.5),
+        ]
+    ]
+    doms += [
+        G.build_domain({"shape": "custom", "sites": random_custom_sites(rng, n).tolist()}, 0.7)
+        for n in (1, 7, 60, 400)
+    ]
+    # a cube with a one-site cavity, whose ghost site has no outside cone
+    cavity = [u for u in itertools.product(range(5), repeat=3) if u != (2, 2, 2)]
+    doms.append(G.build_domain({"shape": "custom", "sites": cavity}, 1.0))
+    return doms + [neck_domain()]
+
+
+class TestSiteIndex:
+    def test_site_of_matches_dict(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 9, 120, 900):
+            sites = random_custom_sites(rng, n)
+            dom = G.Domain(1.0, sites)
+            index_of = {t: i for i, t in enumerate(map(tuple, dom.idx.tolist()))}
+            far = [2 ** 20, -(2 ** 20) - 1, 2 ** 21, -(2 ** 40), 2 ** 62]
+            queries = np.concatenate([
+                dom.idx,
+                rng.integers(-9, 9, size=(500, 3)),  # around and outside the bounding box
+                # points outside +-2^20 whose other coordinates are sites'
+                sites[rng.integers(0, n, 40)] * [1, 1, 0] + np.array(far * 8)[:, None] * [0, 0, 1],
+                sites[rng.integers(0, n, 40)] * [0, 1, 1] + np.array(far * 8)[:, None] * [1, 0, 0],
+            ])
+            want = [index_of.get(t, -1) for t in map(tuple, queries.tolist())]
+            assert dom.site_of(queries).tolist() == want
+            blocks = dom.site_of(queries[:400].reshape(100, 4, 3))
+            assert blocks.tolist() == np.reshape(want[:400], (100, 4)).tolist()
+            assert dom.site_of(dom.idx[3 % n]) == 3 % n
+
+    def test_site_order_is_colex(self):
+        rng = np.random.default_rng(8)
+        sites = random_custom_sites(rng, 300)
+        dom = G.Domain(1.0, sites)
+        assert np.array_equal(dom.idx, SetDomain(sites).idx)
+        assert np.array_equal(dom.site_of(dom.idx), np.arange(300))
+
+    @pytest.mark.parametrize("coord", [2 ** 20, -(2 ** 20) - 1, 2 ** 40])
+    def test_coordinate_outside_range_raises(self, coord):
+        with pytest.raises(ValueError, match=r"site coordinate outside \[-2\^20, 2\^20\)"):
+            G.build_domain({"shape": "custom", "sites": [[0, 0, 0], [0, coord, 0]]}, 1.0)
+
+    def test_range_edges_are_sites(self):
+        sites = [[-(2 ** 20), 0, 2 ** 20 - 1], [2 ** 20 - 1, -(2 ** 20), 0]]
+        dom = G.build_domain({"shape": "custom", "sites": sites}, 1.0)
+        assert dom.site_of(sites).tolist() == [1, 0]
+
+    def test_duplicate_sites_raise(self):
+        with pytest.raises(ValueError, match="duplicate sites"):
+            G.build_domain({"shape": "custom", "sites": [[1, 2, 3], [0, 0, 0], [1, 2, 3]]}, 1.0)
+
+    def test_boundary_and_reflections_match_set_domain(self):
+        for dom in index_domains():
+            ref = SetDomain(dom.idx)
+            assert np.array_equal(dom.boundary_sites, ref.idx[ref.boundary_mask])
+            got, want = dom.reflections(), ref.reflections()
+            assert len(got) == len(want)
+            for sigma, ref_sigma in zip(got, want):
+                assert sigma.dtype == np.int64 and np.array_equal(sigma, ref_sigma)
+
+
+def all_pairs_diameter(points, rows=64):
+    """Largest distance over every pair of points, rows points at a time."""
+    d2 = 0.0
+    for start in range(0, len(points), rows):
+        diff = points[start : start + rows, None, :] - points[None, :, :]
+        d2 = max(d2, float((diff ** 2).sum(-1).max()))
+    return float(np.sqrt(d2))
+
+
+class TestDiameter:
+    def test_large_ball_against_all_pairs(self):
+        dom = G.build_domain({"shape": "ball", "radius": 10.0}, 1.0)
+        assert dom.n_sites == 4224
+        assert dom.diameter() == all_pairs_diameter(dom.points)
+        # the bounding-box diagonal is sqrt(3) times too long
+        assert dom.diameter() == pytest.approx(19.875, abs=5e-4)
+
+    def test_domains_against_all_pairs(self):
+        for dom in index_domains():
+            assert dom.diameter() == all_pairs_diameter(dom.points)
+
+
 def neck_domain():
     cube = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
     shifted = [(i + 2, j + 2, k + 2) for i, j, k in cube]
@@ -179,13 +331,67 @@ class TestConeCheck:
             if 0 < np.linalg.norm(np.array(d) - 2) < 2.0
         ]
         missing = [
-            d for d in ball if not dom.contains_idx(witness + np.array(d) - 2)
+            d for d in ball if dom.site_of(witness + np.array(d) - 2) < 0
         ]
         assert missing, "witness should have off-domain sites inside the ball"
 
     def test_zero_samples_vacuous(self):
         dom = neck_domain()
         assert G.cone_check(dom, 2.0, n_samples=0, seed=0).passed
+
+
+def loop_cone_check(domain, eps, n_samples=64, seed=0):
+    """cone_check by the per-sample, per-direction, per-offset loop it
+    replaced, on the set/dict oracle of the domain: (passed, witness,
+    tested)."""
+    ref = SetDomain(domain.idx)
+    a = domain.a
+    dirs = G._cone_directions(seed)
+    m = int(np.floor(eps / a))
+    rng_off = range(-m, m + 1)
+    offs = np.array(
+        [d for d in itertools.product(rng_off, rng_off, rng_off) if any(d)], dtype=float
+    )
+    if offs.size:
+        norms = np.linalg.norm(offs, axis=1)
+        keep = a * norms < eps
+        offs, norms = offs[keep], norms[keep]
+    rng = np.random.default_rng(seed)
+
+    def has_cone(x_idx, inside):
+        if offs.shape[0] == 0:
+            return True
+        for d in dirs:
+            mask = (-offs @ d) > (1.0 - eps ** 2) * norms
+            if all(ref.contains(y) == inside for y in x_idx + offs[mask]):
+                return True
+        return False
+
+    tested = 0
+    for inside, pool in ((True, ref.idx[ref.boundary_mask]), (False, ref.ghost_sites())):
+        if pool.shape[0] == 0 or n_samples == 0:
+            continue
+        take = min(n_samples, pool.shape[0])
+        sel = rng.choice(pool.shape[0], size=take, replace=False)
+        for x_idx in pool[sel]:
+            tested += 1
+            if not has_cone(x_idx, inside):
+                side = "domain" if inside else "complement"
+                return False, (tuple(int(v) for v in x_idx), side), tested
+    return True, None, tested
+
+
+class TestConeCheckOracle:
+    def test_matches_loop(self):
+        cases = 0
+        for dom in index_domains():
+            for eps in (0.5, 1.0, 1.1, 1.25, 1.6, 2.0, 2.5):
+                for n_samples, seed in ((0, 0), (5, 1), (24, 0), (64, 3), (200, 2)):
+                    res = G.cone_check(dom, eps * dom.a, n_samples=n_samples, seed=seed)
+                    got = (res.passed, res.witness, res.tested)
+                    assert got == loop_cone_check(dom, eps * dom.a, n_samples, seed)
+                    cases += 1
+        assert cases == 14 * 7 * 5
 
 
 class TestRegularityProfile:

@@ -450,13 +450,18 @@ class TestCli:
                 "nuc_max must be at least 0, got -1",
             ),
             (["verify", "repelling"], {"N_list": [-1]}, "N_list entries must be nonnegative, got -1"),
+            (
+                ["energy"],
+                {**MODEL_CONFIG, "domain": {"shape": "custom", "sites": [[0, 0, 0], [2 ** 20, 0, 0]]}},
+                "site coordinate outside [-2^20, 2^20)",
+            ),
         ],
         ids=["hf-beta-0", "hf-beta-negative", "yukawa-nu-negative", "li-yau-length-negative",
              "cq-no-cells", "energy-n_max-negative", "scan-n_max-negative", "quantum-nuclei-mass-0",
              "hf-sine-period-0", "cq-cell-volume-negative", "cq-cell-volume-0",
              "scan-z-negative", "compare-z-negative", "movable-candidates-0",
              "movable-kmax-negative", "quantum-nuclei-nuc_max-negative",
-             "repelling-N-negative"],
+             "repelling-N-negative", "custom-site-out-of-range"],
     )
     def test_out_of_range_exits_2(self, tmp_path, capsys, argv, bad, message):
         # exit 1 means a paper inequality failed; a bad input is exit 2
@@ -817,8 +822,6 @@ MEMBERS_ALLOWED = {
     "fock.FockSpaceDesc.vacuum_index": "the doubled vacuum of localization_isometry",
     "geometry.Domain.boundary_sites": "Part I regularity diagnostic (cone_check)",
     "geometry.Domain.boundary_points": "Part I regularity diagnostic (regularity_profile)",
-    "geometry.Domain.contains_idx": "Part I regularity diagnostic (cone_check)",
-    "geometry.Domain.ghost_sites": "Part I regularity diagnostic (cone_check)",
     "geometry.Domain.diameter": "Part I regularity diagnostic (regularity_profile)",
     "localization.LocalizationWeight.zero": "q of an empty index set; no CLI set is empty",
     "localization.QuantizeResult.corrected_entropy": "acceptance criterion 4",
