@@ -591,8 +591,8 @@ def _lift_group(lifts, idx, block):
 
 
 def _isotypic_split(lifts, idx, block):
-    """[(M, copies)] splitting one sector by its symmetry group G
-    (_lift_group); None when no lift is kept.
+    """An iterator of (M, copies) splitting one sector by its symmetry group
+    G (_lift_group); None when no lift is kept.
 
     On each G-orbit of the sector basis take the signed basis
     f_b = U(g_b) e_rep, g_b the first element of each coset of the
@@ -605,10 +605,10 @@ def _isotypic_split(lifts, idx, block):
     by Schur's lemma B has one spectrum on all of them.
 
     M = Q^T B Q for an orthonormal basis Q of one subspace (_subspace_blocks),
-    the first of each linked set, which stands for copies of them.
-    EigensolverError when two S eigenvalues are too close to tell apart,
-    linked subspaces differ in size or the sizes do not add up to the
-    sector."""
+    the first of each linked set, which stands for copies of them; each M
+    is built only when the iterator reaches it.  EigensolverError when two
+    S eigenvalues are too close to tell apart, linked subspaces differ in
+    size or the sizes do not add up to the sector."""
     group = _lift_group(lifts, idx, block)
     if group is None:
         return None
@@ -682,13 +682,16 @@ def _isotypic_split(lifts, idx, block):
             raise EigensolverError(f"linked symmetry blocks of sector dim {d} differ in size")
         chosen.append(a)
         copies.append(len(members))
-    blocks = _subspace_blocks(block, place, orbits, S_all, lam_all, V_all, label, np.array(chosen))
-    return list(zip(blocks, copies))
+    return _subspace_blocks(
+        block, place, orbits, S_all, lam_all, V_all, label, np.array(chosen), copies
+    )
 
 
-def _subspace_blocks(block, place, orbits, S_all, lam_all, V_all, label, chosen):
-    """[M] for the chosen subspaces of _isotypic_split: M = Q^T B Q for an
-    orthonormal basis Q of the subspace.
+def _subspace_blocks(block, place, orbits, S_all, lam_all, V_all, label, chosen, copies):
+    """Yield (M, copies[c]) for each chosen subspace c of _isotypic_split in
+    turn: M = Q^T B Q for an orthonormal basis Q of the subspace.  Nothing
+    runs before the first next(); each M is assembled only when asked for, so
+    a caller that drops it before the next holds one block at a time.
 
     Subspace c has the k_t eigenvectors V_t[:, j] of type t's S with labels
     c, and column start[c, t, j] + o of Q is sum_b V_t[b, j] f_b on orbit o
@@ -696,8 +699,11 @@ def _subspace_blocks(block, place, orbits, S_all, lam_all, V_all, label, chosen)
     of B Q at k_t pivot states of each orbit fix M's k_t rows for that
     orbit: of B, only those rows are read.  M is first order in the error
     of the eigenvectors, so on orbits of at least _REFINE_FROM states one
-    step of inverse iteration takes them to rounding level first."""
-    type_of, orbit_of, coset_of, sign_of = place
+    step of inverse iteration takes them to rounding level first.  The
+    eigenvectors, pivots and padding K are found for all subspaces at once
+    (a K of its own moves a subspace's inv, so M, in the last bits); only
+    the row fetch and the sum of M (_subspace_block) run per subspace."""
+    type_of, _, coset_of, _ = place
     n_c, (n_types, L_max) = chosen.size, label.shape
     mine = label[None] == chosen[:, None, None]
     counts = mine.sum(axis=2)  # k_t for each subspace and type
@@ -735,28 +741,36 @@ def _subspace_blocks(block, place, orbits, S_all, lam_all, V_all, label, chosen)
     cc, tt, ii = np.nonzero(valid)
     table[cc, tt, piv[cc, tt, ii]] = ii
     slot = table[:, type_of, coset_of]
-    cs, xs = np.nonzero(slot >= 0)
+    for c in range(n_c):
+        yield _subspace_block(
+            block, place, counts[c], slot[c], inv[c], V[c], start[c], m[c]
+        ), copies[c]
+
+
+def _subspace_block(block, place, counts, slot, inv, V, start, m):
+    """M of one subspace of _subspace_blocks, from the B rows at its pivot
+    states, in block's row order."""
+    type_of, orbit_of, coset_of, sign_of = place
+    xs = np.nonzero(slot >= 0)[0]
     sub = block[xs]
-    r = np.repeat(np.arange(xs.size), np.diff(sub.indptr))
+    x = np.repeat(xs, np.diff(sub.indptr))
     y, val = sub.indices, sub.data
-    c, x = cs[r], xs[r]
-    live = counts[c, type_of[y]] > 0
-    c, x, y, val = c[live], x[live], y[live], val[live]
+    live = counts[type_of[y]] > 0
+    x, y, val = x[live], y[live], val[live]
     tx, ty = type_of[x], type_of[y]
-    # M[start[c, t, j] + o, :] = sum_i inv[c, t, j, i] f (B Q)[pivot i of orbit o, :]
+    # M[start[t, j] + o, :] = sum_i inv[t, j, i] f (B Q)[pivot i of orbit o, :]
     w = (sign_of[x] * val * sign_of[y])[:, None, None]
-    w = w * inv[c, tx, :, slot[c, x]][:, :, None] * V[c, ty, coset_of[y]][:, None, :]
-    offset = np.cumsum(m * m) - m * m
+    w = w * inv[tx, :, slot[x]][:, :, None] * V[ty, coset_of[y]][:, None, :]
     flat = (
-        (offset[c] + m[c] * orbit_of[x])[:, None, None]
-        + m[c, None, None] * start[c, tx][:, :, None]
-        + (start[c, ty] + orbit_of[y][:, None])[:, None, :]
+        (m * orbit_of[x])[:, None, None]
+        + m * start[tx][:, :, None]
+        + (start[ty] + orbit_of[y][:, None])[:, None, :]
     ).ravel()
-    M = np.bincount(flat, w.real.ravel(), offset[-1] + m[-1] ** 2).astype(w.dtype, copy=False)
+    M = np.bincount(flat, w.real.ravel(), m * m).astype(w.dtype, copy=False)
     if np.iscomplexobj(w):
         M.imag = np.bincount(flat, w.imag.ravel(), M.size)
     # M is Hermitian to rounding; eigvalsh reads its lower triangle
-    return [M[offset[i] : offset[i] + m[i] ** 2].reshape(m[i], m[i]) for i in range(n_c)]
+    return M.reshape(m, m)
 
 
 # Largest block densified unless the caller sets dense_cap: the sector of
@@ -775,8 +789,10 @@ def _sector_spectrum(op, key, dense_cap):
     A sector of dimension at least _SPLIT_FROM is split by the group its
     operator's exact lifts generate (_isotypic_split): one dense eigvalsh per
     isotypic component, its eigenvalues repeated once per linked subspace.
-    A smaller sector, or one with no lift kept, is diagonalized whole.  The
-    sector dimension must fit dense_cap."""
+    The blocks are built, diagonalized and dropped one at a time, so the
+    largest of them (and eigvalsh's copy of it) sets the peak.  A smaller
+    sector, or one with no lift kept, is diagonalized whole.  The sector
+    dimension must fit dense_cap."""
     idx = op.sectors[key]
     _fit_dense(f"sector {key}", idx.size, dense_cap)
     block = op.blocks[key]
@@ -788,6 +804,7 @@ def _sector_spectrum(op, key, dense_cap):
     vals = []
     for M, copies in split:
         vals += [_dense_eig(M)] * copies
+        del M  # before the next block is built
     return np.sort(np.concatenate(vals))
 
 

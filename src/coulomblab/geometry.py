@@ -151,6 +151,13 @@ def _site_keys(u):
     return (v[..., 2] << 42) + (v[..., 1] << 21) + v[..., 0], ok
 
 
+def _box(values):
+    """Every point of values^3 as the rows of one C-ordered (n^3, 3) array,
+    x slowest (itertools.product order)."""
+    axes = np.meshgrid(values, values, values, indexing="ij", copy=False)
+    return np.stack(axes, axis=-1).reshape(-1, 3)
+
+
 def build_domain(spec, a):
     """Build a Domain from a shape descriptor.
 
@@ -167,8 +174,7 @@ def build_domain(spec, a):
         m = int(round(side / a))
         if m < 1 or side <= 0:
             raise ValueError("degenerate domain: cube smaller than one site")
-        rng = range(m)
-        idx = np.array(list(itertools.product(rng, rng, rng)), dtype=np.int64)
+        idx = _box(np.arange(m, dtype=np.int64))
         return Domain(a, idx, label=f"cube{m}")
     if shape == "ball":
         r = float(spec["radius"])
@@ -176,8 +182,7 @@ def build_domain(spec, a):
         if center.shape != (3,):
             raise ValueError(f"ball center must have 3 coordinates, got shape {center.shape}")
         m = int(np.ceil(r / a)) + 1
-        rng = range(-m, m + 1)
-        base = np.array(list(itertools.product(rng, rng, rng)), dtype=np.int64)
+        base = _box(np.arange(-m, m + 1, dtype=np.int64))
         keep = np.linalg.norm(a * base - center, axis=1) <= r
         idx = base[keep]
         if idx.shape[0] == 0:
@@ -409,7 +414,7 @@ def _mollifier_nodes(r_j, n_quad=16):
     """
     h = 2.0 * r_j / n_quad
     grid = -r_j + h * (np.arange(n_quad) + 0.5)
-    pts = np.array(list(itertools.product(grid, grid, grid)))
+    pts = _box(grid)
     r2 = (pts ** 2).sum(axis=1) / r_j ** 2
     keep = r2 < 1.0
     pts = pts[keep]

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -1078,6 +1079,66 @@ class TestSectorSpectrum:
         energy, _key, vec = C.ground_state_vector(op)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(full_matrix(op) @ vec - energy * vec) < 1e-10
+
+
+def spectrum_peak(op, key):
+    """tracemalloc peak of _sector_spectrum on one sector, its lifts computed
+    (and cached) beforehand."""
+    for lift in op.reflections:
+        lift()
+    tracemalloc.start()
+    try:
+        C._sector_spectrum(op, key, 4096)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSectorSpectrumMemory:
+    def test_crystal_side4_peak(self):
+        """The side-4 crystal N = 2 sector (2016, S_3) splits into blocks of
+        670, 386 and 290: 5.2 MiB together, 3.4 MiB the largest.  Built one
+        at a time the peak is about 4.3 MiB; all three at once took it to
+        7.1 MiB."""
+        assert spectrum_peak(crystal(4), 2) < 6 * 2 ** 20
+
+    def test_two_species_side4_peak(self):
+        """The side-4 two-species (1, 1) sector (4096, O_h) has ten blocks,
+        2.7 MiB together, the largest 288 x 288.  Built one at a time the
+        peak is about 3.2 MiB; all ten at once took it to 8.6 MiB."""
+        op = C.two_species_hamiltonian(cube(4), 1.0, 100.0)
+        assert spectrum_peak(op, (1, 1)) < 4 * 2 ** 20
+
+    def test_split_is_lazy(self, monkeypatch):
+        built = []
+
+        def spy(*args, real=C._subspace_block):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(C, "_subspace_block", spy)
+        op = crystal(4)
+        split = C._isotypic_split(op.reflections, op.sectors[2], op.blocks[2])
+        assert iter(split) is split and built == []
+        M, copies = next(split)
+        assert len(built) == 1 and M is built[0] and (M.shape, copies) == ((290, 290), 1)
+        assert sorted((M.shape[0], n) for M, n in split) == [(386, 1), (670, 2)]
+        assert len(built) == 3
+
+    def test_one_block_alive_at_a_time(self, monkeypatch):
+        # every block is dropped before the next one is built
+        alive = []
+
+        def spy(*args, real=C._subspace_block):
+            assert not [ref for ref in alive if ref() is not None]
+            M = real(*args)
+            alive.append(weakref.ref(M))
+            return M
+
+        monkeypatch.setattr(C, "_subspace_block", spy)
+        C._sector_spectrum(crystal(4), 2, 4096)
+        C._sector_spectrum(C.two_species_hamiltonian(cube(4), 1.0, 100.0), (1, 1), 4096)
+        assert len(alive) == 3 + 10
 
 
 class TestHartreeFock:

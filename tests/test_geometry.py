@@ -150,6 +150,71 @@ class TestBuildDomain:
         assert err < 1e-12
 
 
+def product_box(values, dtype=None):
+    """The former lattice-box enumeration: a list of itertools.product tuples."""
+    return np.array(list(itertools.product(values, values, values)), dtype=dtype)
+
+
+def product_mollifier_nodes(r_j, n_quad):
+    """The former _mollifier_nodes, its grid enumerated by product_box."""
+    h = 2.0 * r_j / n_quad
+    pts = product_box(-r_j + h * (np.arange(n_quad) + 0.5))
+    r2 = (pts ** 2).sum(axis=1) / r_j ** 2
+    keep = r2 < 1.0
+    w = (1.0 - r2[keep]) ** 4
+    return pts[keep], w / w.sum()
+
+
+class TestBoxOracle:
+    """The numpy boxes of build_domain and _mollifier_nodes against the
+    itertools.product enumeration they replaced: same rows, same order."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.arange(m, dtype=np.int64) for m in range(1, 7)]
+        + [np.arange(-3, 4, dtype=np.int64), -0.9 + 0.2 * np.arange(10)],
+    )
+    def test_box_rows(self, values):
+        box = G._box(values)
+        ref = product_box(values.tolist(), values.dtype)
+        assert box.dtype == ref.dtype and box.flags.c_contiguous
+        assert np.array_equal(box, ref)
+
+    @pytest.mark.parametrize("a", [1.0, 0.7])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_cube(self, m, a):
+        dom = G.build_domain({"shape": "cube", "side": m * a}, a)
+        ref = G.Domain(a, product_box(range(m), np.int64))
+        assert dom.idx.dtype == np.int64 and np.array_equal(dom.idx, ref.idx)
+        assert np.array_equal(dom.points, ref.points)
+
+    @pytest.mark.parametrize("center", [None, [0.0, 0.0, 0.0], [0.3, -1.2, 0.75]])
+    @pytest.mark.parametrize("r", np.arange(1, 13) / 2)
+    def test_ball(self, r, center):
+        spec = {"shape": "ball", "radius": r}
+        if center is not None:
+            spec["center"] = center
+        a = 1.0
+        c = np.array([a / 2] * 3 if center is None else center)
+        m = int(np.ceil(r / a)) + 1
+        base = product_box(range(-m, m + 1), np.int64)
+        ref = base[np.linalg.norm(a * base - c, axis=1) <= r]
+        if not len(ref):
+            with pytest.raises(ValueError, match="ball contains no site"):
+                G.build_domain(spec, a)
+            return
+        dom = G.build_domain(spec, a)
+        assert dom.idx.dtype == np.int64 and np.array_equal(dom.idx, G.Domain(a, ref).idx)
+
+    @pytest.mark.parametrize("n_quad", [8, 16])
+    @pytest.mark.parametrize("r_j", [0.1, 0.5 * np.sqrt(3.0), 1.3])
+    def test_mollifier_nodes_bitwise(self, r_j, n_quad):
+        pts, w = G._mollifier_nodes(r_j, n_quad)
+        ref_pts, ref_w = product_mollifier_nodes(r_j, n_quad)
+        assert pts.flags.c_contiguous
+        assert np.array_equal(pts, ref_pts) and np.array_equal(w, ref_w)
+
+
 class SetDomain:
     """The site set, index dict and per-site loops Domain used to keep: the
     oracle of its one searchsorted index."""
